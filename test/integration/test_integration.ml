@@ -119,6 +119,58 @@ let test_mismatched_levels_rejected () =
     Alcotest.fail "mismatched hierarchy accepted by mem check"
   with Invalid_argument _ -> ()
 
+(* Golden outputs of the gensor method: the exact schedule signature and
+   model score of three ops on both device presets, recorded at a fixed
+   seed.  Any change to the search that moves a schedule or a score shows up
+   here; a change meant to leave outputs alone must pass unchanged.  Every
+   case starts from empty memo caches so the result cannot depend on what
+   ran before it.  Scores are compared exactly via their hex spelling. *)
+let golden_ops =
+  let table label () =
+    (Option.get (Workloads.Table_iv.find label)).Workloads.Table_iv.op ()
+  in
+  [ ("M1", table "M1");
+    ("C1", table "C1");
+    ("BMM", fun () -> Ops.Matmul.batch_matmul ~batch:12 ~m:128 ~n:128 ~k:64 ()) ]
+
+let golden =
+  [ ("rtx4090", "M1", "gemm|L2@0|s:8x8;128x256;4096x4096|r:4;1;16|v:8x8",
+     "0x1.950729c9f2519p+45");
+    ("rtx4090", "C1",
+     "conv2d|L2@0|s:1x4x14x1;4x128x7x4;32x256x14x14|r:1x3x1;1x1x3;4x1x3|v:1x2x4x1",
+     "0x1.874ba5a306078p+45");
+    ("rtx4090", "BMM", "bmm|L2@0|s:1x1x8;4x32x32;2x128x128|r:8;2;2|v:1x1x8",
+     "0x1.21dc1093e11b5p+42");
+    ("orin", "M1", "gemm|L2@0|s:16x8;128x128;512x512|r:1;2;8|v:16x8",
+     "0x1.b2b9ccaebec9bp+39");
+    ("orin", "C1",
+     "conv2d|L2@0|s:4x8x1x2;8x128x14x1;8x256x1x7|r:1x1x3;4x3x1;16x3x1|v:2x4x1x2",
+     "0x1.b29e1570b5a26p+39");
+    ("orin", "BMM", "bmm|L2@0|s:1x8x8;1x128x128;1x32x128|r:4;1;32|v:1x8x8",
+     "0x1.18f221d2e850fp+39") ]
+
+let test_golden_schedules () =
+  let device = function
+    | "rtx4090" -> Hardware.Presets.rtx4090
+    | _ -> Hardware.Presets.orin_nano
+  in
+  List.iter
+    (fun (dev, label, signature, score) ->
+      Parallel.Memo.clear_all ();
+      let method_ = Pipeline.Methods.gensor () in
+      let out =
+        method_.Pipeline.Methods.compile ~hw:(device dev)
+          ((List.assoc label golden_ops) ())
+      in
+      let got_sig = Sched.Etir.signature out.Pipeline.Methods.etir in
+      let got_score =
+        Printf.sprintf "%h" (Costmodel.Metrics.score out.Pipeline.Methods.metrics)
+      in
+      if got_sig <> signature || got_score <> score then
+        Alcotest.failf "%s/%s: got (%S, %S), want (%S, %S)" dev label got_sig
+          got_score signature score)
+    golden
+
 let () =
   Alcotest.run "integration"
     [ ("headline",
@@ -132,4 +184,7 @@ let () =
          Alcotest.test_case "both devices" `Quick test_both_devices;
          Alcotest.test_case "determinism" `Quick test_pipeline_deterministic;
          Alcotest.test_case "mismatched hierarchy rejected" `Quick
-           test_mismatched_levels_rejected ]) ]
+           test_mismatched_levels_rejected ]);
+      ("golden",
+       [ Alcotest.test_case "schedules and scores" `Quick
+           test_golden_schedules ]) ]
