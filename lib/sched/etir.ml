@@ -26,6 +26,7 @@ type t = {
   mutable fp : int64;         (* memoized fingerprint; 0 = not yet computed *)
   sext : int array;           (* cached spatial axis extents (from compute) *)
   rext : int array;           (* cached reduce axis extents (from compute) *)
+  cfp : int64;                (* cached Compute.fingerprint of [compute] *)
 }
 
 let compute t = t.compute
@@ -60,7 +61,9 @@ let reduce_axes t = Array.of_list (Compute.reduce_axes t.compute)
 (* Extents and axis counts are read in every hot analysis loop (benefit
    context, feature extraction, launch bounds), so they are cached in the
    record at construction instead of being rebuilt from the compute's axis
-   lists per call.  The cached arrays are shared — callers only read them. *)
+   lists per call.  The cached arrays are shared — callers only read them.
+   The compute's structural hash is cached the same way: it keys every memo
+   probe, and walking the body per probe would dominate the lookup. *)
 let num_spatial t = Array.length t.sext
 let num_reduce t = Array.length t.rext
 let spatial_extents t = t.sext
@@ -79,7 +82,7 @@ let create ?(num_levels = 2) compute =
     stiles = Array.make_matrix (num_levels + 1) n_spatial 1;
     rtiles = Array.make_matrix (num_levels + 1) (max n_reduce 1) 1;
     vthreads = Array.make n_spatial 1;
-    fp = 0L; sext; rext }
+    fp = 0L; sext; rext; cfp = Compute.fingerprint compute }
 
 (* Structural invariants; used by tests and re-checked after every action. *)
 let validate t =
@@ -245,10 +248,13 @@ let retarget t compute' =
     else Array.map (clamp_row rext) t.rtiles
   in
   let vthreads = Array.mapi (fun i v -> min v stiles.(0).(i)) t.vthreads in
-  { t with compute = compute'; stiles; rtiles; vthreads; fp = 0L; sext; rext }
+  { t with compute = compute'; stiles; rtiles; vthreads; fp = 0L; sext; rext;
+    cfp = Compute.fingerprint compute' }
 
-(* 64-bit structural hash over everything the cost model reads: compute
-   identity and extents, level count, every tile and the vthread vector.
+(* 64-bit structural hash over everything the cost model reads: the
+   compute's full structure (axes, input shapes, body — two computes with
+   equal names and extents but different strides or operands must not share
+   an entry), level count, every tile and the vthread vector.
    [cur_level] is deliberately excluded — it is a construction cursor, not
    part of the tensor program, so states differing only in it evaluate
    identically and should share memo entries and dedup slots.  The hash is
@@ -264,7 +270,7 @@ let mix64 h v =
 let fingerprint t =
   if t.fp <> 0L then t.fp
   else begin
-    let h = ref (Int64.of_int (Hashtbl.hash (Compute.name t.compute))) in
+    let h = ref t.cfp in
     let add v = h := mix64 !h (Int64.of_int v) in
     add t.num_levels;
     Array.iter add (spatial_extents t);
@@ -278,15 +284,14 @@ let fingerprint t =
   end
 
 (* Exact evaluation identity backing the fingerprint: memo caches re-check
-   this on every probe so a hash collision can only cost a recompute. *)
+   this on every probe so a hash collision can only cost a recompute.  The
+   compute comparison goes through its cached structural hash, so a probe
+   never re-walks the definition. *)
 let eval_equal a b =
   a == b
-  || (fingerprint a = fingerprint b
+  || (a.cfp = b.cfp
+     && fingerprint a = fingerprint b
      && a.num_levels = b.num_levels
-     && (a.compute == b.compute
-        || (Compute.name a.compute = Compute.name b.compute
-           && spatial_extents a = spatial_extents b
-           && reduce_extents a = reduce_extents b))
      && a.stiles = b.stiles && a.rtiles = b.rtiles
      && a.vthreads = b.vthreads)
 

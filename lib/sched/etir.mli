@@ -88,8 +88,9 @@ val retarget : t -> Tensor_lang.Compute.t -> t
 (** Canonical state key for graph memoisation and deduplication. *)
 val signature : t -> string
 
-(** 64-bit structural hash of the evaluation-relevant state: compute
-    identity and extents, level count, all tiles and vthreads.  Excludes
+(** 64-bit structural hash of the evaluation-relevant state: the compute's
+    {!Tensor_lang.Compute.fingerprint} (cached at construction), level
+    count, all tiles and vthreads.  Excludes
     [cur_level] (a construction cursor): states differing only in it
     produce identical metrics, so they share cost-model memo entries and
     dedup slots.  Memoized per state; never 0. *)

@@ -319,6 +319,42 @@ let test_fused_beats_unfused () =
     [ Dnn.Resnet.resnet50_graph ~batch:8 ();
       Dnn.Transformer.bert_small_graph ~batch:8 () ]
 
+(* Memo keys must see the whole compute, not just its name and extents.
+   The stride-2 depthwise kernels of this MobileNetV2 (distinct fused
+   kernels 7 and 12) share name and axis extents with earlier kernels
+   that read a differently shaped input; with a warm memo they used to come
+   back carrying the other kernel's compute.  Compiling the distinct kernels in graph order
+   from cold caches reproduces exactly that warm-memo sequence. *)
+let test_memo_keeps_kernels_apart () =
+  Parallel.Memo.clear_all ();
+  let g = Dnn.Mobilenet.mobilenet_v2_graph ~batch:1 ~width_mult:0.35 () in
+  let seen = Hashtbl.create 32 in
+  let kernels =
+    List.filter_map
+      (fun n ->
+        let op = n.Dnn.Graph.op in
+        let key = Dnn.Model.distinct_key op in
+        if Hashtbl.mem seen key then None
+        else begin
+          Hashtbl.add seen key ();
+          Some op
+        end)
+      (Dnn.Graph.nodes (Dnn.Fusion.fuse g).Dnn.Fusion.graph)
+  in
+  let gensor = Pipeline.Methods.gensor () in
+  List.iteri
+    (fun i op ->
+      if i <= 12 then begin
+        let out = gensor.Pipeline.Methods.compile ~hw op in
+        let fp = Tensor_lang.Compute.fingerprint in
+        if fp (Sched.Etir.compute out.Pipeline.Methods.etir)
+           <> fp (Ops.Op.compute op)
+        then
+          Alcotest.failf "kernel %d (%s) came back with another compute" i
+            (Ops.Op.name op)
+      end)
+    kernels
+
 let () =
   Alcotest.run "graph"
     [ ( "builder",
@@ -345,4 +381,6 @@ let () =
         [ Alcotest.test_case "deterministic across jobs" `Quick
             test_run_graph_deterministic;
           Alcotest.test_case "fused beats unfused" `Quick
-            test_fused_beats_unfused ] ) ]
+            test_fused_beats_unfused;
+          Alcotest.test_case "warm memo keeps kernels apart" `Quick
+            test_memo_keeps_kernels_apart ] ) ]
