@@ -92,104 +92,6 @@ let report_store_issues store =
     (fun i -> Fmt.epr "cache: skipped %a@." Artifact.Store.pp_issue i)
     (Artifact.Store.issues store)
 
-(* ---------- learned cost-model predictor ---------- *)
-
-let predict_arg =
-  let doc =
-    "Load a trained cost-model predictor from $(docv) (a .gpm file written \
-     by $(b,gensor predict train)) and use it as a search pre-filter: the \
-     predictor ranks each frontier and only the top \
-     GENSOR_PREDICT_TOPK fraction is re-scored by the exact analytical \
-     model.  Off by default; same effect as setting GENSOR_PREDICT=$(docv)."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "predict" ] ~docv:"FILE" ~doc
-        ~env:(Cmd.Env.info "GENSOR_PREDICT"))
-
-(* [--predict FILE] wins; otherwise GENSOR_PREDICT (read through Trace.Env
-   so an empty value is ignored with a warning rather than failing).  The
-   model is only loaded here — each command decides when to activate it. *)
-let load_predict arg =
-  let path =
-    match arg with
-    | Some p -> Some p
-    | None -> Trace.Env.string "GENSOR_PREDICT"
-  in
-  match path with
-  | None -> Ok None
-  | Some path -> (
-    match Artifact.Predict_codec.load ~path with
-    | Ok m -> Ok (Some m)
-    | Error e ->
-      Error
-        (Fmt.str "cannot load predictor %s: %a" path Artifact.Codec.pp_error e))
-
-(* Trace rows are one sample per line — the row kind ([self] or [edge],
-   picking which head trains on it), the exact analytical label, then the
-   [Costmodel.Feature.dim] feature values — so dumps concatenate and split
-   with ordinary text tools. *)
-let kind_name = function
-  | Costmodel.Predict.Self -> "self"
-  | Costmodel.Predict.Edge -> "edge"
-
-let write_trace_row oc kind label feats =
-  let b = Buffer.create 640 in
-  Buffer.add_string b (kind_name kind);
-  Buffer.add_string b (Fmt.str " %.9g" label);
-  Array.iter (fun f -> Buffer.add_string b (Fmt.str " %.9g" f)) feats;
-  Buffer.add_char b '\n';
-  output_string oc (Buffer.contents b)
-
-let read_trace_rows path =
-  let dim = Costmodel.Feature.dim in
-  let parse lineno line =
-    match String.split_on_char ' ' (String.trim line) with
-    | [] | [ "" ] -> Ok None
-    | kind :: label :: feats ->
-      let n = List.length feats in
-      let kind =
-        match kind with
-        | "self" -> Some Costmodel.Predict.Self
-        | "edge" -> Some Costmodel.Predict.Edge
-        | _ -> None
-      in
-      if kind = None then
-        Error (Fmt.str "%s:%d: expected row kind self or edge" path lineno)
-      else if n <> dim then
-        Error
-          (Fmt.str "%s:%d: expected %d features, found %d" path lineno dim n)
-      else (
-        match
-          ( float_of_string_opt label,
-            List.filter_map float_of_string_opt feats )
-        with
-        | Some l, fs when List.length fs = n ->
-          Ok (Some (Option.get kind, Array.of_list fs, l))
-        | _ -> Error (Fmt.str "%s:%d: unparseable float" path lineno))
-    | [ _ ] -> Error (Fmt.str "%s:%d: truncated row" path lineno)
-  in
-  match
-    In_channel.with_open_text path (fun ic ->
-        let rows = ref [] and lineno = ref 0 in
-        let rec go () =
-          match In_channel.input_line ic with
-          | None -> Ok (List.rev !rows)
-          | Some line -> (
-            incr lineno;
-            match parse !lineno line with
-            | Ok None -> go ()
-            | Ok (Some row) ->
-              rows := row :: !rows;
-              go ()
-            | Error _ as e -> e)
-        in
-        go ())
-  with
-  | result -> result
-  | exception Sys_error m -> Error m
-
 (* ---------- compile ---------- *)
 
 let op_arg =
@@ -201,16 +103,9 @@ let cuda_arg =
   Arg.(value & flag & info [ "cuda" ] ~doc)
 
 let compile_cmd =
-  let run device method_name label emit_cuda cache_dir no_incremental trace
-      predict_file =
+  let run device method_name label emit_cuda cache_dir no_incremental trace =
     apply_incremental no_incremental;
     apply_trace trace;
-    match load_predict predict_file with
-    | Error m -> `Error (false, m)
-    | Ok predict_model ->
-    Option.iter
-      (fun m -> Costmodel.Predict.set_active (Some m))
-      predict_model;
     match
       ( resolve_device device,
         resolve_method method_name,
@@ -275,7 +170,7 @@ let compile_cmd =
     Term.(
       ret
         (const run $ device_arg $ method_arg $ op_arg $ cuda_arg
-       $ cache_dir_arg $ no_incremental_arg $ trace_arg $ predict_arg))
+       $ cache_dir_arg $ no_incremental_arg $ trace_arg))
 
 (* ---------- ops ---------- *)
 
@@ -844,15 +739,14 @@ let bench_arm ?(warmup = 0) ~name ~jobs ~runs ?states f =
     b_hit_rate = hit_rate; b_prune_rate = None; b_jobs = jobs;
     b_counters = counters }
 
-let bench_json rows ~networks ~jobs ~speedup ~speedup_incremental ~predict
-    ~exec =
+let bench_json rows ~networks ~jobs ~speedup ~speedup_incremental ~exec =
   let buf = Buffer.create 1024 in
   let field_opt = function
     | None -> "null"
     | Some v -> Fmt.str "%.3f" v
   in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"gensor-bench-compile/6\",\n";
+  Buffer.add_string buf "  \"schema\": \"gensor-bench-compile/7\",\n";
   Buffer.add_string buf (Fmt.str "  \"jobs\": %d,\n" jobs);
   Buffer.add_string buf
     (Fmt.str "  \"cpus\": %d,\n" (Domain.recommended_domain_count ()));
@@ -861,19 +755,6 @@ let bench_json rows ~networks ~jobs ~speedup ~speedup_incremental ~predict
   Buffer.add_string buf
     (Fmt.str "  \"speedup_incremental_vs_full\": %s,\n"
        (field_opt speedup_incremental));
-  (* Learned-tier arm summary (schema /5): absent fields are explicit
-     nulls, so readers never branch on key presence. *)
-  (match predict with
-  | None ->
-    Buffer.add_string buf
-      "  \"predict\": { \"enabled\": false, \"topk\": null, \
-       \"quality_eps\": null, \"speedup_predict_vs_exact\": null },\n"
-  | Some (topk, eps, sp) ->
-    Buffer.add_string buf
-      (Fmt.str
-         "  \"predict\": { \"enabled\": true, \"topk\": %.3f, \
-          \"quality_eps\": %.6f, \"speedup_predict_vs_exact\": %s },\n"
-         topk eps (field_opt sp)));
   (* Executor-tier summary (schema /6): throughput of the compiled bytecode
      VM vs the interpreter oracle, in domain points/s, plus their ratio.
      The per-arm exec rows carry the same numbers in [states_per_s]. *)
@@ -1027,24 +908,10 @@ let bench_check_arg =
   in
   Arg.(value & opt (some string) None & info [ "check" ] ~docv:"FILE" ~doc)
 
-let bench_dump_arg =
-  let doc =
-    "Dump (feature row, exact analytical score) training pairs observed \
-     during this run to $(docv), one sample per line — the input of \
-     $(b,gensor predict train).  The instrumented arms run slower; do not \
-     mix a dump run with $(b,--check)."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "dump-traces" ] ~docv:"FILE" ~doc)
-
 let bench_cmd =
-  let run json_file quick jobs cache_dir no_incremental check_file trace
-      dump_file predict_file =
+  let run json_file quick jobs cache_dir no_incremental check_file trace =
     apply_incremental no_incremental;
     apply_trace trace;
-    match load_predict predict_file with
-    | Error m -> `Error (false, m)
-    | Ok predict_model ->
     let incremental = Costmodel.Delta.enabled () in
     let hw = Hardware.Presets.rtx4090 in
     let gemm_op = Ops.Matmul.gemm ~m:1024 ~n:1024 ~k:1024 () in
@@ -1080,25 +947,6 @@ let bench_cmd =
        does; the method wrapper adds one span and a verify gate that is
        off by default. *)
     let roller_method = Pipeline.Methods.roller () in
-    (* Trace dump: install the process-wide sink before any arm runs, so
-       every instrumented search layer contributes samples.  The writer is
-       mutex-guarded because the pooled arms emit from worker domains. *)
-    let dump =
-      Option.map
-        (fun file ->
-          let oc = open_out file in
-          let lock = Mutex.create () in
-          let count = ref 0 in
-          Costmodel.Predict.set_dump
-            (Some
-               (fun kind feats label ->
-                 Mutex.lock lock;
-                 incr count;
-                 write_trace_row oc kind label feats;
-                 Mutex.unlock lock));
-          (file, oc, count))
-        dump_file
-    in
     arm
       (bench_arm ~name:"roller-gemm1024" ~jobs:1 ~runs ~states:() (fun () ->
            (* tree_steps is Roller's candidates_examined: the construction
@@ -1170,59 +1018,6 @@ let bench_cmd =
              { Ansor.Search.default_config with Ansor.Search.n_trials = 200 }
            in
            (Ansor.Search.search ~config ~jobs ~hw gemm).Ansor.Search.trials));
-    (* Predictor arms: same workloads as the gensor/graph arms above, but
-       with the learned pre-filter active, so the states/s gap is the
-       two-phase-scoring win.  Quality is measured in-process: the
-       predictor-on schedule must score within epsilon of the
-       predictor-off oracle on the same seeds. *)
-    let predict_summary =
-      match predict_model with
-      | None -> None
-      | Some model ->
-        Costmodel.Predict.set_active (Some model);
-        let topk =
-          match Costmodel.Predict.active () with
-          | Some a -> a.Costmodel.Predict.a_topk
-          | None -> 0.0
-        in
-        let ppar =
-          with_prune_rate (fun record ->
-              bench_arm ~warmup:1 ~name:"gensor-gemm1024-predict" ~jobs ~runs
-                ~states:()
-                (fun () ->
-                  let r =
-                    Gensor.Optimizer.optimize ~config:quick_gensor ~jobs ~hw
-                      gemm
-                  in
-                  record r;
-                  r.Gensor.Optimizer.states_explored))
-        in
-        arm ppar;
-        arm
-          (bench_arm ~name:"graph-explore-512-predict" ~jobs:1 ~runs ~states:()
-             (fun () ->
-               let seed =
-                 Sched.Etir.create
-                   ~num_levels:(Hardware.Gpu_spec.schedulable_cache_levels hw)
-                   gemm
-               in
-               Gensor.Graph.size
-                 (Gensor.Graph.explore ~max_states:512 ~prune_hw:hw seed)));
-        let on = Gensor.Optimizer.optimize ~config:quick_gensor ~jobs ~hw gemm in
-        Costmodel.Predict.set_active None;
-        let off = Gensor.Optimizer.optimize ~config:quick_gensor ~jobs ~hw gemm in
-        let s_on = Costmodel.Metrics.score on.Gensor.Optimizer.metrics
-        and s_off = Costmodel.Metrics.score off.Gensor.Optimizer.metrics in
-        let quality_eps =
-          if s_off > 0.0 then Float.max 0.0 (1.0 -. (s_on /. s_off)) else 0.0
-        in
-        let speedup_predict =
-          match (ppar.b_states_s, par.b_states_s) with
-          | Some p, Some b when b > 0.0 -> Some (p /. b)
-          | _ -> None
-        in
-        Some (topk, quality_eps, speedup_predict)
-    in
     let etir =
       (Gensor.Optimizer.optimize ~config:quick_gensor ~jobs ~hw gemm)
         .Gensor.Optimizer.etir
@@ -1361,27 +1156,13 @@ let bench_cmd =
         "executor: compiled %.0f Mpt/s vs interpreter %.1f Mpt/s (%.1fx)@."
         (c /. 1e6) (i /. 1e6) s
     | _ -> ());
-    (match predict_summary with
-    | None -> ()
-    | Some (topk, eps, sp) ->
-      Fmt.pr "predictor: topk %.2f, quality eps %.4f%s@." topk eps
-        (match sp with
-        | Some s -> Fmt.str ", %.2fx states/s vs exact scoring" s
-        | None -> ""));
     Fmt.pr "%a@." Pipeline.Methods.pp_cache_stats ();
-    (match dump with
-    | None -> ()
-    | Some (file, oc, count) ->
-      Costmodel.Predict.set_dump None;
-      close_out oc;
-      Fmt.pr "wrote %d trace samples to %s@." !count file);
     (match json_file with
     | None -> ()
     | Some file ->
       let oc = open_out file in
       output_string oc
         (bench_json rows ~networks ~jobs ~speedup ~speedup_incremental
-           ~predict:predict_summary
            ~exec:(exec_compiled.b_states_s, exec_interp.b_states_s, exec_speedup));
       close_out oc;
       Fmt.pr "wrote %s@." file);
@@ -1401,17 +1182,6 @@ let bench_cmd =
             then Some label
             else None)
           networks
-      in
-      (* With a predictor active, --check also gates schedule quality: the
-         filtered search must land within 1% of the exact-scoring oracle. *)
-      let quality_failure =
-        match predict_summary with
-        | Some (_, eps, _) when eps > 0.01 ->
-          [ Fmt.str
-              "predictor-filtered schedule scores %.2f%% worse than the \
-               exact oracle (limit 1%%)"
-              (100.0 *. eps) ]
-        | _ -> []
       in
       (* The compiled tier must hold its headline win over the interpreter
          (well under the measured 70-150x, far above noise). *)
@@ -1433,7 +1203,7 @@ let bench_cmd =
           | names ->
             [ Fmt.str "fused e2e does not beat unfused on: %s"
                 (String.concat ", " names) ])
-        @ quality_failure @ exec_failure
+        @ exec_failure
       in
       match failures with
       | [] -> `Ok ()
@@ -1448,166 +1218,7 @@ let bench_cmd =
     Term.(
       ret
         (const run $ bench_json_arg $ bench_quick_arg $ jobs_arg
-       $ cache_dir_arg $ no_incremental_arg $ bench_check_arg $ trace_arg
-       $ bench_dump_arg $ predict_arg))
-
-(* ---------- predict ---------- *)
-
-let traces_arg =
-  let doc =
-    "Training data: a trace dump written by $(b,gensor bench --dump-traces)."
-  in
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "traces" ] ~docv:"FILE" ~doc)
-
-let predict_out_arg =
-  let doc = "Write the trained model to $(docv) (framed .gpm text)." in
-  Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
-
-let ridge_arg =
-  let doc = "Ridge regularisation strength (scaled by the sample count)." in
-  Arg.(value & opt float 1e-3 & info [ "ridge" ] ~docv:"LAMBDA" ~doc)
-
-let boost_arg =
-  let doc = "Number of gradient-boosted stumps fitted on the residual." in
-  Arg.(value & opt int 16 & info [ "boost" ] ~docv:"N" ~doc)
-
-let store_name_arg =
-  let doc =
-    "Also persist the model in the kernel store (requires $(b,--cache-dir) \
-     or GENSOR_CACHE_DIR) under this name."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "store-name" ] ~docv:"NAME" ~doc)
-
-(* Deterministic 1-in-10 holdout: every tenth sample evaluates, the rest
-   train.  No RNG — the same dump always reports the same accuracy. *)
-let split_holdout samples =
-  let train, holdout, _ =
-    List.fold_left
-      (fun (t, h, i) s ->
-        if i mod 10 = 9 then (t, s :: h, i + 1) else (s :: t, h, i + 1))
-      ([], [], 0) samples
-  in
-  (List.rev train, List.rev holdout)
-
-let split_kinds rows =
-  List.partition_map
-    (fun (kind, x, y) ->
-      match kind with
-      | Costmodel.Predict.Self -> Either.Left (x, y)
-      | Costmodel.Predict.Edge -> Either.Right (x, y))
-    rows
-
-let predict_train_cmd =
-  let run traces out ridge boost cache_dir store_name =
-    match read_trace_rows traces with
-    | Error m -> `Error (false, m)
-    | Ok [] -> `Error (false, Fmt.str "%s holds no samples" traces)
-    | Ok rows -> (
-      let self_rows, edge_rows = split_kinds rows in
-      let split samples =
-        let train_set, holdout = split_holdout samples in
-        let train_set = if train_set = [] then samples else train_set in
-        let eval_set = if holdout = [] then samples else holdout in
-        (train_set, eval_set)
-      in
-      let self_train, self_eval = split self_rows in
-      let edge_train, edge_eval = split edge_rows in
-      match
-        Costmodel.Predict.train ~ridge ~boost ~self:self_train
-          ~edge:edge_train ()
-      with
-      | Error m -> `Error (false, m)
-      | Ok model ->
-        let head_report name head eval_set =
-          match head with
-          | None -> Fmt.pr "%s head: no samples@." name
-          | Some h ->
-            Fmt.pr "%s head: %d stumps; holdout %a@." name
-              (Costmodel.Predict.num_stumps h)
-              Costmodel.Predict.pp_report
-              (Costmodel.Predict.evaluate_head h eval_set)
-        in
-        Fmt.pr "trained on %d self + %d edge samples@."
-          (List.length self_train) (List.length edge_train);
-        head_report "self" (Costmodel.Predict.self_head model) self_eval;
-        head_report "edge" (Costmodel.Predict.edge_head model) edge_eval;
-        let wrote = ref [] in
-        Option.iter
-          (fun path ->
-            Artifact.Predict_codec.save ~path model;
-            wrote := path :: !wrote)
-          out;
-        (match store_name with
-        | None -> ()
-        | Some name ->
-          (match open_store cache_dir with
-          | None ->
-            Fmt.epr
-              "--store-name ignored: no store configured (pass --cache-dir \
-               or set %s)@."
-              Artifact.Store.env_var
-          | Some store ->
-            wrote := Artifact.Store.put_model store ~name model :: !wrote));
-        match !wrote with
-        | [] ->
-          `Error
-            (false, "nowhere to write the model: pass --out or --store-name")
-        | paths ->
-          List.iter (Fmt.pr "wrote %s@.") (List.rev paths);
-          `Ok ())
-  in
-  let doc =
-    "Train the learned cost-model predictor from a bench trace dump and \
-     persist it for $(b,--predict)."
-  in
-  Cmd.v (Cmd.info "train" ~doc)
-    Term.(
-      ret
-        (const run $ traces_arg $ predict_out_arg $ ridge_arg $ boost_arg
-       $ cache_dir_arg $ store_name_arg))
-
-let predict_eval_cmd =
-  let run model_path traces =
-    match
-      (Artifact.Predict_codec.load ~path:model_path, read_trace_rows traces)
-    with
-    | Error e, _ ->
-      `Error
-        ( false,
-          Fmt.str "cannot load %s: %a" model_path Artifact.Codec.pp_error e )
-    | _, Error m -> `Error (false, m)
-    | Ok model, Ok rows ->
-      let self_rows, edge_rows = split_kinds rows in
-      let show name head samples =
-        match (head, samples) with
-        | None, _ -> Fmt.pr "%s head: absent@." name
-        | Some _, [] -> Fmt.pr "%s head: no matching rows@." name
-        | Some h, _ ->
-          Fmt.pr "%s head: %a@." name Costmodel.Predict.pp_report
-            (Costmodel.Predict.evaluate_head h samples)
-      in
-      show "self" (Costmodel.Predict.self_head model) self_rows;
-      show "edge" (Costmodel.Predict.edge_head model) edge_rows;
-      `Ok ()
-  in
-  let doc = "Score a trained predictor against a trace dump." in
-  let model_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "model" ] ~docv:"FILE" ~doc:"Trained model (.gpm file).")
-  in
-  Cmd.v (Cmd.info "eval" ~doc) Term.(ret (const run $ model_arg $ traces_arg))
-
-let predict_cmd =
-  let doc =
-    "Train and evaluate the learned cost-model tier (DESIGN.md section 14)."
-  in
-  Cmd.group (Cmd.info "predict" ~doc) [ predict_train_cmd; predict_eval_cmd ]
+       $ cache_dir_arg $ no_incremental_arg $ bench_check_arg $ trace_arg))
 
 (* ---------- cache ---------- *)
 
@@ -1775,4 +1386,4 @@ let () =
        (Cmd.group info
           [ compile_cmd; ops_cmd; model_cmd; graph_cmd; devices_cmd;
             verify_cmd; analyze_cmd;
-            bench_cmd; predict_cmd; cache_cmd; trace_cmd ]))
+            bench_cmd; cache_cmd; trace_cmd ]))

@@ -12,7 +12,6 @@ module Metrics_codec = Metrics_codec
 module Gpu_codec = Gpu_codec
 module Verify_codec = Verify_codec
 module Cert_codec = Cert_codec
-module Predict_codec = Predict_codec
 module Record = Record
 module Store = Store
 include Record

@@ -115,15 +115,6 @@ let take_ints ~line toks =
   in
   go [] toks
 
-let take_floats ~line toks =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | toks ->
-      let* v, rest = take_float ~line toks in
-      go (v :: acc) rest
-  in
-  go [] toks
-
 (* ---------- line cursor ---------- *)
 
 type cursor = { lines : string array; base : int; mutable pos : int }
@@ -205,10 +196,6 @@ let field_atom c key =
 let field_ints c key =
   let* ln, toks = field c key in
   take_ints ~line:ln toks
-
-let field_floats c key =
-  let* ln, toks = field c key in
-  take_floats ~line:ln toks
 
 (* ---------- s-expressions (compute bodies, index expressions) ---------- *)
 

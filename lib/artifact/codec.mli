@@ -30,7 +30,6 @@ val take_float : line:int -> token list -> (float * token list, error) result
 val take_str : line:int -> token list -> (string * token list, error) result
 val take_atom : line:int -> token list -> (string * token list, error) result
 val take_ints : line:int -> token list -> (int list, error) result
-val take_floats : line:int -> token list -> (float list, error) result
 
 (** Error unless the token list is exhausted. *)
 val finish : line:int -> token list -> (unit, error) result
@@ -65,7 +64,6 @@ val field_float : cursor -> string -> (float, error) result
 val field_str : cursor -> string -> (string, error) result
 val field_atom : cursor -> string -> (string, error) result
 val field_ints : cursor -> string -> (int list, error) result
-val field_floats : cursor -> string -> (float list, error) result
 
 (** {1 S-expressions} (compute bodies, index expressions) *)
 

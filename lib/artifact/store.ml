@@ -192,48 +192,5 @@ let export t ~key:k ~dest =
            Ok ()
          with Sys_error m -> Error m))
 
-(* ---------- trained predictor models ---------- *)
-
-(* Models live beside the kernel artifacts under their own suffix, so the
-   [.gat]-only directory scan above never reports them as undecodable
-   entries.  Names are caller-chosen labels (sanitised to a filename), not
-   content keys: a retrained model under the same name replaces the old
-   one, like the advisory index. *)
-let model_suffix = ".gpm"
-
-let model_path t ~name =
-  let safe =
-    String.map
-      (fun c ->
-        match c with
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> c
-        | _ -> '_')
-      name
-  in
-  Filename.concat t.dir (safe ^ model_suffix)
-
-let put_model t ~name m =
-  let path = model_path t ~name in
-  locked t (fun () ->
-      write_file_atomic ~dir:t.dir ~path (Predict_codec.encode m));
-  path
-
-let find_model t ~name =
-  let path = model_path t ~name in
-  if Sys.file_exists path then
-    match Predict_codec.load ~path with
-    | Ok m -> Some m
-    | Error e ->
-      locked t (fun () -> t.issues <- { path; error = e } :: t.issues);
-      None
-  else None
-
-let models t =
-  let files = try Sys.readdir t.dir with Sys_error _ -> [||] in
-  Array.to_list files
-  |> List.filter (fun f -> Filename.check_suffix f model_suffix)
-  |> List.map (fun f -> Filename.chop_suffix f model_suffix)
-  |> List.sort compare
-
 let pp_issue ppf i =
   Fmt.pf ppf "%s: %a" i.path Codec.pp_error i.error

@@ -59,24 +59,4 @@ val purge : t -> int
 (** Copy one entry's framed file text to [dest]. *)
 val export : t -> key:string -> dest:string -> (unit, string) result
 
-(** {1 Trained predictor models}
-
-    Models ([Costmodel.Predict.model]) persist beside the kernel artifacts
-    as [<name>.gpm] files ({!Predict_codec} framing).  Names are advisory
-    labels: a retrained model under the same name replaces the old one. *)
-
-(** Path a model of this name (sanitised) lives at, whether or not it
-    exists yet. *)
-val model_path : t -> name:string -> string
-
-(** [put_model t ~name m] persists [m] atomically; returns the path. *)
-val put_model : t -> name:string -> Costmodel.Predict.model -> string
-
-(** [find_model t ~name] loads the named model; a present-but-undecodable
-    file is reported through {!issues} and yields [None]. *)
-val find_model : t -> name:string -> Costmodel.Predict.model option
-
-(** Names of every model file in the store, sorted. *)
-val models : t -> string list
-
 val pp_issue : issue Fmt.t

@@ -41,93 +41,35 @@ let explore ?(max_states = 2000) ?(max_depth = max_int) ?prune_hw seed_state =
      visible to [best] and the edge list — but not expanded.  Launch-
      infeasible states have no vector and are always expanded: construction
      passes through them transiently.  Component records travel along the
-     BFS edges ([Delta.child]), so neither the vector nor the predictor
-     features below pay a full per-state rebuild. *)
+     BFS edges ([Delta.child]), so the vector never pays a full per-state
+     rebuild. *)
   let depth_vecs : (int, float array list) Hashtbl.t = Hashtbl.create 16 in
-  let dominance_keep ~hw depth comps =
-    match Costmodel.Delta.dominance_vector ~hw comps with
-    | None -> true
-    | Some vec ->
-      let siblings =
-        Option.value ~default:[] (Hashtbl.find_opt depth_vecs depth)
-      in
-      if List.exists (fun v -> Costmodel.Delta.dominates v vec) siblings
-      then false
-      else begin
-        Hashtbl.replace depth_vecs depth (vec :: siblings);
-        true
-      end
-  in
-  (* Learned pre-filter (DESIGN.md §14): with a trained predictor active, a
-     fresh state is expanded only while its predicted score ranks within
-     the top-k fraction of its depth cohort (every sibling's prediction is
-     recorded, kept or not, so the cutoff is an honest running quantile).
-     Small cohorts pass unconditionally — a quantile over a handful of
-     scores is noise. *)
-  let depth_preds : (int, float list ref) Hashtbl.t = Hashtbl.create 16 in
-  let predict_keep (act : Costmodel.Predict.active) head depth etir comps =
-    let pred =
-      Costmodel.Predict.infer head
-        (Costmodel.Feature.vector ~comps ~state:etir)
-    in
-    Costmodel.Predict.count_infers 1;
-    let cohort =
-      match Hashtbl.find_opt depth_preds depth with
-      | Some r -> r
-      | None ->
-        let r = ref [] in
-        Hashtbl.add depth_preds depth r;
-        r
-    in
-    cohort := pred :: !cohort;
-    let n = List.length !cohort in
-    if n <= 8 then true
-    else begin
-      let sorted = List.sort (fun a b -> compare b a) !cohort in
-      let keep =
-        max 1
-          (int_of_float
-             (Float.ceil (act.Costmodel.Predict.a_topk *. float_of_int n)))
-      in
-      let kept = pred >= List.nth sorted (keep - 1) in
-      if kept then Costmodel.Predict.count_hits 1
-      else Costmodel.Predict.count_filtered 1;
-      kept
-    end
-  in
-  let keep_for_expansion depth etir comps =
+  let keep_for_expansion depth comps =
     match (prune_hw, comps) with
     | None, _ | _, None -> true
     | Some hw, Some comps ->
-      let kept =
-        dominance_keep ~hw depth comps
-        && (match Costmodel.Predict.active () with
-           | None -> true
-           | Some act ->
-             (match
-                Costmodel.Predict.self_head act.Costmodel.Predict.a_model
-              with
-             | None -> true
-             | Some head -> predict_keep act head depth etir comps))
-      in
-      if not kept then incr pruned;
-      kept
+      (match Costmodel.Delta.dominance_vector ~hw comps with
+      | None -> true
+      | Some vec ->
+        let siblings =
+          Option.value ~default:[] (Hashtbl.find_opt depth_vecs depth)
+        in
+        if List.exists (fun v -> Costmodel.Delta.dominates v vec) siblings
+        then begin
+          incr pruned;
+          false
+        end
+        else begin
+          Hashtbl.replace depth_vecs depth (vec :: siblings);
+          true
+        end)
   in
   (* Components only exist against a device; without [prune_hw] the BFS
      carries none (and no gate needs them). *)
   let child_comps etir comps action next =
     match (prune_hw, comps) with
     | Some hw, Some parent ->
-      let next_comps =
-        Costmodel.Delta.child ~hw ~before:etir ~parent ~action next
-      in
-      if Costmodel.Predict.dumping () then
-        Costmodel.Predict.observe Costmodel.Predict.Self
-          (Costmodel.Feature.vector ~comps:next_comps ~state:next)
-          (Costmodel.Predict.training_label ~hw next next_comps
-             (Costmodel.Metrics.score
-                (Costmodel.Model.evaluate_with ~hw next next_comps)));
-      Some next_comps
+      Some (Costmodel.Delta.child ~hw ~before:etir ~parent ~action next)
     | _ -> None
   in
   let queue = Queue.create () in
@@ -135,7 +77,7 @@ let explore ?(max_states = 2000) ?(max_depth = max_int) ?prune_hw seed_state =
     Option.map (fun hw -> Costmodel.Delta.of_etir ~hw seed_state) prune_hw
   in
   let seed_idx, _ = intern seed_state in
-  ignore (keep_for_expansion 0 seed_state seed_comps);
+  ignore (keep_for_expansion 0 seed_comps);
   Queue.add (seed_idx, seed_state, seed_comps, 0) queue;
   while not (Queue.is_empty queue) do
     let idx, etir, comps, depth = Queue.pop queue in
@@ -147,7 +89,7 @@ let explore ?(max_states = 2000) ?(max_depth = max_int) ?prune_hw seed_state =
             edges := (idx, action, next_idx) :: !edges;
             if fresh then begin
               let next_comps = child_comps etir comps action next in
-              if keep_for_expansion (depth + 1) next next_comps then
+              if keep_for_expansion (depth + 1) next_comps then
                 Queue.add (next_idx, next, next_comps, depth + 1) queue
             end
           end)

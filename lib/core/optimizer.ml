@@ -188,94 +188,14 @@ let optimize ?(config = default_config) ?warm_start ?jobs ~hw compute =
     | [] -> [ (initial, Costmodel.Delta.of_etir ~hw initial) ]
     | states -> states
   in
-  (* Two-phase scoring of the pooled frontier (DESIGN.md §14): with a
-     trained predictor active, rank the pool by predicted score and let
-     only the top-k fraction (never fewer than 16 candidates) through to
-     the dominance sweep and the exact full-model pass.  Survivors keep
-     pool order; the cutoff is a score threshold, so the kept set is
-     deterministic and jobs-invariant like everything downstream. *)
-  let candidates, predict_filtered =
-    match Costmodel.Predict.active () with
-    | None -> (candidates, false)
-    | Some act ->
-      match Costmodel.Predict.self_head act.Costmodel.Predict.a_model with
-      | None -> (candidates, false)
-      | Some head ->
-      let n = List.length candidates in
-      let keep =
-        max 32
-          (int_of_float
-             (Float.ceil (act.Costmodel.Predict.a_topk *. float_of_int n)))
-      in
-      if keep >= n then (candidates, false)
-      else
-        Trace.with_span ~name:"predict.infer"
-          ~args:[ ("candidates", string_of_int n) ]
-        @@ fun () ->
-        let buf = Costmodel.Feature.blank () in
-        let preds =
-          List.map
-            (fun (etir, comps) ->
-              Costmodel.Feature.set_comps buf comps;
-              Costmodel.Feature.set_state buf etir;
-              Costmodel.Predict.infer head buf)
-            candidates
-        in
-        Costmodel.Predict.count_infers n;
-        let threshold =
-          let sorted = List.sort (fun a b -> compare b a) preds in
-          List.nth sorted (keep - 1)
-        in
-        let kept = ref 0 in
-        let survivors =
-          List.filter_map
-            (fun (entry, pred) ->
-              if pred >= threshold && !kept < keep then begin
-                incr kept;
-                Some entry
-              end
-              else None)
-            (List.combine candidates preds)
-        in
-        Costmodel.Predict.count_hits !kept;
-        Costmodel.Predict.count_filtered (n - !kept);
-        (survivors, true)
-  in
-  (* Self rows for the trace dump are taken HERE, before the dominance
-     sweep, because this is the distribution the learned pre-filter sees at
-     inference time (the filter replaces the sweep).  An earlier revision
-     dumped from the post-prune scoring pass instead, and the trained head
-     had never seen a dominated state: it extrapolated them *high*, the
-     filtered pool filled up with junk and the schedule landed 17x off the
-     oracle on 256x256x256 GEMM.  Scoring survivors twice while dumping is
-     dump-run-only cost. *)
-  if Costmodel.Predict.dumping () then
-    List.iter
-      (fun (etir, comps) ->
-        let m =
-          Costmodel.Model.evaluate_with ~knobs:config.knobs ~hw etir comps
-        in
-        Costmodel.Predict.observe Costmodel.Predict.Self
-          (Costmodel.Feature.vector ~comps ~state:etir)
-          (Costmodel.Predict.training_label ~hw etir comps
-             (Costmodel.Metrics.score m)))
-      candidates;
   (* Dominance pruning of the pooled frontier (DESIGN.md §10): a candidate
      pointwise no better than a sibling cannot out-score it under the
      monotone aggregation, so it is dropped before the full-model pass.
      The O(n²) sweep is sequential and order-independent (a state is kept
      unless *some* sibling strictly dominates it), so the surviving set —
-     and hence the selected schedule — does not depend on [jobs].
-     When the learned pre-filter fired the sweep is skipped — but NOT its
-     effect on leader selection.  Pruning is more than an evaluation saver:
-     dominated states are near-duplicates of their dominators, and sweeping
-     them out keeps the polish leader set diverse (measured on 128³ GEMM,
-     dropping that dedup cost 18% schedule quality with an otherwise
-     perfect filter).  The filtered path recovers exactly that effect with
-     a dominance-aware scan over the ranked list below, at a few dozen
-     comparisons instead of the full quadratic sweep. *)
+     and hence the selected schedule — does not depend on [jobs]. *)
   let candidates, candidates_pruned =
-    if (not config.prune_dominated) || predict_filtered then (candidates, 0)
+    if not config.prune_dominated then (candidates, 0)
     else
       Trace.with_span ~name:"optimizer.prune"
         ~args:[ ("candidates", string_of_int (List.length candidates)) ]
@@ -340,16 +260,14 @@ let optimize ?(config = default_config) ?warm_start ?jobs ~hw compute =
       (fun () ->
         Parallel.Pool.map_auto ~jobs
           (fun (etir, comps) ->
-            let m =
-              Costmodel.Model.evaluate_with ~knobs:config.knobs ~hw etir comps
-            in
-            (etir, comps, m))
+            (etir,
+             Costmodel.Model.evaluate_with ~knobs:config.knobs ~hw etir comps))
           candidates)
   in
   let evaluated = ref (List.length scored) in
   let ranked =
     List.sort
-      (fun (ea, _, a) (eb, _, b) ->
+      (fun (ea, a) (eb, b) ->
         let c =
           compare (Costmodel.Metrics.score b) (Costmodel.Metrics.score a)
         in
@@ -364,39 +282,7 @@ let optimize ?(config = default_config) ?warm_start ?jobs ~hw compute =
      expected efficiency"), not of the profiling-free traversal; it mostly
      irons out seed variance.  The leaders' metrics are passed through so
      the polish does not re-evaluate states scored just above. *)
-  let leaders =
-    if not predict_filtered then
-      List.filteri (fun i _ -> i < 4) ranked
-      |> List.map (fun (etir, _, m) -> (etir, m))
-    else begin
-      (* The filtered path skipped the dominance sweep; recover its leader
-         diversity here.  Walking down the ranked list, a state dominated
-         by an already-chosen leader would polish into the same basin, so
-         it is passed over in favour of the next distinct one. *)
-      let chosen = ref [] and vecs = ref [] in
-      List.iter
-        (fun (etir, comps, m) ->
-          if List.length !chosen < 4 then begin
-            let v = Costmodel.Delta.dominance_vector ~hw comps in
-            let dominated =
-              match v with
-              | None -> false
-              | Some v ->
-                List.exists
-                  (function
-                    | Some o -> Costmodel.Delta.dominates o v
-                    | None -> false)
-                  !vecs
-            in
-            if not dominated then begin
-              chosen := (etir, m) :: !chosen;
-              vecs := v :: !vecs
-            end
-          end)
-        ranked;
-      List.rev !chosen
-    end
-  in
+  let leaders = List.filteri (fun i _ -> i < 4) ranked in
   let polished3 =
     Trace.with_span ~name:"optimizer.polish"
       ~args:[ ("leaders", string_of_int (List.length leaders)) ]

@@ -76,37 +76,21 @@ type base_key = {
   k_etir : Etir.t;
   k_hw : Hardware.Gpu_spec.t;
   k_mode : mode;
-  k_predict : int;
-      (* Costmodel.Predict.generation () at lookup time: entries computed
-         under one predictor configuration (or none) must never serve
-         another — the filtered successor set depends on the model *)
 }
 
-(* A state's memoized transition set.  Without a predictor every legal
-   successor sits in [w_exact] with its analytically exact benefit and
-   [w_tail] is empty.  With an edge head active, only the predicted top-k
-   fraction is analysed exactly; the rest is kept in [w_tail] with its
-   *predicted* raw benefit.  The tail is not discarded: [draw] folds it
-   into one aggregate roulette slot so low-benefit edges — which the
-   annealing walk demonstrably needs — keep their probability mass, and a
-   tail edge is analysed exactly only in the rare step that actually draws
-   it. *)
-type weighted = {
-  w_exact : (Action.t * Etir.t * Costmodel.Delta.components * float) list;
-  w_tail : (Action.t * Etir.t * float) list;
-}
+(* A state's memoized transition set: every legal successor with its
+   analytically exact benefit and its incrementally derived components. *)
+type weighted = (Action.t * Etir.t * Costmodel.Delta.components * float) list
 
 let base_memo : (base_key, weighted) Parallel.Memo.t =
   Parallel.Memo.create ~name:"transitions" ~capacity:8192
     ~hash:(fun k ->
       (Int64.to_int (Etir.fingerprint k.k_etir)
       lxor (Etir.cur_level k.k_etir * 0x01000193)
-      lxor (k.k_predict * 0x9e3779b9)
       lxor Hashtbl.hash (Hardware.Gpu_spec.name k.k_hw))
       land max_int)
     ~equal:(fun a b ->
       Etir.cur_level a.k_etir = Etir.cur_level b.k_etir
-      && a.k_predict = b.k_predict
       && a.k_mode = b.k_mode
       && Etir.eval_equal a.k_etir b.k_etir
       && (a.k_hw == b.k_hw || a.k_hw = b.k_hw))
@@ -114,8 +98,7 @@ let base_memo : (base_key, weighted) Parallel.Memo.t =
 
 let base_weighted ?comps ~hw ~mode etir =
   Parallel.Memo.find_or_add base_memo
-    { k_etir = etir; k_hw = hw; k_mode = mode;
-      k_predict = Costmodel.Predict.generation () }
+    { k_etir = etir; k_hw = hw; k_mode = mode }
     (fun () ->
       (* One hoisted analysis context for the whole successor set — the
          before-state traffic/footprint/occupancy is identical across them.
@@ -128,7 +111,6 @@ let base_weighted ?comps ~hw ~mode etir =
         | None -> Costmodel.Delta.of_etir ~hw etir
       in
       let ctx = Benefit.context_of ~hw etir before_comps in
-      let dumping = Costmodel.Predict.dumping () in
       let exact (action, next) =
         (* Components travel along the edge: only the slices [action]
            invalidates are recomputed for the successor. *)
@@ -140,140 +122,31 @@ let base_weighted ?comps ~hw ~mode etir =
           Benefit.of_action_comps ctx ~after:next ~after_comps:next_comps
             action
         in
-        (* Edge rows for the trace dump: the sibling filter's inference-time
-           distribution, labelled with the exact benefit the roulette
-           weights with. *)
-        if dumping then
-          Costmodel.Predict.observe Costmodel.Predict.Edge
-            (Costmodel.Feature.vector ~comps:before_comps ~state:next)
-            (Costmodel.Predict.label_of_benefit benefit);
         if benefit <= 0.0 then None
         else Some (action, next, next_comps, benefit)
       in
-      let legal =
-        List.filter (fun (action, _) -> allowed mode action)
-          (Action.successors etir)
-      in
-      let all_exact () = { w_exact = List.filter_map exact legal; w_tail = [] } in
-      match Costmodel.Predict.active () with
-      | None -> all_exact ()
-      | Some act when not act.Costmodel.Predict.a_walk -> all_exact ()
-      | Some act ->
-        match Costmodel.Predict.edge_head act.Costmodel.Predict.a_model with
-        | None -> all_exact ()
-        | Some head ->
-          (* Two-phase scoring: the edge head ranks the successor frontier by
-             predicted benefit and only the top-k fraction is scored exactly.
-             Cache successors always rank first — they are the only way
-             construction advances to the next memory level.  The rest keeps
-             its predicted weight in the tail (expm1 inverts the log1p
-             training label back to a raw benefit).  If every exact survivor
-             has non-positive benefit while siblings were deferred, the
-             filter is abandoned for the exact path so the chain can never
-             stall on a mis-ranking. *)
-          let n = List.length legal in
-          let keep =
-            max 1 (int_of_float (Float.ceil (act.Costmodel.Predict.a_topk
-                                             *. float_of_int n)))
-          in
-          if keep >= n then all_exact ()
-          else begin
-            let buf = Costmodel.Feature.blank () in
-            Costmodel.Feature.set_comps buf before_comps;
-            let scored =
-              List.map
-                (fun ((action, next) as edge) ->
-                  match action with
-                  | Action.Cache -> (Float.infinity, edge)
-                  | Action.Tile _ | Action.Rtile _ | Action.Set_vthread _ ->
-                    Costmodel.Feature.set_state buf next;
-                    (Costmodel.Predict.infer head buf, edge))
-                legal
-            in
-            Costmodel.Predict.count_infers n;
-            let ranked =
-              List.stable_sort (fun (a, _) (b, _) -> compare b a) scored
-            in
-            let survivors =
-              List.filteri (fun i _ -> i < keep) ranked |> List.map snd
-            in
-            (* [scored] preserves the generation order, so both partitions
-               below keep downstream float folds order-stable. *)
-            let in_top (_, edge) =
-              List.exists (fun e -> e == edge) survivors
-            in
-            let chosen = List.filter in_top scored |> List.map snd in
-            (* Tail weights invert the log1p training label back to a raw
-               benefit.  A small floor keeps every deferred edge reachable:
-               the head's ranking error on near-zero benefits would
-               otherwise zero out edges the exact roulette still walks
-               through (and the lazy exact check on a tail draw rejects any
-               edge whose true benefit is non-positive). *)
-            let tail =
-              List.filter_map
-                (fun ((pred, (action, next)) as s) ->
-                  if in_top s then None
-                  else
-                    let w = Float.expm1 pred in
-                    let w =
-                      if Float.is_finite w then Float.max 0.02 w else 0.02
-                    in
-                    Some (action, next, w))
-                scored
-            in
-            Costmodel.Predict.count_hits (List.length chosen);
-            Costmodel.Predict.count_filtered (n - List.length chosen);
-            match List.filter_map exact chosen with
-            | [] when List.length chosen < n ->
-              Costmodel.Predict.count_fallback ();
-              all_exact ()
-            | w_exact -> { w_exact; w_tail = tail }
-          end)
+      List.filter_map
+        (fun ((action, _) as edge) ->
+          if allowed mode action then exact edge else None)
+        (Action.successors etir))
 
-(* Exact analysis of one deferred tail edge — the lazy path taken when the
-   aggregate tail slot wins the roulette, and by [transitions] (the analysis
-   entry point), which always materialises the exact distribution. *)
-let expand_tail_edge ?comps ~hw etir =
-  let before_comps =
-    match comps with
-    | Some c -> c
-    | None -> Costmodel.Delta.of_etir ~hw etir
-  in
-  let ctx = Benefit.context_of ~hw etir before_comps in
-  fun (action, next, _pred) ->
-    let next_comps =
-      Costmodel.Delta.child ~hw ~before:etir ~parent:before_comps ~action next
-    in
-    let benefit =
-      Benefit.of_action_comps ctx ~after:next ~after_comps:next_comps action
-    in
-    if benefit <= 0.0 then None else Some (action, next, next_comps, benefit)
+(* The cache action's weight at [iteration]: its base benefit scaled by the
+   annealing multiplier; every other action keeps its base benefit. *)
+let step_weight ~mode ~iteration action benefit =
+  match action with
+  | Action.Cache ->
+    benefit *. cache_multiplier ~midpoint:mode.cache_midpoint ~iteration ()
+  | Action.Tile _ | Action.Rtile _ | Action.Set_vthread _ -> benefit
 
 (* All legal, positively-weighted transitions with normalised
    probabilities.  The normalisation leaves room for [stay_probability].
-   This is the analysis-facing entry point (value iteration, tests): any
-   predictor tail is expanded exactly here, so the returned distribution is
-   always the exact one. *)
+   This is the analysis-facing entry point (value iteration, tests). *)
 let transitions ?comps ~hw ~mode ~iteration etir =
-  let base = base_weighted ?comps ~hw ~mode etir in
-  let exact =
-    match base.w_tail with
-    | [] -> base.w_exact
-    | tail ->
-      base.w_exact @ List.filter_map (expand_tail_edge ?comps ~hw etir) tail
-  in
   let weighted =
     List.map
       (fun (action, next, next_comps, benefit) ->
-        let benefit =
-          match action with
-          | Action.Cache ->
-            benefit
-            *. cache_multiplier ~midpoint:mode.cache_midpoint ~iteration ()
-          | Action.Tile _ | Action.Rtile _ | Action.Set_vthread _ -> benefit
-        in
-        (action, next, next_comps, benefit))
-      exact
+        (action, next, next_comps, step_weight ~mode ~iteration action benefit))
+      (base_weighted ?comps ~hw ~mode etir)
   in
   let total =
     List.fold_left (fun acc (_, _, _, b) -> acc +. b) 0.0 weighted
@@ -294,59 +167,29 @@ let transitions ?comps ~hw ~mode ~iteration etir =
    to [select rng (transitions ...)]. *)
 let draw rng ?comps ~hw ~mode ~iteration etir =
   match base_weighted ?comps ~hw ~mode etir with
-  | { w_exact = []; w_tail = [] } -> None
-  | { w_exact = base; w_tail } ->
+  | [] -> None
+  | base ->
     let items = Array.of_list base in
     let n = Array.length items in
-    (* With a predictor tail the roulette gets one extra aggregate slot
-       carrying the tail's total predicted mass, just before the stay slot.
-       When that slot wins, a second roulette picks the edge within the
-       tail by predicted weight and only that one edge is analysed exactly
-       (its benefit may come back non-positive, in which case the exact
-       policy would never take it and the step degrades to a stay). *)
-    let tail = Array.of_list w_tail in
-    let t = if Array.length tail > 0 then 1 else 0 in
-    let tail_mass =
-      Array.fold_left (fun acc (_, _, p) -> acc +. p) 0.0 tail
-    in
-    let w = Array.make (n + t + 1) stay_probability in
+    let w = Array.make (n + 1) stay_probability in
     for i = 0 to n - 1 do
       let action, _, _, benefit = items.(i) in
-      w.(i) <-
-        (match action with
-        | Action.Cache ->
-          benefit
-          *. cache_multiplier ~midpoint:mode.cache_midpoint ~iteration ()
-        | Action.Tile _ | Action.Rtile _ | Action.Set_vthread _ -> benefit)
+      w.(i) <- step_weight ~mode ~iteration action benefit
     done;
-    if t = 1 then w.(n) <- tail_mass;
     let total = ref 0.0 in
-    for i = 0 to n + t - 1 do
+    for i = 0 to n - 1 do
       total := !total +. w.(i)
     done;
     if !total <= 0.0 then None
     else begin
       let scale = (1.0 -. stay_probability) /. !total in
-      for i = 0 to n + t - 1 do
+      for i = 0 to n - 1 do
         w.(i) <- w.(i) *. scale
       done;
       let idx = Rng.roulette rng w in
       if idx < n then begin
         let action, next, next_comps, _ = items.(idx) in
         Some { action; next; next_comps; probability = w.(idx) }
-      end
-      else if t = 1 && idx = n then begin
-        Costmodel.Predict.count_tail ();
-        let tidx =
-          Rng.roulette rng (Array.map (fun (_, _, p) -> p) tail)
-        in
-        match expand_tail_edge ?comps ~hw etir tail.(tidx) with
-        | None -> None
-        | Some (action, next, next_comps, _) ->
-          let _, _, pred = tail.(tidx) in
-          Some
-            { action; next; next_comps;
-              probability = w.(n) *. pred /. tail_mass }
       end
       else None
     end

@@ -17,11 +17,6 @@ let greedy ?(knobs = Model.default_knobs) ?(budget = 32) ?metrics ~hw etir =
   let rec step etir comps metrics budget =
     if budget = 0 then (etir, metrics)
     else begin
-      (* Deliberately unfiltered by the learned tier: the neighbour's exact
-         evaluation with components carried along the edge costs less than
-         feature extraction plus inference (measured ~0.3µs vs ~0.6µs), so
-         a predictor pre-scan here is a net loss on both time and quality. *)
-      let neighbours = Sched.Action.successors etir in
       let improved =
         List.fold_left
           (fun acc (action, next) ->
@@ -34,14 +29,6 @@ let greedy ?(knobs = Model.default_knobs) ?(budget = 32) ?metrics ~hw etir =
             else begin
               incr evaluated;
               let m = Model.evaluate_with ~knobs ~hw next next_comps in
-              (* Self rows for the trace dump: each evaluated neighbour
-                 described by its own components, labelled with its exact
-                 score — the self head's inference-time distribution. *)
-              if Predict.dumping () then
-                Predict.observe Predict.Self
-                  (Feature.vector ~comps:next_comps ~state:next)
-                  (Predict.training_label ~hw next next_comps
-                     (Metrics.score m));
               match acc with
               | Some (_, _, best) when Metrics.score best >= Metrics.score m ->
                 acc
@@ -51,7 +38,7 @@ let greedy ?(knobs = Model.default_knobs) ?(budget = 32) ?metrics ~hw etir =
                 else acc
             end)
           None
-          neighbours
+          (Sched.Action.successors etir)
       in
       match improved with
       | Some (next, next_comps, m) -> step next next_comps m (budget - 1)

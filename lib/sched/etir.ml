@@ -26,7 +26,7 @@ type t = {
   mutable fp : int64;         (* memoized fingerprint; 0 = not yet computed *)
   sext : int array;           (* cached spatial axis extents (from compute) *)
   rext : int array;           (* cached reduce axis extents (from compute) *)
-  cfp : int64;                (* cached Compute.fingerprint of [compute] *)
+  cfp : int;                  (* cached Compute.fingerprint of [compute] *)
 }
 
 let compute t = t.compute
@@ -82,7 +82,7 @@ let create ?(num_levels = 2) compute =
     stiles = Array.make_matrix (num_levels + 1) n_spatial 1;
     rtiles = Array.make_matrix (num_levels + 1) (max n_reduce 1) 1;
     vthreads = Array.make n_spatial 1;
-    fp = 0L; sext; rext; cfp = Compute.fingerprint compute }
+    fp = 0L; sext; rext; cfp = Int64.to_int (Compute.fingerprint compute) }
 
 (* Structural invariants; used by tests and re-checked after every action. *)
 let validate t =
@@ -249,7 +249,7 @@ let retarget t compute' =
   in
   let vthreads = Array.mapi (fun i v -> min v stiles.(0).(i)) t.vthreads in
   { t with compute = compute'; stiles; rtiles; vthreads; fp = 0L; sext; rext;
-    cfp = Compute.fingerprint compute' }
+    cfp = Int64.to_int (Compute.fingerprint compute') }
 
 (* 64-bit structural hash over everything the cost model reads: the
    compute's full structure (axes, input shapes, body — two computes with
@@ -270,7 +270,7 @@ let mix64 h v =
 let fingerprint t =
   if t.fp <> 0L then t.fp
   else begin
-    let h = ref t.cfp in
+    let h = ref (Int64.of_int t.cfp) in
     let add v = h := mix64 !h (Int64.of_int v) in
     add t.num_levels;
     Array.iter add (spatial_extents t);

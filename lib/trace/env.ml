@@ -59,35 +59,6 @@ let int ?min ~default key =
         floor
       | _ -> v))
 
-let float ?min ?max ~default key =
-  match Sys.getenv_opt key with
-  | None -> default
-  | Some raw -> (
-    let raw = String.trim raw in
-    match float_of_string_opt raw with
-    | None ->
-      warn_once ~key
-        (Printf.sprintf "gensor: %s=%S is not a number; using %g" key raw
-           default);
-      default
-    | Some v when Float.is_nan v ->
-      warn_once ~key
-        (Printf.sprintf "gensor: %s is nan; using %g" key default);
-      default
-    | Some v -> (
-      match (min, max) with
-      | Some floor, _ when v < floor ->
-        warn_once ~key
-          (Printf.sprintf "gensor: %s=%g is below the minimum %g; clamping"
-             key v floor);
-        floor
-      | _, Some ceiling when v > ceiling ->
-        warn_once ~key
-          (Printf.sprintf "gensor: %s=%g is above the maximum %g; clamping"
-             key v ceiling);
-        ceiling
-      | _ -> v))
-
 let enum ~values ~default key =
   match Sys.getenv_opt key with
   | None -> default

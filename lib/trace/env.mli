@@ -23,11 +23,6 @@ val bool : default:bool -> string -> bool
     to [default] (likewise warned once). *)
 val int : ?min:int -> default:int -> string -> int
 
-(** [float ?min ?max ~default key] parses [key] as a float knob.  Values
-    outside [[min, max]] are clamped (warned once); an unparseable or nan
-    value falls back to [default] (likewise warned once). *)
-val float : ?min:float -> ?max:float -> default:float -> string -> float
-
 (** [string key] is the trimmed value of [key] when set and non-empty. *)
 val string : string -> string option
 

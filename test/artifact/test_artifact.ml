@@ -432,88 +432,6 @@ let test_tampered_fields () =
   expect_error "trailing garbage"
     (reframe (payload ^ "\nextra junk 1\n"))
 
-(* ---------- predictor codec ---------- *)
-
-let sample_head scale =
-  { Costmodel.Predict.h_dim = Costmodel.Feature.dim;
-    h_weights =
-      Array.init Costmodel.Feature.dim (fun i ->
-          scale *. Float.sin (float_of_int i));
-    h_bias = 0.25 *. scale;
-    h_stumps =
-      [| { Costmodel.Predict.s_feat = 3; s_thresh = 0.5; s_left = -0.1;
-           s_right = 0.2 };
-         { Costmodel.Predict.s_feat = 17; s_thresh = -1.5; s_left = 0.05;
-           s_right = -0.3 } |] }
-
-let test_predictor_roundtrip () =
-  let check_model m =
-    match Artifact.Predict_codec.decode (Artifact.Predict_codec.encode m) with
-    | Error e -> Alcotest.failf "decode: %a" Artifact.Codec.pp_error e
-    | Ok m' -> check_bool "model survives the wire" true (m = m')
-  in
-  check_model
-    { Costmodel.Predict.m_self = Some (sample_head 1.0);
-      m_edge = Some (sample_head (-0.5)) };
-  check_model { Costmodel.Predict.m_self = Some (sample_head 2.0); m_edge = None };
-  check_model { Costmodel.Predict.m_self = None; m_edge = Some (sample_head 0.1) };
-  (* save/load through a file *)
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Fmt.str "gensor-test-model-%d.gpm" (Unix.getpid ()))
-  in
-  let m =
-    { Costmodel.Predict.m_self = Some (sample_head 1.0); m_edge = None }
-  in
-  Artifact.Predict_codec.save ~path m;
-  (match Artifact.Predict_codec.load ~path with
-  | Ok m' -> check_bool "file round-trip" true (m = m')
-  | Error e -> Alcotest.failf "load: %a" Artifact.Codec.pp_error e);
-  Sys.remove path
-
-let test_predictor_rejects () =
-  let expect name s =
-    match Artifact.Predict_codec.decode s with
-    | Ok _ -> Alcotest.failf "%s: expected a decode error" name
-    | Error _ -> ()
-  in
-  let m =
-    { Costmodel.Predict.m_self = Some (sample_head 1.0);
-      m_edge = Some (sample_head (-0.5)) }
-  in
-  let enc = Artifact.Predict_codec.encode m in
-  (* Flip a payload byte: the frame checksum must catch it. *)
-  let corrupt = Bytes.of_string enc in
-  let pos = String.length enc / 2 in
-  Bytes.set corrupt pos
-    (if Bytes.get corrupt pos = '1' then '2' else '1');
-  expect "bit flip" (Bytes.to_string corrupt);
-  expect "truncated" (String.sub enc 0 (String.length enc / 2));
-  expect "empty" "";
-  (* A model with no heads at all must be rejected at decode. *)
-  expect "no heads"
-    (Artifact.Predict_codec.encode
-       { Costmodel.Predict.m_self = None; m_edge = None });
-  (* A model trained under a different feature schema must be rejected:
-     tamper the width header inside the (re-checksummed) payload. *)
-  let payload_of t =
-    let i = String.index t '\n' in
-    let j = String.index_from t (i + 1) '\n' in
-    String.sub t (j + 1) (String.length t - j - 1)
-  in
-  let replace_line ~prefix ~with_ payload =
-    String.split_on_char '\n' payload
-    |> List.map (fun l ->
-           if String.length l >= String.length prefix
-              && String.sub l 0 (String.length prefix) = prefix
-           then with_
-           else l)
-    |> String.concat "\n"
-  in
-  expect "schema width mismatch"
-    (Artifact.Codec.frame
-       (replace_line ~prefix:"dim" ~with_:"dim 7" (payload_of enc)))
-
 (* ---------- store ---------- *)
 
 let tmp_dir () =
@@ -625,12 +543,7 @@ let test_store_keeps_better_duplicate () =
 
 let () =
   Alcotest.run "artifact"
-    [ ( "predictor",
-        [ Alcotest.test_case "codec round-trip" `Quick
-            test_predictor_roundtrip;
-          Alcotest.test_case "rejects corrupt / mismatched" `Quick
-            test_predictor_rejects ] );
-      ( "roundtrip",
+    [ ( "roundtrip",
         [ QCheck_alcotest.to_alcotest prop_compute_roundtrip;
           QCheck_alcotest.to_alcotest prop_etir_roundtrip;
           QCheck_alcotest.to_alcotest prop_metrics_roundtrip;

@@ -357,122 +357,6 @@ let test_optimizer_incremental_transparent () =
         "identical exploration" on.Gensor.Optimizer.states_explored
         off.Gensor.Optimizer.states_explored)
 
-(* ---------- Learned pre-filter (DESIGN.md §14) ---------- *)
-
-(* Dump (feature, label) traces from one predictor-off optimize run and fit
-   a model on them — the in-process equivalent of
-   [bench --dump-traces] followed by [predict train]. *)
-let optimize_and_train config compute =
-  (* Bump the predictor stamp so the transition memo can't serve entries
-     cached by earlier tests: edge rows are only dumped on memo misses. *)
-  Costmodel.Predict.set_active None;
-  let self = ref [] and edge = ref [] in
-  Costmodel.Predict.set_dump
-    (Some
-       (fun kind x y ->
-         match kind with
-         | Costmodel.Predict.Self -> self := (x, y) :: !self
-         | Costmodel.Predict.Edge -> edge := (x, y) :: !edge));
-  let base =
-    Fun.protect
-      ~finally:(fun () -> Costmodel.Predict.set_dump None)
-      (fun () -> Gensor.Optimizer.optimize ~config ~jobs:1 ~hw compute)
-  in
-  (base, Costmodel.Predict.train ~boost:8 ~self:!self ~edge:!edge ())
-
-let quick_config =
-  { Gensor.Optimizer.default_config with Gensor.Optimizer.restarts = 2 }
-
-let with_model m f =
-  Costmodel.Predict.set_active ~topk:0.25 (Some m);
-  Fun.protect ~finally:(fun () -> Costmodel.Predict.set_active None) f
-
-(* Byte-identical transparency: activating and then clearing the predictor
-   must leave a predictor-off run exactly as it was (memo generations keep
-   filtered transition sets from leaking across configurations). *)
-let test_predict_off_transparent () =
-  let compute = gemm () in
-  let base, trained = optimize_and_train quick_config compute in
-  let model = match trained with Ok m -> m | Error e -> Alcotest.fail e in
-  with_model model (fun () ->
-      ignore (Gensor.Optimizer.optimize ~config:quick_config ~jobs:1 ~hw compute));
-  let again = Gensor.Optimizer.optimize ~config:quick_config ~jobs:1 ~hw compute in
-  check_bool "identical schedule" true
-    (Etir.equal base.Gensor.Optimizer.etir again.Gensor.Optimizer.etir);
-  check_bool "identical metrics" true
-    (base.Gensor.Optimizer.metrics = again.Gensor.Optimizer.metrics);
-  check_int "identical exploration" base.Gensor.Optimizer.states_explored
-    again.Gensor.Optimizer.states_explored
-
-(* The ε gate of the ISSUE: a predictor trained on the run's own traces and
-   used as a pre-filter must keep the selected schedule's modelled score
-   within a few percent of the predictor-off oracle.  The strict 1% gate
-   runs on the fixed bench workload ([bench --check]); this property covers
-   random shapes with a small safety margin. *)
-let prop_predict_within_eps =
-  QCheck.Test.make ~count:6 ~name:"predictor-filtered search within eps"
-    QCheck.(make Gen.(triple (int_range 5 9) (int_range 5 9) (int_range 5 9)))
-    (fun (a, b, c) ->
-      let compute =
-        gemm ~m:(1 lsl a) ~n:(1 lsl b) ~k:(1 lsl c) ()
-      in
-      let base, trained = optimize_and_train quick_config compute in
-      match trained with
-      | Error _ -> true (* tiny run produced no usable trace; nothing to gate *)
-      | Ok model ->
-        let s_off = Costmodel.Metrics.score base.Gensor.Optimizer.metrics in
-        let filtered =
-          with_model model (fun () ->
-              Gensor.Optimizer.optimize ~config:quick_config ~jobs:1 ~hw compute)
-        in
-        let s_on =
-          Costmodel.Metrics.score filtered.Gensor.Optimizer.metrics
-        in
-        Float.max 0.0 (1.0 -. (s_on /. s_off)) <= 0.05)
-
-(* Conv spot-check for the same property (the walk and pool behave
-   differently under halo-carrying footprints). *)
-let test_predict_eps_conv () =
-  let compute =
-    Ops.Op.compute
-      (Ops.Conv.conv2d ~batch:1 ~in_channels:16 ~out_channels:32 ~height:28
-         ~width:28 ~kernel:3 ~stride:1 ())
-  in
-  let base, trained = optimize_and_train quick_config compute in
-  let model = match trained with Ok m -> m | Error e -> Alcotest.fail e in
-  let s_off = Costmodel.Metrics.score base.Gensor.Optimizer.metrics in
-  let filtered =
-    with_model model (fun () ->
-        Gensor.Optimizer.optimize ~config:quick_config ~jobs:1 ~hw compute)
-  in
-  let s_on = Costmodel.Metrics.score filtered.Gensor.Optimizer.metrics in
-  check_bool "conv schedule within eps" true
-    (Float.max 0.0 (1.0 -. (s_on /. s_off)) <= 0.05)
-
-(* Graph exploration under the self-head cohort filter: the pre-filter may
-   only shrink the expanded region, and the best surviving state must stay
-   within ε of the unfiltered best. *)
-let test_predict_graph_explore () =
-  let seed = Etir.create (gemm ~m:64 ~n:64 ~k:64 ()) in
-  let base, trained = optimize_and_train quick_config (gemm ~m:64 ~n:64 ~k:64 ()) in
-  ignore base;
-  let model = match trained with Ok m -> m | Error e -> Alcotest.fail e in
-  let off = Gensor.Graph.explore ~max_states:400 ~prune_hw:hw seed in
-  let on =
-    with_model model (fun () ->
-        Gensor.Graph.explore ~max_states:400 ~prune_hw:hw seed)
-  in
-  check_bool "filter can only shrink the region" true
-    (Gensor.Graph.size on <= Gensor.Graph.size off);
-  match (Gensor.Graph.best ~hw off, Gensor.Graph.best ~hw on) with
-  | Some (_, m_off), Some (_, m_on) ->
-    check_bool "best within eps" true
-      (Float.max 0.0
-         (1.0
-         -. (Costmodel.Metrics.score m_on /. Costmodel.Metrics.score m_off))
-      <= 0.05)
-  | _ -> Alcotest.fail "exploration found no feasible state"
-
 let test_value_iteration_converges () =
   let g = Gensor.Graph.explore ~max_states:150 (Etir.create tiny_compute) in
   let chain = Gensor.Value_iter.build ~hw g in
@@ -523,11 +407,4 @@ let () =
          Alcotest.test_case "chain properties" `Quick
            test_markov_chain_properties;
          Alcotest.test_case "value iteration" `Quick
-           test_value_iteration_converges ]);
-      ("predict",
-       [ Alcotest.test_case "off is byte-identical" `Quick
-           test_predict_off_transparent;
-         Alcotest.test_case "conv within eps" `Quick test_predict_eps_conv;
-         Alcotest.test_case "graph cohort filter" `Quick
-           test_predict_graph_explore;
-         QCheck_alcotest.to_alcotest prop_predict_within_eps ]) ]
+           test_value_iteration_converges ]) ]

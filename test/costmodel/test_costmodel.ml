@@ -420,99 +420,6 @@ let prop_model_deterministic =
       let b = Costmodel.Model.evaluate ~hw !e in
       a = b)
 
-(* ---------- Learned tier: features and predictor ---------- *)
-
-let test_feature_schema () =
-  let e = configured () in
-  let comps = Costmodel.Delta.of_etir ~hw e in
-  let v = Costmodel.Feature.vector ~comps ~state:e in
-  check_int "row width" Costmodel.Feature.dim (Array.length v);
-  check_bool "all finite" true (Array.for_all Float.is_finite v);
-  (* The incremental buffer fill matches the one-shot constructor. *)
-  let buf = Costmodel.Feature.blank () in
-  Costmodel.Feature.set_comps buf comps;
-  Costmodel.Feature.set_state buf e;
-  check_bool "buffer reuse matches vector" true (buf = v)
-
-(* Deterministic synthetic rows with a linear ground truth. *)
-let synth_samples n =
-  List.init n (fun i ->
-      let x =
-        Array.init Costmodel.Feature.dim (fun j ->
-            Float.sin (float_of_int ((i * 37) + (j * 11))))
-      in
-      let y = (2.0 *. x.(0)) -. (0.7 *. x.(5)) +. (0.3 *. x.(20)) +. 1.0 in
-      (x, y))
-
-let test_train_recovers_linear () =
-  match Costmodel.Predict.train_head ~boost:0 (synth_samples 200) with
-  | Error e -> Alcotest.fail e
-  | Ok head ->
-    let r = Costmodel.Predict.evaluate_head head (synth_samples 64) in
-    check_bool "holdout correlation > 0.99" true
-      (r.Costmodel.Predict.r_corr > 0.99)
-
-let test_boosting_reduces_residual () =
-  (* Add a non-linear term the ridge head cannot express; the boosted
-     stumps must strictly reduce the holdout error. *)
-  let bent =
-    List.map
-      (fun (x, y) -> (x, y +. (if x.(3) > 0.2 then 1.5 else -1.5)))
-      (synth_samples 200)
-  in
-  let rmse boost =
-    match Costmodel.Predict.train_head ~boost bent with
-    | Error e -> Alcotest.fail e
-    | Ok head ->
-      (Costmodel.Predict.evaluate_head head bent).Costmodel.Predict.r_rmse
-  in
-  check_bool "stumps cut rmse" true (rmse 32 < rmse 0 *. 0.8)
-
-let test_train_two_head () =
-  let samples = synth_samples 64 in
-  (match Costmodel.Predict.train ~self:samples ~edge:[] () with
-  | Ok m ->
-    check_bool "self head present" true (Costmodel.Predict.self_head m <> None);
-    check_bool "edge head absent" true (Costmodel.Predict.edge_head m = None)
-  | Error e -> Alcotest.fail e);
-  match Costmodel.Predict.train ~self:[] ~edge:[] () with
-  | Ok _ -> Alcotest.fail "training with no samples must fail"
-  | Error _ -> ()
-
-let test_training_label_penalty () =
-  let feasible = configured () in
-  let comps = Costmodel.Delta.of_etir ~hw feasible in
-  check_bool "feasible label is the plain transform" true
-    (Costmodel.Predict.training_label ~hw feasible comps 1e12
-    = Costmodel.Predict.label_of_score 1e12);
-  (* Blow the shared-memory tile far past capacity. *)
-  let e = gemm_etir ~m:2048 ~n:2048 ~k:2048 () in
-  let e = Etir.with_stile e ~level:1 ~dim:0 1024 in
-  let e = Etir.with_stile e ~level:1 ~dim:1 1024 in
-  let e = Etir.with_rtile e ~level:1 ~dim:0 512 in
-  let infeasible = Etir.with_cur_level e 0 in
-  let icomps = Costmodel.Delta.of_etir ~hw infeasible in
-  check_bool "infeasible label is penalised" true
-    (Costmodel.Predict.training_label ~hw infeasible icomps 1e12
-    < Costmodel.Predict.label_of_score 1e12)
-
-let test_dump_sink () =
-  let rows = ref [] in
-  Costmodel.Predict.set_dump
-    (Some (fun kind x y -> rows := (kind, Array.length x, y) :: !rows));
-  check_bool "dumping on" true (Costmodel.Predict.dumping ());
-  let e = configured () in
-  let comps = Costmodel.Delta.of_etir ~hw e in
-  Costmodel.Predict.observe Costmodel.Predict.Self
-    (Costmodel.Feature.vector ~comps ~state:e)
-    1.0;
-  Costmodel.Predict.set_dump None;
-  check_bool "dumping off" true (not (Costmodel.Predict.dumping ()));
-  match !rows with
-  | [ (Costmodel.Predict.Self, w, 1.0) ] ->
-    check_int "row width" Costmodel.Feature.dim w
-  | _ -> Alcotest.fail "expected exactly one self row"
-
 let () =
   Alcotest.run "costmodel"
     [ ("footprint",
@@ -553,14 +460,4 @@ let () =
          QCheck_alcotest.to_alcotest prop_model_deterministic ]);
       ("delta",
        [ Alcotest.test_case "build counters" `Quick test_delta_stats_counters;
-         QCheck_alcotest.to_alcotest prop_incremental_equals_full ]);
-      ("predict",
-       [ Alcotest.test_case "feature schema" `Quick test_feature_schema;
-         Alcotest.test_case "ridge recovers linear" `Quick
-           test_train_recovers_linear;
-         Alcotest.test_case "boosting reduces residual" `Quick
-           test_boosting_reduces_residual;
-         Alcotest.test_case "two-head training" `Quick test_train_two_head;
-         Alcotest.test_case "infeasible label penalty" `Quick
-           test_training_label_penalty;
-         Alcotest.test_case "dump sink" `Quick test_dump_sink ]) ]
+         QCheck_alcotest.to_alcotest prop_incremental_equals_full ]) ]

@@ -66,64 +66,6 @@ let test_env_int_parse_and_clamp () =
     (List.mem "GENSOR_TEST_I" (Trace.Env.warned ()));
   Trace.Env.reset_warnings ()
 
-let test_env_float_parse_and_clamp () =
-  Trace.Env.reset_warnings ();
-  let read ?min ?max v = with_env "GENSOR_TEST_F" v (fun () ->
-      Trace.Env.float ?min ?max ~default:0.5 "GENSOR_TEST_F")
-  in
-  Alcotest.(check (float 1e-9)) "plain" 0.25 (read "0.25");
-  Alcotest.(check (float 1e-9)) "whitespace trimmed" 0.75 (read " 0.75 ");
-  Alcotest.(check (float 1e-9)) "garbage falls back" 0.5 (read "lots");
-  Alcotest.(check (float 1e-9)) "nan falls back" 0.5 (read "nan");
-  Alcotest.(check (float 1e-9)) "below min clamps" 0.05
-    (read ~min:0.05 "0.001");
-  Alcotest.(check (float 1e-9)) "above max clamps" 1.0 (read ~max:1.0 "7");
-  check_bool "garbage and clamp warned" true
-    (List.mem "GENSOR_TEST_F" (Trace.Env.warned ()));
-  Trace.Env.reset_warnings ()
-
-(* The predictor's activation knobs go through the same validated parser:
-   a typo'd GENSOR_PREDICT_TOPK degrades to the default fraction with a
-   warning instead of misbehaving inside the search. *)
-let test_predict_env_knobs () =
-  Trace.Env.reset_warnings ();
-  let samples =
-    List.init 32 (fun i ->
-        let x = Array.make Costmodel.Feature.dim 0.0 in
-        x.(0) <- float_of_int i;
-        (x, float_of_int i))
-  in
-  let model =
-    match Costmodel.Predict.train ~boost:0 ~self:samples ~edge:[] () with
-    | Ok m -> m
-    | Error e -> Alcotest.fail e
-  in
-  let active_with topk walk =
-    with_env "GENSOR_PREDICT_TOPK" topk (fun () ->
-        with_env "GENSOR_PREDICT_WALK" walk (fun () ->
-            Costmodel.Predict.set_active (Some model);
-            Fun.protect
-              ~finally:(fun () -> Costmodel.Predict.set_active None)
-              (fun () ->
-                match Costmodel.Predict.active () with
-                | None -> Alcotest.fail "model did not activate"
-                | Some a -> a)))
-  in
-  let a = active_with "0.4" "1" in
-  Alcotest.(check (float 1e-9)) "topk honoured" 0.4
-    a.Costmodel.Predict.a_topk;
-  check_bool "walk honoured" true a.Costmodel.Predict.a_walk;
-  let a = active_with "0.001" "" in
-  Alcotest.(check (float 1e-9)) "topk clamped to floor" 0.05
-    a.Costmodel.Predict.a_topk;
-  check_bool "walk defaults off" false a.Costmodel.Predict.a_walk;
-  let a = active_with "garbage" "0" in
-  Alcotest.(check (float 1e-9)) "topk garbage falls back" 0.25
-    a.Costmodel.Predict.a_topk;
-  check_bool "invalid GENSOR_PREDICT_TOPK warned" true
-    (List.mem "GENSOR_PREDICT_TOPK" (Trace.Env.warned ()));
-  Trace.Env.reset_warnings ()
-
 (* ---------- GENSOR_JOBS validation (Pool) ---------- *)
 
 let test_pool_jobs_env_validation () =
@@ -291,9 +233,6 @@ let () =
             test_env_bool_garbage_warns_once;
           Alcotest.test_case "int parse and clamp" `Quick
             test_env_int_parse_and_clamp;
-          Alcotest.test_case "float parse and clamp" `Quick
-            test_env_float_parse_and_clamp;
-          Alcotest.test_case "predictor knobs" `Quick test_predict_env_knobs;
           Alcotest.test_case "GENSOR_JOBS validation" `Quick
             test_pool_jobs_env_validation;
         ] );
