@@ -59,7 +59,7 @@ let spatial_axes t = Array.of_list (Compute.spatial_axes t.compute)
 let reduce_axes t = Array.of_list (Compute.reduce_axes t.compute)
 
 (* Extents and axis counts are read in every hot analysis loop (benefit
-   context, feature extraction, launch bounds), so they are cached in the
+   context, footprints, launch bounds), so they are cached in the
    record at construction instead of being rebuilt from the compute's axis
    lists per call.  The cached arrays are shared — callers only read them.
    The compute's structural hash is cached the same way: it keys every memo
@@ -283,10 +283,10 @@ let fingerprint t =
     fp
   end
 
-(* Exact evaluation identity backing the fingerprint: memo caches re-check
-   this on every probe so a hash collision can only cost a recompute.  The
-   compute comparison goes through its cached structural hash, so a probe
-   never re-walks the definition. *)
+(* Evaluation identity backing the fingerprint: memo caches re-check this on
+   every probe, so a fingerprint collision between configurations can only
+   cost a recompute.  Computes are told apart by their cached structural
+   hash, so a probe never re-walks the definition. *)
 let eval_equal a b =
   a == b
   || (a.cfp = b.cfp
