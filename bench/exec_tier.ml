@@ -1,7 +1,9 @@
 (* Executor tiers: the compiled bytecode VM vs the tree-walking
    interpreter, in domain points per second, on realistic shapes with
    Roller-constructed schedules.  Both tiers run the same ETIR; the table's
-   last column is the VM's win.  Run with: dune exec bench/main.exe exec *)
+   last column is the VM's win.  A disagreement between the tiers, or a
+   compiled run whose coverage is not exact, fails the experiment (exit 1)
+   after the table is printed.  Run with: dune exec bench/main.exe exec *)
 
 let hw = Hardware.Presets.rtx4090
 
@@ -22,6 +24,8 @@ let time f =
 
 let run () =
   Ctx.section "Executor tiers — compiled VM vs interpreter (points/s)";
+  let failures = ref [] in
+  let fail label what = failures := Fmt.str "%s: %s" label what :: !failures in
   let rows =
     List.map
       (fun (label, op) ->
@@ -42,12 +46,12 @@ let run () =
               not
                 (Exec.Tensor.approx_equal interp.Exec.Scheduled.output
                    compiled.Exec.Scheduled.output)
-            then Fmt.epr "exec: %s: tiers disagree!@." label;
+            then fail label "tiers disagree";
             Some (points /. t_int)
           end
         in
         if not (Exec.Scheduled.coverage_exact compiled) then
-          Fmt.epr "exec: %s: compiled coverage not exact!@." label;
+          fail label "compiled coverage not exact";
         let vm_s = points /. t_vm in
         (match interp_s with
         | Some i when i > 0.0 ->
@@ -68,4 +72,8 @@ let run () =
   Report.Table.print
     (Report.Table.v
        ~headers:[ "case"; "points"; "VM Mpt/s"; "interp Mpt/s"; "speedup" ]
-       rows)
+       rows);
+  if !failures <> [] then begin
+    List.iter (Fmt.epr "exec: %s@.") (List.rev !failures);
+    exit 1
+  end

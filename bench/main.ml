@@ -3,25 +3,20 @@
 
    Usage: main.exe [experiment ...]
    with experiments among fig1 fig6 fig7 tab5 tab6 fig8 fig9a fig9b fig10
-   fig11 fig12 mem ablation dyn exec wall; no argument runs everything
-   except [wall]. *)
+   fig11 fig12 mem ablation dyn exec; no argument runs them all. *)
 
 let experiments =
   [ ("fig1", Fig1.run); ("fig6", Fig6.run); ("fig7", Fig6.run_edge);
     ("tab5", Tab5.run); ("tab6", Tab6.run); ("fig8", Fig8.run);
     ("fig9a", Fig9.run); ("fig9b", Fig9.run_edge); ("fig10", Fig10.run);
     ("fig11", Fig11.run); ("fig12", Fig12.run); ("mem", Mem_overhead.run); ("ablation", Ablation.run); ("dyn", Dyn_cache.run);
-    ("exec", Exec_tier.run); ("wall", Wall.run) ]
-
-let default_set =
-  [ "fig1"; "fig6"; "fig7"; "tab5"; "tab6"; "fig8"; "fig9a"; "fig9b"; "fig10";
-    "fig11"; "fig12"; "mem"; "ablation"; "dyn"; "exec" ]
+    ("exec", Exec_tier.run) ]
 
 let () =
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as args) -> args
-    | _ -> default_set
+    | _ -> List.map fst experiments
   in
   let t0 = Unix.gettimeofday () in
   List.iter

@@ -665,561 +665,6 @@ let analyze_cmd =
        $ format_arg $ out_arg $ analyze_dynamic_arg $ verbose_arg $ jobs_arg
        $ no_incremental_arg $ trace_arg))
 
-(* ---------- bench ---------- *)
-
-(* Hand-rolled compile-time micro-benchmarks (the Bechamel harness lives in
-   bench/wall.ml; this subcommand is the scriptable variant that CI captures
-   as BENCH_compile.json).  Arms are labelled honestly: the "-seq" arm runs
-   with one domain and the memo caches disabled, the plain arm with the
-   requested pool width and caches on — on a single-core host the gap is
-   the memoization/hoisting win alone. *)
-
-type bench_row = {
-  b_name : string;
-  b_ns : float;             (* wall ns per run *)
-  b_runs : int;
-  b_states_s : float option;  (* construction throughput, states/s *)
-  b_hit_rate : float option;  (* memo hit rate while the arm ran *)
-  b_prune_rate : float option;
-      (* fraction of pooled candidates dropped by dominance pruning *)
-  b_jobs : int;
-  b_counters : (string * int) list;
-      (* unified-registry deltas while the measured runs executed *)
-}
-
-let memo_snapshot () =
-  List.fold_left
-    (fun (h, m) (_, s) -> (h + s.Parallel.Memo.hits, m + s.Parallel.Memo.misses))
-    (0, 0) (Parallel.Memo.all_stats ())
-
-(* Registry movement while an arm ran: entries whose value changed, as
-   (name, delta).  Gauge-like entries (memo [entries]) can shrink on an
-   eviction; the signed delta is the honest report. *)
-let counter_delta before after =
-  List.filter_map
-    (fun (name, v) ->
-      let v0 = Option.value ~default:0 (List.assoc_opt name before) in
-      if v <> v0 then Some (name, v - v0) else None)
-    after
-
-let bench_arm ?(warmup = 0) ~name ~jobs ~runs ?states f =
-  Trace.with_span ~name:"bench.arm" ~args:[ ("name", name) ] @@ fun () ->
-  (* Untimed warmup runs: arms measuring a warm steady state (memo caches,
-     allocator) must not fold their cold first run into the average — with
-     --quick's 3 runs that would understate the warm throughput by a third. *)
-  for _ = 1 to warmup do
-    ignore (f ())
-  done;
-  let h0, m0 = memo_snapshot () in
-  let c0 = Trace.Counter.snapshot () in
-  let t0 = Unix.gettimeofday () in
-  let states_total = ref 0 in
-  for _ = 1 to runs do
-    states_total := !states_total + f ()
-  done;
-  let dt = (Unix.gettimeofday () -. t0) /. float_of_int runs in
-  let counters = counter_delta c0 (Trace.Counter.snapshot ()) in
-  let h1, m1 = memo_snapshot () in
-  let lookups = h1 - h0 + (m1 - m0) in
-  let hit_rate =
-    if lookups = 0 then None
-    else Some (float_of_int (h1 - h0) /. float_of_int lookups)
-  in
-  let states_s =
-    match states with
-    | Some () when dt > 0.0 ->
-      Some (float_of_int !states_total /. float_of_int runs /. dt)
-    | _ -> None
-  in
-  Fmt.pr "%-24s %10.3f ms/run%s@." name (dt *. 1e3)
-    (match hit_rate with
-    | Some r -> Fmt.str "  (%.1f%% memo hits)" (100.0 *. r)
-    | None -> "");
-  { b_name = name; b_ns = dt *. 1e9; b_runs = runs; b_states_s = states_s;
-    b_hit_rate = hit_rate; b_prune_rate = None; b_jobs = jobs;
-    b_counters = counters }
-
-let bench_json rows ~networks ~jobs ~speedup ~speedup_incremental ~exec =
-  let buf = Buffer.create 1024 in
-  let field_opt = function
-    | None -> "null"
-    | Some v -> Fmt.str "%.3f" v
-  in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"gensor-bench-compile/7\",\n";
-  Buffer.add_string buf (Fmt.str "  \"jobs\": %d,\n" jobs);
-  Buffer.add_string buf
-    (Fmt.str "  \"cpus\": %d,\n" (Domain.recommended_domain_count ()));
-  Buffer.add_string buf
-    (Fmt.str "  \"speedup_gensor_vs_seq\": %.3f,\n" speedup);
-  Buffer.add_string buf
-    (Fmt.str "  \"speedup_incremental_vs_full\": %s,\n"
-       (field_opt speedup_incremental));
-  (* Executor-tier summary (schema /6): throughput of the compiled bytecode
-     VM vs the interpreter oracle, in domain points/s, plus their ratio.
-     The per-arm exec rows carry the same numbers in [states_per_s]. *)
-  (let compiled_s, interp_s, ratio = exec in
-   Buffer.add_string buf
-     (Fmt.str
-        "  \"exec\": { \"compiled_points_per_s\": %s, \
-         \"interp_points_per_s\": %s, \"speedup_compiled_vs_interp\": %s },\n"
-        (field_opt compiled_s) (field_opt interp_s) (field_opt ratio)));
-  (* network-e2e arm: fused-vs-unfused whole-network latency from the graph
-     schedule (Table-IV-style), one line per model. *)
-  Buffer.add_string buf "  \"networks\": [\n";
-  List.iteri
-    (fun i (label, (c : Dnn.Runner.fusion_comparison)) ->
-      let f = c.Dnn.Runner.fc_fused and u = c.Dnn.Runner.fc_unfused in
-      Buffer.add_string buf
-        (Fmt.str
-           "    { \"name\": %S, \"e2e_unfused_ms\": %.4f, \
-            \"e2e_fused_ms\": %.4f, \"fusion_speedup\": %.3f, \
-            \"folded\": %d, \"kernels_unfused\": %d, \"kernels_fused\": %d, \
-            \"peak_unfused_bytes\": %d, \"peak_fused_bytes\": %d }%s\n"
-           label
-           (u.Dnn.Runner.g_e2e_s *. 1e3)
-           (f.Dnn.Runner.g_e2e_s *. 1e3)
-           (Dnn.Runner.fusion_speedup c)
-           f.Dnn.Runner.g_folded u.Dnn.Runner.g_kernels
-           f.Dnn.Runner.g_kernels u.Dnn.Runner.g_peak_bytes
-           f.Dnn.Runner.g_peak_bytes
-           (if i = List.length networks - 1 then "" else ",")))
-    networks;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"benchmarks\": [\n";
-  List.iteri
-    (fun i r ->
-      (* The arm line carries every scalar (the --check reader matches
-         [name] and [states_per_s] on one line); the registry deltas
-         follow as a nested object so arms carry their counter snapshots. *)
-      Buffer.add_string buf
-        (Fmt.str
-           "    { \"name\": %S, \"ns_per_run\": %.1f, \"runs\": %d, \
-            \"states_per_s\": %s, \"cache_hit_rate\": %s, \
-            \"prune_rate\": %s, \"jobs\": %d,\n"
-           r.b_name r.b_ns r.b_runs (field_opt r.b_states_s)
-           (field_opt r.b_hit_rate) (field_opt r.b_prune_rate) r.b_jobs);
-      Buffer.add_string buf "      \"counters\": {";
-      List.iteri
-        (fun j (name, v) ->
-          Buffer.add_string buf
-            (Fmt.str "%s\"%s\": %d" (if j = 0 then " " else ", ") name v))
-        r.b_counters;
-      Buffer.add_string buf
-        (Fmt.str " } }%s\n" (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-(* ---------- baseline regression check ---------- *)
-
-(* Reads back the JSON that [bench_json] writes.  The format is the tool's
-   own line-oriented output, so a full JSON parser would be overkill (and
-   would be the repo's only external-parser dependency): each benchmark
-   object lives on one line, keys are unambiguous, and we only need
-   [name] and [states_per_s]. *)
-let baseline_states_per_s file =
-  let find_sub line pat =
-    let n = String.length line and m = String.length pat in
-    let rec go i =
-      if i + m > n then None
-      else if String.sub line i m = pat then Some (i + m)
-      else go (i + 1)
-    in
-    go 0
-  in
-  let string_field line key =
-    Option.bind (find_sub line (Fmt.str "\"%s\": \"" key)) (fun start ->
-        Option.map
-          (fun stop -> String.sub line start (stop - start))
-          (String.index_from_opt line start '"'))
-  in
-  let float_field line key =
-    Option.bind (find_sub line (Fmt.str "\"%s\": " key)) (fun start ->
-        let stop = ref start in
-        let n = String.length line in
-        while
-          !stop < n
-          && (match line.[!stop] with
-             | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-             | _ -> false)
-        do
-          incr stop
-        done;
-        float_of_string_opt (String.sub line start (!stop - start)))
-  in
-  let ic = open_in file in
-  let rows = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       match (string_field line "name", float_field line "states_per_s") with
-       | Some name, Some v -> rows := (name, v) :: !rows
-       | _ -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !rows
-
-(* CI perf-smoke guard: every construction arm present in both this run and
-   the committed baseline must stay within [tolerance] of the recorded
-   states/s.  Arms the baseline does not know (or that record no
-   throughput) are skipped, so adding arms never breaks an old baseline. *)
-let check_against_baseline ?(tolerance = 0.30) rows file =
-  match
-    try Ok (baseline_states_per_s file) with Sys_error m -> Error m
-  with
-  | Error m -> Error (Fmt.str "cannot read baseline: %s" m)
-  | Ok baseline ->
-  let failures = ref [] in
-  List.iter
-    (fun r ->
-      match (r.b_states_s, List.assoc_opt r.b_name baseline) with
-      | Some now, Some base when base > 0.0 ->
-        let floor = (1.0 -. tolerance) *. base in
-        let verdict = if now < floor then "REGRESSED" else "ok" in
-        if now < floor then failures := r.b_name :: !failures;
-        Fmt.pr "check %-28s %10.0f states/s vs baseline %10.0f (floor %.0f): %s@."
-          r.b_name now base floor verdict
-      | _ -> ())
-    rows;
-  match List.rev !failures with
-  | [] ->
-    Fmt.pr "check: no construction arm regressed more than %.0f%%@."
-      (100.0 *. tolerance);
-    Ok ()
-  | names ->
-    Error
-      (Fmt.str "states/s regressed more than %.0f%% vs %s: %s"
-         (100.0 *. tolerance) file (String.concat ", " names))
-
-let bench_json_arg =
-  let doc = "Write the results as JSON to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-
-let bench_quick_arg =
-  let doc = "Fewer repetitions (CI smoke mode)." in
-  Arg.(value & flag & info [ "quick" ] ~doc)
-
-let bench_check_arg =
-  let doc =
-    "Compare this run against the committed baseline JSON $(docv) and fail \
-     when any construction arm's states/s regresses by more than 30%."
-  in
-  Arg.(value & opt (some string) None & info [ "check" ] ~docv:"FILE" ~doc)
-
-let bench_cmd =
-  let run json_file quick jobs cache_dir no_incremental check_file trace =
-    apply_incremental no_incremental;
-    apply_trace trace;
-    let incremental = Costmodel.Delta.enabled () in
-    let hw = Hardware.Presets.rtx4090 in
-    let gemm_op = Ops.Matmul.gemm ~m:1024 ~n:1024 ~k:1024 () in
-    let gemm = Ops.Op.compute gemm_op in
-    let jobs =
-      match jobs with Some j -> max 1 j | None -> Parallel.Pool.default_jobs ()
-    in
-    let runs = if quick then 3 else 8 in
-    let eval_iters = if quick then 20_000 else 100_000 in
-    let quick_gensor =
-      { Gensor.Optimizer.default_config with Gensor.Optimizer.restarts = 4 }
-    in
-    let rows = ref [] in
-    let arm row = rows := row :: !rows in
-    (* Prune-rate bookkeeping: the gensor arms accumulate how many pooled
-       candidates the dominance sweep dropped vs how many survived to the
-       full-model pass. *)
-    let with_prune_rate f =
-      let pruned = ref 0 and evaluated = ref 0 in
-      let row =
-        f (fun (r : Gensor.Optimizer.result) ->
-            pruned := !pruned + r.Gensor.Optimizer.candidates_pruned;
-            evaluated := !evaluated + r.Gensor.Optimizer.candidates_evaluated)
-      in
-      let pooled = !pruned + !evaluated in
-      { row with
-        b_prune_rate =
-          (if pooled = 0 then None
-           else Some (float_of_int !pruned /. float_of_int pooled)) }
-    in
-    (* Routed through Pipeline.Methods (not Roller.construct directly) so a
-       traced bench exercises the per-method pipeline arm like a sweep
-       does; the method wrapper adds one span and a verify gate that is
-       off by default. *)
-    let roller_method = Pipeline.Methods.roller () in
-    arm
-      (bench_arm ~name:"roller-gemm1024" ~jobs:1 ~runs ~states:() (fun () ->
-           (* tree_steps is Roller's candidates_examined: the construction
-              work the arm actually did, comparable as states/s. *)
-           (roller_method.Pipeline.Methods.compile ~hw gemm_op)
-             .Pipeline.Methods.tree_steps));
-    (* Bounded construction-graph enumeration with dominance pruning: the
-       graph layer's arm (and its spans/counters in a traced run). *)
-    arm
-      (bench_arm ~name:"graph-explore-512" ~jobs:1 ~runs ~states:()
-         (fun () ->
-           let seed =
-             Sched.Etir.create
-               ~num_levels:(Hardware.Gpu_spec.schedulable_cache_levels hw)
-               gemm
-           in
-           Gensor.Graph.size
-             (Gensor.Graph.explore ~max_states:512 ~prune_hw:hw seed)));
-    (* Sequential, uncached, full re-evaluation at every state: the oracle
-       code path (--no-incremental).  The gap to the next arm is the
-       incremental-evaluation win alone. *)
-    Parallel.Memo.set_enabled false;
-    Parallel.Memo.clear_all ();
-    Costmodel.Delta.set_enabled false;
-    let seq_full =
-      with_prune_rate (fun record ->
-          bench_arm ~warmup:1 ~name:"gensor-gemm1024-seq-full" ~jobs:1 ~runs
-            ~states:()
-            (fun () ->
-              let r =
-                Gensor.Optimizer.optimize ~config:quick_gensor ~jobs:1 ~hw gemm
-              in
-              record r;
-              r.Gensor.Optimizer.states_explored))
-    in
-    arm seq_full;
-    Costmodel.Delta.set_enabled incremental;
-    (* Sequential, uncached, incremental components: the pre-parallel-runtime
-       code path with per-edge component reuse. *)
-    let seq =
-      with_prune_rate (fun record ->
-          bench_arm ~warmup:1 ~name:"gensor-gemm1024-seq" ~jobs:1 ~runs
-            ~states:()
-            (fun () ->
-              let r =
-                Gensor.Optimizer.optimize ~config:quick_gensor ~jobs:1 ~hw gemm
-              in
-              record r;
-              r.Gensor.Optimizer.states_explored))
-    in
-    arm seq;
-    (* Parallel + memoised: the shipped configuration. *)
-    Parallel.Memo.set_enabled true;
-    Parallel.Memo.clear_all ();
-    let par =
-      with_prune_rate (fun record ->
-          bench_arm ~warmup:1 ~name:"gensor-gemm1024" ~jobs ~runs ~states:()
-            (fun () ->
-              let r =
-                Gensor.Optimizer.optimize ~config:quick_gensor ~jobs ~hw gemm
-              in
-              record r;
-              r.Gensor.Optimizer.states_explored))
-    in
-    arm par;
-    arm
-      (bench_arm ~name:"ansor200-gemm1024" ~jobs ~runs ~states:() (fun () ->
-           let config =
-             { Ansor.Search.default_config with Ansor.Search.n_trials = 200 }
-           in
-           (Ansor.Search.search ~config ~jobs ~hw gemm).Ansor.Search.trials));
-    let etir =
-      (Gensor.Optimizer.optimize ~config:quick_gensor ~jobs ~hw gemm)
-        .Gensor.Optimizer.etir
-    in
-    arm
-      (bench_arm ~name:"costmodel-eval" ~jobs:1 ~runs:1 (fun () ->
-           for _ = 1 to eval_iters do
-             ignore (Costmodel.Model.evaluate ~hw etir)
-           done;
-           0));
-    (* Rescale the eval arm to per-evaluation cost. *)
-    (match !rows with
-    | r :: rest ->
-      rows := { r with b_ns = r.b_ns /. float_of_int eval_iters } :: rest
-    | [] -> ());
-    arm
-      (bench_arm ~name:"costmodel-eval-cached" ~jobs:1 ~runs:1 (fun () ->
-           for _ = 1 to eval_iters do
-             ignore (Costmodel.Model.evaluate_cached ~hw etir)
-           done;
-           0));
-    (match !rows with
-    | r :: rest ->
-      rows := { r with b_ns = r.b_ns /. float_of_int eval_iters } :: rest
-    | [] -> ());
-    (* Persistent-store arm: a fresh kernel cache opened over an already
-       warm store — measures open + preload + exact-hit, i.e. what a second
-       process pays instead of a cold construction. *)
-    (match cache_dir with
-    | None -> ()
-    | Some dir ->
-      let store = Artifact.Store.open_ dir in
-      let fill =
-        Dnn.Kernel_cache.create ~config:quick_gensor ~store ~hw ()
-      in
-      ignore (Dnn.Kernel_cache.compile fill gemm);
-      arm
-        (bench_arm ~name:"kcache-store-warm" ~jobs:1 ~runs (fun () ->
-             let cache =
-               Dnn.Kernel_cache.create ~config:quick_gensor
-                 ~store:(Artifact.Store.open_ dir) ~hw ()
-             in
-             let _, lookup = Dnn.Kernel_cache.compile cache gemm in
-             assert (lookup = Dnn.Kernel_cache.Hit);
-             0)));
-    (* Executor arms: throughput of the two execution tiers in domain
-       points/s (reported through the states/s column, so the --check
-       baseline guards them like any construction arm).  The compiled VM
-       runs the full benchmark shape; the interpreter oracle runs a smaller
-       instance — its points/s is shape-insensitive — so the arm stays
-       cheap.  Program compilation happens once outside the timed loop,
-       mirroring how the verifier amortises it across runs. *)
-    let gemm256 = Ops.Op.compute (Ops.Matmul.gemm ~m:256 ~n:256 ~k:256 ()) in
-    let gemm64 = Ops.Op.compute (Ops.Matmul.gemm ~m:64 ~n:64 ~k:64 ()) in
-    let exec_compiled =
-      let etir = (Roller.construct ~hw gemm256).Roller.etir in
-      let inputs = Exec.Reference.random_inputs ~seed:1 gemm256 in
-      let prog = Exec.Compiled.compile etir in
-      let pts = Tensor_lang.Compute.domain_points gemm256 in
-      bench_arm ~warmup:1 ~name:"exec-gemm256" ~jobs:1 ~runs ~states:()
-        (fun () ->
-          ignore (Exec.Compiled.run_compiled prog inputs);
-          pts)
-    in
-    arm exec_compiled;
-    let exec_interp =
-      let etir = (Roller.construct ~hw gemm64).Roller.etir in
-      let inputs = Exec.Reference.random_inputs ~seed:1 gemm64 in
-      let pts = Tensor_lang.Compute.domain_points gemm64 in
-      bench_arm ~warmup:1 ~name:"exec-gemm64-interp" ~jobs:1 ~runs ~states:()
-        (fun () ->
-          ignore (Exec.Scheduled.run etir inputs);
-          pts)
-    in
-    arm exec_interp;
-    let exec_speedup =
-      match (exec_compiled.b_states_s, exec_interp.b_states_s) with
-      | Some c, Some i when i > 0.0 -> Some (c /. i)
-      | _ -> None
-    in
-    let rows = List.rev !rows in
-    (* network-e2e arm: compile all three networks through the graph path,
-       fused and unfused, and report whole-network latency from the graph
-       schedule.  Roller keeps the arm cheap; the fused-vs-unfused delta is
-       method-independent enough for the guard below. *)
-    let networks =
-      Trace.with_span ~name:"bench.network-e2e" @@ fun () ->
-      List.map
-        (fun (label, g) ->
-          (label, Dnn.Runner.compare_fusion ~jobs ~hw roller_method g))
-        [ ("resnet50", Dnn.Resnet.resnet50_graph ~batch:8 ());
-          ("mobilenet", Dnn.Mobilenet.mobilenet_v2_graph ~batch:8 ());
-          ("bert", Dnn.Transformer.bert_small_graph ~batch:8 ()) ]
-    in
-    Fmt.pr "@.";
-    Report.Table.print
-      (Report.Table.v
-         ~headers:
-           [ "network"; "unfused ms"; "fused ms"; "speedup"; "folded";
-             "peak unfused"; "peak fused" ]
-         (List.map
-            (fun (label, (c : Dnn.Runner.fusion_comparison)) ->
-              let f = c.Dnn.Runner.fc_fused
-              and u = c.Dnn.Runner.fc_unfused in
-              [ label;
-                Fmt.str "%.3f" (u.Dnn.Runner.g_e2e_s *. 1e3);
-                Fmt.str "%.3f" (f.Dnn.Runner.g_e2e_s *. 1e3);
-                Fmt.str "%.2fx" (Dnn.Runner.fusion_speedup c);
-                string_of_int f.Dnn.Runner.g_folded;
-                Fmt.str "%a" Dnn.Memplan.pp_bytes u.Dnn.Runner.g_peak_bytes;
-                Fmt.str "%a" Dnn.Memplan.pp_bytes f.Dnn.Runner.g_peak_bytes ])
-            networks));
-    let speedup = seq.b_ns /. par.b_ns in
-    (* states/s is the honest incremental-vs-full metric: both arms run the
-       same chains, but the full arm may stop on the wall-clock budget with
-       fewer states explored, which flatters its ns/run. *)
-    let speedup_incremental =
-      match (seq.b_states_s, seq_full.b_states_s) with
-      | Some inc, Some full when full > 0.0 && incremental ->
-        Some (inc /. full)
-      | _ -> None
-    in
-    Fmt.pr "@.gensor-gemm1024: %.2fx vs sequential uncached (%d jobs, %d cpus)@."
-      speedup jobs
-      (Domain.recommended_domain_count ());
-    (match speedup_incremental with
-    | Some s ->
-      Fmt.pr "incremental evaluation: %.2fx states/s vs full re-evaluation@." s
-    | None -> ());
-    (match par.b_prune_rate with
-    | Some r -> Fmt.pr "dominance pruning: %.1f%% of pooled candidates@." (100.0 *. r)
-    | None -> ());
-    (match (exec_compiled.b_states_s, exec_interp.b_states_s, exec_speedup) with
-    | Some c, Some i, Some s ->
-      Fmt.pr
-        "executor: compiled %.0f Mpt/s vs interpreter %.1f Mpt/s (%.1fx)@."
-        (c /. 1e6) (i /. 1e6) s
-    | _ -> ());
-    Fmt.pr "%a@." Pipeline.Methods.pp_cache_stats ();
-    (match json_file with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      output_string oc
-        (bench_json rows ~networks ~jobs ~speedup ~speedup_incremental
-           ~exec:(exec_compiled.b_states_s, exec_interp.b_states_s, exec_speedup));
-      close_out oc;
-      Fmt.pr "wrote %s@." file);
-    report_trace ();
-    match check_file with
-    | None -> `Ok ()
-    | Some file -> (
-      (* Besides the throughput baseline, --check guards the fusion win
-         itself: the graph path must beat its own unfused schedule on the
-         residual and transformer networks (the paper's Table-IV setting). *)
-      let fusion_failures =
-        List.filter_map
-          (fun (label, c) ->
-            if
-              List.mem label [ "resnet50"; "bert" ]
-              && Dnn.Runner.fusion_speedup c <= 1.0
-            then Some label
-            else None)
-          networks
-      in
-      (* The compiled tier must hold its headline win over the interpreter
-         (well under the measured 70-150x, far above noise). *)
-      let exec_failure =
-        match exec_speedup with
-        | Some s when s < 20.0 ->
-          [ Fmt.str
-              "compiled executor only %.1fx faster than the interpreter \
-               (floor 20x)"
-              s ]
-        | _ -> []
-      in
-      let failures =
-        (match check_against_baseline rows file with
-        | Ok () -> []
-        | Error m -> [ m ])
-        @ (match fusion_failures with
-          | [] -> []
-          | names ->
-            [ Fmt.str "fused e2e does not beat unfused on: %s"
-                (String.concat ", " names) ])
-        @ exec_failure
-      in
-      match failures with
-      | [] -> `Ok ()
-      | ms -> `Error (false, String.concat "; " ms))
-  in
-  let doc =
-    "Micro-benchmark the optimisers (compile-time wall clock), optionally \
-     write the results as JSON, and optionally guard against throughput \
-     regressions with $(b,--check)."
-  in
-  Cmd.v (Cmd.info "bench" ~doc)
-    Term.(
-      ret
-        (const run $ bench_json_arg $ bench_quick_arg $ jobs_arg
-       $ cache_dir_arg $ no_incremental_arg $ bench_check_arg $ trace_arg))
-
 (* ---------- cache ---------- *)
 
 (* Cache maintenance requires an explicit store: --cache-dir or
@@ -1385,5 +830,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ compile_cmd; ops_cmd; model_cmd; graph_cmd; devices_cmd;
-            verify_cmd; analyze_cmd;
-            bench_cmd; cache_cmd; trace_cmd ]))
+            verify_cmd; analyze_cmd; cache_cmd; trace_cmd ]))

@@ -29,11 +29,10 @@ let () =
   in
   let inputs = Exec.Reference.random_inputs small in
   let expected = Exec.Reference.run small inputs in
-  let executed = Exec.Dispatch.run small_schedule inputs in
+  let executed = Exec.Compiled.run small_schedule inputs in
   Fmt.pr
-    "numeric check (32x24x16 instance, %s tier): coverage exact = %b, max \
-     |diff| = %.2e, within tolerance = %b@.@."
-    (Exec.Dispatch.mode_name (Exec.Dispatch.mode ()))
+    "numeric check (32x24x16 instance, compiled tier): coverage exact = %b, \
+     max |diff| = %.2e, within tolerance = %b@.@."
     (Exec.Scheduled.coverage_exact executed)
     (Exec.Tensor.max_abs_diff expected executed.Exec.Scheduled.output)
     (Exec.Tensor.approx_equal expected executed.Exec.Scheduled.output);

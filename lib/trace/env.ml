@@ -59,20 +59,6 @@ let int ?min ~default key =
         floor
       | _ -> v))
 
-let enum ~values ~default key =
-  match Sys.getenv_opt key with
-  | None -> default
-  | Some raw -> (
-    let norm = String.lowercase_ascii (String.trim raw) in
-    match List.assoc_opt norm values with
-    | Some v -> v
-    | None ->
-      warn_once ~key
-        (Printf.sprintf "gensor: %s=%S is not one of %s; using the default"
-           key raw
-           (String.concat "/" (List.map fst values)));
-      default)
-
 let string key =
   match Sys.getenv_opt key with
   | None -> None

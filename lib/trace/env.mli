@@ -26,13 +26,6 @@ val int : ?min:int -> default:int -> string -> int
 (** [string key] is the trimmed value of [key] when set and non-empty. *)
 val string : string -> string option
 
-(** [enum ~values ~default key] parses [key] against an explicit spelling
-    table (matched case-insensitively on the trimmed value).  An
-    unrecognised spelling falls back to [default] after a one-time warning
-    that lists the accepted values — the contract mode knobs like
-    [GENSOR_EXEC] need. *)
-val enum : values:(string * 'a) list -> default:'a -> string -> 'a
-
 (** Keys that have triggered a parse warning so far, oldest first.  Each
     key warns at most once per process; exposed for the test suite. *)
 val warned : unit -> string list

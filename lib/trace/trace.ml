@@ -235,9 +235,8 @@ type validation = {
   v_tids : int;
 }
 
-(* The exporter writes one event per line, so validation is line-oriented
-   (mirroring the bench --check baseline reader: a full JSON parser would
-   be the repo's only external-parser dependency). *)
+(* The exporter writes one event per line, so validation is line-oriented:
+   a full JSON parser would be the repo's only external-parser dependency. *)
 let field line key =
   let pat = Printf.sprintf "\"%s\":" key in
   let n = String.length line and m = String.length pat in
