@@ -9,13 +9,10 @@ let batch = 8
 let run () =
   Ctx.section "Fig. 11 — BERT-small with dynamic shapes (RTX 4090)";
   let hw = Hardware.Presets.rtx4090 in
-  let roller =
-    Dnn.Dynamic.bert_per_shape ~hw (Pipeline.Methods.roller ()) ~batch ~seqs
-  in
-  let gensor =
-    Dnn.Dynamic.bert_per_shape ~hw (Pipeline.Methods.gensor ()) ~batch ~seqs
-  in
-  let torch = Dnn.Dynamic.bert_pytorch ~hw ~batch ~seqs in
+  let per_shape m = Dnn.Dynamic.bert_per_shape ~hw m ~batch ~seqs in
+  let torch = per_shape (Pipeline.Methods.pytorch ()) in
+  let roller = per_shape (Pipeline.Methods.roller ()) in
+  let gensor = per_shape (Pipeline.Methods.gensor ()) in
   let dietcode = Dnn.Dynamic.bert_dietcode ~hw ~batch ~seqs () in
   let all = [ torch; roller; dietcode; gensor ] in
   Report.Table.print

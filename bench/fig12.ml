@@ -16,11 +16,10 @@ let run () =
     "Fig. 12 — dynamic channel adjustment timeline (MobileNetV2, Orin Nano)";
   let hw = Hardware.Presets.orin_nano in
   let timelines =
-    Dnn.Dynamic.mobilenet_timeline_pytorch ~hw ~batch ~phases ()
-    :: List.map
-         (fun m -> Dnn.Dynamic.mobilenet_timeline ~hw m ~batch ~phases ())
-         [ Pipeline.Methods.ansor ~n_trials:500 (); Pipeline.Methods.roller ();
-           Pipeline.Methods.gensor () ]
+    List.map
+      (fun m -> Dnn.Dynamic.mobilenet_timeline ~hw m ~batch ~phases ())
+      [ Pipeline.Methods.pytorch (); Pipeline.Methods.ansor ~n_trials:500 ();
+        Pipeline.Methods.roller (); Pipeline.Methods.gensor () ]
   in
   Report.Table.print
     (Report.Table.v

@@ -17,6 +17,16 @@ let edge_models () =
     Dnn.Resnet.resnet50 ~batch:1 ();
     Dnn.Mobilenet.mobilenet_v2 ~batch:1 () ]
 
+(* Every method over each model's unfused layer table. *)
+let run_models ~hw methods models =
+  List.map
+    (fun model ->
+      let graph = Dnn.Graph.of_model model in
+      ( Dnn.Model.name model,
+        List.map (fun m -> Dnn.Runner.run_graph ~fuse:false ~hw m graph) methods
+      ))
+    models
+
 let print_reports ~baseline_name reports =
   Report.Table.print
     (Report.Table.v
@@ -27,16 +37,17 @@ let print_reports ~baseline_name reports =
           (fun (model_name, per_method) ->
             let baseline =
               List.find
-                (fun r -> r.Dnn.Runner.method_name = baseline_name)
+                (fun r -> r.Dnn.Runner.g_method = baseline_name)
                 per_method
             in
             List.map
               (fun r ->
-                [ model_name; r.Dnn.Runner.method_name;
-                  Fmt.str "%.1f" r.Dnn.Runner.throughput;
+                [ model_name; r.Dnn.Runner.g_method;
+                  Fmt.str "%.1f" r.Dnn.Runner.g_throughput;
                   Report.Table.rel
-                    (r.Dnn.Runner.throughput /. baseline.Dnn.Runner.throughput);
-                  Fmt.str "%.1f" r.Dnn.Runner.compile_sim_s ])
+                    (r.Dnn.Runner.g_throughput
+                    /. baseline.Dnn.Runner.g_throughput);
+                  Fmt.str "%.1f" r.Dnn.Runner.g_compile_sim_s ])
               per_method)
           reports))
 
@@ -45,11 +56,11 @@ let geo_ratio reports ~of_ ~over =
     (List.filter_map
        (fun (_, per_method) ->
          let find name =
-           List.find_opt (fun r -> r.Dnn.Runner.method_name = name) per_method
+           List.find_opt (fun r -> r.Dnn.Runner.g_method = name) per_method
          in
          match (find of_, find over) with
          | Some a, Some b ->
-           Some (a.Dnn.Runner.throughput /. b.Dnn.Runner.throughput)
+           Some (a.Dnn.Runner.g_throughput /. b.Dnn.Runner.g_throughput)
          | _ -> None)
        reports)
 
@@ -57,17 +68,10 @@ let run () =
   Ctx.section "Fig. 9a — end-to-end models on the RTX 4090";
   let hw = Hardware.Presets.rtx4090 in
   let methods =
-    [ Pipeline.Methods.ansor (); Pipeline.Methods.roller ();
-      Pipeline.Methods.gensor () ]
+    [ Pipeline.Methods.pytorch (); Pipeline.Methods.ansor ();
+      Pipeline.Methods.roller (); Pipeline.Methods.gensor () ]
   in
-  let reports =
-    List.map
-      (fun model ->
-        ( Dnn.Model.name model,
-          Dnn.Runner.run_pytorch ~hw model
-          :: List.map (fun m -> Dnn.Runner.run ~hw m model) methods ))
-      (cloud_models ())
-  in
+  let reports = run_models ~hw methods (cloud_models ()) in
   print_reports ~baseline_name:"Ansor" reports;
   let gensor_vs_roller = geo_ratio reports ~of_:"Gensor" ~over:"Roller" in
   let gensor_vs_torch = geo_ratio reports ~of_:"Gensor" ~over:"PyTorch" in
@@ -84,15 +88,11 @@ let run_edge () =
   Fmt.pr
     "(Ansor excluded: search working set exceeds the 8 GB device, as in the \
      paper; GPT-2 excluded: does not fit)@.";
-  let methods = [ Pipeline.Methods.roller (); Pipeline.Methods.gensor () ] in
-  let reports =
-    List.map
-      (fun model ->
-        ( Dnn.Model.name model,
-          Dnn.Runner.run_pytorch ~hw model
-          :: List.map (fun m -> Dnn.Runner.run ~hw m model) methods ))
-      (edge_models ())
+  let methods =
+    [ Pipeline.Methods.pytorch (); Pipeline.Methods.roller ();
+      Pipeline.Methods.gensor () ]
   in
+  let reports = run_models ~hw methods (edge_models ()) in
   print_reports ~baseline_name:"Roller" reports;
   let gensor_vs_roller = geo_ratio reports ~of_:"Gensor" ~over:"Roller" in
   let gensor_vs_torch = geo_ratio reports ~of_:"Gensor" ~over:"PyTorch" in

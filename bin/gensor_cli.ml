@@ -30,22 +30,6 @@ let resolve_method name =
   | "cublas" -> Ok (Pipeline.Methods.cublas ())
   | other -> Error (`Msg (Fmt.str "unknown method %s" other))
 
-(* Oracle mode: re-analyse every state from scratch instead of deriving its
-   cost-model components incrementally along the construction edge.  The
-   selected schedules are identical either way (the incremental path is
-   bit-for-bit equal, see DESIGN.md section 10); the flag exists for
-   cross-checking and for measuring the speedup. *)
-let no_incremental_arg =
-  let doc =
-    "Disable incremental cost-model evaluation: rebuild every state's \
-     component analysis from scratch (oracle mode; same effect as setting \
-     GENSOR_INCREMENTAL=0)."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
-let apply_incremental no_incremental =
-  if no_incremental then Costmodel.Delta.set_enabled false
-
 (* ---------- tracing ---------- *)
 
 let trace_arg =
@@ -103,8 +87,7 @@ let cuda_arg =
   Arg.(value & flag & info [ "cuda" ] ~doc)
 
 let compile_cmd =
-  let run device method_name label emit_cuda cache_dir no_incremental trace =
-    apply_incremental no_incremental;
+  let run device method_name label emit_cuda cache_dir trace =
     apply_trace trace;
     match
       ( resolve_device device,
@@ -170,7 +153,7 @@ let compile_cmd =
     Term.(
       ret
         (const run $ device_arg $ method_arg $ op_arg $ cuda_arg
-       $ cache_dir_arg $ no_incremental_arg $ trace_arg))
+       $ cache_dir_arg $ trace_arg))
 
 (* ---------- ops ---------- *)
 
@@ -209,8 +192,7 @@ let resolve_model name ~batch =
   | other -> Error (`Msg (Fmt.str "unknown model %s" other))
 
 let model_cmd =
-  let run device method_name model_name batch cache_dir no_incremental trace =
-    apply_incremental no_incremental;
+  let run device method_name model_name batch cache_dir trace =
     apply_trace trace;
     match
       (resolve_device device, resolve_method method_name,
@@ -222,10 +204,13 @@ let model_cmd =
       Fmt.pr "%a@.@." Dnn.Model.pp model;
       let store = open_store cache_dir in
       Option.iter report_store_issues store;
-      let report = Dnn.Runner.run ?store ~hw method_ model in
-      Fmt.pr "%a@." Dnn.Runner.pp_report report;
-      let torch = Dnn.Runner.run_pytorch ~hw model in
-      Fmt.pr "%a@." Dnn.Runner.pp_report torch;
+      let graph = Dnn.Graph.of_model model in
+      let report = Dnn.Runner.run_graph ?store ~fuse:false ~hw method_ graph in
+      Fmt.pr "%a@." Dnn.Runner.pp_graph_report report;
+      let torch =
+        Dnn.Runner.run_graph ~fuse:false ~hw (Pipeline.Methods.pytorch ()) graph
+      in
+      Fmt.pr "%a@." Dnn.Runner.pp_graph_report torch;
       report_trace ();
       `Ok ()
   in
@@ -237,7 +222,7 @@ let model_cmd =
     Term.(
       ret
         (const run $ device_arg $ method_arg $ model_name_arg $ batch_arg
-       $ cache_dir_arg $ no_incremental_arg $ trace_arg))
+       $ cache_dir_arg $ trace_arg))
 
 (* ---------- graph ---------- *)
 
@@ -359,9 +344,7 @@ let write_out out doc =
     Fmt.pr "wrote %s@." path
 
 let verify_cmd =
-  let run device methods_csv op_filter format out verbose jobs no_incremental
-      trace =
-    apply_incremental no_incremental;
+  let run device methods_csv op_filter format out verbose jobs trace =
     apply_trace trace;
     let devices =
       if String.lowercase_ascii device = "all" then Ok Hardware.Presets.all
@@ -458,8 +441,7 @@ let verify_cmd =
     Term.(
       ret
         (const run $ verify_device_arg $ verify_methods_arg $ verify_op_arg
-       $ format_arg $ out_arg $ verbose_arg $ jobs_arg $ no_incremental_arg
-       $ trace_arg))
+       $ format_arg $ out_arg $ verbose_arg $ jobs_arg $ trace_arg))
 
 (* ---------- analyze ---------- *)
 
@@ -538,9 +520,7 @@ let analyze_bert ~hw (method_ : Pipeline.Methods.t) ~batch ~seqs =
     (List.rev !order)
 
 let analyze_cmd =
-  let run device methods_csv op_filter format out dynamic verbose jobs
-      no_incremental trace =
-    apply_incremental no_incremental;
+  let run device methods_csv op_filter format out dynamic verbose jobs trace =
     apply_trace trace;
     let devices =
       if String.lowercase_ascii device = "all" then Ok Hardware.Presets.all
@@ -663,7 +643,7 @@ let analyze_cmd =
       ret
         (const run $ verify_device_arg $ verify_methods_arg $ verify_op_arg
        $ format_arg $ out_arg $ analyze_dynamic_arg $ verbose_arg $ jobs_arg
-       $ no_incremental_arg $ trace_arg))
+       $ trace_arg))
 
 (* ---------- cache ---------- *)
 

@@ -18,8 +18,8 @@
 
    The full rebuild ([of_etir]) stays available as the oracle: the
    equivalence property in test/costmodel asserts bit-for-bit equality of the
-   two paths over random action chains, and [GENSOR_INCREMENTAL=0] (or
-   [--no-incremental]) forces every [child] through it. *)
+   two paths over random action chains, and [set_enabled false] forces every
+   [child] through it. *)
 
 type components = {
   traffic : float array;
@@ -34,10 +34,9 @@ type components = {
   total_flops : float;    (* constant along a chain *)
 }
 
-(* Gate: default on; GENSOR_INCREMENTAL=0/false/no/off forces full rebuilds
-   (Trace.Env documents the accepted spellings). *)
-let enabled_flag =
-  Atomic.make (Trace.Env.bool ~default:true "GENSOR_INCREMENTAL")
+(* Gate: default on; the transparency tests switch it off to force full
+   rebuilds. *)
+let enabled_flag = Atomic.make true
 
 let set_enabled b = Atomic.set enabled_flag b
 let enabled () = Atomic.get enabled_flag

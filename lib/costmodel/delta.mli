@@ -4,8 +4,7 @@
     construction action declares which components it can change
     ({!Sched.Action.invalidation}), so {!child} rebuilds only those and
     reuses the rest from the parent.  [of_etir] is the full-rebuild oracle;
-    [GENSOR_INCREMENTAL=0] (or [--no-incremental]) routes every [child]
-    through it.  Records are frozen once built and safe to share. *)
+    [set_enabled false] routes every [child] through it.  Records are frozen once built and safe to share. *)
 
 type components = {
   traffic : float array;
@@ -57,8 +56,8 @@ val dominates : float array -> float array -> bool
 
 (** {2 Gating and counters} *)
 
-(** Incremental evaluation on/off (default on; [GENSOR_INCREMENTAL=0] or
-    [--no-incremental] disables). *)
+(** Incremental evaluation on/off (default on; the transparency tests
+    switch it off to compare against the full-rebuild oracle). *)
 val enabled : unit -> bool
 
 val set_enabled : bool -> unit

@@ -49,8 +49,8 @@ val evaluate_with :
 (** [evaluate] through the process-wide lock-sharded memo cache, keyed by
     the fingerprint of (device, knobs, state).  Identical results to
     {!evaluate} (keys are collision-checked exactly), so optimisers may use
-    it freely without affecting determinism.  Disabled (pass-through) when
-    [GENSOR_MEMO=0]. *)
+    it freely without affecting determinism.  Disabled (pass-through) while
+    {!Parallel.Memo.enabled} is false. *)
 val evaluate_cached :
   ?knobs:knobs -> hw:Hardware.Gpu_spec.t -> Sched.Etir.t -> Metrics.t
 

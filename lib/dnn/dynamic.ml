@@ -20,25 +20,13 @@ type shape_report = {
 let bert_per_shape ~hw (method_ : Pipeline.Methods.t) ~batch ~seqs =
   List.map
     (fun seq ->
-      let model = Transformer.bert_small ~batch ~seq () in
-      let report = Runner.run ~hw method_ model in
+      let graph = Graph.of_model (Transformer.bert_small ~batch ~seq ()) in
+      let report = Runner.run_graph ~fuse:false ~hw method_ graph in
       { shape_label = Fmt.str "seq=%d" seq;
-        method_name = report.Runner.method_name;
-        exec_time_s = report.Runner.exec_time_s;
-        throughput = report.Runner.throughput;
-        opt_sim_s = report.Runner.compile_sim_s })
-    seqs
-
-let bert_pytorch ~hw ~batch ~seqs =
-  List.map
-    (fun seq ->
-      let model = Transformer.bert_small ~batch ~seq () in
-      let report = Runner.run_pytorch ~hw model in
-      { shape_label = Fmt.str "seq=%d" seq;
-        method_name = "PyTorch";
-        exec_time_s = report.Runner.exec_time_s;
-        throughput = report.Runner.throughput;
-        opt_sim_s = 0.0 })
+        method_name = report.Runner.g_method;
+        exec_time_s = report.Runner.g_e2e_s;
+        throughput = report.Runner.g_throughput;
+        opt_sim_s = report.Runner.g_compile_sim_s })
     seqs
 
 (* DietCode on the same family: group operators by their layer role, tune
@@ -180,33 +168,17 @@ let mobilenet_timeline ~hw (method_ : Pipeline.Methods.t) ?(batch = 128)
   let segments =
     List.map
       (fun { width_mult; images } ->
-        let model = Mobilenet.mobilenet_v2 ~batch ~width_mult () in
-        let report = Runner.run ~hw method_ model in
+        let graph =
+          Graph.of_model (Mobilenet.mobilenet_v2 ~batch ~width_mult ())
+        in
+        let report = Runner.run_graph ~fuse:false ~hw method_ graph in
         let batches = (images + batch - 1) / batch in
         { phase_label = Fmt.str "x%.2f" width_mult;
-          opt_s = report.Runner.compile_sim_s;
-          infer_s = float_of_int batches *. report.Runner.exec_time_s })
+          opt_s = report.Runner.g_compile_sim_s;
+          infer_s = float_of_int batches *. report.Runner.g_e2e_s })
       phases
   in
   let total_s =
     List.fold_left (fun acc s -> acc +. s.opt_s +. s.infer_s) 0.0 segments
   in
   { timeline_method = method_.Pipeline.Methods.name; segments; total_s }
-
-let mobilenet_timeline_pytorch ~hw ?(batch = 128) ?(phases = default_phases) ()
-    =
-  let segments =
-    List.map
-      (fun { width_mult; images } ->
-        let model = Mobilenet.mobilenet_v2 ~batch ~width_mult () in
-        let report = Runner.run_pytorch ~hw model in
-        let batches = (images + batch - 1) / batch in
-        { phase_label = Fmt.str "x%.2f" width_mult;
-          opt_s = 0.0;
-          infer_s = float_of_int batches *. report.Runner.exec_time_s })
-      phases
-  in
-  let total_s =
-    List.fold_left (fun acc s -> acc +. s.opt_s +. s.infer_s) 0.0 segments
-  in
-  { timeline_method = "PyTorch"; segments; total_s }

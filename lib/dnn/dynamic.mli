@@ -8,16 +8,14 @@ type shape_report = {
   opt_sim_s : float;
 }
 
-(** BERT-small compiled per sequence length with one method. *)
+(** BERT-small compiled per sequence length with one method (the unfused
+    layer table, through {!Runner.run_graph}). *)
 val bert_per_shape :
   hw:Hardware.Gpu_spec.t ->
   Pipeline.Methods.t ->
   batch:int ->
   seqs:int list ->
   shape_report list
-
-val bert_pytorch :
-  hw:Hardware.Gpu_spec.t -> batch:int -> seqs:int list -> shape_report list
 
 (** DietCode: bucket kernels tuned once per layer role across the sequence
     lengths, then dispatched per shape. *)
@@ -64,6 +62,3 @@ val mobilenet_timeline :
   ?phases:phase list ->
   unit ->
   timeline
-
-val mobilenet_timeline_pytorch :
-  hw:Hardware.Gpu_spec.t -> ?batch:int -> ?phases:phase list -> unit -> timeline

@@ -88,17 +88,22 @@ type t = {
    spatial "k" and a reduce "k" stay distinct. *)
 
 (* Fused-tail marker: composite names alone cannot distinguish two fusions
-   of the same ops with different tail expressions, so keys of computes
-   carrying an epilogue append its extent-free structural hash (stable
-   across a shape family, so warm starts still group fused kernels). *)
+   of the same ops with different tail expressions, so family keys of
+   computes carrying an epilogue append its extent-free structural hash
+   (stable across a shape family, so warm starts still group fused
+   kernels). *)
 let epilogue_marker compute =
   match Compute.epilogue_fingerprint compute with
   | None -> ""
   | Some fp -> Fmt.str " ep:%016Lx" fp
 
-(* Exact key: quoted name plus every axis as kind-marker + extent. *)
+(* Exact key: quoted name plus every axis as kind-marker + extent, then the
+   full structural fingerprint (as in [Model.distinct_key]).  Name and
+   extents alone alias computes that differ only in input shapes or body —
+   a stride-2 depthwise conv and its stride-1 sibling — and an exact hit
+   would serve one the other's schedule. *)
 let shape_key compute =
-  Fmt.str "%s %s%s"
+  Fmt.str "%s %s fp:%016Lx"
     (Printf.sprintf "%S" (Compute.name compute))
     (String.concat "x"
        (List.map
@@ -107,7 +112,7 @@ let shape_key compute =
               (if Axis.is_reduce ax then "r" else "s")
               (Axis.extent ax))
           (Compute.axes compute)))
-    (epilogue_marker compute)
+    (Compute.fingerprint compute)
 
 (* Family key: quoted name plus the axis *structure* (quoted names and
    kinds), ignoring extents — schedules retarget within a family. *)
@@ -205,11 +210,9 @@ let write_through t entry ~steps =
     t.counters.c_store_writes <- t.counters.c_store_writes + 1;
     Trace.Counter.incr c_store_writes
 
-let compile t compute =
-  Trace.with_span ~name:"kcache.compile"
-    ~args:[ ("shape", shape_key compute) ]
-  @@ fun () ->
-  let key = shape_key compute in
+(* [key] is [shape_key compute], computed once per lookup by the caller. *)
+let compile_keyed t ~key compute =
+  Trace.with_span ~name:"kcache.compile" ~args:[ ("shape", key) ] @@ fun () ->
   match Hashtbl.find_opt t.entries key with
   | Some entry ->
     t.counters.c_hits <- t.counters.c_hits + 1;
@@ -253,6 +256,8 @@ let compile t compute =
     write_through t entry ~steps:result.Gensor.Optimizer.states_explored;
     (entry, if warm = None then Cold_miss else Warm_miss)
 
+let compile t compute = compile_keyed t ~key:(shape_key compute) compute
+
 (* Certificate-gated dispatch: an unseen shape may be served by a family
    member whose legality certificate admits it — the cached schedule is
    retargeted and re-scored, with no construction at all.  A shape outside
@@ -260,10 +265,10 @@ let compile t compute =
    refusal) and falls back to [compile]: a cached kernel is never
    dispatched beyond the region it was proved legal on. *)
 let dispatch t compute =
-  Trace.with_span ~name:"kcache.dispatch"
-    ~args:[ ("shape", shape_key compute) ]
+  let key = shape_key compute in
+  Trace.with_span ~name:"kcache.dispatch" ~args:[ ("shape", key) ]
   @@ fun () ->
-  if Hashtbl.mem t.entries (shape_key compute) then compile t compute
+  if Hashtbl.mem t.entries key then compile_keyed t ~key compute
   else begin
     let family = !(family_of t (family_key compute)) in
     let certified = List.filter (fun e -> e.cert <> None) family in
@@ -289,7 +294,7 @@ let dispatch t compute =
         t.counters.c_cert_rejects <- t.counters.c_cert_rejects + 1;
         Trace.Counter.incr c_cert_rejects
       end;
-      compile t compute
+      compile_keyed t ~key compute
   end
 
 let stats t =

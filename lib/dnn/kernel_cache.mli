@@ -50,8 +50,12 @@ val create :
   t
 
 (** Exact shape key: quoted operator name + per-axis kind marker and
-    extent.  Injective — names containing the joiner characters ('|', 'x',
-    ',') cannot collide with the structural part. *)
+    extent + {!Tensor_lang.Compute.fingerprint}.  The name/axis part cannot
+    be confused by names containing the joiner characters ('|', 'x', ','),
+    and the fingerprint separates computes that share name and extents but
+    differ in input shapes, body or epilogue; two distinct computes share a
+    key only on a 64-bit fingerprint collision.  {!compile}, {!dispatch}
+    and the store preload all look up exact entries by this key. *)
 val shape_key : Tensor_lang.Compute.t -> string
 
 (** Family key: quoted operator name + axis structure (quoted names and

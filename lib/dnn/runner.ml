@@ -1,111 +1,14 @@
-(* End-to-end model evaluation: compile every distinct operator with one
-   method, then charge each layer its kernel time per occurrence (paper
-   §V-C).  Elementwise epilogues are assumed fused by every compiled method
-   (they are charged to PyTorch, which runs them as separate kernels).
+(* End-to-end network evaluation (paper §V-C): compile every distinct kernel
+   of a graph with one method, then charge each node its kernel time per
+   occurrence.  Flat layer tables run through [Graph.of_model] with
+   [~fuse:false], which charges exactly the per-op sum of the paper's
+   harness.
 
-   With [?store], each distinct operator is first probed in the persistent
+   With [?store], each distinct kernel is first probed in the persistent
    artifact store under (device, method, compute) identity: a hit skips the
    optimisation entirely and charges zero compile time, a miss compiles and
    writes the result through — so a model's tuning cost is paid once per
    machine, not once per process. *)
-
-type report = {
-  model : string;
-  method_name : string;
-  compile_wall_s : float;   (* this process's real optimisation time *)
-  compile_sim_s : float;    (* simulated optimisation time (Sim_time) *)
-  exec_time_s : float;      (* one forward pass *)
-  throughput : float;       (* batch items per second *)
-  kernels : int;            (* distinct operators compiled *)
-  cached : int;             (* of which served from the artifact store *)
-}
-
-let run ?store ~hw (method_ : Pipeline.Methods.t) model =
-  let cache : (string, Pipeline.Methods.output) Hashtbl.t = Hashtbl.create 64 in
-  let compile_wall = ref 0.0 and compile_sim = ref 0.0 in
-  let cached = ref 0 in
-  let device_fp = Artifact.Gpu_codec.fingerprint hw in
-  let probe_store compute =
-    match store with
-    | None -> None
-    | Some store ->
-      Option.map Pipeline.Methods.of_artifact
-        (Artifact.Store.find store ~device_fingerprint:device_fp
-           ~method_name:method_.Pipeline.Methods.name
-           ~compute_fingerprint:(Artifact.Compute_codec.fingerprint compute))
-  in
-  let op_output op =
-    let key = Model.distinct_key op in
-    match Hashtbl.find_opt cache key with
-    | Some output -> output
-    | None ->
-      let output =
-        match probe_store (Ops.Op.compute op) with
-        | Some output ->
-          incr cached;
-          output
-        | None ->
-          let output = method_.Pipeline.Methods.compile ~hw op in
-          Option.iter
-            (fun store ->
-              ignore
-                (Artifact.Store.put store
-                   (Pipeline.Methods.to_artifact
-                      ~method_name:method_.Pipeline.Methods.name ~hw output)
-                  : string))
-            store;
-          compile_wall := !compile_wall +. output.Pipeline.Methods.wall_s;
-          compile_sim :=
-            !compile_sim +. Pipeline.Methods.simulated_opt_time output;
-          output
-      in
-      Hashtbl.add cache key output;
-      output
-  in
-  let exec_time_s =
-    List.fold_left
-      (fun acc { Model.op; count; _ } ->
-        let output = op_output op in
-        acc
-        +. (float_of_int count
-           *. output.Pipeline.Methods.metrics.Costmodel.Metrics.exec_time_s))
-      0.0 (Model.layers model)
-  in
-  { model = Model.name model;
-    method_name = method_.Pipeline.Methods.name;
-    compile_wall_s = !compile_wall;
-    compile_sim_s = !compile_sim;
-    exec_time_s;
-    throughput = float_of_int (Model.batch model) /. exec_time_s;
-    kernels = Hashtbl.length cache;
-    cached = !cached }
-
-(* The eager-framework reference bar: per-op vendor kernels, no fusion, no
-   tuning time. *)
-let run_pytorch ~hw model =
-  let exec_time_s =
-    List.fold_left
-      (fun acc { Model.op; count; _ } ->
-        acc +. (float_of_int count *. Vendor.Pytorch.op_time_s ~hw op))
-      0.0 (Model.layers model)
-  in
-  { model = Model.name model;
-    method_name = "PyTorch";
-    compile_wall_s = 0.0;
-    compile_sim_s = 0.0;
-    exec_time_s;
-    throughput = float_of_int (Model.batch model) /. exec_time_s;
-    kernels = 0;
-    cached = 0 }
-
-let pp_report ppf r =
-  Fmt.pf ppf
-    "%-12s %-20s exec %8.3f ms | %8.1f items/s | opt %8.1f s (sim) | %d kernels%s"
-    r.model r.method_name (r.exec_time_s *. 1e3) r.throughput r.compile_sim_s
-    r.kernels
-    (if r.cached > 0 then Fmt.str " (%d from store)" r.cached else "")
-
-(* ---------- graph path ---------- *)
 
 let c_levels = Trace.Counter.make "graph.sched.levels"
 let c_compiled = Trace.Counter.make "graph.sched.compiled"
@@ -136,11 +39,12 @@ type graph_report = {
    worker pool; results are order-deterministic, so reports are identical
    under any GENSOR_JOBS.  Latency is charged from the graph schedule:
    every node instance runs once per forward pass, so the end-to-end time
-   is the sum over scheduled nodes of count x kernel time — which, unlike
-   the flat path's per-op sum, reflects exactly the kernels the fused graph
-   still launches.  The dependency-weighted critical path is reported
-   alongside for the concurrency headroom a multi-stream runtime could
-   exploit. *)
+   is the sum over scheduled nodes of count x kernel time, and compile
+   costs add up in first-occurrence node order (not level-completion
+   order), so an unfused [Graph.of_model] lift reproduces the per-layer
+   table sums bit for bit.  The dependency-weighted critical path is
+   reported alongside for the concurrency headroom a multi-stream runtime
+   could exploit. *)
 let run_graph ?store ?jobs ?(fuse = true) ~hw
     (method_ : Pipeline.Methods.t) graph =
   Trace.with_span ~name:"graph.run" @@ fun () ->
@@ -154,7 +58,6 @@ let run_graph ?store ?jobs ?(fuse = true) ~hw
   let cache : (string, Pipeline.Methods.output) Hashtbl.t =
     Hashtbl.create 64
   in
-  let compile_wall = ref 0.0 and compile_sim = ref 0.0 in
   let cached = ref 0 in
   let device_fp = Artifact.Gpu_codec.fingerprint hw in
   let probe_store compute =
@@ -212,36 +115,51 @@ let run_graph ?store ?jobs ?(fuse = true) ~hw
                         ~method_name:method_.Pipeline.Methods.name ~hw output)
                     : string))
               store;
-            compile_wall := !compile_wall +. output.Pipeline.Methods.wall_s;
-            compile_sim :=
-              !compile_sim +. Pipeline.Methods.simulated_opt_time output;
             Trace.Counter.incr c_compiled;
             Hashtbl.add cache key output)
           to_compile outputs
       end)
     levels;
-  let node_time n =
-    let output = Hashtbl.find cache (Model.distinct_key n.Graph.op) in
-    float_of_int n.Graph.count
-    *. output.Pipeline.Methods.metrics.Costmodel.Metrics.exec_time_s
-  in
   let nodes = Graph.nodes graph in
-  let e2e_s = List.fold_left (fun acc n -> acc +. node_time n) 0.0 nodes in
+  let keys = List.map (fun n -> Model.distinct_key n.Graph.op) nodes in
+  let node_time n key =
+    float_of_int n.Graph.count
+    *. (Hashtbl.find cache key).Pipeline.Methods.metrics
+         .Costmodel.Metrics.exec_time_s
+  in
+  let e2e_s =
+    List.fold_left2 (fun acc n key -> acc +. node_time n key) 0.0 nodes keys
+  in
+  (* Store hits report zero cost, so every distinct kernel is charged once,
+     at its first node. *)
+  let charged = Hashtbl.create 64 in
+  let compile_wall, compile_sim =
+    List.fold_left
+      (fun ((wall, sim) as acc) key ->
+        if Hashtbl.mem charged key then acc
+        else begin
+          Hashtbl.add charged key ();
+          let o = Hashtbl.find cache key in
+          ( wall +. o.Pipeline.Methods.wall_s,
+            sim +. Pipeline.Methods.simulated_opt_time o )
+        end)
+      (0.0, 0.0) keys
+  in
   let finish = Array.make (Graph.size graph) 0.0 in
-  List.iter
-    (fun n ->
+  List.iter2
+    (fun n key ->
       let ready =
         List.fold_left (fun acc (_, p) -> Float.max acc finish.(p)) 0.0
           n.Graph.deps
       in
-      finish.(n.Graph.id) <- ready +. node_time n)
-    nodes;
+      finish.(n.Graph.id) <- ready +. node_time n key)
+    nodes keys;
   let critical = Array.fold_left Float.max 0.0 finish in
   { g_model = Graph.name graph;
     g_method = method_.Pipeline.Methods.name;
     g_fused = fuse;
-    g_compile_wall_s = !compile_wall;
-    g_compile_sim_s = !compile_sim;
+    g_compile_wall_s = compile_wall;
+    g_compile_sim_s = compile_sim;
     g_e2e_s = e2e_s;
     g_critical_path_s = critical;
     g_throughput = float_of_int (Graph.batch graph) /. e2e_s;
@@ -268,13 +186,13 @@ let run_graph ?store ?jobs ?(fuse = true) ~hw
 
 let pp_graph_report ppf r =
   Fmt.pf ppf
-    "%-12s %-14s %-8s e2e %8.3f ms (cp %8.3f) | %8.1f items/s | %d kernels \
-     / %d nodes | %d fused%s | peak %a"
+    "%-12s %-14s %-8s e2e %8.3f ms (cp %8.3f) | %8.1f items/s | opt %8.1f s \
+     (sim) | %d kernels / %d nodes | %d fused%s | peak %a"
     r.g_model r.g_method
     (if r.g_fused then "fused" else "unfused")
     (r.g_e2e_s *. 1e3)
     (r.g_critical_path_s *. 1e3)
-    r.g_throughput r.g_kernels r.g_nodes r.g_folded
+    r.g_throughput r.g_compile_sim_s r.g_kernels r.g_nodes r.g_folded
     (if r.g_cached > 0 then Fmt.str " (%d from store)" r.g_cached else "")
     Memplan.pp_bytes r.g_peak_bytes
 

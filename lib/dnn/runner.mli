@@ -1,34 +1,10 @@
-(** End-to-end model evaluation (paper §V-C): compile each distinct operator
-    with a method, charge layers per occurrence.
+(** End-to-end network evaluation (paper §V-C): compile each distinct
+    kernel with a method, charge nodes per occurrence.  Flat layer tables
+    run as [run_graph ~fuse:false (Graph.of_model m)].
 
-    Pass [?store] to probe and fill a persistent {!Artifact.Store}: operators
-    already tuned for this (device, method) pair skip optimisation and charge
-    zero compile time. *)
-
-type report = {
-  model : string;
-  method_name : string;
-  compile_wall_s : float;
-  compile_sim_s : float;
-  exec_time_s : float;
-  throughput : float;
-  kernels : int;  (** distinct operators compiled *)
-  cached : int;  (** of which served from the artifact store *)
-}
-
-val run :
-  ?store:Artifact.Store.t ->
-  hw:Hardware.Gpu_spec.t ->
-  Pipeline.Methods.t ->
-  Model.t ->
-  report
-
-(** The eager PyTorch reference bar (per-op vendor kernels, no fusion). *)
-val run_pytorch : hw:Hardware.Gpu_spec.t -> Model.t -> report
-
-val pp_report : report Fmt.t
-
-(** {1 Graph path} *)
+    Pass [?store] to probe and fill a persistent {!Artifact.Store}: kernels
+    already tuned for this (device, method) pair skip optimisation and
+    charge zero compile time. *)
 
 type graph_report = {
   g_model : string;
@@ -36,6 +12,7 @@ type graph_report = {
   g_fused : bool;
   g_compile_wall_s : float;
   g_compile_sim_s : float;
+      (** summed in first-occurrence node order *)
   g_e2e_s : float;  (** end-to-end latency from the graph schedule *)
   g_critical_path_s : float;
       (** longest dependency-weighted chain — multi-stream headroom *)

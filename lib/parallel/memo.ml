@@ -34,7 +34,7 @@ type ('k, 'v) t = {
   equal : 'k -> 'k -> bool;
 }
 
-let enabled_flag = Atomic.make (Trace.Env.bool ~default:true "GENSOR_MEMO")
+let enabled_flag = Atomic.make true
 
 let set_enabled b = Atomic.set enabled_flag b
 let enabled () = Atomic.get enabled_flag

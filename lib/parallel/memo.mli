@@ -8,8 +8,8 @@
     registers itself in a process-wide registry so the report layer can
     surface cache effectiveness without a profiler.
 
-    The [GENSOR_MEMO] environment variable ("0" or "false" to disable)
-    gates all caches; {!set_enabled} overrides it at runtime. *)
+    Caches are on by default; {!set_enabled} switches all of them at
+    runtime (the transparency tests compare both settings). *)
 
 type ('k, 'v) t
 

@@ -103,18 +103,27 @@ let ansor ?(n_trials = Ansor.Search.default_config.Ansor.Search.n_trials) () =
             measure_trials = r.Ansor.Search.trials;
             wall_s = r.Ansor.Search.wall_time_s }) }
 
-let cublas () =
-  { name = "cuBLAS";
+(* Vendor-template methods: a fixed bank dispatched by shape, no search
+   steps, so their simulated optimisation time is zero. *)
+let vendor ~name compile =
+  { name;
     compile =
-      traced ~method_name:"cuBLAS" (fun ~hw op ->
-        let r = Vendor.Cublas.compile ~hw op in
-        verified ~method_name:"cuBLAS" ~hw op
+      traced ~method_name:name (fun ~hw op ->
+        let r = compile ~hw op in
+        verified ~method_name:name ~hw op
           { etir = r.Vendor.Cublas.etir;
             metrics = r.Vendor.Cublas.metrics;
             analysis_steps = 0;
             tree_steps = 0;
             measure_trials = 0;
             wall_s = r.Vendor.Cublas.wall_time_s }) }
+
+let cublas () = vendor ~name:"cuBLAS" (fun ~hw op -> Vendor.Cublas.compile ~hw op)
+
+(* The eager-framework bar of Figs. 9-12: cuBLAS's schedule, charged the
+   eager per-op time of {!Vendor.Pytorch}. *)
+let pytorch () =
+  vendor ~name:"PyTorch" (fun ~hw op -> Vendor.Pytorch.compile ~hw op)
 
 (* Artifact view: one compiled output as a persistable artifact and back.
    A loaded artifact reports zero optimisation cost — the search was paid

@@ -32,6 +32,11 @@ val roller : unit -> t
 val ansor : ?n_trials:int -> unit -> t
 val cublas : unit -> t
 
+(** Eager PyTorch reference bar: cuBLAS's schedule with
+    {!Vendor.Pytorch}'s per-op execution time; every step count is zero,
+    so its simulated optimisation time is 0. *)
+val pytorch : unit -> t
+
 (** [to_artifact ~method_name ~hw output] packages one compiled output as a
     persistable {!Artifact.Record.t} (steps = every kind of optimisation
     step the method reported). *)

@@ -330,10 +330,18 @@ let test_optimizer_prune_transparent () =
 
 (* Incremental component evaluation is an oracle-equivalence refactor: with
    it disabled (every edge re-analysed from scratch) the optimizer must
-   select the same schedule with the same metrics. *)
+   select the same schedule with the same metrics.  Inputs: a small GEMM
+   with 4 restarts, and Table IV M1 under the default config. *)
 let test_optimizer_incremental_transparent () =
-  let config =
-    { Gensor.Optimizer.default_config with Gensor.Optimizer.restarts = 4 }
+  let m1 =
+    match Workloads.Table_iv.find "M1" with
+    | Some e -> Ops.Op.compute (e.Workloads.Table_iv.op ())
+    | None -> Alcotest.fail "Table IV has no M1"
+  in
+  let cases =
+    [ ( { Gensor.Optimizer.default_config with Gensor.Optimizer.restarts = 4 },
+        gemm () );
+      (Gensor.Optimizer.default_config, m1) ]
   in
   let was = Costmodel.Delta.enabled () in
   let memo_was = Parallel.Memo.enabled () in
@@ -345,17 +353,20 @@ let test_optimizer_incremental_transparent () =
       (* Memoised transition lists carry components with them; disable the
          caches so the full-rebuild run actually exercises the full path. *)
       Parallel.Memo.set_enabled false;
-      Costmodel.Delta.set_enabled true;
-      let on = Gensor.Optimizer.optimize ~config ~jobs:1 ~hw (gemm ()) in
-      Costmodel.Delta.set_enabled false;
-      let off = Gensor.Optimizer.optimize ~config ~jobs:1 ~hw (gemm ()) in
-      check_bool "identical schedule" true
-        (Etir.equal on.Gensor.Optimizer.etir off.Gensor.Optimizer.etir);
-      check_bool "identical metrics" true
-        (on.Gensor.Optimizer.metrics = off.Gensor.Optimizer.metrics);
-      Alcotest.(check int)
-        "identical exploration" on.Gensor.Optimizer.states_explored
-        off.Gensor.Optimizer.states_explored)
+      List.iter
+        (fun (config, compute) ->
+          Costmodel.Delta.set_enabled true;
+          let on = Gensor.Optimizer.optimize ~config ~jobs:1 ~hw compute in
+          Costmodel.Delta.set_enabled false;
+          let off = Gensor.Optimizer.optimize ~config ~jobs:1 ~hw compute in
+          check_bool "identical schedule" true
+            (Etir.equal on.Gensor.Optimizer.etir off.Gensor.Optimizer.etir);
+          check_bool "identical metrics" true
+            (on.Gensor.Optimizer.metrics = off.Gensor.Optimizer.metrics);
+          Alcotest.(check int)
+            "identical exploration" on.Gensor.Optimizer.states_explored
+            off.Gensor.Optimizer.states_explored)
+        cases)
 
 let test_value_iteration_converges () =
   let g = Gensor.Graph.explore ~max_states:150 (Etir.create tiny_compute) in

@@ -72,24 +72,60 @@ let test_distinct_ops_dedup () =
 
 (* ---------- Runner ---------- *)
 
+let run_flat model method_ =
+  Dnn.Runner.run_graph ~fuse:false ~hw method_ (Dnn.Graph.of_model model)
+
 let test_runner_aggregates () =
   let model = Dnn.Transformer.bert_small ~batch:2 ~seq:32 () in
-  let report = Dnn.Runner.run ~hw (Pipeline.Methods.roller ()) model in
-  check_bool "positive exec time" true (report.Dnn.Runner.exec_time_s > 0.0);
+  let report = run_flat model (Pipeline.Methods.roller ()) in
+  check_bool "positive exec time" true (report.Dnn.Runner.g_e2e_s > 0.0);
   check_bool "kernel cache smaller than instances" true
-    (report.Dnn.Runner.kernels <= Dnn.Model.total_op_instances model);
+    (report.Dnn.Runner.g_kernels <= Dnn.Model.total_op_instances model);
   check_bool "throughput consistent" true
     (Float.abs
-       (report.Dnn.Runner.throughput
-       -. (2.0 /. report.Dnn.Runner.exec_time_s))
+       (report.Dnn.Runner.g_throughput -. (2.0 /. report.Dnn.Runner.g_e2e_s))
     < 1e-6)
 
 let test_runner_pytorch_no_tuning () =
   let model = Dnn.Mobilenet.mobilenet_v2 ~batch:1 () in
-  let report = Dnn.Runner.run_pytorch ~hw model in
+  let report = run_flat model (Pipeline.Methods.pytorch ()) in
   Alcotest.(check (float 0.0)) "no optimisation time" 0.0
-    report.Dnn.Runner.compile_sim_s;
-  check_bool "positive exec" true (report.Dnn.Runner.exec_time_s > 0.0)
+    report.Dnn.Runner.g_compile_sim_s;
+  check_bool "positive exec" true (report.Dnn.Runner.g_e2e_s > 0.0)
+
+(* The unfused lift of a layer table charges bit for bit the paper's
+   per-layer sums: count x kernel time in table order, and each distinct
+   operator's optimisation time once, at its first layer. *)
+let test_runner_flat_sums () =
+  let model = Dnn.Transformer.bert_small ~batch:2 ~seq:32 () in
+  let layers = Dnn.Model.layers model in
+  let check_bits msg expected actual =
+    Alcotest.(check int64) msg (Int64.bits_of_float expected)
+      (Int64.bits_of_float actual)
+  in
+  let per_layer time =
+    List.fold_left
+      (fun acc l ->
+        acc +. (float_of_int l.Dnn.Model.count *. time l.Dnn.Model.op))
+      0.0 layers
+  in
+  let roller = Pipeline.Methods.roller () in
+  let compile op = roller.Pipeline.Methods.compile ~hw op in
+  let report = run_flat model roller in
+  check_bits "e2e = per-layer sum"
+    (per_layer (fun op ->
+         (compile op).Pipeline.Methods.metrics.Costmodel.Metrics.exec_time_s))
+    report.Dnn.Runner.g_e2e_s;
+  check_bits "opt time = first-occurrence sum"
+    (List.fold_left
+       (fun acc op -> acc +. Pipeline.Methods.simulated_opt_time (compile op))
+       0.0 (Dnn.Model.distinct_ops model))
+    report.Dnn.Runner.g_compile_sim_s;
+  let torch = run_flat model (Pipeline.Methods.pytorch ()) in
+  check_bits "pytorch e2e = per-layer eager sum"
+    (per_layer (fun op -> Vendor.Pytorch.op_time_s ~hw op))
+    torch.Dnn.Runner.g_e2e_s;
+  check_bits "pytorch opt time" 0.0 torch.Dnn.Runner.g_compile_sim_s
 
 (* ---------- Dynamic scenarios ---------- *)
 
@@ -149,7 +185,8 @@ let () =
       ("runner",
        [ Alcotest.test_case "aggregation" `Quick test_runner_aggregates;
          Alcotest.test_case "pytorch baseline" `Quick
-           test_runner_pytorch_no_tuning ]);
+           test_runner_pytorch_no_tuning;
+         Alcotest.test_case "flat sums" `Quick test_runner_flat_sums ]);
       ("dynamic",
        [ Alcotest.test_case "bert shapes" `Quick test_bert_dynamic_shapes;
          Alcotest.test_case "dietcode dispatch" `Quick test_dietcode_dispatch;

@@ -101,6 +101,22 @@ let test_cache_keys () =
 (* Regression: the old flat keys ("name|e1xe2", "name|n1,n2~") conflated
    structurally different operators whenever a name or axis name contained
    the joiner characters, or when axes differed only in kind. *)
+(* Distinct fused kernels of a small MobileNetV2, in first-occurrence
+   order. *)
+let mobilenet_kernels () =
+  let g = Dnn.Mobilenet.mobilenet_v2_graph ~batch:1 ~width_mult:0.35 () in
+  let seen = Hashtbl.create 32 in
+  List.filter_map
+    (fun n ->
+      let op = n.Dnn.Graph.op in
+      let key = Dnn.Model.distinct_key op in
+      if Hashtbl.mem seen key then None
+      else begin
+        Hashtbl.add seen key ();
+        Some op
+      end)
+    (Dnn.Graph.nodes (Dnn.Fusion.fuse g).Dnn.Fusion.graph)
+
 let test_cache_key_injectivity () =
   let open Tensor_lang in
   let mk ~name ~axes =
@@ -164,6 +180,17 @@ let test_cache_key_injectivity () =
   in
   check_bool "gemm and its all-spatial twin get distinct keys" true
     (Dnn.Kernel_cache.shape_key gemm64 <> Dnn.Kernel_cache.shape_key twin);
+  (* Same name and extents, different input shapes: MobileNetV2's stride-1
+     and stride-2 depthwise convs (fused kernels 4 and 7 below) shared the
+     name/extent key. *)
+  let k = mobilenet_kernels () in
+  let k4 = Ops.Op.compute (List.nth k 4) and k7 = Ops.Op.compute (List.nth k 7) in
+  check_bool "kernels 4 and 7 share name and extents" true
+    (Compute.name k4 = Compute.name k7
+    && List.map Axis.extent (Compute.axes k4)
+       = List.map Axis.extent (Compute.axes k7));
+  check_bool "strided twin gets its own shape key" true
+    (Dnn.Kernel_cache.shape_key k4 <> Dnn.Kernel_cache.shape_key k7);
   let cache = Dnn.Kernel_cache.create ~hw () in
   let _, first = Dnn.Kernel_cache.compile cache gemm64 in
   check_bool "gemm compiles cold" true (first = Dnn.Kernel_cache.Cold_miss);
@@ -171,6 +198,26 @@ let test_cache_key_injectivity () =
   check_bool "all-spatial twin is not a false hit" true
     (second <> Dnn.Kernel_cache.Hit);
   check_int "two distinct entries" 2 (Dnn.Kernel_cache.size cache)
+
+(* Regression: with name/extent keys, kernel 7 came back as an exact [Hit]
+   on kernel 4's entry (and 12 on 9's), so the cache served a stride-1
+   schedule for a stride-2 conv. *)
+let test_cache_entries_keep_their_compute () =
+  let cache = Dnn.Kernel_cache.create ~hw () in
+  List.iteri
+    (fun i op ->
+      if i <= 12 then begin
+        let compute = Ops.Op.compute op in
+        let entry, _ = Dnn.Kernel_cache.compile cache compute in
+        let fp = Tensor_lang.Compute.fingerprint in
+        if
+          fp entry.Dnn.Kernel_cache.compute <> fp compute
+          || fp (Sched.Etir.compute entry.Dnn.Kernel_cache.etir) <> fp compute
+        then
+          Alcotest.failf "kernel %d (%s) got another compute's entry" i
+            (Ops.Op.name op)
+      end)
+    (mobilenet_kernels ())
 
 (* ---------- persistent two-tier cache ---------- *)
 
@@ -389,7 +436,9 @@ let () =
            test_cache_serves_dynamic_sequence;
          Alcotest.test_case "keys" `Quick test_cache_keys;
          Alcotest.test_case "key injectivity regression" `Quick
-           test_cache_key_injectivity ]);
+           test_cache_key_injectivity;
+         Alcotest.test_case "entries keep their compute" `Quick
+           test_cache_entries_keep_their_compute ]);
       ("persistent_cache",
        [ Alcotest.test_case "second process runs warm" `Quick
            test_cache_persists_across_processes;
