@@ -425,7 +425,7 @@ let verify_cmd =
              rows);
         Fmt.pr "@.verified %d schedules: %d error(s), %d warning(s)@."
           (List.length rows) !total_errors !total_warnings;
-        Fmt.pr "%a@." Pipeline.Methods.pp_cache_stats ()
+        Fmt.pr "%a@." Pipeline.Methods.pp_incremental_stats ()
       | `Json -> write_out out (Verify.Export.json (List.rev !items))
       | `Sarif -> write_out out (Verify.Export.sarif (List.rev !items)));
       report_trace ();
@@ -702,15 +702,9 @@ let cache_stats_cmd =
           List.iter
             (fun i -> Fmt.pr "  %a@." Artifact.Store.pp_issue i)
             issues);
-        (* In-process counters: the memo caches and the incremental
-           component-evaluation stats for whatever this invocation ran. *)
-        Fmt.pr "%a@." Pipeline.Methods.pp_cache_stats ();
         `Ok ())
   in
-  let doc =
-    "Show entry count, on-disk size, skipped files and in-process cache \
-     counters."
-  in
+  let doc = "Show entry count, on-disk size and skipped files." in
   Cmd.v (Cmd.info "stats" ~doc) Term.(ret (const run $ cache_dir_arg))
 
 let cache_purge_cmd =

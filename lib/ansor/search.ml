@@ -156,7 +156,7 @@ let search ?(config = default_config) ?knobs ?jobs ~hw compute =
     let etir = to_etir etir0 (normalise genome) in
     if not (Costmodel.Mem_check.ok etir ~hw) then (etir, None, neg_infinity)
     else begin
-      let metrics = Costmodel.Model.evaluate_cached ~knobs ~hw etir in
+      let metrics = Costmodel.Model.evaluate ~knobs ~hw etir in
       (etir, Some metrics, Costmodel.Metrics.score metrics)
     end
   in

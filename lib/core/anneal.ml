@@ -48,10 +48,10 @@ let run ~hw ~rng ?(config = default_config) etir0 =
      own lane in the trace. *)
   Trace.with_span ~name:"anneal.run" @@ fun () ->
   (* Sampled states, deduplicated by construction identity.  Keys are the
-     memoized evaluation fingerprint bucketed with the cursor (fingerprint
-     excludes [cur_level]); together with [eval_equal] this is exactly the
-     signature-string identity of the states, minus the ~3µs per sample the
-     string build used to cost. *)
+     evaluation fingerprint (cached in the state) bucketed with the cursor
+     (fingerprint excludes [cur_level]); together with [eval_equal] this is
+     exactly the signature-string identity of the states, minus the ~3µs
+     per sample the string build used to cost. *)
   let top : (int64, (Etir.t * Costmodel.Delta.components) list) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -70,7 +70,7 @@ let run ~hw ~rng ?(config = default_config) etir0 =
      memory level; the cache multiplier's clock restarts there.  [comps] is
      the current state's cost-model component record, carried edge to edge
      so each policy step starts from a ready-made before-state analysis
-     (the incremental engine's steady state — no memo lookup needed). *)
+     (the incremental engine's steady state). *)
   let rec loop etir comps temperature ~iteration ~level_entry ~moved =
     if temperature <= config.threshold then (etir, comps, iteration, moved)
     else begin

@@ -19,8 +19,7 @@ type choice = {
   next_comps : Costmodel.Delta.components;
       (* the successor's cost-model components, derived incrementally along
          the edge — the annealing loop carries them so the next policy step
-         starts from a ready-made before-state analysis even with the memo
-         cache disabled *)
+         starts from a ready-made before-state analysis *)
   probability : float;
 }
 
@@ -62,73 +61,40 @@ let allowed mode (action : Action.t) =
     true
 
 (* The iteration-independent part of a state's transition distribution:
-   every legal successor with its positive base benefit.  This is the
-   expensive part of a policy step (successor generation plus ~25 benefit
-   analyses), and the annealing chain revisits states constantly — via
-   backtracking edges and across restart chains — so it is memoized
-   process-wide.  Only the cache action's weight depends on the iteration
-   (through the annealing multiplier), and the multiplier is strictly
-   positive, so it can be applied at lookup time without changing which
-   transitions survive the positivity filter.  Keys carry the construction
-   cursor (successors depend on it), the mode (it filters actions) and the
-   device. *)
-type base_key = {
-  k_etir : Etir.t;
-  k_hw : Hardware.Gpu_spec.t;
-  k_mode : mode;
-}
-
-(* A state's memoized transition set: every legal successor with its
-   analytically exact benefit and its incrementally derived components. *)
-type weighted = (Action.t * Etir.t * Costmodel.Delta.components * float) list
-
-let base_memo : (base_key, weighted) Parallel.Memo.t =
-  Parallel.Memo.create ~name:"transitions" ~capacity:8192
-    ~hash:(fun k ->
-      (Int64.to_int (Etir.fingerprint k.k_etir)
-      lxor (Etir.cur_level k.k_etir * 0x01000193)
-      lxor Hashtbl.hash (Hardware.Gpu_spec.name k.k_hw))
-      land max_int)
-    ~equal:(fun a b ->
-      Etir.cur_level a.k_etir = Etir.cur_level b.k_etir
-      && a.k_mode = b.k_mode
-      && Etir.eval_equal a.k_etir b.k_etir
-      && (a.k_hw == b.k_hw || a.k_hw = b.k_hw))
-    ()
-
+   every legal successor with its positive base benefit and its
+   incrementally derived components.  This is the expensive part of a
+   policy step (successor generation plus ~25 benefit analyses).  Only the
+   cache action's weight depends on the iteration (through the annealing
+   multiplier), and the multiplier is strictly positive, so it is applied
+   afterwards without changing which transitions survive the positivity
+   filter. *)
 let base_weighted ?comps ~hw ~mode etir =
-  Parallel.Memo.find_or_add base_memo
-    { k_etir = etir; k_hw = hw; k_mode = mode }
-    (fun () ->
-      (* One hoisted analysis context for the whole successor set — the
-         before-state traffic/footprint/occupancy is identical across them.
-         When the caller carries the before state's components (the anneal
-         loop threads them edge by edge), the context is a set of field
-         reads; otherwise they are rebuilt once here. *)
-      let before_comps =
-        match comps with
-        | Some c -> c
-        | None -> Costmodel.Delta.of_etir ~hw etir
-      in
-      let ctx = Benefit.context_of ~hw etir before_comps in
-      let exact (action, next) =
-        (* Components travel along the edge: only the slices [action]
-           invalidates are recomputed for the successor. *)
-        let next_comps =
-          Costmodel.Delta.child ~hw ~before:etir ~parent:before_comps ~action
-            next
-        in
-        let benefit =
-          Benefit.of_action_comps ctx ~after:next ~after_comps:next_comps
-            action
-        in
-        if benefit <= 0.0 then None
-        else Some (action, next, next_comps, benefit)
-      in
-      List.filter_map
-        (fun ((action, _) as edge) ->
-          if allowed mode action then exact edge else None)
-        (Action.successors etir))
+  (* One hoisted analysis context for the whole successor set — the
+     before-state traffic/footprint/occupancy is identical across them.
+     When the caller carries the before state's components (the anneal
+     loop threads them edge by edge), the context is a set of field reads;
+     otherwise they are rebuilt once here. *)
+  let before_comps =
+    match comps with
+    | Some c -> c
+    | None -> Costmodel.Delta.of_etir ~hw etir
+  in
+  let ctx = Benefit.context_of ~hw etir before_comps in
+  let exact (action, next) =
+    (* Components travel along the edge: only the slices [action]
+       invalidates are recomputed for the successor. *)
+    let next_comps =
+      Costmodel.Delta.child ~hw ~before:etir ~parent:before_comps ~action next
+    in
+    let benefit =
+      Benefit.of_action_comps ctx ~after:next ~after_comps:next_comps action
+    in
+    if benefit <= 0.0 then None else Some (action, next, next_comps, benefit)
+  in
+  List.filter_map
+    (fun ((action, _) as edge) ->
+      if allowed mode action then exact edge else None)
+    (Action.successors etir)
 
 (* The cache action's weight at [iteration]: its base benefit scaled by the
    annealing multiplier; every other action keeps its base benefit. *)

@@ -29,28 +29,13 @@ let input_elems etir ~level =
       (Access.tensor access, Access.footprint_elems ~env access))
     (Expr.accesses (Compute.body compute) @ Compute.epilogue_accesses compute)
 
-(* The interval analysis is the single hottest computation in construction:
-   every transition benefit needs the footprint of both endpoints at one or
-   more levels, and the annealer revisits states constantly.  The result is
-   a pure function of the (state, level) pair, so it is memoized process-
-   wide, keyed by the state's structural fingerprint (collision-checked
-   with Etir.eval_equal — see lib/parallel/memo.ml). *)
-let input_bytes_memo : (Sched.Etir.t * int, int) Parallel.Memo.t =
-  Parallel.Memo.create ~name:"footprint"
-    ~hash:(fun (etir, level) ->
-      (Int64.to_int (Sched.Etir.fingerprint etir) lxor (level * 0x9E3779B1))
-      land max_int)
-    ~equal:(fun (a, la) (b, lb) -> la = lb && Sched.Etir.eval_equal a b)
-    ()
-
 let input_bytes etir ~level =
-  Parallel.Memo.find_or_add input_bytes_memo (etir, level) (fun () ->
-      let compute = Sched.Etir.compute etir in
-      List.fold_left
-        (fun acc (tensor, elems) ->
-          acc + (elems * Dtype.size_bytes (dtype_of_input compute tensor)))
-        0
-        (input_elems etir ~level))
+  let compute = Sched.Etir.compute etir in
+  List.fold_left
+    (fun acc (tensor, elems) ->
+      acc + (elems * Dtype.size_bytes (dtype_of_input compute tensor)))
+    0
+    (input_elems etir ~level)
 
 (* Output-accumulator footprint of a level-[level] tile: the spatial tile's
    elements in the output dtype. *)

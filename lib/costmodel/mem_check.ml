@@ -71,7 +71,7 @@ let ok_capacity etir ~hw =
 
 (* [ok_capacity] from an already-computed footprint vector (levels 0..L), as
    incremental evaluation carries one — avoids re-deriving the interval
-   analysis when the memo cache is off. *)
+   analysis. *)
 let ok_capacity_fp ~(hw : Hardware.Gpu_spec.t) (footprints : int array) =
   let num_levels = Array.length footprints - 1 in
   let fits level capacity_of =

@@ -171,37 +171,5 @@ let evaluate ?knobs ~(hw : Hardware.Gpu_spec.t) etir =
    responsibility: components only exist for states built against [hw]. *)
 let evaluate_with ?knobs ~hw etir comps = aggregate ?knobs ~hw etir comps
 
-(* Memoized evaluation: the full pipeline model is a pure function of
-   (device, knobs, program structure), so repeated scoring of the same state
-   — across restart chains, Ansor generations, polish walks and whole sweep
-   cells — is served from a lock-sharded cache.  Keys carry the exact state
-   (collision-checked via Etir.eval_equal) plus the device and knob records,
-   compared structurally: both are plain data. *)
-type eval_key = {
-  key_etir : Sched.Etir.t;
-  key_hw : Hardware.Gpu_spec.t;
-  key_knobs : knobs;
-}
-
-let eval_memo : (eval_key, Metrics.t) Parallel.Memo.t =
-  Parallel.Memo.create ~name:"evaluate" ~capacity:32768
-    ~hash:(fun k ->
-      (Int64.to_int (Sched.Etir.fingerprint k.key_etir)
-      lxor Hashtbl.hash (Hardware.Gpu_spec.name k.key_hw)
-      lxor Hashtbl.hash k.key_knobs)
-      land max_int)
-    ~equal:(fun a b ->
-      Sched.Etir.eval_equal a.key_etir b.key_etir
-      && a.key_knobs = b.key_knobs
-      && (a.key_hw == b.key_hw || a.key_hw = b.key_hw))
-    ()
-
-let evaluate_cached ?(knobs = default_knobs) ~hw etir =
-  Parallel.Memo.find_or_add eval_memo
-    { key_etir = etir; key_hw = hw; key_knobs = knobs }
-    (fun () -> evaluate ~knobs ~hw etir)
-
-let cache_stats () = Parallel.Memo.all_stats ()
-
 (* Convenience: the scalar figure of merit optimisers maximise. *)
 let score ?knobs ~hw etir = Metrics.score (evaluate ?knobs ~hw etir)

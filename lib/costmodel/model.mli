@@ -46,18 +46,5 @@ val evaluate_with :
   Delta.components ->
   Metrics.t
 
-(** [evaluate] through the process-wide lock-sharded memo cache, keyed by
-    the fingerprint of (device, knobs, state).  Identical results to
-    {!evaluate} (keys are collision-checked exactly), so optimisers may use
-    it freely without affecting determinism.  Disabled (pass-through) while
-    {!Parallel.Memo.enabled} is false. *)
-val evaluate_cached :
-  ?knobs:knobs -> hw:Hardware.Gpu_spec.t -> Sched.Etir.t -> Metrics.t
-
-(** Hit/miss/eviction counters of every cost-model cache (the [evaluate]
-    memo plus the underlying footprint analysis memo), for the report
-    layer. *)
-val cache_stats : unit -> (string * Parallel.Memo.stats) list
-
 (** Figure of merit (achieved FLOP/s). *)
 val score : ?knobs:knobs -> hw:Hardware.Gpu_spec.t -> Sched.Etir.t -> float

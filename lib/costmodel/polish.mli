@@ -4,7 +4,8 @@
     to [budget] steps; returns the refined state, its metrics and the number
     of model evaluations performed.  Pass [?metrics] when the start state is
     already scored to skip re-evaluating it (the count then covers successor
-    evaluations only).  Evaluations go through {!Model.evaluate_cached}. *)
+    evaluations only).  Neighbours are scored with {!Model.evaluate_with}
+    on components derived incrementally along each edge. *)
 
 val greedy :
   ?knobs:Model.knobs ->

@@ -283,7 +283,7 @@ let dispatch t compute =
     match admitted with
     | Some donor ->
       let etir = Sched.Etir.retarget donor.etir compute in
-      let metrics = Costmodel.Model.evaluate_cached ~hw:t.hw etir in
+      let metrics = Costmodel.Model.evaluate ~hw:t.hw etir in
       t.counters.c_cert_hits <- t.counters.c_cert_hits + 1;
       Trace.Counter.incr c_cert_hits;
       let entry = { compute; etir; metrics; cert = donor.cert } in

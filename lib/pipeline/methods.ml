@@ -177,38 +177,17 @@ let sweep ?jobs ~devices ~methods ops =
         cell_output = method_.compile ~hw op })
     cells
 
-(* One-line memo-cache summary for sweep reports. *)
-let pp_cache_stats ppf () =
-  (match Costmodel.Model.cache_stats () with
-  | [] -> Fmt.pf ppf "memo caches: disabled"
-  | stats ->
-    let pp_one ppf (name, s) =
-      let open Parallel.Memo in
-      let lookups = s.hits + s.misses in
-      let rate =
-        if lookups = 0 then 0.0
-        else 100.0 *. float_of_int s.hits /. float_of_int lookups
-      in
-      Fmt.pf ppf "%s %d/%d hits (%.1f%%), %d entries, %d evicted" name s.hits
-        lookups rate s.entries s.evictions
-    in
-    Fmt.pf ppf "memo caches: %a" (Fmt.list ~sep:Fmt.semi pp_one) stats);
-  (* Component-level incremental-evaluation counters (DESIGN.md §10). *)
+(* One-line incremental-evaluation summary for sweep reports (DESIGN.md
+   §10). *)
+let pp_incremental_stats ppf () =
   let d = Costmodel.Delta.stats () in
-  let builds = d.Costmodel.Delta.st_full_builds + d.Costmodel.Delta.st_incremental_builds in
-  if builds > 0 then begin
-    let touched =
-      d.Costmodel.Delta.st_levels_recomputed + d.Costmodel.Delta.st_levels_reused
-    in
-    let reuse =
-      if touched = 0 then 0.0
-      else
-        100.0
-        *. float_of_int d.Costmodel.Delta.st_levels_reused
-        /. float_of_int touched
-    in
-    Fmt.pf ppf "@,incremental eval: %d incremental / %d full builds, %.1f%% level terms reused%s"
-      d.Costmodel.Delta.st_incremental_builds d.Costmodel.Delta.st_full_builds
-      reuse
-      (if Costmodel.Delta.enabled () then "" else " (disabled)")
-  end
+  let open Costmodel.Delta in
+  let touched = d.st_levels_recomputed + d.st_levels_reused in
+  let reuse =
+    if touched = 0 then 0.0
+    else 100.0 *. float_of_int d.st_levels_reused /. float_of_int touched
+  in
+  Fmt.pf ppf
+    "incremental eval: %d incremental / %d full builds, %.1f%% level terms \
+     reused"
+    d.st_incremental_builds d.st_full_builds reuse

@@ -75,6 +75,6 @@ val sweep :
   (string * Ops.Op.t) list ->
   cell list
 
-(** One-line hit/miss summary of the cost-model memo caches, for sweep
-    report footers. *)
-val pp_cache_stats : unit Fmt.t
+(** One-line summary of the incremental cost-model evaluation counters
+    ({!Costmodel.Delta.stats}), for sweep report footers. *)
+val pp_incremental_stats : unit Fmt.t

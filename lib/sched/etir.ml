@@ -62,8 +62,9 @@ let reduce_axes t = Array.of_list (Compute.reduce_axes t.compute)
    context, footprints, launch bounds), so they are cached in the
    record at construction instead of being rebuilt from the compute's axis
    lists per call.  The cached arrays are shared — callers only read them.
-   The compute's structural hash is cached the same way: it keys every memo
-   probe, and walking the body per probe would dominate the lookup. *)
+   The compute's structural hash is cached the same way: it feeds every
+   fingerprint and [eval_equal] check, and walking the body per check would
+   dominate them. *)
 let num_spatial t = Array.length t.sext
 let num_reduce t = Array.length t.rext
 let spatial_extents t = t.sext
@@ -257,9 +258,9 @@ let retarget t compute' =
    an entry), level count, every tile and the vthread vector.
    [cur_level] is deliberately excluded — it is a construction cursor, not
    part of the tensor program, so states differing only in it evaluate
-   identically and should share memo entries and dedup slots.  The hash is
-   memoized in the state (all update paths reset it), making repeated cache
-   probes on the same state nearly free. *)
+   identically and should share dedup slots.  The hash is cached in the
+   state (all update paths reset it), making repeated dedupe lookups on the
+   same state nearly free. *)
 let mix64 h v =
   let open Int64 in
   let z = add (logxor h (mul v 0x9E3779B97F4A7C15L)) 0x9E3779B97F4A7C15L in
@@ -283,10 +284,10 @@ let fingerprint t =
     fp
   end
 
-(* Evaluation identity backing the fingerprint: memo caches re-check this on
-   every probe, so a fingerprint collision between configurations can only
-   cost a recompute.  Computes are told apart by their cached structural
-   hash, so a probe never re-walks the definition. *)
+(* Evaluation identity backing the fingerprint: dedupe re-checks this within
+   a fingerprint bucket, so a fingerprint collision can never merge two
+   distinct configurations.  Computes are told apart by their cached
+   structural hash, so a check never re-walks the definition. *)
 let eval_equal a b =
   a == b
   || (a.cfp = b.cfp

@@ -92,12 +92,13 @@ val signature : t -> string
     {!Tensor_lang.Compute.fingerprint} (cached at construction), level
     count, all tiles and vthreads.  Excludes
     [cur_level] (a construction cursor): states differing only in it
-    produce identical metrics, so they share cost-model memo entries and
-    dedup slots.  Memoized per state; never 0. *)
+    produce identical metrics, so they share dedup slots (optimizer
+    candidates, annealing samples).  Cached per state; never 0. *)
 val fingerprint : t -> int64
 
 (** Exact equality on the fingerprinted structure (still ignoring
-    [cur_level]).  Memo caches use this to collision-check probes. *)
+    [cur_level]).  Dedupe uses this to collision-check a fingerprint
+    bucket. *)
 val eval_equal : t -> t -> bool
 
 val equal : t -> t -> bool

@@ -1,22 +1,20 @@
-(* Registry of owned atomic counters plus read-only probes.  The registry
-   tables are touched on creation/snapshot only; the hot path is a plain
-   [Atomic.incr] on a counter the caller holds, so instrumented layers pay
-   exactly what their old hand-rolled atomics cost. *)
+(* Registry of atomic counters.  The registry table is touched on
+   creation/snapshot only; the hot path is a plain [Atomic.incr] on a
+   counter the caller holds. *)
 
 type t = { name : string; cell : int Atomic.t }
 
 let lock = Mutex.create ()
-let owned : (string, t) Hashtbl.t = Hashtbl.create 32
-let probes : (string, unit -> int) Hashtbl.t = Hashtbl.create 32
+let registry : (string, t) Hashtbl.t = Hashtbl.create 32
 
 let make name =
   Mutex.lock lock;
   let c =
-    match Hashtbl.find_opt owned name with
+    match Hashtbl.find_opt registry name with
     | Some c -> c
     | None ->
       let c = { name; cell = Atomic.make 0 } in
-      Hashtbl.add owned name c;
+      Hashtbl.add registry name c;
       c
   in
   Mutex.unlock lock;
@@ -28,26 +26,19 @@ let set c n = Atomic.set c.cell n
 let get c = Atomic.get c.cell
 let name c = c.name
 
-let register_probe name f =
-  Mutex.lock lock;
-  Hashtbl.replace probes name f;
-  Mutex.unlock lock
-
 let snapshot () =
   Mutex.lock lock;
-  let table : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter (fun name c -> Hashtbl.replace table name (Atomic.get c.cell)) owned;
-  let probe_list = Hashtbl.fold (fun name f acc -> (name, f) :: acc) probes [] in
+  let entries =
+    Hashtbl.fold
+      (fun name c acc -> (name, Atomic.get c.cell) :: acc)
+      registry []
+  in
   Mutex.unlock lock;
-  (* Probes run outside the registry lock: they may take their own layer's
-     locks (e.g. memo shard aggregation) and must not nest under ours. *)
-  List.iter (fun (name, f) -> Hashtbl.replace table name (f ())) probe_list;
-  Hashtbl.fold (fun name v acc -> (name, v) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  List.sort (fun (a, _) (b, _) -> String.compare a b) entries
 
 let find key = List.assoc_opt key (snapshot ())
 
-let reset_owned () =
+let reset_all () =
   Mutex.lock lock;
-  Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) owned;
+  Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) registry;
   Mutex.unlock lock

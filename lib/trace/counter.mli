@@ -1,25 +1,19 @@
 (** Unified counter/gauge registry.
 
-    Every layer's operational counters — memo shard hits, incremental-build
-    counts, dominance-prune drops, kernel-cache hits — report through this
-    one registry so the bench harness, the trace exporters and the report
-    layer read them from a single place instead of sampling N ad-hoc stat
-    records.
-
-    Two kinds of entry:
-    - {b owned} counters ({!make}): an atomic int this module stores.
-      Increments are tear-free under [Parallel.Pool] domains.
-    - {b probes} ({!register_probe}): a closure over a layer's own state
-      (e.g. the lock-sharded memo caches keep per-shard atomics for
-      contention reasons); the registry snapshots it on demand.
+    Every layer's operational counters — incremental-build counts,
+    dominance-prune drops, kernel-cache hits — report through this one
+    registry so the bench harness, the trace exporters and the report layer
+    read them from a single place instead of sampling N ad-hoc stat
+    records.  Each counter is an atomic int; increments are tear-free under
+    [Parallel.Pool] domains.
 
     Names are dotted lowercase paths ([layer.metric], e.g.
-    [delta.full_builds], [memo.evaluate.hits]); {!snapshot} returns them
-    sorted so output is deterministic. *)
+    [delta.full_builds]); {!snapshot} returns them sorted so output is
+    deterministic. *)
 
 type t
 
-(** [make name] is the process-wide owned counter [name], created at first
+(** [make name] is the process-wide counter [name], created at first
     use (subsequent calls return the same counter). *)
 val make : string -> t
 
@@ -32,15 +26,10 @@ val set : t -> int -> unit
 val get : t -> int
 val name : t -> string
 
-(** [register_probe name f] registers (or replaces) a read-only probe. *)
-val register_probe : string -> (unit -> int) -> unit
-
-(** All entries, owned and probed, sorted by name.  A probe shadows an
-    owned counter of the same name. *)
+(** Every counter, sorted by name. *)
 val snapshot : unit -> (string * int) list
 
 val find : string -> int option
 
-(** Zero every owned counter (probes reflect their layer's own state and
-    are left alone). *)
-val reset_owned : unit -> unit
+(** Zero every counter. *)
+val reset_all : unit -> unit

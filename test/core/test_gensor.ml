@@ -198,26 +198,6 @@ let test_optimizer_jobs_invariant () =
     "identical candidate count" a.Gensor.Optimizer.candidates_evaluated
     b.Gensor.Optimizer.candidates_evaluated
 
-(* The memo caches must be transparent: cached and uncached runs return the
-   same result (keys are collision-checked exactly, so a hash collision can
-   cost a recompute but never change a value). *)
-let test_optimizer_memo_transparent () =
-  let config =
-    { Gensor.Optimizer.default_config with Gensor.Optimizer.restarts = 2 }
-  in
-  let was = Parallel.Memo.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Parallel.Memo.set_enabled was)
-    (fun () ->
-      Parallel.Memo.set_enabled false;
-      let off = Gensor.Optimizer.optimize ~config ~jobs:1 ~hw (gemm ()) in
-      Parallel.Memo.set_enabled true;
-      let on = Gensor.Optimizer.optimize ~config ~jobs:1 ~hw (gemm ()) in
-      check_bool "identical schedule" true
-        (Etir.equal off.Gensor.Optimizer.etir on.Gensor.Optimizer.etir);
-      check_bool "identical metrics" true
-        (off.Gensor.Optimizer.metrics = on.Gensor.Optimizer.metrics))
-
 (* Eval-equivalent sampled states (same tiles, different construction
    cursor) must be deduplicated before final scoring. *)
 let test_optimizer_unique_candidates () =
@@ -344,15 +324,9 @@ let test_optimizer_incremental_transparent () =
       (Gensor.Optimizer.default_config, m1) ]
   in
   let was = Costmodel.Delta.enabled () in
-  let memo_was = Parallel.Memo.enabled () in
   Fun.protect
-    ~finally:(fun () ->
-      Costmodel.Delta.set_enabled was;
-      Parallel.Memo.set_enabled memo_was)
+    ~finally:(fun () -> Costmodel.Delta.set_enabled was)
     (fun () ->
-      (* Memoised transition lists carry components with them; disable the
-         caches so the full-rebuild run actually exercises the full path. *)
-      Parallel.Memo.set_enabled false;
       List.iter
         (fun (config, compute) ->
           Costmodel.Delta.set_enabled true;
@@ -402,8 +376,6 @@ let () =
          Alcotest.test_case "deterministic" `Quick test_optimizer_deterministic;
          Alcotest.test_case "jobs invariant" `Quick
            test_optimizer_jobs_invariant;
-         Alcotest.test_case "memo transparent" `Quick
-           test_optimizer_memo_transparent;
          Alcotest.test_case "prune transparent" `Quick
            test_optimizer_prune_transparent;
          Alcotest.test_case "incremental transparent" `Quick

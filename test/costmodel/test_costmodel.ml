@@ -297,44 +297,6 @@ let test_polish_metrics_passthrough () =
   check_bool "same metrics" true (m1 = m2);
   check_bool "one fewer evaluation" true (evals2 = evals1 - 1)
 
-(* The memo cache behind [evaluate_cached] must be invisible except in
-   speed: along a random walk (with revisits) it returns exactly what the
-   uncached model returns, and the registered counters move. *)
-let prop_evaluate_cached_transparent =
-  QCheck.Test.make ~count:100 ~name:"evaluate_cached = evaluate"
-    QCheck.(make Gen.(int_range 0 1000))
-    (fun seed ->
-      let rng = Rng.create ~seed in
-      let e = ref (gemm_etir ()) in
-      let ok = ref true in
-      for _ = 1 to 15 do
-        (match Action.successors !e with
-        | [] -> ()
-        | succs -> e := snd (Rng.choice rng succs));
-        if Costmodel.Model.evaluate_cached ~hw !e
-           <> Costmodel.Model.evaluate ~hw !e
-        then ok := false
-      done;
-      !ok)
-
-let test_cache_stats_counters () =
-  let stats_for name =
-    List.assoc_opt name (Costmodel.Model.cache_stats ())
-  in
-  match stats_for "evaluate" with
-  | None -> Alcotest.fail "evaluate cache not registered"
-  | Some before ->
-    let e = gemm_etir ~m:512 ~n:128 ~k:64 () in
-    ignore (Costmodel.Model.evaluate_cached ~hw e);
-    ignore (Costmodel.Model.evaluate_cached ~hw e);
-    (match stats_for "evaluate" with
-    | None -> Alcotest.fail "evaluate cache disappeared"
-    | Some after ->
-      check_bool "a miss was recorded" true
-        (after.Parallel.Memo.misses > before.Parallel.Memo.misses);
-      check_bool "a hit was recorded" true
-        (after.Parallel.Memo.hits > before.Parallel.Memo.hits))
-
 (* The tentpole invariant: deriving a state's components incrementally
    along any chain of construction edges is bit-for-bit what a from-scratch
    analysis produces — same component record, same metrics, and the walked
@@ -369,7 +331,7 @@ let prop_incremental_equals_full =
             <> Costmodel.Model.evaluate ~hw next
           then ok := false;
           (* Fingerprint agreement: the chained state and a freshly rebuilt
-             copy of the same edge are indistinguishable to the memo layer. *)
+             copy of the same edge are indistinguishable to dedupe. *)
           (match List.find_opt (fun (a, _) -> a = action) (Action.successors !e) with
           | Some (_, rebuilt) ->
             if Etir.fingerprint next <> Etir.fingerprint rebuilt then
@@ -454,9 +416,6 @@ let () =
          Alcotest.test_case "polish improves" `Quick test_polish_improves;
          Alcotest.test_case "polish metrics passthrough" `Quick
            test_polish_metrics_passthrough;
-         Alcotest.test_case "cache stats counters" `Quick
-           test_cache_stats_counters;
-         QCheck_alcotest.to_alcotest prop_evaluate_cached_transparent;
          QCheck_alcotest.to_alcotest prop_model_deterministic ]);
       ("delta",
        [ Alcotest.test_case "build counters" `Quick test_delta_stats_counters;

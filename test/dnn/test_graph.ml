@@ -319,14 +319,15 @@ let test_fused_beats_unfused () =
     [ Dnn.Resnet.resnet50_graph ~batch:8 ();
       Dnn.Transformer.bert_small_graph ~batch:8 () ]
 
-(* Memo keys must see the whole compute, not just its name and extents.
+(* ETIR keys must see the whole compute, not just its name and extents.
    The stride-2 depthwise kernels of this MobileNetV2 (distinct fused
-   kernels 7 and 12) share name and axis extents with earlier kernels
-   that read a differently shaped input; with a warm memo they used to come
-   back carrying the other kernel's compute.  Compiling the distinct kernels in graph order
-   from cold caches reproduces exactly that warm-memo sequence. *)
-let test_memo_keeps_kernels_apart () =
-  Parallel.Memo.clear_all ();
+   kernels 7 and 12) share name and axis extents with earlier kernels that
+   read a differently shaped input; when the ETIR fingerprint aliased them,
+   they came back carrying the other kernel's compute.  Compiling the
+   distinct kernels in graph order in one process reproduces that sequence,
+   so any state shared across kernels and keyed without the compute fails
+   here. *)
+let test_etir_keys_keep_computes_apart () =
   let g = Dnn.Mobilenet.mobilenet_v2_graph ~batch:1 ~width_mult:0.35 () in
   let seen = Hashtbl.create 32 in
   let kernels =
@@ -382,5 +383,5 @@ let () =
             test_run_graph_deterministic;
           Alcotest.test_case "fused beats unfused" `Quick
             test_fused_beats_unfused;
-          Alcotest.test_case "warm memo keeps kernels apart" `Quick
-            test_memo_keeps_kernels_apart ] ) ]
+          Alcotest.test_case "etir keys keep computes apart" `Quick
+            test_etir_keys_keep_computes_apart ] ) ]

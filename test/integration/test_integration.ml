@@ -139,9 +139,8 @@ let test_mismatched_levels_rejected () =
 (* Golden outputs of the gensor method: the exact schedule signature and
    model score of three ops on both device presets, recorded at a fixed
    seed.  Any change to the search that moves a schedule or a score shows up
-   here; a change meant to leave outputs alone must pass unchanged.  Every
-   case starts from empty memo caches so the result cannot depend on what
-   ran before it.  Scores are compared exactly via their hex spelling. *)
+   here; a change meant to leave outputs alone must pass unchanged.  Scores
+   are compared exactly via their hex spelling. *)
 let golden_ops =
   let table label () =
     (Option.get (Workloads.Table_iv.find label)).Workloads.Table_iv.op ()
@@ -173,7 +172,6 @@ let test_golden_schedules () =
   in
   List.iter
     (fun (dev, label, signature, score) ->
-      Parallel.Memo.clear_all ();
       let method_ = Pipeline.Methods.gensor () in
       let out =
         method_.Pipeline.Methods.compile ~hw:(device dev)

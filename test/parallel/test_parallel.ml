@@ -1,9 +1,7 @@
-(* The domain pool and the lock-sharded memo cache — the invariants the
-   optimiser hot paths rely on: order preservation, exception transparency,
-   nested-map safety, and exact (collision-checked) memoization. *)
+(* The domain pool — the invariants the optimiser hot paths rely on: order
+   preservation, exception transparency and nested-map safety. *)
 
 let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
 
 (* ---------- Pool ---------- *)
 
@@ -75,90 +73,6 @@ let test_map_auto_matches_sequential () =
     "jobs=4" (List.map f xs)
     (Parallel.Pool.map_auto ~jobs:4 f xs)
 
-(* ---------- Memo ---------- *)
-
-let int_memo ?capacity name =
-  Parallel.Memo.create ?capacity ~name ~hash:(fun k -> k land max_int)
-    ~equal:Int.equal ()
-
-let test_memo_hit_miss_counters () =
-  let memo = int_memo "t-counters" in
-  let calls = ref 0 in
-  let f k () = incr calls; k * 10 in
-  check_int "first lookup computes" 70 (Parallel.Memo.find_or_add memo 7 (f 7));
-  check_int "second lookup served" 70 (Parallel.Memo.find_or_add memo 7 (f 7));
-  check_int "computed once" 1 !calls;
-  let s = Parallel.Memo.stats memo in
-  check_int "hits" 1 s.Parallel.Memo.hits;
-  check_int "misses" 1 s.Parallel.Memo.misses;
-  check_int "entries" 1 s.Parallel.Memo.entries
-
-let test_memo_eviction () =
-  let memo = int_memo ~capacity:64 "t-eviction" in
-  for k = 0 to 999 do
-    ignore (Parallel.Memo.find_or_add memo k (fun () -> k))
-  done;
-  let s = Parallel.Memo.stats memo in
-  check_bool "evicted something" true (s.Parallel.Memo.evictions > 0);
-  check_bool "bounded" true (s.Parallel.Memo.entries <= 64 + 999);
-  (* Values stay correct after eviction. *)
-  check_int "recompute correct" 123 (Parallel.Memo.find_or_add memo 123 (fun () -> 123))
-
-let test_memo_disabled_passthrough () =
-  let memo = int_memo "t-disabled" in
-  Parallel.Memo.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Parallel.Memo.set_enabled true)
-    (fun () ->
-      let calls = ref 0 in
-      let f () = incr calls; 1 in
-      ignore (Parallel.Memo.find_or_add memo 1 f);
-      ignore (Parallel.Memo.find_or_add memo 1 f);
-      check_int "computes every time when disabled" 2 !calls;
-      check_int "no entries stored" 0
-        (Parallel.Memo.stats memo).Parallel.Memo.entries)
-
-let test_memo_parallel_consistency () =
-  (* Hammer one memo from a pool: every lookup must return the key's own
-     value (no cross-key corruption), whichever domain filled the slot. *)
-  let memo = int_memo "t-parallel" in
-  let pool = Parallel.Pool.create ~jobs:4 in
-  let results =
-    Parallel.Pool.map pool
-      (fun i ->
-        let k = i mod 17 in
-        Parallel.Memo.find_or_add memo k (fun () -> k * 1000))
-      (List.init 2000 Fun.id)
-  in
-  List.iteri
-    (fun i v -> check_int (Fmt.str "slot %d" i) (i mod 17 * 1000) v)
-    results;
-  Parallel.Pool.shutdown pool
-
-let test_memo_parallel_stats_no_tearing () =
-  (* The counters are per-shard atomics: under a concurrent hammer every
-     lookup must be accounted exactly once (hits + misses = lookups), and
-     reading [stats] mid-flight must never tear or deadlock.  With plain
-     ints the read-modify-write races drop increments under GENSOR_JOBS>1. *)
-  let memo = int_memo "t-atomic-stats" in
-  let pool = Parallel.Pool.create ~jobs:4 in
-  let lookups = 4000 in
-  ignore
-    (Parallel.Pool.map pool
-       (fun i ->
-         (* interleave probes with snapshot reads *)
-         if i mod 97 = 0 then ignore (Parallel.Memo.stats memo);
-         Parallel.Memo.find_or_add memo (i mod 31) (fun () -> i mod 31))
-       (List.init lookups Fun.id));
-  Parallel.Pool.shutdown pool;
-  let s = Parallel.Memo.stats memo in
-  check_int "every lookup accounted once" lookups
-    (s.Parallel.Memo.hits + s.Parallel.Memo.misses);
-  (* Racing domains may both miss the same cold key (compute runs outside
-     the shard lock), so distinct keys is a floor, not an exact count. *)
-  check_bool "at least one miss per distinct key" true
-    (s.Parallel.Memo.misses >= 31)
-
 let () =
   Alcotest.run "parallel"
     [ ("pool",
@@ -170,13 +84,4 @@ let () =
          Alcotest.test_case "nested map runs inline" `Quick
            test_nested_map_runs_inline;
          Alcotest.test_case "map_auto matches sequential" `Quick
-           test_map_auto_matches_sequential ]);
-      ("memo",
-       [ Alcotest.test_case "hit/miss counters" `Quick test_memo_hit_miss_counters;
-         Alcotest.test_case "eviction" `Quick test_memo_eviction;
-         Alcotest.test_case "disabled passthrough" `Quick
-           test_memo_disabled_passthrough;
-         Alcotest.test_case "parallel consistency" `Quick
-           test_memo_parallel_consistency;
-         Alcotest.test_case "parallel stats no tearing" `Quick
-           test_memo_parallel_stats_no_tearing ]) ]
+           test_map_auto_matches_sequential ]) ]
