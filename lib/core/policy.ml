@@ -63,7 +63,9 @@ let allowed mode (action : Action.t) =
 (* The iteration-independent part of a state's transition distribution:
    every legal successor with its positive base benefit and its
    incrementally derived components.  This is the expensive part of a
-   policy step (successor generation plus ~25 benefit analyses).  Only the
+   policy step: successor generation, then per successor one incremental
+   component build ([Delta.child], dominated by the footprint plan's
+   evaluation at the refilled levels) and one benefit.  Only the
    cache action's weight depends on the iteration (through the annealing
    multiplier), and the multiplier is strictly positive, so it is applied
    afterwards without changing which transitions survive the positivity

@@ -78,13 +78,7 @@ let pp_stats ppf s =
    Model) so components need nothing from the aggregation layer; Model
    re-exports it under its historical name. *)
 let thread_chunk_flops etir =
-  let open Tensor_lang in
-  let compute = Sched.Etir.compute etir in
-  let body_flops =
-    Expr.flops (Compute.body compute)
-    + (if Compute.reduce_axes compute = [] then 0 else 1)
-  in
-  let elems = ref body_flops in
+  let elems = ref (Sched.Etir.point_flops etir) in
   for dim = 0 to Sched.Etir.num_spatial etir - 1 do
     elems := !elems * Sched.Etir.stile etir ~level:0 ~dim
   done;

@@ -1,9 +1,12 @@
-(** Tile memory footprints via interval analysis — the paper's [F(T)].
+(** Tile memory footprints — the paper's [F(T)] — evaluated from the
+    state's compiled {!Tensor_lang.Footprint_plan}: affine index dimensions
+    in closed form, the rest by interval analysis.
 
     Levels use ETIR numbering: 0 = per-thread registers, 1 = shared memory,
     2+ = outer caches. *)
 
-(** Per-input-access footprint of a representative level tile, in elements. *)
+(** Per-input-access footprint of a representative level tile, in elements:
+    body accesses left to right, then the epilogue's operand reads. *)
 val input_elems : Sched.Etir.t -> level:int -> (string * int) list
 
 val input_bytes : Sched.Etir.t -> level:int -> int
@@ -14,6 +17,3 @@ val output_bytes : Sched.Etir.t -> level:int -> int
 (** Footprint charged against the level's capacity: inputs plus accumulator
     except at the shared-memory level (accumulators live in registers). *)
 val bytes_at : Sched.Etir.t -> level:int -> int
-
-(** [all_levels etir] is [bytes_at] for every level, index = level. *)
-val all_levels : Sched.Etir.t -> int array

@@ -8,9 +8,6 @@
 
 open Tensor_lang
 
-let output_total_bytes etir =
-  Compute.output_bytes (Sched.Etir.compute etir)
-
 (* Bytes loaded into ETIR level [level] from the level above it.  The
    [_given] form takes the per-tile input footprint the caller already
    computed (incremental evaluation shares it with the footprint term). *)
@@ -20,7 +17,7 @@ let bytes_into_given etir ~level ~input_bytes =
     * Sched.Etir.reduce_steps_at etir ~level
   in
   (float_of_int instances *. float_of_int input_bytes)
-  +. float_of_int (output_total_bytes etir)
+  +. float_of_int (Sched.Etir.output_bytes etir)
 
 let bytes_into etir ~level =
   bytes_into_given etir ~level

@@ -1,8 +1,5 @@
 (** Per-level memory traffic — the paper's [Q(T)]. *)
 
-(** Bytes the kernel writes for the output tensor. *)
-val output_total_bytes : Sched.Etir.t -> int
-
 (** [bytes_into etir ~level] is the total bytes loaded into ETIR level
     [level] (0 = registers, 1 = shared memory, ...) from the next slower
     level, plus the written-through output. *)

@@ -16,6 +16,22 @@
 
 open Tensor_lang
 
+(* Everything derived from the compute alone, built eagerly when a state is
+   created or retargeted and shared by every state derived from it.  Eager,
+   not [Lazy.t]: the initial state is shared by every search chain's domain,
+   and forcing one lazy value from two domains at once raises. *)
+type consts = {
+  sext : int array;           (* spatial axis extents *)
+  rext : int array;           (* reduce axis extents *)
+  cfp : int;                  (* Compute.fingerprint of the compute *)
+  plan : Footprint_plan.t;    (* compiled per-access footprint analysis *)
+  out_bytes : int;            (* Compute.output_bytes *)
+  point_flops : int;          (* body FLOPs + 1 combine when reducing *)
+}
+
+(* Tile rows are never mutated after construction: the functional updates
+   copy the one row they edit and share the others, so states along a
+   construction chain share most of their rows. *)
 type t = {
   compute : Compute.t;
   num_levels : int;           (* L: schedulable cache levels *)
@@ -24,9 +40,7 @@ type t = {
   rtiles : int array array;   (* (L+1) rows; row l = reduce tiles at level l *)
   vthreads : int array;       (* per spatial dimension *)
   mutable fp : int64;         (* memoized fingerprint; 0 = not yet computed *)
-  sext : int array;           (* cached spatial axis extents (from compute) *)
-  rext : int array;           (* cached reduce axis extents (from compute) *)
-  cfp : int;                  (* cached Compute.fingerprint of [compute] *)
+  k : consts;
 }
 
 let compute t = t.compute
@@ -58,32 +72,43 @@ let rtile_eff t ~level ~dim =
 let spatial_axes t = Array.of_list (Compute.spatial_axes t.compute)
 let reduce_axes t = Array.of_list (Compute.reduce_axes t.compute)
 
-(* Extents and axis counts are read in every hot analysis loop (benefit
-   context, footprints, launch bounds), so they are cached in the
-   record at construction instead of being rebuilt from the compute's axis
-   lists per call.  The cached arrays are shared — callers only read them.
-   The compute's structural hash is cached the same way: it feeds every
-   fingerprint and [eval_equal] check, and walking the body per check would
-   dominate them. *)
-let num_spatial t = Array.length t.sext
-let num_reduce t = Array.length t.rext
-let spatial_extents t = t.sext
-let reduce_extents t = t.rext
+(* Extents, axis counts, the footprint plan and the compute's output bytes
+   and per-point FLOPs are read in every hot analysis loop (benefit
+   context, footprints, traffic, the ILP chunk, launch bounds), so they are
+   cached at construction instead of being rebuilt from the compute's axis
+   lists and body per call.  The cached arrays are shared — callers only
+   read them.  The compute's structural hash is cached the same way: it
+   feeds every fingerprint and [eval_equal] check, and walking the body per
+   check would dominate them. *)
+let num_spatial t = Array.length t.k.sext
+let num_reduce t = Array.length t.k.rext
+let spatial_extents t = t.k.sext
+let reduce_extents t = t.k.rext
+let footprint_plan t = t.k.plan
+let output_bytes t = t.k.out_bytes
+let point_flops t = t.k.point_flops
 
-let extents_of compute =
-  ( Array.of_list (List.map Axis.extent (Compute.spatial_axes compute)),
-    Array.of_list (List.map Axis.extent (Compute.reduce_axes compute)) )
+let consts_of compute =
+  let spatial = Compute.spatial_axes compute in
+  let reduce = Compute.reduce_axes compute in
+  { sext = Array.of_list (List.map Axis.extent spatial);
+    rext = Array.of_list (List.map Axis.extent reduce);
+    cfp = Int64.to_int (Compute.fingerprint compute);
+    plan = Footprint_plan.of_compute compute;
+    out_bytes = Compute.output_bytes compute;
+    point_flops =
+      Expr.flops (Compute.body compute) + (if reduce = [] then 0 else 1) }
 
 let create ?(num_levels = 2) compute =
   if num_levels < 1 then invalid_arg "Etir.create: num_levels < 1";
-  let n_spatial = List.length (Compute.spatial_axes compute) in
-  let n_reduce = List.length (Compute.reduce_axes compute) in
-  let sext, rext = extents_of compute in
+  let k = consts_of compute in
+  let n_spatial = Array.length k.sext in
+  let n_reduce = Array.length k.rext in
   { compute; num_levels; cur_level = num_levels;
     stiles = Array.make_matrix (num_levels + 1) n_spatial 1;
     rtiles = Array.make_matrix (num_levels + 1) (max n_reduce 1) 1;
     vthreads = Array.make n_spatial 1;
-    fp = 0L; sext; rext; cfp = Int64.to_int (Compute.fingerprint compute) }
+    fp = 0L; k }
 
 (* Structural invariants; used by tests and re-checked after every action. *)
 let validate t =
@@ -179,52 +204,24 @@ let reduce_steps_at t ~level =
     rext;
   !acc
 
-(* Interval environment of one representative level-[l] tile placed at the
-   origin: spatial axis i spans its level-l tile, reduce axis j spans its
-   level-l reduce tile.  Affine accesses make footprints shift-invariant, so
-   the origin tile is representative. *)
-let tile_env t ~level name =
-  let find_spatial () =
-    let axes = spatial_axes t in
-    let rec go i =
-      if i = Array.length axes then None
-      else if Axis.name axes.(i) = name then
-        Some (Interval.v 0 (stile_eff t ~level ~dim:i - 1))
-      else go (i + 1)
-    in
-    go 0
-  in
-  let find_reduce () =
-    let axes = reduce_axes t in
-    let rec go j =
-      if j = Array.length axes then None
-      else if Axis.name axes.(j) = name then
-        Some (Interval.v 0 (rtile_eff t ~level ~dim:j - 1))
-      else go (j + 1)
-    in
-    go 0
-  in
-  match find_spatial () with
-  | Some iv -> iv
-  | None -> (
-    match find_reduce () with
-    | Some iv -> iv
-    | None -> invalid_arg (Fmt.str "Etir.tile_env: unknown axis %s" name))
-
 let with_cur_level t cur_level =
   if cur_level < 0 || cur_level > t.num_levels then
     invalid_arg "Etir.with_cur_level: out of range";
   { t with cur_level }
 
+(* Copy the edited row only; the other rows are shared (never mutated). *)
+let with_row rows ~level ~dim size =
+  let rows = Array.copy rows in
+  let row = Array.copy rows.(level) in
+  row.(dim) <- size;
+  rows.(level) <- row;
+  rows
+
 let with_stile t ~level ~dim size =
-  let stiles = Array.map Array.copy t.stiles in
-  stiles.(level).(dim) <- size;
-  { t with stiles; fp = 0L }
+  { t with stiles = with_row t.stiles ~level ~dim size; fp = 0L }
 
 let with_rtile t ~level ~dim size =
-  let rtiles = Array.map Array.copy t.rtiles in
-  rtiles.(level).(dim) <- size;
-  { t with rtiles; fp = 0L }
+  { t with rtiles = with_row t.rtiles ~level ~dim size; fp = 0L }
 
 let with_vthread t ~dim v =
   let vthreads = Array.copy t.vthreads in
@@ -236,21 +233,17 @@ let with_vthread t ~dim v =
    are clamped to the new extents, which preserves the monotone-chain
    invariant; vthreads are clamped to the new thread tile. *)
 let retarget t compute' =
-  let spatial' = List.filter Axis.is_spatial (Compute.axes compute') in
-  let reduce' = List.filter Axis.is_reduce (Compute.axes compute') in
-  if List.length spatial' <> num_spatial t || List.length reduce' <> num_reduce t
+  let k = consts_of compute' in
+  if Array.length k.sext <> num_spatial t || Array.length k.rext <> num_reduce t
   then invalid_arg "Etir.retarget: axis structure mismatch";
-  let sext = Array.of_list (List.map Axis.extent spatial') in
-  let rext = Array.of_list (List.map Axis.extent reduce') in
   let clamp_row ext row = Array.mapi (fun i s -> min s ext.(i)) row in
-  let stiles = Array.map (clamp_row sext) t.stiles in
+  let stiles = Array.map (clamp_row k.sext) t.stiles in
   let rtiles =
-    if Array.length rext = 0 then Array.map Array.copy t.rtiles
-    else Array.map (clamp_row rext) t.rtiles
+    if Array.length k.rext = 0 then t.rtiles
+    else Array.map (clamp_row k.rext) t.rtiles
   in
   let vthreads = Array.mapi (fun i v -> min v stiles.(0).(i)) t.vthreads in
-  { t with compute = compute'; stiles; rtiles; vthreads; fp = 0L; sext; rext;
-    cfp = Int64.to_int (Compute.fingerprint compute') }
+  { t with compute = compute'; stiles; rtiles; vthreads; fp = 0L; k }
 
 (* 64-bit structural hash over everything the cost model reads: the
    compute's full structure (axes, input shapes, body — two computes with
@@ -271,7 +264,7 @@ let mix64 h v =
 let fingerprint t =
   if t.fp <> 0L then t.fp
   else begin
-    let h = ref (Int64.of_int t.cfp) in
+    let h = ref (Int64.of_int t.k.cfp) in
     let add v = h := mix64 !h (Int64.of_int v) in
     add t.num_levels;
     Array.iter add (spatial_extents t);
@@ -290,7 +283,7 @@ let fingerprint t =
    structural hash, so a check never re-walks the definition. *)
 let eval_equal a b =
   a == b
-  || (a.cfp = b.cfp
+  || (a.k.cfp = b.k.cfp
      && fingerprint a = fingerprint b
      && a.num_levels = b.num_levels
      && a.stiles = b.stiles && a.rtiles = b.rtiles

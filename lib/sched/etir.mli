@@ -66,13 +66,21 @@ val spatial_tiles_at : t -> level:int -> int
 (** Reduction steps performed per level-[l] tile. *)
 val reduce_steps_at : t -> level:int -> int
 
-(** [tile_env t ~level] is the interval environment of a representative
-    level-[l] tile for footprint analysis.  Raises [Invalid_argument] on an
-    unknown axis name. *)
-val tile_env : t -> level:int -> string -> Interval.t
+(** The compute's compiled footprint analysis, built once with the state
+    (see {!Tensor_lang.Footprint_plan}); slot [i < num_spatial] is spatial
+    dim [i], slot [num_spatial + j] reduce dim [j]. *)
+val footprint_plan : t -> Footprint_plan.t
+
+(** [Compute.output_bytes] of the compute, cached. *)
+val output_bytes : t -> int
+
+(** FLOPs per iteration-domain point: the body's FLOPs plus one combine
+    when the compute reduces.  Cached. *)
+val point_flops : t -> int
 
 (** Functional updates (no legality checks beyond array bounds; use
-    {!Action.apply} for checked transitions). *)
+    {!Action.apply} for checked transitions).  A tile update copies only
+    the edited row and shares the rest. *)
 
 val with_cur_level : t -> int -> t
 val with_stile : t -> level:int -> dim:int -> int -> t

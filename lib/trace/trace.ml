@@ -16,6 +16,9 @@ type event = {
   ev_ts : float; (* microseconds since the recording started *)
   ev_tid : int;  (* raw Domain id; renumbered densely at export *)
   ev_args : (string * string) list;
+  ev_minor_words : float;
+      (* close events: words the closing domain allocated on the minor heap
+         inside the span; 0 on open events *)
 }
 
 let enabled_flag = Atomic.make false
@@ -65,18 +68,25 @@ let parse_spec s =
   | "" | "off" | "0" -> None
   | _ -> Some (String.trim s)
 
+(* [Gc.minor_words] counts the calling domain's allocation, and a span
+   opens and closes on one domain, so the delta is the span's own minor
+   allocation (work it hands to other domains is counted in their spans). *)
 let with_span ?(args = []) ~name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
     let tid = (Domain.self () :> int) in
     record
       { ev_name = name; ev_ph = 'B'; ev_ts = now_us (); ev_tid = tid;
-        ev_args = List.sort (fun (a, _) (b, _) -> String.compare a b) args };
+        ev_args = List.sort (fun (a, _) (b, _) -> String.compare a b) args;
+        ev_minor_words = 0.0 };
+    let words0 = Gc.minor_words () in
     Fun.protect
       ~finally:(fun () ->
+        let words = Gc.minor_words () -. words0 in
         record
           { ev_name = name; ev_ph = 'E'; ev_ts = now_us (); ev_tid = tid;
-            ev_args = [] })
+            ev_args = [ ("minor_words", Printf.sprintf "%.0f" words) ];
+            ev_minor_words = words })
       f
   end
 
@@ -170,7 +180,7 @@ let chrome_json () =
    printouts. *)
 let text_summary () =
   let evs = ordered_events () in
-  let totals : (string, float * int) Hashtbl.t = Hashtbl.create 32 in
+  let totals : (string, float * int * float) Hashtbl.t = Hashtbl.create 32 in
   let stacks : (int, (string * float) list) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (tid, ev) ->
@@ -181,22 +191,25 @@ let text_summary () =
         match stack with
         | (name, t0) :: rest when String.equal name ev.ev_name ->
           Hashtbl.replace stacks tid rest;
-          let total, count =
-            Option.value ~default:(0.0, 0) (Hashtbl.find_opt totals name)
+          let total, count, words =
+            Option.value ~default:(0.0, 0, 0.0) (Hashtbl.find_opt totals name)
           in
-          Hashtbl.replace totals name (total +. (ev.ev_ts -. t0), count + 1)
+          Hashtbl.replace totals name
+            (total +. (ev.ev_ts -. t0), count + 1, words +. ev.ev_minor_words)
         | _ -> ())
       | _ -> ())
     evs;
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "# gensor trace summary\n";
   Buffer.add_string buf
-    (Printf.sprintf "%-40s %8s %14s\n" "span" "count" "total_ms");
+    (Printf.sprintf "%-40s %8s %14s %14s\n" "span" "count" "total_ms"
+       "minor_Mwords");
   Hashtbl.fold (fun name agg acc -> (name, agg) :: acc) totals []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, (total, count)) ->
+  |> List.iter (fun (name, (total, count, words)) ->
          Buffer.add_string buf
-           (Printf.sprintf "%-40s %8d %14.3f\n" name count (total /. 1e3)));
+           (Printf.sprintf "%-40s %8d %14.3f %14.3f\n" name count
+              (total /. 1e3) (words /. 1e6)));
   Buffer.add_string buf "\n";
   Buffer.add_string buf (Printf.sprintf "%-40s %14s\n" "counter" "value");
   List.iter

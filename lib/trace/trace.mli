@@ -7,8 +7,8 @@
 
     - Chrome [trace_event] JSON (open in [chrome://tracing] or Perfetto)
       when the output path ends in [.json];
-    - a flat text summary (per-span count/total time, counter values)
-      otherwise.
+    - a flat text summary (per-span count, total time and minor-heap
+      allocation in millions of words, then counter values) otherwise.
 
     Output is selected by the [GENSOR_TRACE] environment variable
     ([<path>] to enable, unset/[""]/["off"]/["0"] to disable) or
@@ -22,7 +22,7 @@
     order of first appearance, events are grouped per thread in program
     order and args are key-sorted — so two sequential runs of the same
     workload produce traces that diff cleanly on everything but the [ts]
-    fields. *)
+    and [minor_words] fields. *)
 
 module Env = Env
 module Counter = Counter
@@ -39,8 +39,10 @@ val set_output : string option -> unit
 val parse_spec : string -> string option
 
 (** [with_span ~name ~args f] runs [f] inside a span.  The close event is
-    recorded even when [f] raises, so traces stay balanced.  [args] should
-    be deterministic across runs (no timestamps, no pointers). *)
+    recorded even when [f] raises, so traces stay balanced, and carries a
+    [minor_words] arg: the [Gc.minor_words] the closing domain allocated
+    inside the span.  [args] should be deterministic across runs (no
+    timestamps, no pointers). *)
 val with_span : ?args:(string * string) list -> name:string -> (unit -> 'a) -> 'a
 
 (** Write the recording to the configured path and disable tracing;

@@ -4,8 +4,8 @@
    [certify] lifts the concrete checks from one shape to a *region* of
    shapes.  The key structural fact it exploits: every capacity, launch and
    footprint quantity in this codebase is derived from the tile
-   configuration through [Etir.tile_env]/[stile_eff], which never consult
-   the axis extents — so once the tile/thread structure is fixed and
+   configuration through [stile_eff]/[rtile_eff] (the footprint plan reads
+   tiles, not extents), which never consult the axis extents — so once the tile/thread structure is fixed and
    retargeting cannot clamp it, the §IV-C capacity verdict, the register
    and smem footprints, and the race obligations of the staged reduction
    are the same at every shape in the region.  Retargeting cannot clamp

@@ -51,6 +51,168 @@ let test_footprint_conv_halo () =
   let input_elems = List.assoc "I" elems in
   check_int "halo counted" (1 * 1 * 5 * 5) input_elems
 
+(* ---------- Footprint plan = interval analysis ---------- *)
+
+(* The oracle is the interval analysis the plan compiles away: every
+   variable looked up by name in a string-keyed environment spanning the
+   state's effective tile at the level, each access bounded by
+   [Access.footprint_elems]. *)
+let oracle_input_elems e ~level =
+  let open Tensor_lang in
+  let compute = Etir.compute e in
+  let position name axes =
+    let rec go i = function
+      | [] -> None
+      | ax :: rest -> if Axis.name ax = name then Some i else go (i + 1) rest
+    in
+    go 0 axes
+  in
+  let env name =
+    match position name (Compute.spatial_axes compute) with
+    | Some dim -> Interval.v 0 (Etir.stile_eff e ~level ~dim - 1)
+    | None -> (
+      match position name (Compute.reduce_axes compute) with
+      | Some dim -> Interval.v 0 (Etir.rtile_eff e ~level ~dim - 1)
+      | None -> Alcotest.failf "oracle: unknown axis %s" name)
+  in
+  List.map
+    (fun access -> (Access.tensor access, Access.footprint_elems ~env access))
+    (Expr.accesses (Compute.body compute) @ Compute.epilogue_accesses compute)
+
+let oracle_input_bytes e ~level =
+  let open Tensor_lang in
+  let compute = Etir.compute e in
+  List.fold_left
+    (fun acc (tensor, elems) ->
+      let input =
+        List.find
+          (fun i -> i.Compute.in_name = tensor)
+          (Compute.inputs compute)
+      in
+      acc + (elems * Dtype.size_bytes input.Compute.in_dtype))
+    0
+    (oracle_input_elems e ~level)
+
+(* One access [a] over a spatial axis i (extent 8) and a reduce axis j
+   (extent 4), times B[j]; [shape] is wide enough for [Compute.v]. *)
+let single_access_compute name ~shape index =
+  let open Tensor_lang in
+  Compute.v ~name
+    ~axes:[ Axis.spatial "i" 8; Axis.reduce "j" 4 ]
+    ~inputs:
+      [ { Compute.in_name = "A"; in_shape = shape; in_dtype = Dtype.F16 };
+        { Compute.in_name = "B"; in_shape = [ 4 ]; in_dtype = Dtype.F32 } ]
+    ~out_name:"C"
+    ~body:
+      (Expr.Mul
+         ( Expr.Read (Access.v "A" index),
+           Expr.Read (Access.v "B" [ Index.Var "j" ]) ))
+    ()
+
+(* Accesses that pin the per-occurrence rule ([i + 7 - i] spans 2t - 1
+   under interval analysis, not 1) and every general-form fallback. *)
+let hand_built_computes () =
+  let open Tensor_lang.Index in
+  let i = Var "i" and j = Var "j" in
+  [ single_access_compute "cancel" ~shape:[ 15 ] [ Sub (Add (i, Const 7), i) ];
+    single_access_compute "scaled" ~shape:[ 22 ]
+      [ Add (Mul (Const 2, Add (i, j)), Const 1) ];
+    single_access_compute "divmod" ~shape:[ 4; 3 ]
+      [ Div (i, Const 2); Mod (i, Const 3) ];
+    single_access_compute "min" ~shape:[ 8 ] [ Min (i, j) ];
+    single_access_compute "product" ~shape:[ 22 ] [ Mul (i, j) ] ]
+
+(* Every Table IV op, every distinct fused kernel of the four networks, and
+   the hand-built accesses above. *)
+let plan_computes =
+  lazy
+    (let seen = Hashtbl.create 128 in
+     let add acc compute =
+       let fp = Tensor_lang.Compute.fingerprint compute in
+       if Hashtbl.mem seen fp then acc
+       else begin
+         Hashtbl.add seen fp ();
+         compute :: acc
+       end
+     in
+     let table_iv =
+       List.map
+         (fun entry -> Ops.Op.compute (entry.Workloads.Table_iv.op ()))
+         Workloads.Table_iv.all
+     in
+     let fused g =
+       List.map
+         (fun n -> Ops.Op.compute n.Dnn.Graph.op)
+         (Dnn.Graph.nodes (Dnn.Fusion.fuse g).Dnn.Fusion.graph)
+     in
+     let networks =
+       List.concat_map fused
+         [ Dnn.Transformer.bert_small_graph ();
+           Dnn.Transformer.gpt2_graph ();
+           Dnn.Mobilenet.mobilenet_v2_graph ();
+           Dnn.Resnet.resnet50_graph () ]
+     in
+     List.rev
+       (List.fold_left add [] (table_iv @ networks @ hand_built_computes ())))
+
+(* A random state: every raw tile at every level uniform in [1, extent], so
+   effective tiles cover the whole range at every level. *)
+let random_tiles rng compute =
+  let e = ref (Etir.create ~num_levels:(1 + Rng.int rng 3) compute) in
+  for level = 0 to Etir.num_levels !e do
+    Array.iteri
+      (fun dim ext ->
+        e := Etir.with_stile !e ~level ~dim (1 + Rng.int rng ext))
+      (Etir.spatial_extents !e);
+    Array.iteri
+      (fun dim ext ->
+        e := Etir.with_rtile !e ~level ~dim (1 + Rng.int rng ext))
+      (Etir.reduce_extents !e)
+  done;
+  !e
+
+let prop_plan_matches_interval_analysis =
+  QCheck.Test.make ~count:40
+    ~name:"footprint plan = interval analysis (Table IV, networks, hand-built)"
+    QCheck.(make Gen.(int_range 0 100_000))
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      List.for_all
+        (fun compute ->
+          let e = random_tiles rng compute in
+          List.for_all
+            (fun level ->
+              let got = Costmodel.Footprint.input_elems e ~level in
+              let want = oracle_input_elems e ~level in
+              if got <> want then
+                QCheck.Test.fail_reportf "%s level %d: %a <> %a"
+                  (Tensor_lang.Compute.name compute) level
+                  Fmt.(Dump.list (Dump.pair string int)) got
+                  Fmt.(Dump.list (Dump.pair string int)) want;
+              Costmodel.Footprint.input_bytes e ~level
+              = oracle_input_bytes e ~level)
+            (List.init (Etir.num_levels e + 1) Fun.id))
+        (Lazy.force plan_computes))
+
+(* The hand-built accesses at a fixed tile, by hand: i spans 5, j spans 3. *)
+let test_plan_hand_built () =
+  let expected =
+    [ ("cancel", 9);       (* [7,11] - [0,4] = [3,11], not 1 *)
+      ("scaled", 13);      (* 2*([0,4] + [0,2]) + 1 = [1,13] *)
+      ("divmod", 3 * 3);   (* i/2 in [0,2]; i mod 3 wraps: [0,2] *)
+      ("min", 3);          (* min(i,j) in [0,2] *)
+      ("product", 9) ]     (* i*j in [0,8] *)
+  in
+  List.iter
+    (fun compute ->
+      let e = Etir.create compute in
+      let e = Etir.with_stile e ~level:1 ~dim:0 5 in
+      let e = Etir.with_rtile e ~level:1 ~dim:0 3 in
+      let name = Tensor_lang.Compute.name compute in
+      check_int name (List.assoc name expected)
+        (List.assoc "A" (Costmodel.Footprint.input_elems e ~level:1)))
+    (hand_built_computes ())
+
 (* Growing any tile never shrinks the footprint. *)
 let prop_footprint_monotone =
   QCheck.Test.make ~count:300 ~name:"footprint monotone under tile growth"
@@ -387,7 +549,10 @@ let () =
     [ ("footprint",
        [ Alcotest.test_case "gemm slices" `Quick test_footprint_gemm;
          Alcotest.test_case "conv halo" `Quick test_footprint_conv_halo;
-         QCheck_alcotest.to_alcotest prop_footprint_monotone ]);
+         QCheck_alcotest.to_alcotest prop_footprint_monotone;
+         Alcotest.test_case "plan hand-built accesses" `Quick
+           test_plan_hand_built;
+         QCheck_alcotest.to_alcotest prop_plan_matches_interval_analysis ]);
       ("traffic",
        [ Alcotest.test_case "gemm formula" `Quick test_traffic_gemm_formula;
          Alcotest.test_case "compulsory floor" `Quick

@@ -98,17 +98,24 @@ let test_etir_eff_tiles () =
   let e = Etir.with_stile e ~level:1 ~dim:0 16 in
   check_int "eff takes the max" 16 (Etir.stile_eff e ~level:2 ~dim:0)
 
-let test_etir_tile_env () =
-  let e = gemm_etir () in
-  let e = Etir.with_stile e ~level:1 ~dim:0 16 in
-  let e = Etir.with_rtile e ~level:1 ~dim:0 4 in
-  let iv = Etir.tile_env e ~level:1 "i" in
-  check_int "spatial env extent" 16 (Tensor_lang.Interval.extent iv);
-  let ivk = Etir.tile_env e ~level:1 "k" in
-  check_int "reduce env extent" 4 (Tensor_lang.Interval.extent ivk);
-  Alcotest.check_raises "unknown axis rejected"
-    (Invalid_argument "Etir.tile_env: unknown axis q") (fun () ->
-      ignore (Etir.tile_env e ~level:1 "q"))
+(* Tile updates copy only the edited row and share the others, so every
+   earlier state along a chain must read exactly as before. *)
+let test_etir_updates_persistent () =
+  let e0 = gemm_etir () in
+  let e1 = Etir.with_stile e0 ~level:1 ~dim:0 16 in
+  let e2 = Etir.with_rtile e1 ~level:0 ~dim:0 4 in
+  let e3 = Etir.with_stile e2 ~level:1 ~dim:1 8 in
+  for level = 0 to Etir.num_levels e0 do
+    for dim = 0 to 1 do
+      check_int "parent spatial tile" 1 (Etir.stile e0 ~level ~dim)
+    done;
+    check_int "parent reduce tile" 1 (Etir.rtile e1 ~level ~dim:0)
+  done;
+  check_int "edit kept" 16 (Etir.stile e1 ~level:1 ~dim:0);
+  check_int "sibling dim untouched" 1 (Etir.stile e2 ~level:1 ~dim:1);
+  check_int "earlier edit carried" 16 (Etir.stile e3 ~level:1 ~dim:0);
+  check_int "same-row edit" 8 (Etir.stile e3 ~level:1 ~dim:1);
+  check_int "reduce edit carried" 4 (Etir.rtile e3 ~level:0 ~dim:0)
 
 let test_etir_retarget () =
   let e = gemm_etir ~m:64 ~n:48 ~k:32 () in
@@ -282,7 +289,8 @@ let () =
        [ Alcotest.test_case "initial state" `Quick test_etir_initial;
          Alcotest.test_case "derived quantities" `Quick test_etir_derived;
          Alcotest.test_case "effective tiles" `Quick test_etir_eff_tiles;
-         Alcotest.test_case "tile env" `Quick test_etir_tile_env;
+         Alcotest.test_case "updates are persistent" `Quick
+           test_etir_updates_persistent;
          Alcotest.test_case "retarget" `Quick test_etir_retarget;
          Alcotest.test_case "signatures" `Quick test_etir_signature;
          Alcotest.test_case "fingerprint" `Quick test_fingerprint_basic;

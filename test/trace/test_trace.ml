@@ -88,6 +88,16 @@ let test_pool_jobs_env_validation () =
 
 let temp_trace () = Filename.temp_file "gensor-test-trace" ".json"
 
+(* Index just past the first occurrence of [sub] in [s]. *)
+let find_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i =
+    if i + m > n then None
+    else if String.sub s i m = sub then Some (i + m)
+    else go (i + 1)
+  in
+  go 0
+
 (* Every E must close the B on top of its lane's stack, even though the
    traced workload fans over worker domains and polish/prune/score spans
    nest inside optimize. *)
@@ -114,17 +124,55 @@ let test_span_nesting_well_formed () =
     let ic = open_in path in
     let body = really_input_string ic (in_channel_length ic) in
     close_in ic;
-    let contains sub =
-      let n = String.length body and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub body i m = sub || go (i + 1)) in
-      go 0
-    in
     List.iter
       (fun name ->
         check_bool (name ^ " span present") true
-          (contains (Fmt.str "\"name\":%S" name)))
+          (find_sub body (Fmt.str "\"name\":%S" name) <> None))
       [ "optimizer.optimize"; "optimizer.chains"; "anneal.run";
         "polish.greedy"; "pool.map" ]
+
+(* Allocation is visible per span: a traced optimize of Table IV's M1
+   reports the minor words its anneal chains allocated, and the export
+   stays valid. *)
+let test_span_minor_words () =
+  let path = temp_trace () in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let op =
+    match Workloads.Table_iv.find "M1" with
+    | Some entry -> entry.Workloads.Table_iv.op ()
+    | None -> Alcotest.fail "Table IV has no M1"
+  in
+  Trace.set_output (Some path);
+  ignore (Gensor.Optimizer.optimize ~jobs:1 ~hw (Ops.Op.compute op));
+  ignore (Trace.flush ());
+  (match Trace.validate_file path with
+  | Error m -> Alcotest.fail m
+  | Ok _ -> ());
+  (* The exporter writes one event per line. *)
+  let ic = open_in path in
+  let lines = ref [] in
+  (try
+     while true do
+       lines := input_line ic :: !lines
+     done
+   with End_of_file -> close_in ic);
+  let closes =
+    List.filter_map
+      (fun line ->
+        if
+          find_sub line "\"name\":\"anneal.run\"" <> None
+          && find_sub line "\"ph\":\"E\"" <> None
+        then
+          Option.bind (find_sub line "\"minor_words\":\"") (fun start ->
+              let stop = String.index_from line start '"' in
+              float_of_string_opt (String.sub line start (stop - start)))
+        else None)
+      !lines
+  in
+  check_bool "anneal.run closes recorded" true (closes <> []);
+  List.iter
+    (fun words -> check_bool "anneal.run minor_words > 0" true (words > 0.0))
+    closes
 
 let test_validate_rejects_unbalanced () =
   let path = temp_trace () in
@@ -236,6 +284,8 @@ let () =
         [
           Alcotest.test_case "nesting well-formed" `Quick
             test_span_nesting_well_formed;
+          Alcotest.test_case "minor words per span" `Quick
+            test_span_minor_words;
           Alcotest.test_case "unbalanced rejected" `Quick
             test_validate_rejects_unbalanced;
           Alcotest.test_case "parse_spec" `Quick test_parse_spec;
