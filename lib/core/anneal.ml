@@ -71,14 +71,17 @@ let run ~hw ~rng ?(config = default_config) etir0 =
      the current state's cost-model component record, carried edge to edge
      so each policy step starts from a ready-made before-state analysis
      (the incremental engine's steady state). *)
+  (* The chain's own scoring workspace: chains on pool domains never share
+     one. *)
+  let ws = Policy.workspace etir0 in
   let rec loop etir comps temperature ~iteration ~level_entry ~moved =
     if temperature <= config.threshold then (etir, comps, iteration, moved)
     else begin
       let level_age = iteration - level_entry in
       let etir', comps', level_entry', moved' =
         match
-          Policy.draw rng ~comps ~hw ~mode:config.mode ~iteration:level_age
-            etir
+          Policy.draw ws rng ~comps ~hw ~mode:config.mode
+            ~iteration:level_age etir
         with
         | None -> (etir, comps, level_entry, moved)
         | Some choice ->

@@ -34,202 +34,120 @@ let ilp_eff_of_chunk chunk =
   let chunk = float_of_int chunk in
   chunk /. (chunk +. ilp_overhead)
 
-let ilp_eff etir = ilp_eff_of_chunk (Costmodel.Model.thread_chunk_flops etir)
+(* The occupancy an Eq. 1 ratio reads, floored so an infeasible side
+   cannot divide by zero. *)
+let occ_floor occ = Float.max 0.02 occ
 
-let ilp_ratio ~before ~after = ilp_eff after /. ilp_eff before
+(* Eq. 1 over its scalar inputs: Q and F at the modified level before and
+   after the edge, the SM occupancies and the per-thread ILP chunks.
 
-let occ_floor ~hw etir =
-  Float.max 0.02 (Costmodel.Occupancy.of_etir etir ~hw).Costmodel.Occupancy.sm_occupancy
-
-(* Parallelism factor: ratio of achievable occupancies.  The paper's
-   hardware guidance includes "parallelism features" (§III); without this
-   term nothing drives block-tile growth on operators whose traffic barely
+   The occupancy ratio is the parallelism factor: the paper's hardware
+   guidance includes "parallelism features" (§III); without this term
+   nothing drives block-tile growth on operators whose traffic barely
    depends on it (GEMV, pooling), which is precisely the multi-objective
    edge over Roller's single objective. *)
-let parallelism_ratio ~hw ~before ~after =
-  occ_floor ~hw after /. occ_floor ~hw before
+let tiling ~level ~q ~q' ~f ~f' ~occ ~occ' ~chunk ~chunk' =
+  let f = float_of_int f and f' = float_of_int f' in
+  if q' <= 0.0 || f <= 0.0 || f' <= 0.0 then 0.0
+  else begin
+    let traffic_gain = Float.pow (q /. q') traffic_exponent in
+    let footprint_cost = Float.pow (f' /. f) footprint_exponent in
+    let base = traffic_gain /. footprint_cost in
+    let base = base *. (occ_floor occ' /. occ_floor occ) in
+    if level = 0 then
+      base *. (ilp_eff_of_chunk chunk' /. ilp_eff_of_chunk chunk)
+    else base
+  end
 
 (* Eq. 2: Benefit_caching = (L_low + S/B_low) / (L_high + S/B_high).
-   Moving the working set S from the slower memory feeding level [cur] into
-   the next faster level. *)
-let caching ~(hw : Hardware.Gpu_spec.t) etir =
+   Moving the working set S (the footprint at level [cur - 1]) from the
+   slower memory feeding level [cur] into the next faster level. *)
+let caching_ratio ~(hw : Hardware.Gpu_spec.t) ~cur ~s_data =
+  let s_data = max s_data 1 in
+  let low = Hardware.Gpu_spec.level hw (cur + 1) in
+  let high = Hardware.Gpu_spec.level hw cur in
+  let clock = Hardware.Gpu_spec.clock_ghz hw in
+  let t_low = Hardware.Mem_level.transfer_seconds low ~clock_ghz:clock ~bytes:s_data in
+  let t_high = Hardware.Mem_level.transfer_seconds high ~clock_ghz:clock ~bytes:s_data in
+  if t_high <= 0.0 then 0.0 else t_low /. t_high
+
+let caching ~hw etir =
   let cur = Etir.cur_level etir in
   if cur <= 0 then 0.0
-  else begin
-    let s_data = Costmodel.Footprint.bytes_at etir ~level:(cur - 1) in
-    let s_data = max s_data 1 in
-    let low = Hardware.Gpu_spec.level hw (cur + 1) in
-    let high = Hardware.Gpu_spec.level hw cur in
-    let clock = Hardware.Gpu_spec.clock_ghz hw in
-    let t_low = Hardware.Mem_level.transfer_seconds low ~clock_ghz:clock ~bytes:s_data in
-    let t_high = Hardware.Mem_level.transfer_seconds high ~clock_ghz:clock ~bytes:s_data in
-    if t_high <= 0.0 then 0.0 else t_low /. t_high
-  end
+  else
+    caching_ratio ~hw ~cur
+      ~s_data:(Costmodel.Footprint.bytes_at etir ~level:(cur - 1))
 
 (* Eq. 3: Benefit_vThread = ceil(x/W) / ceil(x/(V'·W)) with V normalised so
    the ratio compares the current V against the proposed V'.  x is the
-   per-thread stripe width in bytes along the innermost-varying dimension. *)
-let vthread ~(hw : Hardware.Gpu_spec.t) ~before ~after ~dim =
+   per-thread stripe width in bytes along the innermost-varying dimension,
+   from the level-0 tile [stile0]. *)
+let vthread_ratio ~(hw : Hardware.Gpu_spec.t) ~stile0 ~v ~v' =
   let smem = Hardware.Gpu_spec.level hw 1 in
   let w = Hardware.Mem_level.bank_width_bytes smem in
   let elem_bytes = 4 in
-  let x = Etir.stile before ~level:0 ~dim * elem_bytes in
-  let v = Etir.vthread before ~dim and v' = Etir.vthread after ~dim in
-  let ceil_div a b = (a + b - 1) / b in
-  let conflicts vv = float_of_int (ceil_div x (vv * w)) in
-  if conflicts v' <= 0.0 then 0.0 else conflicts v /. conflicts v'
+  let x = stile0 * elem_bytes in
+  let conflicts = float_of_int ((x + (v * w) - 1) / (v * w)) in
+  let conflicts' = float_of_int ((x + (v' * w) - 1) / (v' * w)) in
+  if conflicts' <= 0.0 then 0.0 else conflicts /. conflicts'
 
-(* Hoisted before-state analyses.  One policy step scores ~25 successors
-   against the same [before] state, and every tiling benefit re-derives that
-   state's traffic, footprint, occupancy and ILP chunk.  A context computes
-   each of these lazily, at most once per (state, level), and is shared
-   across all the successors of the step — the single largest constant-
-   factor saving in construction (see DESIGN.md §8). *)
-type ctx = {
-  ctx_hw : Hardware.Gpu_spec.t;
-  ctx_before : Etir.t;
-  ctx_traffic : float Lazy.t array;  (* Q(T) of [before], per level *)
-  ctx_footprint : int Lazy.t array;  (* F(T) of [before], per level *)
-  ctx_occ : float Lazy.t;            (* floored occupancy of [before] *)
-  ctx_ilp_eff : float Lazy.t;        (* ILP efficiency of [before] *)
-  ctx_caching : float Lazy.t;        (* raw Eq. 2 ratio at [before] *)
-}
+let vthread ~hw ~before ~after ~dim =
+  vthread_ratio ~hw
+    ~stile0:(Etir.stile before ~level:0 ~dim)
+    ~v:(Etir.vthread before ~dim) ~v':(Etir.vthread after ~dim)
 
-let context ~hw before =
-  let levels = Etir.num_levels before + 1 in
-  {
-    ctx_hw = hw;
-    ctx_before = before;
-    ctx_traffic =
-      Array.init levels (fun level ->
-          lazy (Costmodel.Traffic.bytes_into before ~level));
-    ctx_footprint =
-      Array.init levels (fun level ->
-          lazy (Costmodel.Footprint.bytes_at before ~level));
-    ctx_occ = lazy (occ_floor ~hw before);
-    ctx_ilp_eff = lazy (ilp_eff before);
-    ctx_caching = lazy (caching ~hw before);
-  }
-
-(* The same hoisted context built from an already-derived component record
-   (incremental evaluation, DESIGN.md §10): every analysis the lazies would
-   run is a field read.  The component builders are the very functions the
-   eager analyses above call, so benefits computed through either
-   constructor are bit-for-bit equal. *)
-let occ_floor_comps (comps : Costmodel.Delta.components) =
-  Float.max 0.02 comps.Costmodel.Delta.occ.Costmodel.Occupancy.sm_occupancy
-
-let caching_comps ~(hw : Hardware.Gpu_spec.t) etir
-    (comps : Costmodel.Delta.components) =
-  let cur = Etir.cur_level etir in
-  if cur <= 0 then 0.0
-  else begin
-    let s_data = max comps.Costmodel.Delta.footprint.(cur - 1) 1 in
-    let low = Hardware.Gpu_spec.level hw (cur + 1) in
-    let high = Hardware.Gpu_spec.level hw cur in
-    let clock = Hardware.Gpu_spec.clock_ghz hw in
-    let t_low = Hardware.Mem_level.transfer_seconds low ~clock_ghz:clock ~bytes:s_data in
-    let t_high = Hardware.Mem_level.transfer_seconds high ~clock_ghz:clock ~bytes:s_data in
-    if t_high <= 0.0 then 0.0 else t_low /. t_high
-  end
-
-let context_of ~hw before (comps : Costmodel.Delta.components) =
-  let levels = Etir.num_levels before + 1 in
-  {
-    ctx_hw = hw;
-    ctx_before = before;
-    ctx_traffic =
-      Array.init levels (fun level ->
-          lazy comps.Costmodel.Delta.traffic.(level));
-    ctx_footprint =
-      Array.init levels (fun level ->
-          lazy comps.Costmodel.Delta.footprint.(level));
-    ctx_occ = lazy (occ_floor_comps comps);
-    ctx_ilp_eff = lazy (ilp_eff_of_chunk comps.Costmodel.Delta.chunk_flops);
-    ctx_caching = lazy (caching_comps ~hw before comps);
-  }
-
-let tiling_ctx ctx ~after ~level =
-  let q = Lazy.force ctx.ctx_traffic.(level) in
-  let q' = Costmodel.Traffic.bytes_into after ~level in
-  let f = float_of_int (Lazy.force ctx.ctx_footprint.(level)) in
-  let f' = float_of_int (Costmodel.Footprint.bytes_at after ~level) in
-  if q' <= 0.0 || f <= 0.0 || f' <= 0.0 then 0.0
-  else begin
-    let traffic_gain = Float.pow (q /. q') traffic_exponent in
-    let footprint_cost = Float.pow (f' /. f) footprint_exponent in
-    let base = traffic_gain /. footprint_cost in
-    let base =
-      base *. (occ_floor ~hw:ctx.ctx_hw after /. Lazy.force ctx.ctx_occ)
-    in
-    if level = 0 then base *. (ilp_eff after /. Lazy.force ctx.ctx_ilp_eff)
-    else base
-  end
-
-let tiling ~hw ~before ~after ~level =
-  tiling_ctx (context ~hw before) ~after ~level
-
-(* [tiling_ctx] with the after-state analyses read from its component
-   record — the record's fresh levels are exactly the ones a tiling action
-   at [level] touches, so .(level) is always up to date. *)
-let tiling_comps ctx ~(after_comps : Costmodel.Delta.components) ~level =
-  let q = Lazy.force ctx.ctx_traffic.(level) in
-  let q' = after_comps.Costmodel.Delta.traffic.(level) in
-  let f = float_of_int (Lazy.force ctx.ctx_footprint.(level)) in
-  let f' = float_of_int after_comps.Costmodel.Delta.footprint.(level) in
-  if q' <= 0.0 || f <= 0.0 || f' <= 0.0 then 0.0
-  else begin
-    let traffic_gain = Float.pow (q /. q') traffic_exponent in
-    let footprint_cost = Float.pow (f' /. f) footprint_exponent in
-    let base = traffic_gain /. footprint_cost in
-    let base = base *. (occ_floor_comps after_comps /. Lazy.force ctx.ctx_occ) in
-    if level = 0 then
-      base
-      *. (ilp_eff_of_chunk after_comps.Costmodel.Delta.chunk_flops
-         /. Lazy.force ctx.ctx_ilp_eff)
-    else base
-  end
-
-(* Benefit of one legal transition [before --action--> after].  Zero when the
-   successor violates a cache capacity (the paper's memory check).  Launch
-   limits are not checked here: construction may pass through transiently
-   launch-infeasible states (block tiles grow before thread tiles exist) and
-   final selection filters them.
-
-   The raw Eq. 2 ratio lives on a different scale than the Eq. 1/Eq. 3
+(* The raw Eq. 2 ratio lives on a different scale than the Eq. 1/Eq. 3
    ratios (memory-level latency gaps are 3-8x while tiling gains hover near
    2x), so it is squashed to (0, 1) before the annealing multiplier scales
    it; otherwise the cache switch fires before a level's tiles have grown. *)
-let of_action_ctx ctx ~after (action : Action.t) =
-  if not (Costmodel.Mem_check.ok_capacity after ~hw:ctx.ctx_hw) then 0.0
+let squash ratio = ratio /. (1.0 +. ratio)
+
+(* Benefit of one legal transition [before --action--> after], from scratch:
+   both sides' component records are built and fed to the scalar Eq. 1-3
+   forms.  Zero when the successor violates a cache capacity (the paper's
+   memory check).  Launch limits are not checked here: construction may
+   pass through transiently launch-infeasible states (block tiles grow
+   before thread tiles exist) and final selection filters them.  The
+   oracle the edge scorer is tested against. *)
+let of_action ~hw ~before ~after (action : Action.t) =
+  let b = Costmodel.Delta.of_etir ~hw before in
+  let a = Costmodel.Delta.of_etir ~hw after in
+  let open Costmodel.Delta in
+  if not (Costmodel.Mem_check.ok_capacity_fp ~hw a.footprint) then 0.0
   else
     match action with
     | Action.Tile { level; _ } | Action.Rtile { level; _ } ->
-      tiling_ctx ctx ~after ~level
+      tiling ~level ~q:b.traffic.(level) ~q':a.traffic.(level)
+        ~f:b.footprint.(level) ~f':a.footprint.(level)
+        ~occ:b.occ.Costmodel.Occupancy.sm_occupancy
+        ~occ':a.occ.Costmodel.Occupancy.sm_occupancy ~chunk:b.chunk_flops
+        ~chunk':a.chunk_flops
     | Action.Cache ->
-      let ratio = Lazy.force ctx.ctx_caching in
-      ratio /. (1.0 +. ratio)
-    | Action.Set_vthread { dim; _ } ->
-      vthread ~hw:ctx.ctx_hw ~before:ctx.ctx_before ~after ~dim
+      let cur = Etir.cur_level before in
+      squash (caching_ratio ~hw ~cur ~s_data:b.footprint.(cur - 1))
+    | Action.Set_vthread { dim; _ } -> vthread ~hw ~before ~after ~dim
 
-let of_action ~hw ~before ~after action =
-  of_action_ctx (context ~hw before) ~after action
-
-(* [of_action_ctx] with the after-state analyses (memory check included)
-   read from the successor's component record instead of recomputed. *)
-let of_action_comps ctx ~after ~(after_comps : Costmodel.Delta.components)
-    (action : Action.t) =
-  if
-    not
-      (Costmodel.Mem_check.ok_capacity_fp ~hw:ctx.ctx_hw
-         after_comps.Costmodel.Delta.footprint)
+(* [of_action] for the legal edge [before --action-->] with
+   [target = Action.target before action], without building the child:
+   [before]'s side is its record [parent], the child's side is what
+   [Delta.score_edge] leaves in the chain's scratch [s]. *)
+let of_edge ~hw s ~before ~(parent : Costmodel.Delta.components)
+    (action : Action.t) target =
+  if not (Costmodel.Delta.score_edge ~hw s ~before ~parent action target)
   then 0.0
   else
+    let open Costmodel.Delta in
     match action with
     | Action.Tile { level; _ } | Action.Rtile { level; _ } ->
-      tiling_comps ctx ~after_comps ~level
+      tiling ~level ~q:parent.traffic.(level) ~q':s.sc_terms.(0)
+        ~f:parent.footprint.(level) ~f':s.sc_footprint.(level)
+        ~occ:parent.occ.Costmodel.Occupancy.sm_occupancy
+        ~occ':s.sc_terms.(1) ~chunk:parent.chunk_flops
+        ~chunk':s.sc_chunk_flops
     | Action.Cache ->
-      let ratio = Lazy.force ctx.ctx_caching in
-      ratio /. (1.0 +. ratio)
+      let cur = Etir.cur_level before in
+      squash (caching_ratio ~hw ~cur ~s_data:parent.footprint.(cur - 1))
     | Action.Set_vthread { dim; _ } ->
-      vthread ~hw:ctx.ctx_hw ~before:ctx.ctx_before ~after ~dim
+      vthread_ratio ~hw
+        ~stile0:(Etir.stile before ~level:0 ~dim)
+        ~v:(Etir.vthread before ~dim) ~v':target

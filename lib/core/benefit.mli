@@ -3,26 +3,8 @@
     Benefits are computed from traffic/footprint analysis and device figures
     only (no pipeline-model evaluation), which is what makes construction
     profiling-free.  All functions return a non-negative ratio; > 1 predicts
-    a speed-up. *)
-
-(** Eq. 1: tiling benefit — traffic reduction [Q/Q'] balanced against
-    footprint growth [(F'/F)^β] at the modified level, multiplied by the
-    occupancy (parallelism) ratio, with an instruction-level-parallelism
-    (unroll) factor at the register level. *)
-val tiling :
-  hw:Hardware.Gpu_spec.t ->
-  before:Sched.Etir.t ->
-  after:Sched.Etir.t ->
-  level:int ->
-  float
-
-(** ILP-efficiency ratio between two states' per-thread unroll chunks. *)
-val ilp_ratio : before:Sched.Etir.t -> after:Sched.Etir.t -> float
-
-(** Occupancy ratio between two states (the "parallelism features"
-    guidance of paper §III). *)
-val parallelism_ratio :
-  hw:Hardware.Gpu_spec.t -> before:Sched.Etir.t -> after:Sched.Etir.t -> float
+    a speed-up.  Each equation has one scalar form, shared by {!of_action}
+    and {!of_edge}. *)
 
 (** Eq. 2: caching benefit [(L_low + S/B_low) / (L_high + S/B_high)] of
     switching scheduling to the next faster memory level; 0 when already at
@@ -37,24 +19,9 @@ val vthread :
   dim:int ->
   float
 
-(** Hoisted analyses of one [before] state (traffic, footprint, occupancy,
-    ILP chunk, Eq. 2 ratio), computed lazily and shared across every
-    successor scored against that state.  Build once per policy step. *)
-type ctx
-
-val context : hw:Hardware.Gpu_spec.t -> Sched.Etir.t -> ctx
-
-(** {!context} built from an already-derived component record (incremental
-    evaluation): no analysis runs, every field is read from the record.
-    Benefits computed through either constructor are bit-for-bit equal. *)
-val context_of :
-  hw:Hardware.Gpu_spec.t ->
-  Sched.Etir.t ->
-  Costmodel.Delta.components ->
-  ctx
-
-(** Benefit of a legal transition; 0 when the successor fails the memory
-    check (paper §IV-C). *)
+(** Benefit of a legal transition, from scratch: {!Costmodel.Delta.of_etir}
+    on both states.  0 when the successor fails the memory check (paper
+    §IV-C).  The oracle {!of_edge} is tested against. *)
 val of_action :
   hw:Hardware.Gpu_spec.t ->
   before:Sched.Etir.t ->
@@ -62,16 +29,17 @@ val of_action :
   Sched.Action.t ->
   float
 
-(** [of_action] against a prebuilt before-state context — identical result,
-    without recomputing the before-state analyses per successor. *)
-val of_action_ctx : ctx -> after:Sched.Etir.t -> Sched.Action.t -> float
-
-(** [of_action_ctx] with the after-state analyses (memory check included)
-    read from the successor's component record — identical result with no
-    per-successor recomputation on either side of the edge. *)
-val of_action_comps :
-  ctx ->
-  after:Sched.Etir.t ->
-  after_comps:Costmodel.Delta.components ->
+(** [of_edge ~hw s ~before ~parent action target] is
+    [of_action ~hw ~before ~after action], bit for bit, for the legal edge
+    to [after] with [target = Sched.Action.target before action], where
+    [parent] is [before]'s component record — without building [after]:
+    the after side comes from {!Costmodel.Delta.score_edge} into the chain's
+    scratch [s]. *)
+val of_edge :
+  hw:Hardware.Gpu_spec.t ->
+  Costmodel.Delta.scratch ->
+  before:Sched.Etir.t ->
+  parent:Costmodel.Delta.components ->
   Sched.Action.t ->
+  int ->
   float

@@ -217,13 +217,17 @@ let optimize ?(config = default_config) ?warm_start ?jobs ~hw compute =
           (fun (_, comps) -> Costmodel.Delta.dominance_vector ~hw comps)
           arr
       in
-      let sum v = Array.fold_left ( +. ) 0.0 v in
+      let sums =
+        Array.map
+          (function Some v -> Array.fold_left ( +. ) 0.0 v | None -> 0.0)
+          vecs
+      in
       let order =
         let idx = Array.init n (fun i -> i) in
         Array.sort
           (fun a b ->
             match (vecs.(a), vecs.(b)) with
-            | Some va, Some vb -> compare (sum va) (sum vb)
+            | Some _, Some _ -> Float.compare sums.(a) sums.(b)
             | Some _, None -> -1
             | None, Some _ -> 1
             | None, None -> compare a b)

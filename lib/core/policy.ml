@@ -60,43 +60,78 @@ let allowed mode (action : Action.t) =
   | Action.Cache ->
     true
 
+(* Per-chain scoring state.  A policy step scores every legal allowed edge
+   of the state in [Action.candidates] order, keeping the positively
+   weighted ones; nothing in the pass allocates per edge.  Candidate arrays
+   depend only on the cursor level (the compute's axes are fixed along a
+   chain), so each is built the first time its level is reached. *)
+type workspace = {
+  scratch : Costmodel.Delta.scratch;
+  cands : Action.t array array;  (* per cursor level; [||] until first use *)
+  actions : Action.t array;      (* this step's positively weighted edges *)
+  benefits : float array;        (* their base benefits, same order *)
+  mutable count : int;
+}
+
+let workspace etir =
+  (* The cursor at the registers leaves every level adjustable: the most
+     candidates any state of this compute has. *)
+  let most =
+    List.length (Action.candidates (Etir.with_cur_level etir 0))
+  in
+  { scratch = Costmodel.Delta.scratch etir;
+    cands = Array.make (Etir.num_levels etir + 1) [||];
+    actions = Array.make most Action.Cache;
+    benefits = Array.make most 0.0;
+    count = 0 }
+
 (* The iteration-independent part of a state's transition distribution:
-   every legal successor with its positive base benefit and its
-   incrementally derived components.  This is the expensive part of a
-   policy step: successor generation, then per successor one incremental
-   component build ([Delta.child], dominated by the footprint plan's
-   evaluation at the refilled levels) and one benefit.  Only the
-   cache action's weight depends on the iteration (through the annealing
-   multiplier), and the multiplier is strictly positive, so it is applied
-   afterwards without changing which transitions survive the positivity
+   every legal allowed edge's base benefit (Eq. 1-3), scored from the
+   parent's own data by [Benefit.of_edge] — no successor is built.  Only
+   the cache action's weight depends on the iteration (through the
+   annealing multiplier), and the multiplier is strictly positive, so it is
+   applied afterwards without changing which edges survive the positivity
    filter. *)
-let base_weighted ?comps ~hw ~mode etir =
-  (* One hoisted analysis context for the whole successor set — the
-     before-state traffic/footprint/occupancy is identical across them.
-     When the caller carries the before state's components (the anneal
-     loop threads them edge by edge), the context is a set of field reads;
-     otherwise they are rebuilt once here. *)
-  let before_comps =
-    match comps with
-    | Some c -> c
-    | None -> Costmodel.Delta.of_etir ~hw etir
-  in
-  let ctx = Benefit.context_of ~hw etir before_comps in
-  let exact (action, next) =
-    (* Components travel along the edge: only the slices [action]
-       invalidates are recomputed for the successor. *)
-    let next_comps =
-      Costmodel.Delta.child ~hw ~before:etir ~parent:before_comps ~action next
-    in
-    let benefit =
-      Benefit.of_action_comps ctx ~after:next ~after_comps:next_comps action
-    in
-    if benefit <= 0.0 then None else Some (action, next, next_comps, benefit)
-  in
-  List.filter_map
-    (fun ((action, _) as edge) ->
-      if allowed mode action then exact edge else None)
-    (Action.successors etir)
+let score ws ~hw ~mode ~parent etir =
+  let cur = Etir.cur_level etir in
+  if Array.length ws.cands.(cur) = 0 then
+    ws.cands.(cur) <- Array.of_list (Action.candidates etir);
+  let cands = ws.cands.(cur) in
+  let kept = ref 0 and scored = ref 0 in
+  for i = 0 to Array.length cands - 1 do
+    let action = cands.(i) in
+    if allowed mode action then begin
+      let target = Action.target etir action in
+      if target >= 0 then begin
+        incr scored;
+        let benefit =
+          Benefit.of_edge ~hw ws.scratch ~before:etir ~parent action target
+        in
+        if not (benefit <= 0.0) then begin
+          ws.actions.(!kept) <- action;
+          ws.benefits.(!kept) <- benefit;
+          incr kept
+        end
+      end
+    end
+  done;
+  Costmodel.Delta.count_edges_scored !scored;
+  ws.count <- !kept
+
+let parent_comps ?comps ~hw etir =
+  match comps with Some c -> c | None -> Costmodel.Delta.of_etir ~hw etir
+
+let base_benefits ?comps ~hw ~mode etir =
+  let ws = workspace etir in
+  score ws ~hw ~mode ~parent:(parent_comps ?comps ~hw etir) etir;
+  List.init ws.count (fun i -> (ws.actions.(i), ws.benefits.(i)))
+
+(* The successor behind a scored edge, with its components derived
+   incrementally from the parent's: only the slices [action] invalidates
+   are recomputed. *)
+let build ~hw ~parent etir action =
+  let next = Option.get (Action.apply etir action) in
+  (next, Costmodel.Delta.child ~hw ~before:etir ~parent ~action next)
 
 (* The cache action's weight at [iteration]: its base benefit scaled by the
    annealing multiplier; every other action keeps its base benefit. *)
@@ -107,14 +142,19 @@ let step_weight ~mode ~iteration action benefit =
   | Action.Tile _ | Action.Rtile _ | Action.Set_vthread _ -> benefit
 
 (* All legal, positively-weighted transitions with normalised
-   probabilities.  The normalisation leaves room for [stay_probability].
-   This is the analysis-facing entry point (value iteration, tests). *)
+   probabilities, every successor built.  The normalisation leaves room
+   for [stay_probability].  This is the analysis-facing entry point (value
+   iteration, tests). *)
 let transitions ?comps ~hw ~mode ~iteration etir =
+  let parent = parent_comps ?comps ~hw etir in
+  let ws = workspace etir in
+  score ws ~hw ~mode ~parent etir;
   let weighted =
-    List.map
-      (fun (action, next, next_comps, benefit) ->
-        (action, next, next_comps, step_weight ~mode ~iteration action benefit))
-      (base_weighted ?comps ~hw ~mode etir)
+    List.init ws.count (fun i ->
+        let action = ws.actions.(i) in
+        let next, next_comps = build ~hw ~parent etir action in
+        (action, next, next_comps,
+         step_weight ~mode ~iteration action ws.benefits.(i)))
   in
   let total =
     List.fold_left (fun acc (_, _, _, b) -> acc +. b) 0.0 weighted
@@ -127,22 +167,21 @@ let transitions ?comps ~hw ~mode ~iteration etir =
         { action; next; next_comps; probability = benefit *. scale })
       weighted
 
-(* Fused [transitions] + [select] for the annealing hot loop: one array of
-   weights instead of three intermediate lists, and only the drawn choice
-   record is materialised.  Every float is produced by the same operations
-   in the same order as the two-call path, and the roulette sees the same
-   weight array, so the draw — and hence the whole chain — is bit-identical
-   to [select rng (transitions ...)]. *)
-let draw rng ?comps ~hw ~mode ~iteration etir =
-  match base_weighted ?comps ~hw ~mode etir with
-  | [] -> None
-  | base ->
-    let items = Array.of_list base in
-    let n = Array.length items in
+(* [transitions] + [select] for the annealing hot loop: the same scoring
+   pass, one weight array, and only the drawn successor is built.  Every
+   float is produced by the same operations in the same order as the
+   two-call path, and the roulette sees the same weight array, so the draw
+   — and hence the whole chain — is bit-identical to
+   [select rng (transitions ...)]. *)
+let draw ws rng ?comps ~hw ~mode ~iteration etir =
+  let parent = parent_comps ?comps ~hw etir in
+  score ws ~hw ~mode ~parent etir;
+  let n = ws.count in
+  if n = 0 then None
+  else begin
     let w = Array.make (n + 1) stay_probability in
     for i = 0 to n - 1 do
-      let action, _, _, benefit = items.(i) in
-      w.(i) <- step_weight ~mode ~iteration action benefit
+      w.(i) <- step_weight ~mode ~iteration ws.actions.(i) ws.benefits.(i)
     done;
     let total = ref 0.0 in
     for i = 0 to n - 1 do
@@ -156,11 +195,13 @@ let draw rng ?comps ~hw ~mode ~iteration etir =
       done;
       let idx = Rng.roulette rng w in
       if idx < n then begin
-        let action, next, next_comps, _ = items.(idx) in
+        let action = ws.actions.(idx) in
+        let next, next_comps = build ~hw ~parent etir action in
         Some { action; next; next_comps; probability = w.(idx) }
       end
       else None
     end
+  end
 
 (* Roulette selection over the transition distribution; [None] means the
    chain stays in place this step. *)

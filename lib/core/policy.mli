@@ -31,11 +31,33 @@ val graph_mode : mode
 
 val allowed : mode -> Sched.Action.t -> bool
 
+(** Per-chain scoring state, reused step after step: the edge scorer's
+    scratch and the candidate and weight arrays.  Build one per chain with
+    {!workspace}; never share one across pool domains. *)
+type workspace
+
+(** A workspace for states of [etir]'s compute (same axes and level
+    count). *)
+val workspace : Sched.Etir.t -> workspace
+
+(** The scoring pass alone: every legal allowed edge with a positive base
+    benefit (the cache action's before its annealing multiplier), in
+    {!Sched.Action.candidates} order.  Equal to {!Benefit.of_action} on
+    each edge; no successor is built.  [?comps] is the state's own
+    component record when the caller holds one. *)
+val base_benefits :
+  ?comps:Costmodel.Delta.components ->
+  hw:Hardware.Gpu_spec.t ->
+  mode:mode ->
+  Sched.Etir.t ->
+  (Sched.Action.t * float) list
+
 (** Legal positively-weighted transitions with normalised probabilities
-    (summing to [1 - stay_probability]); empty when no action is legal.
-    [?comps] is the state's own component record when the caller already
-    holds one (the anneal loop does): benefits are then computed without
-    re-analysing the before state.  Results are identical either way. *)
+    (summing to [1 - stay_probability]), every successor built; empty when
+    no action is legal.  [?comps] is the state's own component record when
+    the caller already holds one (the anneal loop does): benefits are then
+    computed without re-analysing the before state.  Results are identical
+    either way. *)
 val transitions :
   ?comps:Costmodel.Delta.components ->
   hw:Hardware.Gpu_spec.t ->
@@ -47,11 +69,13 @@ val transitions :
 (** Roulette draw; [None] = stay in place. *)
 val select : Sched.Rng.t -> choice list -> choice option
 
-(** [draw rng ... etir] is [select rng (transitions ... etir)] fused into
-    one pass: same floats, same roulette weights, same RNG consumption —
-    bit-identical draws — without materialising the choice list.  The
-    annealing loop's hot path. *)
+(** [draw ws rng ... etir] is [select rng (transitions ... etir)] over the
+    same scoring pass: same floats, same roulette weights, same RNG
+    consumption — bit-identical draws — but only the drawn successor is
+    built.  The annealing loop's hot path; [ws] is the chain's
+    workspace. *)
 val draw :
+  workspace ->
   Sched.Rng.t ->
   ?comps:Costmodel.Delta.components ->
   hw:Hardware.Gpu_spec.t ->
@@ -59,4 +83,3 @@ val draw :
   iteration:int ->
   Sched.Etir.t ->
   choice option
-

@@ -16,10 +16,23 @@
    before rewriting the stale suffix — so records may be shared freely across
    the search frontier and with derived [Metrics.t] values.
 
+   A policy step needs only each edge's Eq. 1-3 inputs, not its child's
+   record, so [score_edge] derives those from the parent alone: the edited
+   level run's footprints, the traffic at the edited level, and the
+   occupancy and ILP chunk when the child would rebuild them, all evaluated
+   over a per-chain scratch row with one slot overridden.  Only the drawn
+   edge's child is built, by [child].  Both evaluate a level through the
+   same [fill_footprint] and [Traffic.bytes_into_row] arithmetic, so the
+   scores are the ones a built child would give.
+
    The full rebuild ([of_etir]) stays available as the oracle: the
    equivalence property in test/costmodel asserts bit-for-bit equality of the
    two paths over random action chains, and [set_enabled false] forces every
-   [child] through it. *)
+   [child] through it.  [child] runs only for drawn children, so the
+   [delta.incremental_builds] counter counts built children;
+   [delta.edges_scored] counts scored edges.  The toggle does not reach the
+   scorer; test/core pins its scores against [of_etir] on both sides of
+   every edge. *)
 
 type components = {
   traffic : float array;
@@ -49,6 +62,9 @@ let full_builds = Trace.Counter.make "delta.full_builds"
 let incremental_builds = Trace.Counter.make "delta.incremental_builds"
 let levels_recomputed = Trace.Counter.make "delta.levels_recomputed"
 let levels_reused = Trace.Counter.make "delta.levels_reused"
+let edges_scored = Trace.Counter.make "delta.edges_scored"
+
+let count_edges_scored n = Trace.Counter.add edges_scored n
 
 type stats = {
   st_full_builds : int;
@@ -67,16 +83,15 @@ let reset_stats () =
   Trace.Counter.set full_builds 0;
   Trace.Counter.set incremental_builds 0;
   Trace.Counter.set levels_recomputed 0;
-  Trace.Counter.set levels_reused 0
+  Trace.Counter.set levels_reused 0;
+  Trace.Counter.set edges_scored 0
 
 let pp_stats ppf s =
   Fmt.pf ppf "full %d  incremental %d  levels recomputed %d  reused %d"
     s.st_full_builds s.st_incremental_builds s.st_levels_recomputed
     s.st_levels_reused
 
-(* FLOPs one thread issues per innermost reduce chunk.  Lives here (not in
-   Model) so components need nothing from the aggregation layer; Model
-   re-exports it under its historical name. *)
+(* FLOPs one thread issues per innermost reduce chunk (the ILP term). *)
 let thread_chunk_flops etir =
   let elems = ref (Sched.Etir.point_flops etir) in
   for dim = 0 to Sched.Etir.num_spatial etir - 1 do
@@ -87,13 +102,22 @@ let thread_chunk_flops etir =
   done;
   !elems
 
-(* One per-level slot: the input footprint is computed once and shared
-   between the footprint and traffic terms (it dominates both). *)
-let fill_level etir ~level ~traffic ~footprint =
-  let input = Footprint.input_bytes etir ~level in
+(* The footprint charged at a level whose effective tiles are [row],
+   written to [footprint.(level)]; returns the input footprint, which the
+   traffic term shares (it dominates both).  [fill_level] and
+   [score_edge] evaluate every level through this. *)
+let fill_footprint etir row ~level ~footprint =
+  let input =
+    Tensor_lang.Footprint_plan.input_bytes (Sched.Etir.footprint_plan etir) row
+  in
   footprint.(level) <-
-    (if level = 1 then input else input + Footprint.output_bytes etir ~level);
-  traffic.(level) <- Traffic.bytes_into_given etir ~level ~input_bytes:input
+    (if level = 1 then input else input + Footprint.output_bytes_row etir row);
+  input
+
+let fill_level etir ~level ~traffic ~footprint =
+  let row = Sched.Etir.eff_row etir ~level in
+  let input = fill_footprint etir row ~level ~footprint in
+  traffic.(level) <- Traffic.bytes_into_row etir row ~input_bytes:input
 
 let occupancy_of ~hw etir ~footprint =
   Occupancy.of_parts ~hw
@@ -199,6 +223,122 @@ let child ~(hw : Hardware.Gpu_spec.t) ~before ~(parent : components) ~action
       total_flops = parent.total_flops }
   end
 
+(* --- Edge scoring ------------------------------------------------------ *)
+
+type scratch = {
+  sc_row : int array;
+  sc_footprint : int array;
+  sc_terms : float array;
+  mutable sc_chunk_flops : int;
+}
+
+let scratch etir =
+  let num_levels = Sched.Etir.num_levels etir in
+  { sc_row =
+      Array.make (Sched.Etir.num_spatial etir + Sched.Etir.num_reduce etir) 0;
+    sc_footprint = Array.make (num_levels + 1) 0;
+    sc_terms = Array.make 2 0.0;
+    sc_chunk_flops = 0 }
+
+(* A tile edit's child terms, from the parent alone.  The child's
+   effective tiles differ from [before]'s in one slot, over the run of
+   levels [level, upto) that [child]'s scan refills: eff'(k) =
+   max(eff'(k-1), raw(k)), starting from the edited raw tile, until it
+   meets the parent's value.  Each refilled level is evaluated over a copy
+   of the parent's row with the slot overridden.  Traffic is derived only
+   at the edited level (the only level Eq. 1 reads), occupancy and the ILP
+   chunk only when [child] would rebuild them, and nothing once the
+   capacity check fails. *)
+let score_tile ~hw s ~before ~(parent : components) ~level ~dim ~spatial
+    size =
+  let open Sched in
+  let num_levels = Etir.num_levels before in
+  let n_spatial = Etir.num_spatial before in
+  let slot = if spatial then dim else n_spatial + dim in
+  Array.blit parent.footprint 0 s.sc_footprint 0 (num_levels + 1);
+  s.sc_terms.(0) <- parent.traffic.(level);
+  let eff1 = ref (Etir.eff_row before ~level:1).(slot) in
+  let e =
+    ref
+      (if level = 0 then size
+       else max (Etir.eff_row before ~level:(level - 1)).(slot) size)
+  in
+  let k = ref level in
+  while !k <= num_levels && !e <> (Etir.eff_row before ~level:!k).(slot) do
+    let row = s.sc_row in
+    Array.blit (Etir.eff_row before ~level:!k) 0 row 0 (Array.length row);
+    row.(slot) <- !e;
+    let input = fill_footprint before row ~level:!k ~footprint:s.sc_footprint in
+    if !k = level then
+      s.sc_terms.(0) <- Traffic.bytes_into_row before row ~input_bytes:input;
+    if !k = 1 then eff1 := !e;
+    incr k;
+    if !k <= num_levels then
+      e :=
+        max !e
+          (if spatial then Etir.stile before ~level:!k ~dim
+           else Etir.rtile before ~level:!k ~dim)
+  done;
+  Mem_check.ok_capacity_fp ~hw s.sc_footprint
+  && begin
+    (* [child]'s staleness rule: a level-0 spatial edit always moves the
+       occupancy, other edits at levels 0/1 only through a refilled
+       level-0/1 footprint. *)
+    let occ_stale = level <= 1 && ((spatial && level = 0) || !k > level) in
+    s.sc_terms.(1) <-
+      (if not occ_stale then parent.occ.Occupancy.sm_occupancy
+       else begin
+         let sext = Etir.spatial_extents before in
+         let tpb = ref 1 and grid = ref 1 in
+         for d = 0 to n_spatial - 1 do
+           let block =
+             if spatial && d = dim then !eff1
+             else Etir.stile_eff before ~level:1 ~dim:d
+           in
+           let thread =
+             if spatial && level = 0 && d = dim then size
+             else Etir.stile before ~level:0 ~dim:d
+           in
+           tpb := !tpb * ((block + thread - 1) / thread);
+           grid := !grid * ((sext.(d) + block - 1) / block)
+         done;
+         Occupancy.sm_occupancy ~hw ~tpb:!tpb ~grid:!grid
+           ~smem_bytes:s.sc_footprint.(1)
+           ~reg_bytes_per_thread:s.sc_footprint.(0)
+       end);
+    s.sc_chunk_flops <-
+      (if level <> 0 then parent.chunk_flops
+       else begin
+         let elems = ref (Etir.point_flops before) in
+         for d = 0 to n_spatial - 1 do
+           let tile =
+             if spatial && d = dim then size
+             else Etir.stile before ~level:0 ~dim:d
+           in
+           elems := !elems * tile
+         done;
+         for d = 0 to Etir.num_reduce before - 1 do
+           let tile =
+             if (not spatial) && d = dim then size
+             else Etir.rtile before ~level:0 ~dim:d
+           in
+           elems := !elems * tile
+         done;
+         !elems
+       end);
+    true
+  end
+
+let score_edge ~hw s ~before ~(parent : components) (action : Sched.Action.t)
+    target =
+  match action with
+  | Sched.Action.Tile { level; dim; _ } ->
+    score_tile ~hw s ~before ~parent ~level ~dim ~spatial:true target
+  | Sched.Action.Rtile { level; dim; _ } ->
+    score_tile ~hw s ~before ~parent ~level ~dim ~spatial:false target
+  | Sched.Action.Cache | Sched.Action.Set_vthread _ ->
+    Mem_check.ok_capacity_fp ~hw parent.footprint
+
 (* --- Dominance ------------------------------------------------------- *)
 
 (* Lower-is-better summary of everything the aggregation consumes.  A state
@@ -238,7 +378,7 @@ let dominance_vector ~(hw : Hardware.Gpu_spec.t) (c : components) =
   end
 
 (* [dominates a b]: [a] pointwise <= [b] with at least one strict <. *)
-let dominates a b =
+let dominates (a : float array) (b : float array) =
   let n = Array.length a in
   if n <> Array.length b then false
   else begin

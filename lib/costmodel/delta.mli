@@ -3,8 +3,11 @@
     [Model.evaluate] = aggregation over a {!components} record; every
     construction action declares which components it can change
     ({!Sched.Action.invalidation}), so {!child} rebuilds only those and
-    reuses the rest from the parent.  [of_etir] is the full-rebuild oracle;
-    [set_enabled false] routes every [child] through it.  Records are frozen once built and safe to share. *)
+    reuses the rest from the parent.  A policy step builds a child only for
+    the edge it draws: every candidate edge is scored by {!score_edge} from
+    the parent's data alone.  [of_etir] is the full-rebuild oracle;
+    [set_enabled false] routes every [child] through it.  Records are frozen
+    once built and safe to share. *)
 
 type components = {
   traffic : float array;
@@ -36,9 +39,46 @@ val child :
   Sched.Etir.t ->
   components
 
-(** FLOPs one thread issues per innermost reduce chunk (the ILP term);
-    re-exported by [Model] under its historical name. *)
-val thread_chunk_flops : Sched.Etir.t -> int
+(** {2 Edge scoring}
+
+    The after-state terms the Eq. 1–3 benefits read, derived for an edge
+    without building its child: per-chain scratch, reused edge after
+    edge. *)
+
+type scratch = private {
+  sc_row : int array;  (** the refilled level's effective tiles *)
+  sc_footprint : int array;  (** the child's footprints, levels [0..L] *)
+  sc_terms : float array;
+      (** [sc_terms.(0)]: the child's traffic at the edited level;
+          [sc_terms.(1)]: the child's SM occupancy *)
+  mutable sc_chunk_flops : int;  (** the child's ILP chunk *)
+}
+
+(** Scratch sized for states of [etir]'s compute.  Owned by one chain: it
+    is written by every {!score_edge} and never shared across domains. *)
+val scratch : Sched.Etir.t -> scratch
+
+(** [score_edge ~hw s ~before ~parent action target] is whether the child
+    of the legal edge [before --action-->] passes the capacity check,
+    where [target = Sched.Action.target before action] and [parent] is
+    [before]'s record.  For a tile edit that passes, [s] then holds the
+    child's footprints, its traffic at the edited level, its occupancy and
+    its ILP chunk — the values the child's {!child} record would hold,
+    bit for bit.  [Cache] and [Set_vthread] edges leave every term the
+    parent's and write nothing.  Allocates no successor or record, and
+    does not count as a build. *)
+val score_edge :
+  hw:Hardware.Gpu_spec.t ->
+  scratch ->
+  before:Sched.Etir.t ->
+  parent:components ->
+  Sched.Action.t ->
+  int ->
+  bool
+
+(** Adds to the [delta.edges_scored] counter; the policy calls it once per
+    step with the number of edges it scored. *)
+val count_edges_scored : int -> unit
 
 (** {2 Dominance}
 
@@ -57,7 +97,10 @@ val dominates : float array -> float array -> bool
 (** {2 Gating and counters} *)
 
 (** Incremental evaluation on/off (default on; the transparency tests
-    switch it off to compare against the full-rebuild oracle). *)
+    switch it off to compare against the full-rebuild oracle).  Off forces
+    full rebuilds of drawn children only: edge scores never come from a
+    built child, and the scorer's equivalence test in test/core pins them
+    to the oracle. *)
 val enabled : unit -> bool
 
 val set_enabled : bool -> unit
@@ -70,7 +113,8 @@ type stats = {
 }
 
 (** Lock-free snapshot of the build counters (atomics, safe under
-    [GENSOR_JOBS>1]). *)
+    [GENSOR_JOBS>1]).  [st_incremental_builds] counts built children: one
+    per drawn edge, not one per scored edge. *)
 val stats : unit -> stats
 
 val reset_stats : unit -> unit

@@ -14,6 +14,10 @@ val input_bytes : Sched.Etir.t -> level:int -> int
 (** Output-accumulator bytes of the level's spatial tile. *)
 val output_bytes : Sched.Etir.t -> level:int -> int
 
+(** {!output_bytes} of the tile whose effective tiles are the given row
+    (slot order of {!Sched.Etir.eff_row}). *)
+val output_bytes_row : Sched.Etir.t -> int array -> int
+
 (** Footprint charged against the level's capacity: inputs plus accumulator
     except at the shared-memory level (accumulators live in registers). *)
 val bytes_at : Sched.Etir.t -> level:int -> int

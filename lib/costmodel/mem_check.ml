@@ -70,18 +70,22 @@ let ok_capacity etir ~hw =
   List.for_all (fun v -> v.level < 0) (check etir ~hw)
 
 (* [ok_capacity] from an already-computed footprint vector (levels 0..L), as
-   incremental evaluation carries one — avoids re-deriving the interval
-   analysis. *)
+   incremental evaluation and the edge scorer carry one — avoids re-deriving
+   the interval analysis.  A plain loop: the edge scorer calls it once per
+   scored edge, which must not allocate. *)
 let ok_capacity_fp ~(hw : Hardware.Gpu_spec.t) (footprints : int array) =
-  let num_levels = Array.length footprints - 1 in
-  let fits level capacity_of =
-    footprints.(level) <= Hardware.Mem_level.capacity_bytes capacity_of
+  let registers = Hardware.Gpu_spec.registers_level hw in
+  let fits =
+    ref (footprints.(0) <= Hardware.Mem_level.capacity_bytes registers)
   in
-  let rec caches level =
-    level > num_levels
-    || (fits level (Hardware.Gpu_spec.level hw level) && caches (level + 1))
-  in
-  fits 0 (Hardware.Gpu_spec.registers_level hw) && caches 1
+  let level = ref 1 in
+  while !fits && !level < Array.length footprints do
+    fits :=
+      footprints.(!level)
+      <= Hardware.Mem_level.capacity_bytes (Hardware.Gpu_spec.level hw !level);
+    incr level
+  done;
+  !fits
 
 (* Full legality ([ok]) from a footprint vector: the capacity checks above
    plus the launch limits, whose only footprint input is the level-0 slot. *)

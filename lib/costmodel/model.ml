@@ -47,11 +47,6 @@ let default_knobs = {
 
 let infeasible_time_s = 3600.0
 
-(* FLOPs one thread issues per innermost reduce chunk.  The computation
-   lives with the other component builders in [Delta]; this re-export keeps
-   the historical call sites (Benefit, tests) working. *)
-let thread_chunk_flops = Delta.thread_chunk_flops
-
 (* The arithmetic tail of the model: from a component record to the metric
    record.  [evaluate] is [aggregate] over a full component build
    ([Delta.of_etir]); incremental evaluation is [aggregate] over

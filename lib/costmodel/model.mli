@@ -23,10 +23,6 @@ val default_knobs : knobs
 (** Sentinel time (seconds) for configurations that cannot launch. *)
 val infeasible_time_s : float
 
-(** FLOPs one thread issues per innermost reduce chunk (drives the ILP
-    term). *)
-val thread_chunk_flops : Sched.Etir.t -> int
-
 (** [evaluate ~hw etir] is the predicted metric record.  Raises
     [Invalid_argument] when the ETIR level count does not match the
     device. *)

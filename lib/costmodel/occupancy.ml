@@ -15,10 +15,9 @@ type t = {
 
 let hard_block_cap = 16
 
-(* Core computation over the launch shape and the level-0/1 footprints;
-   [of_etir] derives those from the state, incremental evaluation feeds in
-   footprints it already holds. *)
-let of_parts ~(hw : Hardware.Gpu_spec.t) ~tpb ~grid ~smem_bytes
+(* Resident blocks per SM from the launch shape and the level-0/1
+   footprints; 0 when the block does not fit at all. *)
+let resident ~(hw : Hardware.Gpu_spec.t) ~tpb ~smem_bytes
     ~reg_bytes_per_thread =
   let smem = Hardware.Gpu_spec.level hw 1 in
   let by_smem =
@@ -31,23 +30,35 @@ let of_parts ~(hw : Hardware.Gpu_spec.t) ~tpb ~grid ~smem_bytes
     reg_file_bytes / max 1 (reg_bytes_per_thread * tpb)
   in
   let fits_block = tpb <= Hardware.Gpu_spec.max_threads_per_block hw in
-  let resident =
-    if not fits_block then 0
-    else min (min by_smem by_threads) (min by_regs hard_block_cap)
-  in
+  if not fits_block then 0
+  else min (min by_smem by_threads) (min by_regs hard_block_cap)
+
+(* Resident-thread fraction for [resident > 0] blocks per SM: a small grid
+   cannot fill every SM's resident slots. *)
+let occupancy_of_resident ~(hw : Hardware.Gpu_spec.t) ~tpb ~grid resident =
+  let sm_count = Hardware.Gpu_spec.sm_count hw in
+  let per_sm_available = (grid + sm_count - 1) / sm_count in
+  let resident_actual = min resident per_sm_available in
+  Float.min 1.0
+    (float_of_int (resident_actual * tpb)
+    /. float_of_int (Hardware.Gpu_spec.max_threads_per_sm hw))
+
+let sm_occupancy ~hw ~tpb ~grid ~smem_bytes ~reg_bytes_per_thread =
+  let resident = resident ~hw ~tpb ~smem_bytes ~reg_bytes_per_thread in
+  if resident <= 0 then 0.0 else occupancy_of_resident ~hw ~tpb ~grid resident
+
+(* Core computation over the launch shape and the level-0/1 footprints;
+   [of_etir] derives those from the state, incremental evaluation feeds in
+   footprints it already holds. *)
+let of_parts ~(hw : Hardware.Gpu_spec.t) ~tpb ~grid ~smem_bytes
+    ~reg_bytes_per_thread =
+  let resident = resident ~hw ~tpb ~smem_bytes ~reg_bytes_per_thread in
   if resident <= 0 then
     { blocks_per_sm = 0; sm_occupancy = 0.0; tail_efficiency = 1.0; waves = 0;
       global_threads = 0 }
   else begin
     let sm_count = Hardware.Gpu_spec.sm_count hw in
-    (* A small grid cannot fill every SM's resident slots. *)
-    let per_sm_available = (grid + sm_count - 1) / sm_count in
-    let resident_actual = min resident per_sm_available in
-    let occ =
-      Float.min 1.0
-        (float_of_int (resident_actual * tpb)
-        /. float_of_int (Hardware.Gpu_spec.max_threads_per_sm hw))
-    in
+    let occ = occupancy_of_resident ~hw ~tpb ~grid resident in
     let wave_capacity = resident * sm_count in
     let waves = (grid + wave_capacity - 1) / wave_capacity in
     let tail =

@@ -23,4 +23,14 @@ val of_parts :
   reg_bytes_per_thread:int ->
   t
 
+(** [(of_parts ...).sm_occupancy] alone, without building the record: the
+    edge scorer's form. *)
+val sm_occupancy :
+  hw:Hardware.Gpu_spec.t ->
+  tpb:int ->
+  grid:int ->
+  smem_bytes:int ->
+  reg_bytes_per_thread:int ->
+  float
+
 val of_etir : Sched.Etir.t -> hw:Hardware.Gpu_spec.t -> t

@@ -8,19 +8,32 @@
 
 open Tensor_lang
 
-(* Bytes loaded into ETIR level [level] from the level above it.  The
-   [_given] form takes the per-tile input footprint the caller already
-   computed (incremental evaluation shares it with the footprint term). *)
-let bytes_into_given etir ~level ~input_bytes =
-  let instances =
-    Sched.Etir.spatial_tiles_at etir ~level
-    * Sched.Etir.reduce_steps_at etir ~level
-  in
-  (float_of_int instances *. float_of_int input_bytes)
+(* Level tile instances, reduction steps included, of a tile whose
+   effective tiles are [row] (slot order of [Etir.eff_row]). *)
+let instances_row etir row =
+  let sext = Sched.Etir.spatial_extents etir in
+  let rext = Sched.Etir.reduce_extents etir in
+  let n_spatial = Array.length sext in
+  let acc = ref 1 in
+  for slot = 0 to n_spatial + Array.length rext - 1 do
+    let ext =
+      if slot < n_spatial then sext.(slot) else rext.(slot - n_spatial)
+    in
+    acc := !acc * ((ext + row.(slot) - 1) / row.(slot))
+  done;
+  !acc
+
+(* Bytes loaded into a level from the level above it, given the level's
+   effective-tile row and per-tile input footprint (incremental evaluation
+   and the edge scorer compute the footprint once and share it with the
+   footprint term). *)
+let bytes_into_row etir row ~input_bytes =
+  (float_of_int (instances_row etir row) *. float_of_int input_bytes)
   +. float_of_int (Sched.Etir.output_bytes etir)
 
 let bytes_into etir ~level =
-  bytes_into_given etir ~level
+  bytes_into_row etir
+    (Sched.Etir.eff_row etir ~level)
     ~input_bytes:(Footprint.input_bytes etir ~level)
 
 (* Compulsory traffic: every input read at least once, output written once. *)

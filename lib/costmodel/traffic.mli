@@ -5,10 +5,11 @@
     level, plus the written-through output. *)
 val bytes_into : Sched.Etir.t -> level:int -> float
 
-(** [bytes_into] with the per-tile input footprint supplied by the caller
-    (incremental evaluation computes it once and shares it with the
-    footprint term). *)
-val bytes_into_given : Sched.Etir.t -> level:int -> input_bytes:int -> float
+(** [bytes_into] of the tile whose effective tiles are the given row (slot
+    order of {!Sched.Etir.eff_row}), with its per-tile input footprint
+    supplied by the caller: incremental evaluation and the edge scorer
+    compute it once and share it with the footprint term. *)
+val bytes_into_row : Sched.Etir.t -> int array -> input_bytes:int -> float
 
 (** Cold-miss floor: all inputs read once plus the output written once. *)
 val compulsory_bytes : Sched.Etir.t -> float

@@ -63,59 +63,63 @@ let invalidation = function
   | Cache -> nothing_invalid
   | Set_vthread _ -> { nothing_invalid with inv_conflict = true }
 
-(* Doubling with an extent cap: tiles take values 1, 2, 4, ..., extent. *)
-let grow_size size extent = if size >= extent then None else Some (min (size * 2) extent)
-let shrink_size size = if size <= 1 then None else Some (size / 2)
+(* Doubling with an extent cap: tiles take values 1, 2, 4, ..., extent;
+   -1 = no legal size. *)
+let grow_size size extent = if size >= extent then -1 else min (size * 2) extent
+let shrink_size size = if size <= 1 then -1 else size / 2
 
-let apply etir action =
+(* The legality rule of every action, shared by [apply] and the edge
+   scorer: the value the action writes into the one slot it edits (a tile
+   size, a vthread count, or the new cursor level), or -1 when the action
+   is illegal from [etir]. *)
+let target etir action =
   match action with
   | Tile { level; dim; dir } ->
-    if level < 0 || level > Etir.num_levels etir then None
-    else if dim < 0 || dim >= Etir.num_spatial etir then None
+    if level < 0 || level > Etir.num_levels etir then -1
+    else if dim < 0 || dim >= Etir.num_spatial etir then -1
     else begin
       let size = Etir.stile etir ~level ~dim in
-      let extent = (Etir.spatial_extents etir).(dim) in
-      let next =
-        match dir with
-        | Grow -> grow_size size extent
-        | Shrink ->
-          (* At level 0 the tile must stay wide enough for the configured
-             vthread stripes. *)
-          let floor_ = if level = 0 then Etir.vthread etir ~dim else 1 in
-          Option.bind (shrink_size size) (fun s ->
-              if s >= floor_ then Some s else None)
-      in
-      Option.map (fun s -> Etir.with_stile etir ~level ~dim s) next
+      match dir with
+      | Grow -> grow_size size (Etir.spatial_extents etir).(dim)
+      | Shrink ->
+        (* At level 0 the tile must stay wide enough for the configured
+           vthread stripes. *)
+        let floor_ = if level = 0 then Etir.vthread etir ~dim else 1 in
+        let s = shrink_size size in
+        if s >= floor_ then s else -1
     end
   | Rtile { level; dim; dir } ->
-    if level < 0 || level > Etir.num_levels etir then None
-    else if dim < 0 || dim >= Etir.num_reduce etir then None
+    if level < 0 || level > Etir.num_levels etir then -1
+    else if dim < 0 || dim >= Etir.num_reduce etir then -1
     else begin
       let size = Etir.rtile etir ~level ~dim in
-      let extent = (Etir.reduce_extents etir).(dim) in
-      let next =
-        match dir with
-        | Grow -> grow_size size extent
-        | Shrink -> shrink_size size
-      in
-      Option.map (fun s -> Etir.with_rtile etir ~level ~dim s) next
+      match dir with
+      | Grow -> grow_size size (Etir.reduce_extents etir).(dim)
+      | Shrink -> shrink_size size
     end
-  | Cache ->
-    let level = Etir.cur_level etir in
-    if level <= 0 then None else Some (Etir.with_cur_level etir (level - 1))
+  | Cache -> Etir.cur_level etir - 1
   | Set_vthread { dim; dir } ->
-    if dim < 0 || dim >= Etir.num_spatial etir then None
+    if dim < 0 || dim >= Etir.num_spatial etir then -1
     else begin
       let v = Etir.vthread etir ~dim in
       match dir with
       | Grow ->
         (* Virtual threads interleave stripes of the per-thread tile; the
            stripe width cannot go below one element. *)
-        let thread_tile = Etir.stile etir ~level:0 ~dim in
-        if v * 2 <= thread_tile then Some (Etir.with_vthread etir ~dim (v * 2))
-        else None
-      | Shrink -> if v <= 1 then None else Some (Etir.with_vthread etir ~dim (v / 2))
+        if v * 2 <= Etir.stile etir ~level:0 ~dim then v * 2 else -1
+      | Shrink -> if v <= 1 then -1 else v / 2
     end
+
+let apply etir action =
+  let v = target etir action in
+  if v < 0 then None
+  else
+    Some
+      (match action with
+      | Tile { level; dim; _ } -> Etir.with_stile etir ~level ~dim v
+      | Rtile { level; dim; _ } -> Etir.with_rtile etir ~level ~dim v
+      | Cache -> Etir.with_cur_level etir v
+      | Set_vthread { dim; _ } -> Etir.with_vthread etir ~dim v)
 
 (* All syntactically plausible actions from a state: tiling (both
    directions) of every dimension at the level being scheduled and at every

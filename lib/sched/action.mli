@@ -33,9 +33,16 @@ type invalidation = {
 
 val invalidation : t -> invalidation
 
-(** [apply etir action] is the successor state, or [None] when the action is
-    illegal from [etir] (tile bounds, level monotonicity, vthread capacity,
-    no faster level left). *)
+(** [target etir action] is the value [action] writes into the one slot it
+    edits — the new tile size ([Tile]/[Rtile]), the new vthread count
+    ([Set_vthread]) or the new cursor level ([Cache]) — or [-1] when the
+    action is illegal from [etir] (tile bounds, vthread capacity, no faster
+    level left).  The single legality rule behind {!apply}; allocates
+    nothing. *)
+val target : Etir.t -> t -> int
+
+(** [apply etir action] is the successor state, or [None] when
+    [target etir action] is [-1]. *)
 val apply : Etir.t -> t -> Etir.t option
 
 (** All syntactically plausible actions from a state (legality decided by

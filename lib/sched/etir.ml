@@ -30,8 +30,12 @@ type consts = {
 }
 
 (* Tile rows are never mutated after construction: the functional updates
-   copy the one row they edit and share the others, so states along a
-   construction chain share most of their rows. *)
+   copy the rows they edit and share the others, so states along a
+   construction chain share most of their rows.
+
+   [eff] caches the effective tiles: row [l] holds the spatial dims' values
+   then the reduce dims', the slot order of the footprint plan, so a row is
+   exactly what the plan's evaluator reads. *)
 type t = {
   compute : Compute.t;
   num_levels : int;           (* L: schedulable cache levels *)
@@ -39,6 +43,7 @@ type t = {
   stiles : int array array;   (* (L+1) rows; row l = spatial tiles at level l *)
   rtiles : int array array;   (* (L+1) rows; row l = reduce tiles at level l *)
   vthreads : int array;       (* per spatial dimension *)
+  eff : int array array;      (* (L+1) rows of num_spatial + num_reduce slots *)
   mutable fp : int64;         (* memoized fingerprint; 0 = not yet computed *)
   k : consts;
 }
@@ -51,23 +56,15 @@ let rtile t ~level ~dim = t.rtiles.(level).(dim)
 let vthread t ~dim = t.vthreads.(dim)
 
 (* Effective tile at a level: the raw tile widened to cover every inner
-   level's tile.  Raw tiles are unconstrained across levels (this keeps the
-   construction graph free of dead ends — an outer level that stopped
-   growing never caps the levels below); all derived quantities use the
-   effective values, which are monotone by construction. *)
-let stile_eff t ~level ~dim =
-  let size = ref t.stiles.(0).(dim) in
-  for l = 1 to level do
-    if t.stiles.(l).(dim) > !size then size := t.stiles.(l).(dim)
-  done;
-  !size
-
-let rtile_eff t ~level ~dim =
-  let size = ref t.rtiles.(0).(dim) in
-  for l = 1 to level do
-    if t.rtiles.(l).(dim) > !size then size := t.rtiles.(l).(dim)
-  done;
-  !size
+   level's tile, eff(0) = raw(0) and eff(l) = max(eff(l-1), raw(l)).  Raw
+   tiles are unconstrained across levels (this keeps the construction graph
+   free of dead ends — an outer level that stopped growing never caps the
+   levels below); all derived quantities use the effective values, which
+   are monotone by construction.  They are cached in [eff], so these are
+   reads. *)
+let stile_eff t ~level ~dim = t.eff.(level).(dim)
+let rtile_eff t ~level ~dim = t.eff.(level).(Array.length t.vthreads + dim)
+let eff_row t ~level = t.eff.(level)
 
 let spatial_axes t = Array.of_list (Compute.spatial_axes t.compute)
 let reduce_axes t = Array.of_list (Compute.reduce_axes t.compute)
@@ -99,15 +96,31 @@ let consts_of compute =
     point_flops =
       Expr.flops (Compute.body compute) + (if reduce = [] then 0 else 1) }
 
+(* The effective-tile table of raw tile rows, built from scratch. *)
+let eff_of ~n_spatial ~n_reduce stiles rtiles =
+  let eff = Array.make (Array.length stiles) [||] in
+  Array.iteri
+    (fun l srow ->
+      eff.(l) <-
+        Array.init (n_spatial + n_reduce) (fun slot ->
+            let raw =
+              if slot < n_spatial then srow.(slot)
+              else rtiles.(l).(slot - n_spatial)
+            in
+            if l = 0 then raw else max eff.(l - 1).(slot) raw))
+    stiles;
+  eff
+
 let create ?(num_levels = 2) compute =
   if num_levels < 1 then invalid_arg "Etir.create: num_levels < 1";
   let k = consts_of compute in
   let n_spatial = Array.length k.sext in
   let n_reduce = Array.length k.rext in
-  { compute; num_levels; cur_level = num_levels;
-    stiles = Array.make_matrix (num_levels + 1) n_spatial 1;
-    rtiles = Array.make_matrix (num_levels + 1) (max n_reduce 1) 1;
+  let stiles = Array.make_matrix (num_levels + 1) n_spatial 1 in
+  let rtiles = Array.make_matrix (num_levels + 1) (max n_reduce 1) 1 in
+  { compute; num_levels; cur_level = num_levels; stiles; rtiles;
     vthreads = Array.make n_spatial 1;
+    eff = eff_of ~n_spatial ~n_reduce stiles rtiles;
     fp = 0L; k }
 
 (* Structural invariants; used by tests and re-checked after every action. *)
@@ -185,15 +198,6 @@ let grid_blocks t =
     sext;
   !acc
 
-(* Number of level-[l] tile instances along the spatial dimensions. *)
-let spatial_tiles_at t ~level =
-  let sext = spatial_extents t in
-  let acc = ref 1 in
-  Array.iteri
-    (fun i ext -> acc := !acc * ceil_div ext (stile_eff t ~level ~dim:i))
-    sext;
-  !acc
-
 (* Number of reduction steps a level-[l] tile performs: the reduce domain
    split by the level-[l] reduce tile. *)
 let reduce_steps_at t ~level =
@@ -217,11 +221,41 @@ let with_row rows ~level ~dim size =
   rows.(level) <- row;
   rows
 
+(* The effective table after column [col] of [raw] (the new raw rows)
+   changed at [level], for table slot [slot].  Effective tiles are monotone
+   across levels, so the rows that change form one run from [level] up:
+   once a level's value matches the old one, every higher level does too.
+   Only that run's rows are copied; the rest stay shared. *)
+let with_eff eff ~level ~slot raw ~col =
+  let out = ref eff in
+  let k = ref level in
+  let changed = ref true in
+  while !changed && !k < Array.length eff do
+    let r = raw.(!k).(col) in
+    let e = if !k = 0 then r else max !out.(!k - 1).(slot) r in
+    if e = eff.(!k).(slot) then changed := false
+    else begin
+      if !out == eff then out := Array.copy eff;
+      let row = Array.copy eff.(!k) in
+      row.(slot) <- e;
+      !out.(!k) <- row;
+      incr k
+    end
+  done;
+  !out
+
 let with_stile t ~level ~dim size =
-  { t with stiles = with_row t.stiles ~level ~dim size; fp = 0L }
+  let stiles = with_row t.stiles ~level ~dim size in
+  { t with stiles; eff = with_eff t.eff ~level ~slot:dim stiles ~col:dim;
+    fp = 0L }
 
 let with_rtile t ~level ~dim size =
-  { t with rtiles = with_row t.rtiles ~level ~dim size; fp = 0L }
+  let rtiles = with_row t.rtiles ~level ~dim size in
+  { t with rtiles;
+    eff =
+      with_eff t.eff ~level ~slot:(Array.length t.vthreads + dim) rtiles
+        ~col:dim;
+    fp = 0L }
 
 let with_vthread t ~dim v =
   let vthreads = Array.copy t.vthreads in
@@ -243,7 +277,11 @@ let retarget t compute' =
     else Array.map (clamp_row k.rext) t.rtiles
   in
   let vthreads = Array.mapi (fun i v -> min v stiles.(0).(i)) t.vthreads in
-  { t with compute = compute'; stiles; rtiles; vthreads; fp = 0L; k }
+  let eff =
+    eff_of ~n_spatial:(Array.length k.sext) ~n_reduce:(Array.length k.rext)
+      stiles rtiles
+  in
+  { t with compute = compute'; stiles; rtiles; vthreads; eff; fp = 0L; k }
 
 (* 64-bit structural hash over everything the cost model reads: the
    compute's full structure (axes, input shapes, body — two computes with

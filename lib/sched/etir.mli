@@ -31,10 +31,14 @@ val rtile : t -> level:int -> dim:int -> int
 (** Effective tile at a level: the raw tile widened to cover every inner
     level's tile.  Raw tiles are unconstrained across levels; derived
     quantities (threads, grids, footprints) use the effective values, which
-    are monotone by construction. *)
+    are monotone by construction.  Cached with the state: both are reads. *)
 val stile_eff : t -> level:int -> dim:int -> int
 
 val rtile_eff : t -> level:int -> dim:int -> int
+
+(** The effective tiles at [level] as one row in footprint-plan slot order
+    (spatial dims, then reduce dims).  Shared with the state: read only. *)
+val eff_row : t -> level:int -> int array
 val vthread : t -> dim:int -> int
 val spatial_axes : t -> Axis.t array
 val reduce_axes : t -> Axis.t array
@@ -60,9 +64,6 @@ val logical_threads_per_block : t -> int
 (** Number of thread blocks in the launch grid. *)
 val grid_blocks : t -> int
 
-(** Number of level-[l] spatial tile instances covering the output. *)
-val spatial_tiles_at : t -> level:int -> int
-
 (** Reduction steps performed per level-[l] tile. *)
 val reduce_steps_at : t -> level:int -> int
 
@@ -79,8 +80,9 @@ val output_bytes : t -> int
 val point_flops : t -> int
 
 (** Functional updates (no legality checks beyond array bounds; use
-    {!Action.apply} for checked transitions).  A tile update copies only
-    the edited row and shares the rest. *)
+    {!Action.apply} for checked transitions).  A tile update copies the
+    edited raw row and the effective rows whose values change, and shares
+    the rest. *)
 
 val with_cur_level : t -> int -> t
 val with_stile : t -> level:int -> dim:int -> int -> t

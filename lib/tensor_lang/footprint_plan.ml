@@ -124,10 +124,13 @@ let of_compute compute =
            (Expr.accesses (Compute.body compute)
            @ Compute.epilogue_accesses compute)) }
 
-let rec general_interval ~tile g =
-  let bin op a b = op (general_interval ~tile a) (general_interval ~tile b) in
+(* Every evaluation below reads tiles from one int row indexed by slot:
+   the state's effective tiles at one level, or a scratch copy of them
+   with one slot overridden (the edge scorer). *)
+let rec general_interval row g =
+  let bin op a b = op (general_interval row a) (general_interval row b) in
   match g with
-  | Slot s -> Interval.v 0 (tile s - 1)
+  | Slot s -> Interval.v 0 (row.(s) - 1)
   | Const n -> Interval.point n
   | Add (a, b) -> bin Interval.add a b
   | Sub (a, b) -> bin Interval.sub a b
@@ -136,3 +139,29 @@ let rec general_interval ~tile g =
   | Mod (a, b) -> bin Interval.rem a b
   | Min (a, b) -> bin Interval.min_ a b
   | Max (a, b) -> bin Interval.max_ a b
+
+let dim_extent row = function
+  | Affine { slots; coeffs } ->
+    let ext = ref 1 in
+    for k = 0 to Array.length slots - 1 do
+      ext := !ext + (coeffs.(k) * (row.(slots.(k)) - 1))
+    done;
+    !ext
+  | General g -> Interval.extent (general_interval row g)
+
+let entry_elems row entry =
+  let elems = ref 1 in
+  for d = 0 to Array.length entry.dims - 1 do
+    elems := !elems * dim_extent row entry.dims.(d)
+  done;
+  !elems
+
+(* The search hot path: no lists, no name lookups, no allocation on affine
+   accesses. *)
+let input_bytes t row =
+  let bytes = ref 0 in
+  for i = 0 to Array.length t.entries - 1 do
+    let entry = t.entries.(i) in
+    bytes := !bytes + (entry_elems row entry * entry.elem_bytes)
+  done;
+  !bytes

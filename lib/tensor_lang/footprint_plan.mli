@@ -49,6 +49,15 @@ type t = {
     unknown axis ({!Compute.v} already rejects both). *)
 val of_compute : Compute.t -> t
 
-(** [general_interval ~tile g] bounds [g] when slot [s] ranges over
-    [0, tile s - 1]. *)
-val general_interval : tile:(int -> int) -> gexpr -> Interval.t
+(** The evaluators read tiles from a [row] indexed by slot: [row.(s)] is
+    the tile of slot [s], which ranges over [0, row.(s) - 1]. *)
+
+(** Bounds [g] over the row's tile. *)
+val general_interval : int array -> gexpr -> Interval.t
+
+(** Footprint of one access over the row's tile, in elements. *)
+val entry_elems : int array -> entry -> int
+
+(** Sum over entries of [entry_elems * elem_bytes]: the tile's input
+    footprint in bytes. *)
+val input_bytes : t -> int array -> int

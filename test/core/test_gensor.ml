@@ -129,6 +129,153 @@ let test_policy_modes () =
           ~mode:{ Gensor.Policy.graph_mode with Gensor.Policy.tree_mode = true }
           ~iteration:0 grown))
 
+(* ---------- Edge scoring ---------- *)
+
+(* Every Table IV op and the distinct fused kernels of BERT-small and
+   GPT-2: the computes the scorer meets in the figures and the benchmark. *)
+let scoring_kernels =
+  let fused g =
+    let seen = Hashtbl.create 16 in
+    List.filter_map
+      (fun n ->
+        let op = n.Dnn.Graph.op in
+        let key = Dnn.Model.distinct_key op in
+        if Hashtbl.mem seen key then None
+        else begin
+          Hashtbl.add seen key ();
+          Some (Ops.Op.compute op)
+        end)
+      (Dnn.Graph.nodes (Dnn.Fusion.fuse g).Dnn.Fusion.graph)
+  in
+  List.map
+    (fun e -> Ops.Op.compute (e.Workloads.Table_iv.op ()))
+    Workloads.Table_iv.all
+  @ fused (Dnn.Transformer.bert_small_graph ())
+  @ fused (Dnn.Transformer.gpt2_graph ())
+
+let scoring_modes =
+  [ Gensor.Policy.graph_mode;
+    { Gensor.Policy.graph_mode with Gensor.Policy.vthread_enabled = false };
+    { Gensor.Policy.graph_mode with Gensor.Policy.tree_mode = true } ]
+
+(* Walks one chain per (kernel, mode) the way the annealing loop does —
+   [Policy.draw] with a chain workspace, the carried component record and
+   the per-level cache clock — and calls [check ~hw ~mode ~iteration rng
+   etir comps] at every state before drawing from it.  The device
+   alternates with the seed. *)
+let walk_chains ~steps seed check =
+  let hw =
+    if seed mod 2 = 0 then hw else Hardware.Presets.orin_nano
+  in
+  List.for_all
+    (fun compute ->
+      List.for_all
+        (fun mode ->
+          let rng = Rng.create ~seed in
+          let e0 = Etir.create compute in
+          let ws = Gensor.Policy.workspace e0 in
+          let rec go i e comps ~level_entry =
+            i = steps
+            ||
+            let iteration = i - level_entry in
+            check ~hw ~mode ~iteration rng e comps
+            &&
+            match Gensor.Policy.draw ws rng ~comps ~hw ~mode ~iteration e with
+            | None -> go (i + 1) e comps ~level_entry
+            | Some c ->
+              let level_entry =
+                match c.Gensor.Policy.action with
+                | Action.Cache -> i + 1
+                | Action.Tile _ | Action.Rtile _ | Action.Set_vthread _ ->
+                  level_entry
+              in
+              go (i + 1) c.Gensor.Policy.next c.Gensor.Policy.next_comps
+                ~level_entry
+          in
+          go 0 e0 (Costmodel.Delta.of_etir ~hw e0) ~level_entry:0)
+        scoring_modes)
+    scoring_kernels
+
+let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* The scorer's positive (action, benefit) sequence is the from-scratch
+   oracle's, bit for bit: every legal allowed successor built in full, both
+   sides analysed by [Delta.of_etir], fed through the same Eq. 1-3. *)
+let prop_scorer_equals_oracle =
+  QCheck.Test.make ~count:2 ~name:"edge scores = from-scratch benefits"
+    QCheck.(make Gen.(int_range 0 10_000))
+    (fun seed ->
+      walk_chains ~steps:150 seed (fun ~hw ~mode ~iteration:_ _ e comps ->
+          let scored = Gensor.Policy.base_benefits ~comps ~hw ~mode e in
+          let oracle =
+            List.filter_map
+              (fun (a, after) ->
+                if not (Gensor.Policy.allowed mode a) then None
+                else
+                  let b = Gensor.Benefit.of_action ~hw ~before:e ~after a in
+                  if b > 0.0 then Some (a, b) else None)
+              (Action.successors e)
+          in
+          List.length scored = List.length oracle
+          && List.for_all2
+               (fun (a, b) (a', b') -> a = a' && same_float b b')
+               scored oracle))
+
+(* [draw] is [select (transitions ...)] with only the drawn successor built:
+   given copies of one generator, both pick the same edge with the same
+   probability and leave the generators in the same state, and the drawn
+   successor's incrementally built record is the full rebuild's. *)
+let prop_draw_equals_select =
+  QCheck.Test.make ~count:2 ~name:"draw = select of transitions"
+    QCheck.(make Gen.(int_range 0 10_000))
+    (fun seed ->
+      walk_chains ~steps:150 seed (fun ~hw ~mode ~iteration rng e comps ->
+          let ws = Gensor.Policy.workspace e in
+          let r1 = Rng.copy rng and r2 = Rng.copy rng in
+          let drawn = Gensor.Policy.draw ws r1 ~comps ~hw ~mode ~iteration e in
+          let selected =
+            Gensor.Policy.select r2
+              (Gensor.Policy.transitions ~comps ~hw ~mode ~iteration e)
+          in
+          Rng.float r1 = Rng.float r2
+          &&
+          match (drawn, selected) with
+          | None, None -> true
+          | Some d, Some c ->
+            d.Gensor.Policy.action = c.Gensor.Policy.action
+            && same_float d.Gensor.Policy.probability
+                 c.Gensor.Policy.probability
+            && Etir.signature d.Gensor.Policy.next
+               = Etir.signature c.Gensor.Policy.next
+            && d.Gensor.Policy.next_comps
+               = Costmodel.Delta.of_etir ~hw d.Gensor.Policy.next
+          | Some _, None | None, Some _ -> false))
+
+(* A policy step scores every legal allowed edge and builds one child at
+   most: [delta.edges_scored] moves by the edge count in one step,
+   [delta.incremental_builds] by the drawn edge only. *)
+let test_draw_counters () =
+  let e = Etir.create (gemm ()) in
+  let mode = Gensor.Policy.graph_mode in
+  let legal =
+    List.length
+      (List.filter
+         (fun (a, _) -> Gensor.Policy.allowed mode a)
+         (Action.successors e))
+  in
+  Costmodel.Delta.reset_stats ();
+  let edges () =
+    Option.value ~default:0 (Trace.Counter.find "delta.edges_scored")
+  in
+  let drawn =
+    Gensor.Policy.draw (Gensor.Policy.workspace e) (Rng.create ~seed:3) ~hw
+      ~mode ~iteration:0 e
+  in
+  check_int "every legal edge scored" legal (edges ());
+  check_int "only the drawn child built"
+    (if drawn = None then 0 else 1)
+    (Costmodel.Delta.stats ()).Costmodel.Delta.st_incremental_builds
+
 (* ---------- Anneal ---------- *)
 
 let test_anneal_runs_to_threshold () =
@@ -364,7 +511,10 @@ let () =
            test_policy_distribution;
          Alcotest.test_case "cache multiplier monotone" `Quick
            test_policy_cache_multiplier_monotone;
-         Alcotest.test_case "ablation modes" `Quick test_policy_modes ]);
+         Alcotest.test_case "ablation modes" `Quick test_policy_modes;
+         Alcotest.test_case "draw counters" `Quick test_draw_counters;
+         QCheck_alcotest.to_alcotest prop_scorer_equals_oracle;
+         QCheck_alcotest.to_alcotest prop_draw_equals_select ]);
       ("anneal",
        [ Alcotest.test_case "runs to threshold" `Quick
            test_anneal_runs_to_threshold;

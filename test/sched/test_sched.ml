@@ -275,6 +275,83 @@ let prop_grow_shrink_inverse =
         | Some back -> Etir.equal e back
         | None -> false))
 
+(* The cached effective-tile table is the max-of-raw definition after any
+   sequence of functional updates, and deriving a state never disturbs its
+   parent's table (rows are shared, never mutated).  Computes: a GEMM and a
+   conv (four spatial dims, three reduce dims); retargets move between
+   extents of the same structure. *)
+let prop_eff_table_matches_raw =
+  let computes =
+    [| (fun s -> Ops.Op.compute (Ops.Matmul.gemm ~m:s ~n:(2 * s) ~k:64 ()));
+       (fun s ->
+         Ops.Op.compute
+           (Ops.Conv.conv2d ~batch:1 ~in_channels:8 ~out_channels:s
+              ~height:16 ~width:16 ~kernel:3 ~stride:1 ())) |]
+  in
+  let eff_of_raw e =
+    let levels = Etir.num_levels e + 1 in
+    let max_raw raw ~level =
+      let m = ref (raw 0) in
+      for l = 1 to level do
+        m := max !m (raw l)
+      done;
+      !m
+    in
+    List.init levels (fun level ->
+        List.init (Etir.num_spatial e) (fun dim ->
+            max_raw (fun l -> Etir.stile e ~level:l ~dim) ~level)
+        @ List.init (Etir.num_reduce e) (fun dim ->
+              max_raw (fun l -> Etir.rtile e ~level:l ~dim) ~level))
+  in
+  let cached e =
+    List.init (Etir.num_levels e + 1) (fun level ->
+        List.init (Etir.num_spatial e) (fun dim ->
+            Etir.stile_eff e ~level ~dim)
+        @ List.init (Etir.num_reduce e) (fun dim ->
+              Etir.rtile_eff e ~level ~dim))
+  in
+  let rows e =
+    List.init (Etir.num_levels e + 1) (fun level ->
+        Array.to_list (Etir.eff_row e ~level))
+  in
+  QCheck.Test.make ~count:200 ~name:"effective-tile table = max of raw tiles"
+    QCheck.(make Gen.(int_range 0 100_000))
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let make = computes.(seed mod 2) in
+      let e = ref (Etir.create (make 32)) in
+      let ok = ref true in
+      for _ = 1 to 40 do
+        let parent = !e in
+        let before = cached parent in
+        let level = Rng.int rng (Etir.num_levels parent + 1) in
+        let size ext = 1 + Rng.int rng ext in
+        let child =
+          match Rng.int rng 5 with
+          | 0 | 1 ->
+            let dim = Rng.int rng (Etir.num_spatial parent) in
+            Etir.with_stile parent ~level ~dim
+              (size (Etir.spatial_extents parent).(dim))
+          | 2 ->
+            let dim = Rng.int rng (Etir.num_reduce parent) in
+            Etir.with_rtile parent ~level ~dim
+              (size (Etir.reduce_extents parent).(dim))
+          | 3 ->
+            let dim = Rng.int rng (Etir.num_spatial parent) in
+            Etir.with_vthread parent ~dim
+              (size (Etir.stile parent ~level:0 ~dim))
+          | _ -> Etir.retarget parent (make (8 * (1 + Rng.int rng 8)))
+        in
+        if
+          cached child <> eff_of_raw child
+          || rows child <> cached child
+          || cached parent <> before
+          || before <> eff_of_raw parent
+        then ok := false;
+        e := child
+      done;
+      !ok)
+
 let () =
   Alcotest.run "sched"
     [ ("rng",
@@ -294,7 +371,8 @@ let () =
          Alcotest.test_case "retarget" `Quick test_etir_retarget;
          Alcotest.test_case "signatures" `Quick test_etir_signature;
          Alcotest.test_case "fingerprint" `Quick test_fingerprint_basic;
-         QCheck_alcotest.to_alcotest prop_fingerprint_consistent ]);
+         QCheck_alcotest.to_alcotest prop_fingerprint_consistent;
+         QCheck_alcotest.to_alcotest prop_eff_table_matches_raw ]);
       ("action",
        [ Alcotest.test_case "grow caps at extent" `Quick test_action_grow_caps;
          Alcotest.test_case "shrink floors" `Quick test_action_shrink_floor;
