@@ -1,9 +1,10 @@
 (* Executor tiers: the compiled bytecode VM vs the tree-walking
    interpreter, in domain points per second, on realistic shapes with
    Roller-constructed schedules.  Both tiers run the same ETIR; the table's
-   last column is the VM's win.  A disagreement between the tiers, or a
-   compiled run whose coverage is not exact, fails the experiment (exit 1)
-   after the table is printed.  Run with: dune exec bench/main.exe exec *)
+   last column is the VM's win.  The tiers must agree bit for bit: a
+   single differing output bit, or a compiled run whose coverage is not
+   exact, fails the experiment (exit 1) after the table is printed.  Run
+   with: dune exec bench/main.exe exec *)
 
 let hw = Hardware.Presets.rtx4090
 
@@ -15,7 +16,15 @@ let cases () =
        ~width:28 ~kernel:3 ~stride:1 ());
     ("MaxPool 32ch 56x56",
      Ops.Pool.maxpool2d ~batch:1 ~channels:32 ~height:56 ~width:56 ~window:2
-       ~stride:2 ()) ]
+       ~stride:2 ());
+    (* MobileNetV2's first inverted-residual block: unit reduce axes
+       (1x1 projection) and a short non-contiguous nest (3x3 depthwise). *)
+    ("MBv2 proj 1x1 32>16 112^2",
+     Ops.Conv.conv2d ~batch:1 ~in_channels:32 ~out_channels:16 ~height:112
+       ~width:112 ~kernel:1 ~stride:1 ());
+    ("MBv2 dw 3x3 32ch 112^2",
+     Ops.Conv.depthwise_conv2d ~batch:1 ~channels:32 ~height:112 ~width:112
+       ~kernel:3 ~stride:1 ~pad:1 ()) ]
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -42,11 +51,16 @@ let run () =
             let interp, t_int =
               time (fun () -> Exec.Scheduled.run etir inputs)
             in
-            if
-              not
-                (Exec.Tensor.approx_equal interp.Exec.Scheduled.output
-                   compiled.Exec.Scheduled.output)
-            then fail label "tiers disagree";
+            (match
+               Exec.Tensor.first_bit_mismatch interp.Exec.Scheduled.output
+                 compiled.Exec.Scheduled.output
+             with
+            | None -> ()
+            | Some (at, i, c) ->
+              fail label
+                (Fmt.str "tiers disagree at [%a]: interp %h, compiled %h"
+                   Fmt.(list ~sep:comma int)
+                   at i c));
             Some (points /. t_int)
           end
         in

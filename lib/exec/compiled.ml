@@ -14,18 +14,21 @@
      (base + Sigma coeff*var) instruction with precomputed strides;
    - the scalar body becomes a float register program over those offset
      registers, with direct unsafe loads from the input buffers;
-   - in the innermost reduce stripe, affine offsets advance by their
-     precomputed per-step delta instead of being recomputed, and the two
-     ubiquitous reduction bodies (multiply-accumulate and single-read
-     fold) are recognised at compile time and run as dedicated unsafe
-     float-array loops.
+   - when every body site is affine, the whole reduce nest is lowered to a
+     {e run table} of (extent, per-site offset delta) runs: unit axes are
+     dropped and contiguous axes merged, so the offset program runs once
+     per output element and every reduce point is one register add away;
+   - the two ubiquitous reduction bodies (multiply-accumulate and
+     single-read fold) run the innermost run as dedicated unsafe
+     float-array loops, and the multiply-accumulate reduces four adjacent
+     output elements per pass over the run table.
 
    The spatial loop nest (blocks / logical units / vthread stripes)
    mirrors [Scheduled.run] exactly, so both tiers visit exactly the same
-   output elements; the interpreter's chunked reduction loops are folded
-   flat here (see [reduce_dim] below) without changing the accumulation
-   order, so results are bit-identical and [Scheduled.run] stays the
-   differential-testing oracle.  Unsafe array accesses are sound because [Compute.v] validates
+   output elements, and every element's sum visits the reduce points in
+   the interpreter's ascending lexicographic order, so results are
+   bit-identical and [Scheduled.run] stays the differential-testing
+   oracle.  Unsafe array accesses are sound because [Compute.v] validates
    every access's bounding region over the full iteration domain against
    the declared tensor shapes, and [check_inputs] re-validates the actual
    input shapes against the declaration at run time. *)
@@ -80,11 +83,24 @@ and fmax' = 7
 and fmin' = 8
 and facc = 9
 
-(* Innermost-stripe specialisation, chosen at compile time. *)
+(* Innermost-run kernel, chosen at compile time. *)
 type kernel =
   | Mac of int * int  (* acc <- acc + t_a[o_a] * t_b[o_b]; the GEMM/conv body *)
   | Fold of int       (* acc <- combine acc t_a[o_a]; pooling / elementwise *)
-  | Generic           (* dispatch the body program per element *)
+  | Generic           (* dispatch the body program per point *)
+
+(* How one output element's reduction is walked. *)
+type reduction =
+  | Runs of {
+      ext : int array;  (* run extents, outermost first; never empty *)
+      delta : int array array;  (* run -> body site -> offset step *)
+      sdelta : int array;
+          (* body site -> coefficient of the last spatial slot: the offset
+             step between adjacent output elements of a 4-wide batch *)
+      kernel : kernel;
+    }
+      (* every body site is affine *)
+  | Per_point  (* some body site is not: offsets re-derived per point *)
 
 type t = {
   compute : Compute.t;
@@ -104,17 +120,17 @@ type t = {
   site_tensor : int array;
   body_idx : int array;  (* int program: body site offsets from vars *)
   epi_idx : int array;  (* int program: epilogue site offsets *)
-  deltas : int array option;
-      (* per-site innermost-reduce offset step; present iff every body
-         site is affine, enabling incremental offsets in the stripe *)
+  reduction : reduction;
   body_code : int array;  (* float program; value lands in freg 0 *)
   epi_code : int array option;
   fpool : float array;
   n_iregs : int;
   n_fregs : int;
-  kernel : kernel;
   out_strides : int array;
 }
+
+(* Output elements one multiply-accumulate pass reduces together. *)
+let batch = 4
 
 let ceil_div a b = (a + b - 1) / b
 
@@ -124,6 +140,7 @@ let c_programs = Trace.Counter.make "exec.compiled.programs"
 let c_runs = Trace.Counter.make "exec.compiled.runs"
 let c_points = Trace.Counter.make "exec.compiled.points"
 let c_elements = Trace.Counter.make "exec.compiled.elements"
+let c_batched = Trace.Counter.make "exec.compiled.batched"
 
 (* ---------- affine analysis ---------- *)
 
@@ -322,6 +339,29 @@ let rec compile_expr ctx buf ~acc_tensor dst expr =
   | Expr.Max (a, b) -> binop fmax' a b
   | Expr.Min (a, b) -> binop fmin' a b
 
+(* The reduce nest as runs, outermost first, from the body sites' affine
+   coefficients over vars slots.  Extent-1 axes are dropped (their slot
+   stays 0) and an outer axis merges into the run inside it when, for
+   every site, its step is the inner run's extent times the inner step:
+   the merged run then walks the same points in the same order.  At least
+   one run is kept, so a reduce-free compute is one run of one point. *)
+let run_table ~n ~rext coeffs =
+  let steps j = Array.map (fun c -> c.(n + j)) coeffs in
+  let runs = ref [] in
+  for j = Array.length rext - 1 downto 0 do
+    if rext.(j) > 1 then
+      let d = steps j in
+      match !runs with
+      | (e, inner) :: rest
+        when Array.for_all2 (fun dout din -> dout = e * din) d inner ->
+        runs := (e * rext.(j), inner) :: rest
+      | l -> runs := (rext.(j), d) :: l
+  done;
+  let runs =
+    if !runs = [] then [ (1, Array.make (Array.length coeffs) 0) ] else !runs
+  in
+  (Array.of_list (List.map fst runs), Array.of_list (List.map snd runs))
+
 let compile etir =
   Trace.with_span ~name:"exec.compile" @@ fun () ->
   Trace.Counter.incr c_programs;
@@ -406,31 +446,22 @@ let compile etir =
     compile_site_offset ctx epi_idx_buf scratch id
   done;
   let sites = Array.of_list (List.rev ctx.sites) in
-  (* Incremental innermost offsets: legal when every body site is affine;
-     the per-step delta is the coefficient of the innermost reduce slot. *)
-  let deltas =
-    if m = 0 || body_sites = 0 then None
-    else
-      let inner_slot = n + m - 1 in
-      let rec build id acc =
-        if id = body_sites then Some (Array.of_list (List.rev acc))
-        else
-          match sites.(id).s_affine with
-          | Some (_, coeffs) -> build (id + 1) (coeffs.(inner_slot) :: acc)
-          | None -> None
-      in
-      build 0 []
-  in
   let sum = Compute.combine compute = Compute.Sum in
-  (* Innermost-stripe specialisation (requires incremental offsets). *)
-  let kernel =
-    if m = 0 || deltas = None then Generic
+  let body = Array.sub sites 0 body_sites in
+  let reduction =
+    if Array.exists (fun s -> s.s_affine = None) body then Per_point
     else
-      match Compute.body compute with
-      | Expr.Mul (Expr.Read a, Expr.Read b) when sum ->
-        Mac (site_of ctx a, site_of ctx b)
-      | Expr.Read a -> Fold (site_of ctx a)
-      | _ -> Generic
+      let coeffs = Array.map (fun s -> snd (Option.get s.s_affine)) body in
+      let ext, delta = run_table ~n ~rext coeffs in
+      let kernel =
+        match Compute.body compute with
+        | Expr.Mul (Expr.Read a, Expr.Read b) when sum ->
+          Mac (site_of ctx a, site_of ctx b)
+        | Expr.Read a -> Fold (site_of ctx a)
+        | _ -> Generic
+      in
+      let sdelta = Array.map (fun c -> if n = 0 then 0 else c.(n - 1)) coeffs in
+      Runs { ext; delta; sdelta; kernel }
   in
   { compute; n; m; sext; rext; bsize; stripe; units;
     init = Compute.init compute; scale = Compute.scale compute; sum;
@@ -438,10 +469,9 @@ let compile etir =
     n_sites = ctx.n_sites_c;
     site_tensor = Array.map (fun s -> s.s_tensor) sites;
     body_idx = program body_idx_buf; epi_idx = program epi_idx_buf;
-    deltas; body_code = program body_buf; epi_code;
+    reduction; body_code = program body_buf; epi_code;
     fpool = Array.of_list (List.rev ctx.pool);
     n_iregs = ctx.max_ireg; n_fregs = ctx.max_freg;
-    kernel;
     out_strides = strides_of (Compute.output_shape compute) }
 
 (* ---------- VM ---------- *)
@@ -579,98 +609,155 @@ let run_compiled p inputs =
   let vars = Array.make (n + m) 0 in
   let iregs = Array.make (max 1 p.n_iregs) 0 in
   let fregs = Array.make (max 1 p.n_fregs) 0.0 in
-  (* One contiguous run of the innermost reduce variable.  The kernel
-     dispatch and every site/tensor lookup are hoisted out of the hot
-     path by specialising the stripe closure once per run. *)
-  let inner_var = n + m - 1 in
-  let run_stripe : int -> int -> float ref -> unit =
-    match (p.deltas, p.kernel) with
-    | Some d, Mac (sa, sb) ->
-      let ta = data.(p.site_tensor.(sa)) and tb = data.(p.site_tensor.(sb)) in
-      let da = d.(sa) and db = d.(sb) in
-      fun start len acc ->
-        vars.(inner_var) <- start;
-        exec_int p.body_idx vars iregs;
-        let oa = ref iregs.(sa) and ob = ref iregs.(sb) in
-        let s = ref !acc in
-        for _ = 1 to len do
-          s := !s +. (Array.unsafe_get ta !oa *. Array.unsafe_get tb !ob);
-          oa := !oa + da;
-          ob := !ob + db
-        done;
-        acc := !s
-    | Some d, Fold sa ->
-      let ta = data.(p.site_tensor.(sa)) in
-      let dk = d.(sa) in
-      let sum = p.sum in
-      fun start len acc ->
-        vars.(inner_var) <- start;
-        exec_int p.body_idx vars iregs;
-        let o = ref iregs.(sa) in
-        let s = ref !acc in
-        if sum then
-          for _ = 1 to len do
-            s := !s +. Array.unsafe_get ta !o;
-            o := !o + dk
-          done
-        else
-          for _ = 1 to len do
-            s := Float.max !s (Array.unsafe_get ta !o);
-            o := !o + dk
-          done;
-        acc := !s
-    | Some d, Generic ->
-      let n_body_sites = Array.length d in
-      fun start len acc ->
-        vars.(inner_var) <- start;
-        exec_int p.body_idx vars iregs;
-        for _ = 1 to len do
-          exec_float p.body_code p.fpool iregs fregs data 0.0;
-          (acc :=
-             if p.sum then !acc +. fregs.(0) else Float.max !acc fregs.(0));
-          for s = 0 to n_body_sites - 1 do
-            iregs.(s) <- iregs.(s) + Array.unsafe_get d s
-          done
-        done
-    | None, _ ->
-      (* Some body site is non-affine: re-derive every offset per element. *)
-      fun start len acc ->
-        for step = 0 to len - 1 do
-          vars.(inner_var) <- start + step;
-          exec_int p.body_idx vars iregs;
-          exec_float p.body_code p.fpool iregs fregs data 0.0;
-          acc := if p.sum then !acc +. fregs.(0) else Float.max !acc fregs.(0)
-        done
+  (* Accumulators: cell 0 for one element, cell g for element g of a
+     batch. *)
+  let acc = Array.make batch 0.0 in
+  let combine v =
+    if p.sum then Array.unsafe_get acc 0 +. v
+    else Float.max (Array.unsafe_get acc 0) v
   in
   (* Reduction.  The interpreter's chunked loops (level-1 chunks, level-0
-     sub-chunks) visit every reduce variable in strictly ascending,
-     contiguous order and accumulate sequentially — the chunk structure is
-     kernel-shaped bookkeeping with no numeric effect.  The compiled tier
-     therefore folds each reduce dimension into one flat loop and hands
-     the innermost dimension to the stripe kernel as a single full-extent
-     run: bit-identical results, and the per-stripe offset program
-     amortises over the whole extent instead of one level-0 chunk. *)
-  let rec reduce_dim j acc =
-    if j = m - 1 then run_stripe 0 p.rext.(j) acc
-    else
-      for r = 0 to p.rext.(j) - 1 do
-        vars.(n + j) <- r;
-        reduce_dim (j + 1) acc
-      done
+     sub-chunks) visit the reduce points in ascending lexicographic order
+     and accumulate sequentially: the chunk structure is kernel-shaped
+     bookkeeping with no numeric effect, so the VM walks the flat nest
+     (as the run table when it has one) in that same order.
+
+     [reduce ()] leaves the reduction of the element at [vars] in acc.(0);
+     [reduce4], when the batched kernel applies, leaves those of the
+     [batch] elements [vars], [vars] + 1 along the last spatial slot, ...
+     in acc.(0..batch-1).  Kernel dispatch and site/tensor lookups are
+     hoisted out of the hot path by building the closures once per run. *)
+  let reduce, reduce4 =
+    match p.reduction with
+    | Per_point ->
+      let rec points j =
+        if j = m then begin
+          exec_int p.body_idx vars iregs;
+          exec_float p.body_code p.fpool iregs fregs data 0.0;
+          acc.(0) <- combine fregs.(0)
+        end
+        else
+          for r = 0 to p.rext.(j) - 1 do
+            vars.(n + j) <- r;
+            points (j + 1)
+          done
+      in
+      ((fun () -> acc.(0) <- p.init; points 0), None)
+    | Runs { ext; delta; sdelta; kernel } ->
+      let n_body = Array.length sdelta in
+      let inner = Array.length ext - 1 in
+      let len = ext.(inner) and d = delta.(inner) in
+      (* Outer runs step the site offset registers and restore them;
+         the innermost run is the kernel's. *)
+      let rec walk kernel k =
+        if k = inner then kernel ()
+        else begin
+          let dk = delta.(k) in
+          for _ = 1 to ext.(k) do
+            walk kernel (k + 1);
+            for s = 0 to n_body - 1 do
+              iregs.(s) <- iregs.(s) + dk.(s)
+            done
+          done;
+          for s = 0 to n_body - 1 do
+            iregs.(s) <- iregs.(s) - (ext.(k) * dk.(s))
+          done
+        end
+      in
+      let run kernel () =
+        acc.(0) <- p.init;
+        exec_int p.body_idx vars iregs;
+        walk kernel 0
+      in
+      (match kernel with
+      | Mac (sa, sb) ->
+        let ta = data.(p.site_tensor.(sa)) and tb = data.(p.site_tensor.(sb)) in
+        let da = d.(sa) and db = d.(sb) in
+        let mac () =
+          let oa = ref iregs.(sa) and ob = ref iregs.(sb) in
+          let s = ref (Array.unsafe_get acc 0) in
+          for _ = 1 to len do
+            s := !s +. (Array.unsafe_get ta !oa *. Array.unsafe_get tb !ob);
+            oa := !oa + da;
+            ob := !ob + db
+          done;
+          Array.unsafe_set acc 0 !s
+        in
+        (* Element g reads at base + g * sdelta: four independent sums,
+           each in the single-element order. *)
+        let ga = sdelta.(sa) and gb = sdelta.(sb) in
+        let mac4 () =
+          let oa = ref iregs.(sa) and ob = ref iregs.(sb) in
+          let s0 = ref (Array.unsafe_get acc 0)
+          and s1 = ref (Array.unsafe_get acc 1)
+          and s2 = ref (Array.unsafe_get acc 2)
+          and s3 = ref (Array.unsafe_get acc 3) in
+          for _ = 1 to len do
+            let a = !oa and b = !ob in
+            s0 := !s0 +. (Array.unsafe_get ta a *. Array.unsafe_get tb b);
+            s1 :=
+              !s1
+              +. (Array.unsafe_get ta (a + ga) *. Array.unsafe_get tb (b + gb));
+            s2 :=
+              !s2
+              +. Array.unsafe_get ta (a + (2 * ga))
+                 *. Array.unsafe_get tb (b + (2 * gb));
+            s3 :=
+              !s3
+              +. Array.unsafe_get ta (a + (3 * ga))
+                 *. Array.unsafe_get tb (b + (3 * gb));
+            oa := a + da;
+            ob := b + db
+          done;
+          Array.unsafe_set acc 0 !s0;
+          Array.unsafe_set acc 1 !s1;
+          Array.unsafe_set acc 2 !s2;
+          Array.unsafe_set acc 3 !s3
+        in
+        let run4 () =
+          Array.fill acc 0 batch p.init;
+          exec_int p.body_idx vars iregs;
+          walk mac4 0
+        in
+        (run mac, if n = 0 then None else Some run4)
+      | Fold sa ->
+        let ta = data.(p.site_tensor.(sa)) in
+        let dk = d.(sa) in
+        let fold () =
+          let o = ref iregs.(sa) in
+          let s = ref (Array.unsafe_get acc 0) in
+          if p.sum then
+            for _ = 1 to len do
+              s := !s +. Array.unsafe_get ta !o;
+              o := !o + dk
+            done
+          else
+            for _ = 1 to len do
+              s := Float.max !s (Array.unsafe_get ta !o);
+              o := !o + dk
+            done;
+          Array.unsafe_set acc 0 !s
+        in
+        (run fold, None)
+      | Generic ->
+        let generic () =
+          for _ = 1 to len do
+            exec_float p.body_code p.fpool iregs fregs data 0.0;
+            acc.(0) <- combine fregs.(0);
+            for s = 0 to n_body - 1 do
+              iregs.(s) <- iregs.(s) + d.(s)
+            done
+          done;
+          for s = 0 to n_body - 1 do
+            iregs.(s) <- iregs.(s) - (len * d.(s))
+          done
+        in
+        (run generic, None))
   in
-  (* One output element: reduce, scale, epilogue, store. *)
-  let rdomain = Array.fold_left ( * ) 1 p.rext in
-  let points = ref 0 in
-  let visit () =
-    points := !points + rdomain;
-    let acc = ref p.init in
-    if m = 0 then begin
-      exec_int p.body_idx vars iregs;
-      exec_float p.body_code p.fpool iregs fregs data 0.0;
-      acc := if p.sum then !acc +. fregs.(0) else Float.max !acc fregs.(0)
-    end
-    else reduce_dim 0 acc;
-    let v = !acc *. p.scale in
+  (* Scale, epilogue, store and coverage of the element at [vars], whose
+     reduction is in acc.(g). *)
+  let finish g =
+    let v = acc.(g) *. p.scale in
     let v =
       match p.epi_code with
       | None -> v
@@ -686,12 +773,80 @@ let run_compiled p inputs =
     Array.unsafe_set out_data !off v;
     Array.unsafe_set cov_data !off (Array.unsafe_get cov_data !off +. 1.0)
   in
+  let single () =
+    reduce ();
+    finish 0
+  in
+  (* One output element.  With the batched kernel, a visit adjacent to
+     the previous one along the last spatial slot joins the pending batch;
+     a full batch is reduced in one pass, and any other visit (or the end
+     of the nest) first flushes a short batch element by element.  Stores
+     happen in visit order either way. *)
+  let batched = ref 0 in
+  let visit, flush =
+    match reduce4 with
+    | None -> (single, ignore)
+    | Some reduce4 ->
+      let last = n - 1 in
+      (* Spatial vars of the pending batch's first element. *)
+      let first = Array.make n 0 in
+      let pending = ref 0 in
+      let rec same i = i = last || (vars.(i) = first.(i) && same (i + 1)) in
+      let copy src dst =
+        for i = 0 to last do
+          Array.unsafe_set dst i (Array.unsafe_get src i)
+        done
+      in
+      (* Run the pending elements one by one, leaving [first] = [vars]. *)
+      let flush () =
+        for i = 0 to last do
+          let v = vars.(i) in
+          vars.(i) <- first.(i);
+          first.(i) <- v
+        done;
+        let base = vars.(last) in
+        for g = 0 to !pending - 1 do
+          vars.(last) <- base + g;
+          single ()
+        done;
+        copy first vars;
+        pending := 0
+      in
+      let visit () =
+        if !pending = 0 then begin
+          copy vars first;
+          pending := 1
+        end
+        else if vars.(last) = first.(last) + !pending && same 0 then begin
+          incr pending;
+          if !pending = batch then begin
+            vars.(last) <- first.(last);
+            reduce4 ();
+            for g = 0 to batch - 1 do
+              vars.(last) <- first.(last) + g;
+              finish g
+            done;
+            batched := !batched + batch;
+            pending := 0
+          end
+        end
+        else begin
+          flush ();
+          pending := 1
+        end
+      in
+      (visit, fun () -> if !pending > 0 then flush ())
+  in
   (* Spatial nest, mirroring the interpreter: blocks over the grid,
      logical units over the block, stripe elements within a unit. *)
   let origin = Array.make n 0 in
   let block_start = Array.make n 0 in
+  let visits = ref 0 in
   let rec stripe_dim i =
-    if i = n then visit ()
+    if i = n then begin
+      incr visits;
+      visit ()
+    end
     else begin
       let block_end = min (block_start.(i) + p.bsize.(i)) p.sext.(i) in
       for e = 0 to p.stripe.(i) - 1 do
@@ -723,27 +878,34 @@ let run_compiled p inputs =
     end
   in
   block_dim 0;
-  Trace.Counter.add c_points !points;
+  flush ();
+  Trace.Counter.add c_points (!visits * Array.fold_left ( * ) 1 p.rext);
   Trace.Counter.add c_elements (Compute.output_points p.compute);
+  Trace.Counter.add c_batched !batched;
   { Scheduled.output = out; coverage }
 
 let run etir inputs = run_compiled (compile etir) inputs
 
 let pp ppf p =
-  let kernel_name =
-    match p.kernel with
-    | Mac _ -> "mac"
-    | Fold _ -> "fold"
-    | Generic -> "generic"
+  let pp_reduction ppf = function
+    | Per_point -> Fmt.string ppf "per-point offsets"
+    | Runs { ext; kernel; _ } ->
+      Fmt.pf ppf "reduce runs [%a] %s"
+        Fmt.(array ~sep:(any ";") int)
+        ext
+        (match kernel with
+        | Mac _ when p.n > 0 -> "mac×" ^ string_of_int batch
+        | Mac _ -> "mac"
+        | Fold _ -> "fold"
+        | Generic -> "generic")
   in
   Fmt.pf ppf
-    "compiled{%s: %d sites, body %d+%d words, epi %s, %s stripe kernel, \
-     %d iregs, %d fregs%s}"
+    "compiled{%s: %d sites, body %d+%d words, epi %s, %a, %d iregs, %d \
+     fregs}"
     (Compute.name p.compute) p.n_sites
     (Array.length p.body_idx)
     (Array.length p.body_code)
     (match p.epi_code with
     | None -> "none"
     | Some c -> string_of_int (Array.length c) ^ " words")
-    kernel_name p.n_iregs p.n_fregs
-    (if p.deltas = None then "" else ", incremental offsets")
+    pp_reduction p.reduction p.n_iregs p.n_fregs

@@ -1,13 +1,14 @@
 (** Compiled execution tier: an ETIR schedule lowered to a flat
     register-based bytecode program (pre-resolved axis slots, precomputed
-    row-major strides, incremental offsets and specialised
-    multiply-accumulate / fold loops in the innermost reduce stripe), run
-    by a tight dispatch-loop VM.
+    row-major strides, the reduce nest as a table of offset-delta runs,
+    specialised multiply-accumulate / fold loops over the innermost run,
+    four adjacent outputs per multiply-accumulate pass), run by a tight
+    dispatch-loop VM.
 
-    Visit order is identical to {!Scheduled.run} — the interpreter stays
-    the differential-testing oracle; results agree up to floating-point
-    associativity.  The bytecode ISA and compilation scheme are documented
-    in DESIGN.md §15. *)
+    Output visit order and every element's reduction order are those of
+    {!Scheduled.run}, so the two tiers agree bit for bit and the
+    interpreter stays the differential-testing oracle.  The bytecode ISA
+    and compilation scheme are documented in DESIGN.md §15. *)
 
 type t
 (** A compiled program for one schedule. *)
@@ -28,5 +29,8 @@ val run_compiled : t -> (string * Tensor.t) list -> Scheduled.result
     tight re-execution loops. *)
 val run : Sched.Etir.t -> (string * Tensor.t) list -> Scheduled.result
 
-(** One-line program summary (site/instruction counts, stripe kernel). *)
+(** One-line program summary: site/instruction counts and the reduction
+    lowering, e.g. [reduce runs [3;3] mac×4] (run extents, outermost first,
+    and the innermost-run kernel; [×4] when outputs are batched) or
+    [per-point offsets] when some body access is not affine. *)
 val pp : t Fmt.t

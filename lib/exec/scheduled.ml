@@ -150,23 +150,17 @@ let run etir inputs =
    the first offender (row-major order) with its observed count so a failing
    partition property names the coordinate instead of a bare [false]. *)
 let coverage_violation result =
-  let rec walk shape coords =
-    match shape with
-    | [] ->
-      let c = List.rev coords in
-      let count = Tensor.get result.coverage c in
-      if count <> 1.0 then Some (c, count) else None
-    | d :: rest ->
-      let rec go c =
-        if c = d then None
-        else
-          match walk rest (c :: coords) with
-          | Some _ as hit -> hit
-          | None -> go (c + 1)
-      in
-      go 0
+  let counts = Tensor.unsafe_data result.coverage in
+  let len = Array.length counts in
+  let rec scan off =
+    if off = len then None
+    else
+      let count = counts.(off) in
+      if count <> 1.0 then
+        Some (Tensor.coords_of_offset result.coverage off, count)
+      else scan (off + 1)
   in
-  walk (Tensor.shape result.coverage) []
+  scan 0
 
 let coverage_exact result = coverage_violation result = None
 

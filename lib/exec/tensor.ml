@@ -80,7 +80,8 @@ let max_abs_diff a b =
 let element_within ~atol ~rtol x y =
   Float.abs (x -. y) <= atol +. (rtol *. Float.max (Float.abs x) (Float.abs y))
 
-let coords_of_offset shape off =
+let coords_of_offset t off =
+  let shape = t.shape in
   let n = Array.length shape in
   let coords = Array.make n 0 in
   let rem = ref off in
@@ -90,16 +91,27 @@ let coords_of_offset shape off =
   done;
   Array.to_list coords
 
-let first_mismatch ?(atol = 1e-6) ?(rtol = 1e-4) a b =
-  if a.shape <> b.shape then invalid_arg "Tensor.first_mismatch: shape mismatch";
+(* First element pair (row-major) on which [differ] holds. *)
+let first_where ~what differ a b =
+  if a.shape <> b.shape then invalid_arg (what ^ ": shape mismatch");
   let n = Array.length a.data in
   let rec go i =
     if i = n then None
-    else if not (element_within ~atol ~rtol a.data.(i) b.data.(i)) then
-      Some (coords_of_offset a.shape i, a.data.(i), b.data.(i))
+    else if differ a.data.(i) b.data.(i) then
+      Some (coords_of_offset a i, a.data.(i), b.data.(i))
     else go (i + 1)
   in
   go 0
+
+let first_mismatch ?(atol = 1e-6) ?(rtol = 1e-4) a b =
+  first_where ~what:"Tensor.first_mismatch"
+    (fun x y -> not (element_within ~atol ~rtol x y))
+    a b
+
+let first_bit_mismatch a b =
+  first_where ~what:"Tensor.first_bit_mismatch"
+    (fun x y -> Int64.bits_of_float x <> Int64.bits_of_float y)
+    a b
 
 let approx_equal ?(atol = 1e-6) ?(rtol = 1e-4) a b =
   first_mismatch ~atol ~rtol a b = None

@@ -37,6 +37,11 @@ val approx_equal : ?atol:float -> ?rtol:float -> t -> t -> bool
 val first_mismatch :
   ?atol:float -> ?rtol:float -> t -> t -> (int list * float * float) option
 
+(** First element pair (row-major order) whose bit patterns
+    ([Int64.bits_of_float]) differ.  Unlike [max_abs_diff = 0.], this
+    distinguishes [-0.] from [0.] and does not skip NaNs. *)
+val first_bit_mismatch : t -> t -> (int list * float * float) option
+
 (** {2 Executor internals}
 
     Raw access for the compiled execution tier; offsets must come from the
@@ -47,6 +52,9 @@ val unsafe_data : t -> float array
 
 (** Row-major strides, outermost first (shared, not a copy). *)
 val strides : t -> int array
+
+(** Coordinates of a row-major offset into the buffer. *)
+val coords_of_offset : t -> int -> int list
 
 (** Zero-pad the two trailing dimensions of an NCHW tensor (for pre-padded
     convolution inputs). *)

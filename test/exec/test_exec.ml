@@ -210,14 +210,16 @@ let check_differential ?(tag = "") compute etir inputs expected =
   fail_cov "compiled" compiled;
   fail_diff "interp" expected interp.Exec.Scheduled.output;
   fail_diff "compiled" expected compiled.Exec.Scheduled.output;
-  let vm_drift =
-    Exec.Tensor.max_abs_diff interp.Exec.Scheduled.output
+  match
+    Exec.Tensor.first_bit_mismatch interp.Exec.Scheduled.output
       compiled.Exec.Scheduled.output
-  in
-  if vm_drift <> 0.0 then
-    Alcotest.failf "%s%s: compiled tier drifts %.2e from the interpreter" tag
-      (Etir.signature etir) vm_drift;
-  ignore compute
+  with
+  | None -> ignore compute
+  | Some (coords, i, c) ->
+    Alcotest.failf "%s%s: tiers differ at [%a]: compiled %h, interp %h" tag
+      (Etir.signature etir)
+      Fmt.(list ~sep:(any ",") int)
+      coords c i
 
 let test_executors_match_reference () =
   let rng = Rng.create ~seed:99 in
@@ -257,9 +259,73 @@ let gemm_bias_relu ~m ~n ~k =
   Compute.v ~name:"gemm_bias_relu" ~axes ~inputs ~out_name:"C" ~epilogue ~body
     ()
 
-(* The differential computes: random tiles/vthreads run over a plain GEMM,
-   a Max_combine reduction (maxpool), and an epilogue-fused GEMM — the
-   three body/combine shapes the compiler specialises differently. *)
+(* out[i,j] = Σ_{c,k} A[i,c,k] * B[c,k,j]: both reduce axes step every
+   site contiguously, so the compiled tier merges them into one run. *)
+let gemm_two_reduce ~m ~n ~c ~k =
+  let open Tensor_lang in
+  let axes =
+    [ Axis.spatial "i" m; Axis.spatial "j" n; Axis.reduce "c" c;
+      Axis.reduce "k" k ]
+  in
+  let inputs =
+    [ { Compute.in_name = "A"; in_shape = [ m; c; k ]; in_dtype = Dtype.F32 };
+      { Compute.in_name = "B"; in_shape = [ c; k; n ]; in_dtype = Dtype.F32 } ]
+  in
+  let body =
+    Expr.mul
+      (Expr.read "A" [ Index.var "i"; Index.var "c"; Index.var "k" ])
+      (Expr.read "B" [ Index.var "c"; Index.var "k"; Index.var "j" ])
+  in
+  Compute.v ~name:"gemm_two_reduce" ~axes ~inputs ~out_name:"C" ~body ()
+
+(* out[i,j] = Σ_k A[i, k/2] * B[k mod 3, j]: non-affine accesses, so the
+   compiled tier re-derives offsets per reduce point. *)
+let gemm_div_mod ~m ~n ~k =
+  let open Tensor_lang in
+  let axes = [ Axis.spatial "i" m; Axis.spatial "j" n; Axis.reduce "k" k ] in
+  let inputs =
+    [ { Compute.in_name = "A"; in_shape = [ m; (k + 1) / 2 ];
+        in_dtype = Dtype.F32 };
+      { Compute.in_name = "B"; in_shape = [ 3; n ]; in_dtype = Dtype.F32 } ]
+  in
+  let body =
+    Expr.mul
+      (Expr.read "A"
+         [ Index.var "i"; Index.div (Index.var "k") (Index.const 2) ])
+      (Expr.read "B"
+         [ Index.rem (Index.var "k") (Index.const 3); Index.var "j" ])
+  in
+  Compute.v ~name:"gemm_div_mod" ~axes ~inputs ~out_name:"C" ~body ()
+
+(* out[i,j] = A[i,j] * B[i,j]: no reduce axes, a one-point multiply-
+   accumulate per element. *)
+let hadamard ~m ~n =
+  let open Tensor_lang in
+  let axes = [ Axis.spatial "i" m; Axis.spatial "j" n ] in
+  let inputs =
+    [ { Compute.in_name = "A"; in_shape = [ m; n ]; in_dtype = Dtype.F32 };
+      { Compute.in_name = "B"; in_shape = [ m; n ]; in_dtype = Dtype.F32 } ]
+  in
+  let ij = [ Index.var "i"; Index.var "j" ] in
+  let body = Expr.mul (Expr.read "A" ij) (Expr.read "B" ij) in
+  Compute.v ~name:"hadamard" ~axes ~inputs ~out_name:"C" ~body ()
+
+let conv1x1 () =
+  Ops.Op.compute
+    (Ops.Conv.conv2d ~batch:1 ~in_channels:6 ~out_channels:5 ~height:5
+       ~width:9 ~kernel:1 ~stride:1 ())
+
+let dwconv3x3 ~stride =
+  Ops.Op.compute
+    (Ops.Conv.depthwise_conv2d ~batch:1 ~channels:3 ~height:11 ~width:11
+       ~kernel:3 ~stride ())
+
+(* The differential computes: random tiles/vthreads run over each body,
+   combine and reduce-nest shape the compiler lowers differently — plain
+   GEMM, Max_combine (maxpool), an epilogue, unit reduce axes (1x1 conv),
+   a non-mergeable nest (3x3 depthwise; stride 2 puts a coefficient of 2
+   on the batched spatial slot), a merged run, non-affine accesses and a
+   reduce-free product. *)
 let differential_computes =
   [ ("gemm", fun () -> Ops.Op.compute (Ops.Matmul.gemm ~m:17 ~n:13 ~k:19 ()));
     ("maxpool",
@@ -267,10 +333,16 @@ let differential_computes =
        Ops.Op.compute
          (Ops.Pool.maxpool2d ~batch:1 ~channels:2 ~height:9 ~width:9 ~window:3
             ~stride:3 ()));
-    ("gemm+bias+relu", fun () -> gemm_bias_relu ~m:17 ~n:13 ~k:19) ]
+    ("gemm+bias+relu", fun () -> gemm_bias_relu ~m:17 ~n:13 ~k:19);
+    ("conv 1x1", conv1x1);
+    ("dwconv 3x3 s1", fun () -> dwconv3x3 ~stride:1);
+    ("dwconv 3x3 s2", fun () -> dwconv3x3 ~stride:2);
+    ("merged reduce pair", fun () -> gemm_two_reduce ~m:7 ~n:9 ~c:3 ~k:5);
+    ("div/mod access", fun () -> gemm_div_mod ~m:7 ~n:9 ~k:7);
+    ("hadamard (m = 0)", fun () -> hadamard ~m:7 ~n:13) ]
 
 let prop_random_schedules_correct =
-  QCheck.Test.make ~count:60
+  QCheck.Test.make ~count:180
     ~name:"random schedules: compiled ≍ interp ≍ reference"
     QCheck.(
       make
@@ -314,6 +386,51 @@ let test_non_dividing_vthread_stripe () =
   let e = Etir.with_stile e ~level:1 ~dim:0 13 in
   let e = Etir.with_vthread e ~dim:0 3 in
   check_differential ~tag:"ragged vthread: " compute e inputs expected
+
+(* Four-wide batches along the last spatial slot (extent 13) cut by the
+   level-1 tile (5) and by the grid edge: blocks of 5, 5 and 3 columns,
+   each row of a block a batch of four plus a short remainder. *)
+let test_batches_cut_at_block_edges () =
+  let compute = Ops.Op.compute (Ops.Matmul.gemm ~m:3 ~n:13 ~k:7 ()) in
+  let inputs = Exec.Reference.random_inputs ~seed:17 compute in
+  let expected = Exec.Reference.run compute inputs in
+  let e = Etir.create compute in
+  let e = Etir.with_stile e ~level:1 ~dim:0 3 in
+  let e = Etir.with_stile e ~level:1 ~dim:1 5 in
+  let e = Etir.with_stile e ~level:0 ~dim:1 5 in
+  check_differential ~tag:"batch edges: " compute e inputs expected
+
+(* The lowering [Compiled.pp] reports: the reduce-run table and kernel. *)
+let test_lowering_summary () =
+  let summary compute =
+    Fmt.str "%a" Exec.Compiled.pp (Exec.Compiled.compile (Etir.create compute))
+  in
+  let contains s sub =
+    let n = String.length s and k = String.length sub in
+    let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (what, compute, expected) ->
+      let got = summary compute in
+      if not (contains got expected) then
+        Alcotest.failf "%s: %S lacks %S" what got expected)
+    [ ("gemm", Ops.Op.compute (Ops.Matmul.gemm ~m:8 ~n:8 ~k:16 ()),
+       "reduce runs [16] mac×4");
+      ("1x1 conv",
+       Ops.Op.compute
+         (Ops.Conv.conv2d ~batch:1 ~in_channels:32 ~out_channels:8 ~height:6
+            ~width:6 ~kernel:1 ~stride:1 ()),
+       "reduce runs [32] mac×4");
+      ("3x3 depthwise", dwconv3x3 ~stride:1, "reduce runs [3;3] mac×4");
+      ("merged pair", gemm_two_reduce ~m:7 ~n:9 ~c:3 ~k:5,
+       "reduce runs [15] mac×4");
+      ("maxpool",
+       Ops.Op.compute
+         (Ops.Pool.maxpool2d ~batch:1 ~channels:2 ~height:9 ~width:9 ~window:3
+            ~stride:3 ()),
+       "reduce runs [3;3] fold");
+      ("div/mod", gemm_div_mod ~m:7 ~n:9 ~k:7, "per-point offsets") ]
 
 (* ---------- Raised verification shapes ---------- *)
 
@@ -381,6 +498,9 @@ let () =
            `Slow test_executors_match_reference;
          Alcotest.test_case "non-dividing vthread stripe" `Quick
            test_non_dividing_vthread_stripe;
+         Alcotest.test_case "batches cut at block edges" `Quick
+           test_batches_cut_at_block_edges;
+         Alcotest.test_case "lowering summary" `Quick test_lowering_summary;
          QCheck_alcotest.to_alcotest prop_random_schedules_correct;
          QCheck_alcotest.to_alcotest prop_vthread_preserves_semantics ]);
       ("raised shapes",
