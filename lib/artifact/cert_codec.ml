@@ -12,30 +12,31 @@ module Affine = Cert.Affine
 
 let ( let* ) = Result.bind
 
-let encode_affine a =
+let encode_affine b a =
   let syms = Affine.syms a in
-  Fmt.str "%d %d%s" (Affine.offset a) (List.length syms)
-    (String.concat ""
-       (List.map
-          (fun s -> Fmt.str " %d %s" (Affine.coeff a s) (Codec.quote s))
-          syms))
+  Codec.int b (Affine.offset a);
+  Codec.int b (List.length syms);
+  List.iter
+    (fun s ->
+      Codec.int b (Affine.coeff a s);
+      Codec.str b s)
+    syms
 
-let rec decode_terms ~line toks n acc =
-  if n <= 0 then Ok (acc, toks)
+let rec decode_terms l n acc =
+  if n <= 0 then Ok acc
   else
-    let* coeff, toks = Codec.take_int ~line toks in
-    let* name, toks = Codec.take_str ~line toks in
-    decode_terms ~line toks (n - 1)
-      (Affine.add acc (Affine.sym ~coeff name))
+    let* coeff = Codec.get_int l in
+    let* name = Codec.get_str l in
+    decode_terms l (n - 1) (Affine.add acc (Affine.sym ~coeff name))
 
-let decode_affine ~line toks =
-  let* const, toks = Codec.take_int ~line toks in
-  let* n, toks = Codec.take_int ~line toks in
+let decode_affine l =
+  let* const = Codec.get_int l in
+  let* n = Codec.get_int l in
   let* () =
     if n >= 0 && n <= 1_000 then Ok ()
-    else Codec.error line "implausible term count %d" n
+    else Codec.error (Codec.line_number l) "implausible term count %d" n
   in
-  decode_terms ~line toks n (Affine.const const)
+  decode_terms l n (Affine.const const)
 
 let rec times n f acc =
   if n <= 0 then Ok (List.rev acc)
@@ -52,67 +53,73 @@ let counted cur key decode_one =
   in
   times n (fun () -> decode_one cur) []
 
-let encode (c : Cert.t) =
-  [ Fmt.str "cert_device %s" (Codec.quote c.Cert.device);
-    Fmt.str "cert_sig %s" (Codec.quote c.Cert.witness_sig);
-    Fmt.str "cert_syms %d" (List.length c.Cert.syms) ]
-  @ List.map
-      (fun (s, r) ->
-        Fmt.str "sym %s %d %d" (Codec.quote s) (Tensor_lang.Interval.lo r)
-          (Tensor_lang.Interval.hi r))
-      c.Cert.syms
-  @ [ Fmt.str "cert_constraints %d" (List.length c.Cert.constraints) ]
-  @ List.map
-      (fun (k : Cert.constr) ->
-        Fmt.str "constr %s %s" (encode_affine k.Cert.lhs)
-          (encode_affine k.Cert.rhs))
-      c.Cert.constraints
-  @ [ Fmt.str "cert_guards %d" (List.length c.Cert.guards) ]
-  @ List.map
-      (fun (g : Cert.guard) ->
-        Fmt.str "guard %d %s" g.Cert.divisor (Codec.quote g.Cert.g_sym))
-      c.Cert.guards
-  @ [ Fmt.str "cert_witness %d" (List.length c.Cert.witness) ]
-  @ List.map
-      (fun (n, e) -> Fmt.str "wit %s %d" (Codec.quote n) e)
-      c.Cert.witness
+let encode b (c : Cert.t) =
+  let counted k xs line =
+    Codec.field b k Codec.int (List.length xs);
+    List.iter
+      (fun x ->
+        line x;
+        Codec.eol b)
+      xs
+  in
+  Codec.field b "cert_device" Codec.str c.Cert.device;
+  Codec.field b "cert_sig" Codec.str c.Cert.witness_sig;
+  counted "cert_syms" c.Cert.syms (fun (s, r) ->
+      Codec.key b "sym";
+      Codec.str b s;
+      Codec.int b (Tensor_lang.Interval.lo r);
+      Codec.int b (Tensor_lang.Interval.hi r));
+  counted "cert_constraints" c.Cert.constraints (fun (k : Cert.constr) ->
+      Codec.key b "constr";
+      encode_affine b k.Cert.lhs;
+      encode_affine b k.Cert.rhs);
+  counted "cert_guards" c.Cert.guards (fun (g : Cert.guard) ->
+      Codec.key b "guard";
+      Codec.int b g.Cert.divisor;
+      Codec.str b g.Cert.g_sym);
+  counted "cert_witness" c.Cert.witness (fun (n, e) ->
+      Codec.key b "wit";
+      Codec.str b n;
+      Codec.int b e)
 
 let decode cur =
   let* device = Codec.field_str cur "cert_device" in
   let* witness_sig = Codec.field_str cur "cert_sig" in
   let* syms =
     counted cur "cert_syms" (fun cur ->
-        let* ln, toks = Codec.field cur "sym" in
-        let* name, toks = Codec.take_str ~line:ln toks in
-        let* lo, toks = Codec.take_int ~line:ln toks in
-        let* hi, toks = Codec.take_int ~line:ln toks in
-        let* () = Codec.finish ~line:ln toks in
-        if lo > hi then Codec.error ln "empty range for symbol %s" name
+        let* l = Codec.line cur "sym" in
+        let* name = Codec.get_str l in
+        let* lo = Codec.get_int l in
+        let* hi = Codec.get_int l in
+        let* () = Codec.close l in
+        if lo > hi then
+          Codec.error (Codec.line_number l) "empty range for symbol %s" name
         else Ok (name, Tensor_lang.Interval.v lo hi))
   in
   let* constraints =
     counted cur "cert_constraints" (fun cur ->
-        let* ln, toks = Codec.field cur "constr" in
-        let* lhs, toks = decode_affine ~line:ln toks in
-        let* rhs, toks = decode_affine ~line:ln toks in
-        let* () = Codec.finish ~line:ln toks in
+        let* l = Codec.line cur "constr" in
+        let* lhs = decode_affine l in
+        let* rhs = decode_affine l in
+        let* () = Codec.close l in
         Ok { Cert.lhs; rhs })
   in
   let* guards =
     counted cur "cert_guards" (fun cur ->
-        let* ln, toks = Codec.field cur "guard" in
-        let* divisor, toks = Codec.take_int ~line:ln toks in
-        let* g_sym, toks = Codec.take_str ~line:ln toks in
-        let* () = Codec.finish ~line:ln toks in
-        if divisor <= 0 then Codec.error ln "non-positive guard divisor"
+        let* l = Codec.line cur "guard" in
+        let* divisor = Codec.get_int l in
+        let* g_sym = Codec.get_str l in
+        let* () = Codec.close l in
+        if divisor <= 0 then
+          Codec.error (Codec.line_number l) "non-positive guard divisor"
         else Ok { Cert.divisor; g_sym })
   in
   let* witness =
     counted cur "cert_witness" (fun cur ->
-        let* ln, toks = Codec.field cur "wit" in
-        let* name, toks = Codec.take_str ~line:ln toks in
-        let* extent, toks = Codec.take_int ~line:ln toks in
-        let* () = Codec.finish ~line:ln toks in
+        let* l = Codec.line cur "wit" in
+        let* name = Codec.get_str l in
+        let* extent = Codec.get_int l in
+        let* () = Codec.close l in
         Ok (name, extent))
   in
   Ok { Cert.device; syms; constraints; guards; witness; witness_sig }

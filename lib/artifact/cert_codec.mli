@@ -1,4 +1,4 @@
 (** Text codec for {!Verify.Cert.t} (shape-region legality certificates). *)
 
-val encode : Verify.Cert.t -> string list
+val encode : Buffer.t -> Verify.Cert.t -> unit
 val decode : Codec.cursor -> (Verify.Cert.t, Codec.error) result

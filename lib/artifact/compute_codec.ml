@@ -116,39 +116,38 @@ let combine_of_atom ~line = function
   | "max" -> Ok Compute.Max_combine
   | other -> Codec.error line "unknown combine %S" other
 
-let encode c =
+let encode b c =
   let axes = Compute.axes c in
   let inputs = Compute.inputs c in
-  [ Fmt.str "compute %s" (Codec.quote (Compute.name c));
-    Fmt.str "axes %d" (List.length axes) ]
-  @ List.map
-      (fun ax ->
-        Fmt.str "axis %s %s %d"
-          (if Axis.is_reduce ax then "r" else "s")
-          (Codec.quote (Axis.name ax))
-          (Axis.extent ax))
-      axes
-  @ [ Fmt.str "inputs %d" (List.length inputs) ]
-  @ List.map
-      (fun (i : Compute.input) ->
-        Fmt.str "input %s %s%s"
-          (Codec.quote i.in_name)
-          (dtype_atom i.in_dtype)
-          (String.concat ""
-             (List.map (fun d -> Fmt.str " %d" d) i.in_shape)))
-      inputs
-  @ [ Fmt.str "out %s %s %s %s %s"
-        (Codec.quote (Compute.out_name c))
-        (dtype_atom (Compute.out_dtype c))
-        (Codec.float_str (Compute.init c))
-        (Codec.float_str (Compute.scale c))
-        (combine_atom (Compute.combine c));
-      Fmt.str "body %s" (Codec.sexp_to_string (expr_to_sexp (Compute.body c)))
-    ]
-  @
-  match Compute.epilogue c with
-  | None -> []
-  | Some e -> [ Fmt.str "epilogue %s" (Codec.sexp_to_string (expr_to_sexp e)) ]
+  Codec.field b "compute" Codec.str (Compute.name c);
+  Codec.field b "axes" Codec.int (List.length axes);
+  List.iter
+    (fun ax ->
+      Codec.key b "axis";
+      Codec.atom b (if Axis.is_reduce ax then "r" else "s");
+      Codec.str b (Axis.name ax);
+      Codec.int b (Axis.extent ax);
+      Codec.eol b)
+    axes;
+  Codec.field b "inputs" Codec.int (List.length inputs);
+  List.iter
+    (fun (i : Compute.input) ->
+      Codec.key b "input";
+      Codec.str b i.in_name;
+      Codec.atom b (dtype_atom i.in_dtype);
+      List.iter (Codec.int b) i.in_shape;
+      Codec.eol b)
+    inputs;
+  Codec.key b "out";
+  Codec.str b (Compute.out_name c);
+  Codec.atom b (dtype_atom (Compute.out_dtype c));
+  Codec.float b (Compute.init c);
+  Codec.float b (Compute.scale c);
+  Codec.atom b (combine_atom (Compute.combine c));
+  Codec.eol b;
+  let expr k e = Codec.field b k Codec.sexp (expr_to_sexp e) in
+  expr "body" (Compute.body c);
+  Option.iter (expr "epilogue") (Compute.epilogue c)
 
 let ( let+ ) r f = Result.map f r
 
@@ -169,17 +168,18 @@ let decode cur =
   let* axes =
     times n_axes
       (fun () ->
-        let* ln, toks = Codec.field cur "axis" in
-        let* kind, toks = Codec.take_atom ~line:ln toks in
+        let* l = Codec.line cur "axis" in
+        let ln = Codec.line_number l in
+        let* kind = Codec.get_atom l in
         let* kind =
           match kind with
           | "s" -> Ok Axis.Spatial
           | "r" -> Ok Axis.Reduce
           | other -> Codec.error ln "unknown axis kind %S" other
         in
-        let* aname, toks = Codec.take_str ~line:ln toks in
-        let* extent, toks = Codec.take_int ~line:ln toks in
-        let* () = Codec.finish ~line:ln toks in
+        let* aname = Codec.get_str l in
+        let* extent = Codec.get_int l in
+        let* () = Codec.close l in
         match Axis.v ~kind aname extent with
         | exception Invalid_argument m -> Codec.error ln "invalid axis: %s" m
         | ax -> Ok ax)
@@ -193,33 +193,35 @@ let decode cur =
   let* inputs =
     times n_inputs
       (fun () ->
-        let* ln, toks = Codec.field cur "input" in
-        let* in_name, toks = Codec.take_str ~line:ln toks in
-        let* dt, toks = Codec.take_atom ~line:ln toks in
-        let* in_dtype = dtype_of_atom ~line:ln dt in
-        let+ in_shape = Codec.take_ints ~line:ln toks in
+        let* l = Codec.line cur "input" in
+        let* in_name = Codec.get_str l in
+        let* dt = Codec.get_atom l in
+        let* in_dtype = dtype_of_atom ~line:(Codec.line_number l) dt in
+        let+ in_shape = Codec.get_ints l in
         { Compute.in_name; in_shape; in_dtype })
       []
   in
-  let* ln_out, toks = Codec.field cur "out" in
-  let* out_name, toks = Codec.take_str ~line:ln_out toks in
-  let* dt, toks = Codec.take_atom ~line:ln_out toks in
+  let* l = Codec.line cur "out" in
+  let ln_out = Codec.line_number l in
+  let* out_name = Codec.get_str l in
+  let* dt = Codec.get_atom l in
   let* out_dtype = dtype_of_atom ~line:ln_out dt in
-  let* init, toks = Codec.take_float ~line:ln_out toks in
-  let* scale, toks = Codec.take_float ~line:ln_out toks in
-  let* comb, toks = Codec.take_atom ~line:ln_out toks in
+  let* init = Codec.get_float l in
+  let* scale = Codec.get_float l in
+  let* comb = Codec.get_atom l in
   let* combine = combine_of_atom ~line:ln_out comb in
-  let* () = Codec.finish ~line:ln_out toks in
-  let* ln_body, toks = Codec.field cur "body" in
-  let* body_sexp = Codec.sexp_of_tokens ~line:ln_body toks in
-  let* body = expr_of_sexp ~line:ln_body body_sexp in
+  let* () = Codec.close l in
+  let expr key =
+    let* l = Codec.line cur key in
+    let* x = Codec.get_sexp l in
+    expr_of_sexp ~line:(Codec.line_number l) x
+  in
+  let* body = expr "body" in
   (* Optional trailing field: fused computes carry a pointwise epilogue. *)
   let* epilogue =
     match Codec.peek_key cur with
     | Some "epilogue" ->
-      let* ln_epi, toks = Codec.field cur "epilogue" in
-      let* epi_sexp = Codec.sexp_of_tokens ~line:ln_epi toks in
-      let* e = expr_of_sexp ~line:ln_epi epi_sexp in
+      let* e = expr "epilogue" in
       Ok (Some e)
     | _ -> Ok None
   in
@@ -233,4 +235,4 @@ let decode cur =
 
 (* Content identity of a compute definition: MD5 over its canonical
    encoding.  Used by the store to key artifacts. *)
-let fingerprint c = Digest.to_hex (Digest.string (String.concat "\n" (encode c)))
+let fingerprint c = Codec.digest_lines (Codec.to_string encode c)

@@ -5,7 +5,7 @@
     [decode] re-validates through [Compute.v], so a tampered artifact cannot
     produce an ill-formed program. *)
 
-val encode : Tensor_lang.Compute.t -> string list
+val encode : Buffer.t -> Tensor_lang.Compute.t -> unit
 val decode : Codec.cursor -> (Tensor_lang.Compute.t, Codec.error) result
 
 (** Content identity: MD5 hex of the canonical encoding.  The store keys

@@ -1,45 +1,64 @@
 (* Text codec for the schedulable part of an ETIR state: level count,
    construction cursor, every raw spatial/reduce tile and the vthread
    vector.  The compute definition is *not* embedded — an artifact encodes
-   it once via {!Compute_codec} and [decode] rebuilds the state against it,
-   re-validating the structural invariants ([Etir.validate]) so corrupt
-   tiles are rejected instead of mis-loaded. *)
+   it once via {!Compute_codec} and [decode] builds the state from the
+   decoded rows against it in one step ([Etir.of_rows]), which re-checks
+   the structural invariants so corrupt tiles are rejected instead of
+   mis-loaded. *)
 
 open Sched
 
 let ( let* ) = Result.bind
 
-let row f n = String.concat "" (List.init n (fun d -> Fmt.str " %d" (f d)))
-
-let encode e =
+let encode b e =
   let ns = Etir.num_spatial e and nr = Etir.num_reduce e in
   let levels = Etir.num_levels e in
-  [ Fmt.str "etir %d %d" levels (Etir.cur_level e) ]
-  @ List.init (levels + 1) (fun l ->
-        Fmt.str "stile %d%s" l (row (fun d -> Etir.stile e ~level:l ~dim:d) ns))
-  @ List.init (levels + 1) (fun l ->
-        Fmt.str "rtile %d%s" l (row (fun d -> Etir.rtile e ~level:l ~dim:d) nr))
-  @ [ Fmt.str "vthread%s" (row (fun d -> Etir.vthread e ~dim:d) ns) ]
+  let ints k xs = Codec.field b k (fun b -> List.iter (Codec.int b)) xs in
+  ints "etir" [ levels; Etir.cur_level e ];
+  for l = 0 to levels do
+    ints "stile" (l :: List.init ns (fun d -> Etir.stile e ~level:l ~dim:d))
+  done;
+  for l = 0 to levels do
+    ints "rtile" (l :: List.init nr (fun d -> Etir.rtile e ~level:l ~dim:d))
+  done;
+  ints "vthread" (List.init ns (fun d -> Etir.vthread e ~dim:d))
 
-let tile_row cur key ~expect_level ~expect_dims =
-  let* ln, toks = Codec.field cur key in
-  let* l, toks = Codec.take_int ~line:ln toks in
-  let* () =
-    if l = expect_level then Ok ()
-    else Codec.error ln "expected %s row for level %d, got %d" key expect_level l
-  in
-  let* vals = Codec.take_ints ~line:ln toks in
-  if List.length vals = expect_dims then Ok vals
+(* One row of [dims] integers after [key], checked for its length. *)
+let ints_row l key ~dims =
+  let* vals = Codec.get_ints l in
+  let n = List.length vals in
+  if n = dims then Ok (Array.of_list vals)
   else
-    Codec.error ln "%s row has %d entries, schedule has %d dimensions" key
-      (List.length vals) expect_dims
+    Codec.error (Codec.line_number l)
+      "%s row has %d entries, schedule has %d dimensions" key n dims
+
+(* One tile row per level, [0 .. num_levels]. *)
+let tile_rows cur key ~num_levels ~dims =
+  let rows = Array.make (num_levels + 1) [||] in
+  let rec go level =
+    if level > num_levels then Ok rows
+    else
+      let* l = Codec.line cur key in
+      let* lv = Codec.get_int l in
+      let* () =
+        if lv = level then Ok ()
+        else
+          Codec.error (Codec.line_number l)
+            "expected %s row for level %d, got %d" key level lv
+      in
+      let* row = ints_row l key ~dims in
+      rows.(level) <- row;
+      go (level + 1)
+  in
+  go 0
 
 let decode ~compute cur =
   let start = Codec.lineno cur in
-  let* ln0, toks = Codec.field cur "etir" in
-  let* num_levels, toks = Codec.take_int ~line:ln0 toks in
-  let* cur_level, toks = Codec.take_int ~line:ln0 toks in
-  let* () = Codec.finish ~line:ln0 toks in
+  let* l = Codec.line cur "etir" in
+  let ln0 = Codec.line_number l in
+  let* num_levels = Codec.get_int l in
+  let* cur_level = Codec.get_int l in
+  let* () = Codec.close l in
   let* () =
     if num_levels >= 1 && num_levels <= 8 then Ok ()
     else Codec.error ln0 "implausible level count %d" num_levels
@@ -48,43 +67,14 @@ let decode ~compute cur =
     if cur_level >= 0 && cur_level <= num_levels then Ok ()
     else Codec.error ln0 "cur_level %d outside [0, %d]" cur_level num_levels
   in
-  let* e0 =
-    match Etir.create ~num_levels compute with
-    | exception Invalid_argument m -> Codec.error start "invalid state: %s" m
-    | e -> Ok e
+  let ns = List.length (Tensor_lang.Compute.spatial_axes compute) in
+  let nr = List.length (Tensor_lang.Compute.reduce_axes compute) in
+  let* stiles = tile_rows cur "stile" ~num_levels ~dims:ns in
+  let* rtiles = tile_rows cur "rtile" ~num_levels ~dims:nr in
+  let* vthreads =
+    let* l = Codec.line cur "vthread" in
+    ints_row l "vthread" ~dims:ns
   in
-  let ns = Etir.num_spatial e0 and nr = Etir.num_reduce e0 in
-  let apply_rows key expect_dims set e =
-    let rec go l e =
-      if l > num_levels then Ok e
-      else
-        let* vals = tile_row cur key ~expect_level:l ~expect_dims in
-        let e =
-          List.fold_left
-            (fun (e, d) v -> (set e ~level:l ~dim:d v, d + 1))
-            (e, 0) vals
-          |> fst
-        in
-        go (l + 1) e
-    in
-    go 0 e
-  in
-  let* e = apply_rows "stile" ns (fun e ~level ~dim v -> Etir.with_stile e ~level ~dim v) e0 in
-  let* e = apply_rows "rtile" nr (fun e ~level ~dim v -> Etir.with_rtile e ~level ~dim v) e in
-  let* vln, vtoks = Codec.field cur "vthread" in
-  let* vths = Codec.take_ints ~line:vln vtoks in
-  let* () =
-    if List.length vths = ns then Ok ()
-    else
-      Codec.error vln "vthread row has %d entries, schedule has %d dimensions"
-        (List.length vths) ns
-  in
-  let e =
-    List.fold_left (fun (e, d) v -> (Etir.with_vthread e ~dim:d v, d + 1)) (e, 0)
-      vths
-    |> fst
-  in
-  let e = Etir.with_cur_level e cur_level in
-  match Etir.validate e with
-  | Ok () -> Ok e
+  match Etir.of_rows compute ~cur_level ~stiles ~rtiles ~vthreads with
+  | Ok e -> Ok e
   | Error m -> Codec.error start "decoded state violates invariant: %s" m

@@ -2,11 +2,11 @@
     reduce tiles, vthreads, [cur_level]).
 
     The compute definition is encoded separately ({!Compute_codec});
-    [decode] rebuilds the state against it and re-checks
-    [Sched.Etir.validate], so corrupt tile values are rejected rather than
-    mis-loaded. *)
+    [decode] builds the state against it from the decoded rows with
+    [Sched.Etir.of_rows], which re-checks [Sched.Etir.validate], so corrupt
+    tile values are rejected rather than mis-loaded. *)
 
-val encode : Sched.Etir.t -> string list
+val encode : Buffer.t -> Sched.Etir.t -> unit
 
 val decode :
   compute:Tensor_lang.Compute.t ->

@@ -21,28 +21,30 @@ let scope_of_atom ~line = function
   | "device" -> Ok Mem_level.Device
   | other -> Codec.error line "unknown memory scope %S" other
 
-let encode (hw : Gpu_spec.t) =
-  [ Fmt.str "gpu %s" (Codec.quote (Gpu_spec.name hw));
-    Fmt.str "sm_count %d" (Gpu_spec.sm_count hw);
-    Fmt.str "cores_per_sm %d" (Gpu_spec.cores_per_sm hw);
-    Fmt.str "clock_ghz %s" (Codec.float_str (Gpu_spec.clock_ghz hw));
-    Fmt.str "warp_size %d" (Gpu_spec.warp_size hw);
-    Fmt.str "max_threads_per_sm %d" (Gpu_spec.max_threads_per_sm hw);
-    Fmt.str "max_threads_per_block %d" (Gpu_spec.max_threads_per_block hw);
-    Fmt.str "registers_per_sm %d" (Gpu_spec.registers_per_sm hw);
-    Fmt.str "power_watts %s" (Codec.float_str (Gpu_spec.power_watts hw));
-    Fmt.str "mem_levels %d" (Gpu_spec.num_levels hw) ]
-  @ List.map
-      (fun lv ->
-        Fmt.str "level %s %s %d %s %s %d %d"
-          (Codec.quote (Mem_level.name lv))
-          (scope_atom (Mem_level.scope lv))
-          (Mem_level.capacity_bytes lv)
-          (Codec.float_str (Mem_level.bandwidth_gbs lv))
-          (Codec.float_str (Mem_level.latency_cycles lv))
-          (Mem_level.banks lv)
-          (Mem_level.bank_width_bytes lv))
-      (Array.to_list (Gpu_spec.levels hw))
+let encode b (hw : Gpu_spec.t) =
+  let line k = Codec.field b k in
+  line "gpu" Codec.str (Gpu_spec.name hw);
+  line "sm_count" Codec.int (Gpu_spec.sm_count hw);
+  line "cores_per_sm" Codec.int (Gpu_spec.cores_per_sm hw);
+  line "clock_ghz" Codec.float (Gpu_spec.clock_ghz hw);
+  line "warp_size" Codec.int (Gpu_spec.warp_size hw);
+  line "max_threads_per_sm" Codec.int (Gpu_spec.max_threads_per_sm hw);
+  line "max_threads_per_block" Codec.int (Gpu_spec.max_threads_per_block hw);
+  line "registers_per_sm" Codec.int (Gpu_spec.registers_per_sm hw);
+  line "power_watts" Codec.float (Gpu_spec.power_watts hw);
+  line "mem_levels" Codec.int (Gpu_spec.num_levels hw);
+  Array.iter
+    (fun lv ->
+      Codec.key b "level";
+      Codec.str b (Mem_level.name lv);
+      Codec.atom b (scope_atom (Mem_level.scope lv));
+      Codec.int b (Mem_level.capacity_bytes lv);
+      Codec.float b (Mem_level.bandwidth_gbs lv);
+      Codec.float b (Mem_level.latency_cycles lv);
+      Codec.int b (Mem_level.banks lv);
+      Codec.int b (Mem_level.bank_width_bytes lv);
+      Codec.eol b)
+    (Gpu_spec.levels hw)
 
 let rec times n f acc =
   if n <= 0 then Ok (List.rev acc)
@@ -69,16 +71,17 @@ let decode cur =
   let* levels =
     times n_levels
       (fun () ->
-        let* ln, toks = Codec.field cur "level" in
-        let* lname, toks = Codec.take_str ~line:ln toks in
-        let* sc, toks = Codec.take_atom ~line:ln toks in
+        let* l = Codec.line cur "level" in
+        let ln = Codec.line_number l in
+        let* lname = Codec.get_str l in
+        let* sc = Codec.get_atom l in
         let* scope = scope_of_atom ~line:ln sc in
-        let* capacity_bytes, toks = Codec.take_int ~line:ln toks in
-        let* bandwidth_gbs, toks = Codec.take_float ~line:ln toks in
-        let* latency_cycles, toks = Codec.take_float ~line:ln toks in
-        let* banks, toks = Codec.take_int ~line:ln toks in
-        let* bank_width_bytes, toks = Codec.take_int ~line:ln toks in
-        let* () = Codec.finish ~line:ln toks in
+        let* capacity_bytes = Codec.get_int l in
+        let* bandwidth_gbs = Codec.get_float l in
+        let* latency_cycles = Codec.get_float l in
+        let* banks = Codec.get_int l in
+        let* bank_width_bytes = Codec.get_int l in
+        let* () = Codec.close l in
         match
           Mem_level.v ~name:lname ~scope ~capacity_bytes ~bandwidth_gbs
             ~latency_cycles ~banks ~bank_width_bytes ()
@@ -98,4 +101,4 @@ let decode cur =
   | hw -> Ok hw
 
 let fingerprint hw =
-  String.sub (Digest.to_hex (Digest.string (String.concat "\n" (encode hw)))) 0 12
+  String.sub (Codec.digest_lines (Codec.to_string encode hw)) 0 12

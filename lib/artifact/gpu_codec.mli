@@ -4,7 +4,7 @@
     keys entries by {!fingerprint}.  [decode] re-validates through
     [Gpu_spec.v] / [Mem_level.v]. *)
 
-val encode : Hardware.Gpu_spec.t -> string list
+val encode : Buffer.t -> Hardware.Gpu_spec.t -> unit
 val decode : Codec.cursor -> (Hardware.Gpu_spec.t, Codec.error) result
 
 (** 12 hex digits of the MD5 of the canonical encoding — stable across

@@ -1,31 +1,27 @@
 (* Text codec for {!Costmodel.Metrics.t}: one fixed-order field per line
    plus the per-level footprint vector.  Floats use the exact round-trip
-   formatting of {!Codec.float_str}, so [decode (encode m)] is structurally
+   formatting of {!Codec.float}, so [decode (encode m)] is structurally
    identical to [m]. *)
 
 open Costmodel
 
 let ( let* ) = Result.bind
 
-let encode (m : Metrics.t) =
-  let f k v = Fmt.str "%s %s" k (Codec.float_str v) in
-  let i k v = Fmt.str "%s %d" k v in
-  [ f "exec_time_s" m.exec_time_s;
-    f "achieved_flops" m.achieved_flops;
-    f "compute_throughput" m.compute_throughput;
-    f "sm_occupancy" m.sm_occupancy;
-    f "mem_busy" m.mem_busy;
-    f "l2_hit_rate" m.l2_hit_rate;
-    f "dram_bytes" m.dram_bytes;
-    f "l2_bytes" m.l2_bytes;
-    f "smem_bytes" m.smem_bytes;
-    f "bank_conflict_factor" m.bank_conflict_factor;
-    i "threads_per_block" m.threads_per_block;
-    i "grid_blocks" m.grid_blocks;
-    Fmt.str "footprints%s"
-      (String.concat ""
-         (List.map (fun v -> Fmt.str " %d" v) (Array.to_list m.footprints)))
-  ]
+let encode b (m : Metrics.t) =
+  let line k = Codec.field b k in
+  line "exec_time_s" Codec.float m.exec_time_s;
+  line "achieved_flops" Codec.float m.achieved_flops;
+  line "compute_throughput" Codec.float m.compute_throughput;
+  line "sm_occupancy" Codec.float m.sm_occupancy;
+  line "mem_busy" Codec.float m.mem_busy;
+  line "l2_hit_rate" Codec.float m.l2_hit_rate;
+  line "dram_bytes" Codec.float m.dram_bytes;
+  line "l2_bytes" Codec.float m.l2_bytes;
+  line "smem_bytes" Codec.float m.smem_bytes;
+  line "bank_conflict_factor" Codec.float m.bank_conflict_factor;
+  line "threads_per_block" Codec.int m.threads_per_block;
+  line "grid_blocks" Codec.int m.grid_blocks;
+  line "footprints" (fun b -> Array.iter (Codec.int b)) m.footprints
 
 let decode cur =
   let* exec_time_s = Codec.field_float cur "exec_time_s" in

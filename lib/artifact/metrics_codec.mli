@@ -1,4 +1,4 @@
 (** Text codec for {!Costmodel.Metrics.t} (exact float round-trip). *)
 
-val encode : Costmodel.Metrics.t -> string list
+val encode : Buffer.t -> Costmodel.Metrics.t -> unit
 val decode : Codec.cursor -> (Costmodel.Metrics.t, Codec.error) result

@@ -3,10 +3,10 @@
    predicted metrics, the device it was tuned for, and provenance (method,
    search seed, construction steps, verify status).
 
-   [encode] produces the complete framed file text; [decode] is its total
-   inverse.  The embedded device fingerprint is recomputed from the decoded
-   spec and must match, so a hand-edited device section cannot masquerade as
-   a different GPU's tuning. *)
+   [encode] fills one buffer with the payload and frames it; [decode] is
+   its total inverse.  The embedded device fingerprint is checked against
+   the one computed from the decoded spec, so a hand-edited device section
+   cannot masquerade as a different GPU's tuning. *)
 
 let ( let* ) = Result.bind
 
@@ -46,46 +46,75 @@ let shape_string t =
        (fun ax -> string_of_int (Tensor_lang.Axis.extent ax))
        (Tensor_lang.Compute.axes t.compute))
 
-let payload_lines t =
-  [ Fmt.str "method %s" (Codec.quote t.method_name);
-    (match t.seed with
-    | None -> "seed none"
-    | Some s -> Fmt.str "seed %d" s);
-    Fmt.str "steps %d" t.steps;
-    Fmt.str "device_fp %s" t.device_fingerprint ]
-  @ Gpu_codec.encode t.device
-  @ Compute_codec.encode t.compute
-  @ Etir_codec.encode t.etir
-  @ Metrics_codec.encode t.metrics
-  @ (match t.verify with
-    | Not_verified -> [ "verify none" ]
-    | Verified ds -> "verify run" :: Verify_codec.encode ds)
-  @ (match t.cert with
-    | None -> [ "cert none" ]
-    | Some c -> "cert some" :: Cert_codec.encode c)
+let encode t =
+  let b = Buffer.create 2048 in
+  let line k = Codec.field b k in
+  line "method" Codec.str t.method_name;
+  (match t.seed with
+  | None -> line "seed" Codec.atom "none"
+  | Some s -> line "seed" Codec.int s);
+  line "steps" Codec.int t.steps;
+  line "device_fp" Codec.atom t.device_fingerprint;
+  Gpu_codec.encode b t.device;
+  Compute_codec.encode b t.compute;
+  Etir_codec.encode b t.etir;
+  Metrics_codec.encode b t.metrics;
+  (match t.verify with
+  | Not_verified -> line "verify" Codec.atom "none"
+  | Verified ds ->
+    line "verify" Codec.atom "run";
+    Verify_codec.encode b ds);
+  (match t.cert with
+  | None -> line "cert" Codec.atom "none"
+  | Some c ->
+    line "cert" Codec.atom "some";
+    Cert_codec.encode b c);
+  Codec.frame (Buffer.contents b)
 
-let encode t = Codec.frame (String.concat "\n" (payload_lines t) ^ "\n")
+(* Device sections one scan has decoded, by exact text, with their specs
+   and fingerprints.  A store holds records for a handful of devices, so a
+   list searched by in-place comparison is enough. *)
+type devices = {
+  mutable known : (string * Hardware.Gpu_spec.t * string) list;
+}
 
-let decode text =
-  let* payload = Codec.unframe text in
-  let cur = Codec.cursor ~base:Codec.payload_base payload in
+let devices () = { known = [] }
+let devices_decoded d = List.length d.known
+
+(* The device section at the cursor with its fingerprint.  A section whose
+   text [d] already holds is skipped, not decoded again: decoding is a
+   function of the text alone. *)
+let decode_device d cur =
+  match List.find_opt (fun (text, _, _) -> Codec.skip cur text) d.known with
+  | Some (_, hw, fp) -> Ok (hw, fp)
+  | None ->
+    let m = Codec.mark cur in
+    let* hw = Gpu_codec.decode cur in
+    let fp = Gpu_codec.fingerprint hw in
+    d.known <- (Codec.since cur m, hw, fp) :: d.known;
+    Ok (hw, fp)
+
+(* A one-word field with its line number. *)
+let tag cur key =
+  let* l = Codec.line cur key in
+  let* a = Codec.get_atom l in
+  let* () = Codec.close l in
+  Ok (Codec.line_number l, a)
+
+let decode ?(devices = devices ()) text =
+  let* cur = Codec.unframe text in
   let* method_name = Codec.field_str cur "method" in
-  let* ln_seed, seed_toks = Codec.field cur "seed" in
+  let* ln_seed, seed = tag cur "seed" in
   let* seed =
-    match seed_toks with
-    | [ Codec.Atom "none" ] -> Ok None
-    | toks ->
-      let* s, rest = Codec.take_int ~line:ln_seed toks in
-      let* () = Codec.finish ~line:ln_seed rest in
-      Ok (Some s)
+    match (seed, int_of_string_opt seed) with
+    | "none", _ -> Ok None
+    | _, Some s -> Ok (Some s)
+    | _, None -> Codec.error ln_seed "expected integer, got %S" seed
   in
   let* steps = Codec.field_int cur "steps" in
-  let* fp_ln, fp_toks = Codec.field cur "device_fp" in
-  let* claimed_fp, rest = Codec.take_atom ~line:fp_ln fp_toks in
-  let* () = Codec.finish ~line:fp_ln rest in
-  let* device = Gpu_codec.decode cur in
+  let* fp_ln, claimed_fp = tag cur "device_fp" in
+  let* device, actual = decode_device devices cur in
   let* () =
-    let actual = Gpu_codec.fingerprint device in
     if String.equal actual claimed_fp then Ok ()
     else
       Codec.error fp_ln
@@ -95,9 +124,7 @@ let decode text =
   let* compute = Compute_codec.decode cur in
   let* etir = Etir_codec.decode ~compute cur in
   let* metrics = Metrics_codec.decode cur in
-  let* vln, vtoks = Codec.field cur "verify" in
-  let* vtag, rest = Codec.take_atom ~line:vln vtoks in
-  let* () = Codec.finish ~line:vln rest in
+  let* vln, vtag = tag cur "verify" in
   let* verify =
     match vtag with
     | "none" -> Ok Not_verified
@@ -106,9 +133,7 @@ let decode text =
       Ok (Verified ds)
     | other -> Codec.error vln "unknown verify status %S" other
   in
-  let* cln, ctoks = Codec.field cur "cert" in
-  let* ctag, rest = Codec.take_atom ~line:cln ctoks in
-  let* () = Codec.finish ~line:cln rest in
+  let* cln, ctag = tag cur "cert" in
   let* cert =
     match ctag with
     | "none" -> Ok None

@@ -47,8 +47,21 @@ val shape_string : t -> string
 (** Complete framed file text (header + checksum + payload). *)
 val encode : t -> string
 
+(** Device sections decoded by one scan over many records.  Each distinct
+    section text is decoded and fingerprinted once; a later record with
+    the same text reuses the result, and its claimed [device_fp] is still
+    checked against that fingerprint.  Scoped to one scan by its owner,
+    never process-wide. *)
+type devices
+
+val devices : unit -> devices
+
+(** Distinct device sections decoded into the table so far. *)
+val devices_decoded : devices -> int
+
 (** Total inverse of {!encode}; corrupt, truncated or stale-versioned text
-    yields a positioned [Error]. *)
-val decode : string -> (t, Codec.error) result
+    yields a positioned [Error].  [devices] interns the device section
+    (default: a fresh table for this one record). *)
+val decode : ?devices:devices -> string -> (t, Codec.error) result
 
 val pp_summary : t Fmt.t

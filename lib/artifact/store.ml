@@ -79,25 +79,34 @@ let remember t k (r : Record.t) =
 
 let c_puts = Trace.Counter.make "store.puts"
 let c_scanned = Trace.Counter.make "store.entries_scanned"
+let c_bytes = Trace.Counter.make "store.bytes_scanned"
+let c_devices = Trace.Counter.make "store.devices_decoded"
 
+(* The device intern table lives for this scan only, so every [open_]
+   reads and checks the directory afresh. *)
 let scan t =
   Trace.with_span ~name:"store.scan" ~args:[ ("dir", t.dir) ] @@ fun () ->
   let files = try Sys.readdir t.dir with Sys_error _ -> [||] in
   Array.sort compare files;
+  let devices = Record.devices () in
   Array.iter
     (fun f ->
       if Filename.check_suffix f suffix then begin
         let path = Filename.concat t.dir f in
-        match Record.decode (read_file path) with
-        | Ok r ->
-          Trace.Counter.incr c_scanned;
-          remember t (key_of_record r) r
-        | Error error -> t.issues <- { path; error } :: t.issues
+        match read_file path with
         | exception Sys_error m ->
           t.issues <-
             { path; error = { Codec.line = 0; msg = m } } :: t.issues
+        | text -> (
+          Trace.Counter.add c_bytes (String.length text);
+          match Record.decode ~devices text with
+          | Ok r ->
+            Trace.Counter.incr c_scanned;
+            remember t (key_of_record r) r
+          | Error error -> t.issues <- { path; error } :: t.issues)
       end)
     files;
+  Trace.Counter.add c_devices (Record.devices_decoded devices);
   t.issues <- List.rev t.issues
 
 let open_ dir =

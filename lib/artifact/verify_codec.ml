@@ -20,13 +20,18 @@ let pass_of_atom ~line atom =
   | Some p -> Ok p
   | None -> Codec.error line "unknown pass %S" atom
 
-let encode (ds : Diagnostic.t list) =
-  Fmt.str "diags %d" (List.length ds)
-  :: List.map
-       (fun (d : Diagnostic.t) ->
-         Fmt.str "diag %s %s %s %s %s" d.code (severity_atom d.severity)
-           (pass_atom d.pass) (Codec.quote d.loc) (Codec.quote d.message))
-       ds
+let encode b (ds : Diagnostic.t list) =
+  Codec.field b "diags" Codec.int (List.length ds);
+  List.iter
+    (fun (d : Diagnostic.t) ->
+      Codec.key b "diag";
+      Codec.atom b d.code;
+      Codec.atom b (severity_atom d.severity);
+      Codec.atom b (pass_atom d.pass);
+      Codec.str b d.loc;
+      Codec.str b d.message;
+      Codec.eol b)
+    ds
 
 let rec times n f acc =
   if n <= 0 then Ok (List.rev acc)
@@ -43,14 +48,15 @@ let decode cur =
   in
   times n
     (fun () ->
-      let* ln, toks = Codec.field cur "diag" in
-      let* code, toks = Codec.take_atom ~line:ln toks in
-      let* sev, toks = Codec.take_atom ~line:ln toks in
+      let* l = Codec.line cur "diag" in
+      let ln = Codec.line_number l in
+      let* code = Codec.get_atom l in
+      let* sev = Codec.get_atom l in
       let* severity = severity_of_atom ~line:ln sev in
-      let* pa, toks = Codec.take_atom ~line:ln toks in
+      let* pa = Codec.get_atom l in
       let* pass = pass_of_atom ~line:ln pa in
-      let* loc, toks = Codec.take_str ~line:ln toks in
-      let* message, toks = Codec.take_str ~line:ln toks in
-      let* () = Codec.finish ~line:ln toks in
+      let* loc = Codec.get_str l in
+      let* message = Codec.get_str l in
+      let* () = Codec.close l in
       Ok { Diagnostic.code; severity; pass; loc; message })
     []

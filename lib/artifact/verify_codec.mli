@@ -1,4 +1,4 @@
 (** Text codec for {!Verify.Diagnostic.t} lists (artifact verify status). *)
 
-val encode : Verify.Diagnostic.t list -> string list
+val encode : Buffer.t -> Verify.Diagnostic.t list -> unit
 val decode : Codec.cursor -> (Verify.Diagnostic.t list, Codec.error) result

@@ -169,6 +169,31 @@ let validate t =
     (Array.for_all2 (fun v tile -> v <= tile) t.vthreads t.stiles.(0))
     "vthreads <= thread tile"
 
+(* A state from whole rows: one effective-tile table and one [validate],
+   instead of one functional update per tile.  Row shapes are checked
+   first because [validate] assumes them. *)
+let of_rows compute ~cur_level ~stiles ~rtiles ~vthreads =
+  let k = consts_of compute in
+  let n_spatial = Array.length k.sext and n_reduce = Array.length k.rext in
+  let levels = Array.length stiles in
+  let width n rows = Array.for_all (fun r -> Array.length r = n) rows in
+  if levels < 2 || Array.length rtiles <> levels then Error "level count"
+  else if not (width n_spatial stiles && width n_reduce rtiles) then
+    Error "tile row width"
+  else if Array.length vthreads <> n_spatial then Error "vthread row width"
+  else begin
+    (* A reduce-free compute keeps [create]'s one-slot reduce rows. *)
+    let rtiles =
+      if n_reduce = 0 then Array.map (fun _ -> [| 1 |]) rtiles else rtiles
+    in
+    let t =
+      { compute; num_levels = levels - 1; cur_level; stiles; rtiles; vthreads;
+        eff = eff_of ~n_spatial ~n_reduce stiles rtiles;
+        fp = 0L; k }
+    in
+    Result.map (fun () -> t) (validate t)
+  end
+
 let ceil_div a b = (a + b - 1) / b
 
 (* Physical threads along dim i: block tile over thread tile.  Virtual

@@ -16,6 +16,20 @@ type t
     [num_levels] is the paper's [L] (2 on NVIDIA GPUs). *)
 val create : ?num_levels:int -> Compute.t -> t
 
+(** [of_rows compute ~cur_level ~stiles ~rtiles ~vthreads] is the state
+    with these raw tiles: [stiles.(l)] and [rtiles.(l)] are level [l]'s
+    spatial and reduce rows, for levels [0 .. L] (so [L] is the row count
+    minus 1), and [vthreads] has one entry per spatial dim.  The rows are
+    owned by the state afterwards.  [Error] names the shape or
+    {!validate} invariant they break. *)
+val of_rows :
+  Compute.t ->
+  cur_level:int ->
+  stiles:int array array ->
+  rtiles:int array array ->
+  vthreads:int array ->
+  (t, string) result
+
 val compute : t -> Compute.t
 
 (** The paper's [L]: number of schedulable cache levels. *)

@@ -252,11 +252,11 @@ let prop_compute_roundtrip =
   QCheck.Test.make ~count:300 ~name:"compute codec round-trips"
     (QCheck.make gen_compute ~print:print_compute)
     (fun c ->
-      let lines = Artifact.Compute_codec.encode c in
-      match Artifact.Compute_codec.decode (Artifact.Codec.cursor lines) with
+      let text = Artifact.Codec.to_string Artifact.Compute_codec.encode c in
+      match Artifact.Compute_codec.decode (Artifact.Codec.cursor text) with
       | Error e -> fail_error "compute" e
       | Ok c' ->
-        Artifact.Compute_codec.encode c' = lines
+        Artifact.Codec.to_string Artifact.Compute_codec.encode c' = text
         && Artifact.Compute_codec.fingerprint c'
            = Artifact.Compute_codec.fingerprint c)
 
@@ -264,35 +264,37 @@ let prop_etir_roundtrip =
   QCheck.Test.make ~count:300 ~name:"etir codec round-trips"
     (QCheck.make gen_etir ~print:(Fmt.str "%a" Sched.Etir.pp))
     (fun e ->
-      let lines = Artifact.Etir_codec.encode e in
+      let text = Artifact.Codec.to_string Artifact.Etir_codec.encode e in
       match
         Artifact.Etir_codec.decode ~compute:(Sched.Etir.compute e)
-          (Artifact.Codec.cursor lines)
+          (Artifact.Codec.cursor text)
       with
       | Error err -> fail_error "etir" err
       | Ok e' ->
         Sched.Etir.eval_equal e e'
         && Sched.Etir.cur_level e' = Sched.Etir.cur_level e
-        && Artifact.Etir_codec.encode e' = lines)
+        && Artifact.Codec.to_string Artifact.Etir_codec.encode e' = text)
 
 let prop_metrics_roundtrip =
   QCheck.Test.make ~count:300 ~name:"metrics codec round-trips exactly"
     (QCheck.make gen_metrics ~print:(Fmt.str "%a" Costmodel.Metrics.pp))
     (fun m ->
-      let lines = Artifact.Metrics_codec.encode m in
-      match Artifact.Metrics_codec.decode (Artifact.Codec.cursor lines) with
+      let text = Artifact.Codec.to_string Artifact.Metrics_codec.encode m in
+      match Artifact.Metrics_codec.decode (Artifact.Codec.cursor text) with
       | Error e -> fail_error "metrics" e
-      | Ok m' -> m' = m && Artifact.Metrics_codec.encode m' = lines)
+      | Ok m' ->
+        m' = m
+        && Artifact.Codec.to_string Artifact.Metrics_codec.encode m' = text)
 
 let prop_gpu_roundtrip =
   QCheck.Test.make ~count:300 ~name:"gpu codec round-trips, stable fingerprint"
     (QCheck.make gen_gpu ~print:Hardware.Gpu_spec.name)
     (fun hw ->
-      let lines = Artifact.Gpu_codec.encode hw in
-      match Artifact.Gpu_codec.decode (Artifact.Codec.cursor lines) with
+      let text = Artifact.Codec.to_string Artifact.Gpu_codec.encode hw in
+      match Artifact.Gpu_codec.decode (Artifact.Codec.cursor text) with
       | Error e -> fail_error "gpu" e
       | Ok hw' ->
-        Artifact.Gpu_codec.encode hw' = lines
+        Artifact.Codec.to_string Artifact.Gpu_codec.encode hw' = text
         && Artifact.Gpu_codec.fingerprint hw'
            = Artifact.Gpu_codec.fingerprint hw)
 
@@ -301,8 +303,8 @@ let prop_verify_roundtrip =
     (QCheck.make gen_diags
        ~print:(Fmt.str "%a" Verify.Diagnostic.pp_report))
     (fun ds ->
-      let lines = Artifact.Verify_codec.encode ds in
-      match Artifact.Verify_codec.decode (Artifact.Codec.cursor lines) with
+      let text = Artifact.Codec.to_string Artifact.Verify_codec.encode ds in
+      match Artifact.Verify_codec.decode (Artifact.Codec.cursor text) with
       | Error e -> fail_error "verify" e
       | Ok ds' -> ds' = ds)
 
@@ -310,10 +312,11 @@ let prop_cert_roundtrip =
   QCheck.Test.make ~count:300 ~name:"cert codec round-trips"
     (QCheck.make gen_cert ~print:(Fmt.str "%a" Verify.Cert.pp))
     (fun c ->
-      let lines = Artifact.Cert_codec.encode c in
-      match Artifact.Cert_codec.decode (Artifact.Codec.cursor lines) with
+      let text = Artifact.Codec.to_string Artifact.Cert_codec.encode c in
+      match Artifact.Cert_codec.decode (Artifact.Codec.cursor text) with
       | Error e -> fail_error "cert" e
-      | Ok c' -> c' = c && Artifact.Cert_codec.encode c' = lines)
+      | Ok c' ->
+        c' = c && Artifact.Codec.to_string Artifact.Cert_codec.encode c' = text)
 
 let prop_record_roundtrip =
   QCheck.Test.make ~count:60 ~name:"full artifact file round-trips"
@@ -343,8 +346,8 @@ let test_float_extremes () =
     (fun f ->
       let m = { (QCheck.Gen.generate1 gen_metrics) with
                 Costmodel.Metrics.exec_time_s = f } in
-      let lines = Artifact.Metrics_codec.encode m in
-      match Artifact.Metrics_codec.decode (Artifact.Codec.cursor lines) with
+      let text = Artifact.Codec.to_string Artifact.Metrics_codec.encode m in
+      match Artifact.Metrics_codec.decode (Artifact.Codec.cursor text) with
       | Error e -> fail_error "metrics extreme" e
       | Ok m' ->
         check_bool
@@ -353,6 +356,95 @@ let test_float_extremes () =
           (Float.equal m'.Costmodel.Metrics.exec_time_s f))
     [ Float.min_float; Float.max_float; epsilon_float; 0x1.fffffffffffffp-2;
       infinity; neg_infinity; nan; 1e308; -1e-308 ]
+
+(* ---------- golden bytes ---------- *)
+
+(* Files written by the Format-based encoder this one replaced, with the
+   device and compute fingerprints it computed for them: a fused BERT
+   kernel with an epilogue and a certificate, a Table IV conv with verify
+   diagnostics on Orin, and a record whose names need [%S] escapes. *)
+let goldens =
+  [ ("golden/bert_fused_cert.gat", "209582e76ccf",
+     "b93f273cd257b2e87035233e07d6af81");
+    ("golden/conv_verify_diags.gat", "c32d4c0aae42",
+     "859c2c242be7e944471d359ad04f4d95");
+    ("golden/escapes.gat", "209582e76ccf",
+     "e4158abcf9ffc8d623986a3b05a10279") ]
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_golden_bytes () =
+  List.iter
+    (fun (path, gpu_fp, compute_fp) ->
+      let text = read path in
+      match Artifact.Record.decode text with
+      | Error e -> fail_error path e
+      | Ok r ->
+        check_string (path ^ " re-encodes byte for byte") text
+          (Artifact.Record.encode r);
+        check_string (path ^ " device fingerprint") gpu_fp
+          (Artifact.Gpu_codec.fingerprint r.Artifact.Record.device);
+        check_string (path ^ " compute fingerprint") compute_fp
+          (Artifact.Compute_codec.fingerprint r.Artifact.Record.compute))
+    goldens;
+  let decoded path =
+    match Artifact.Record.decode (read path) with
+    | Ok r -> r
+    | Error e -> fail_error path e
+  in
+  let bert = decoded "golden/bert_fused_cert.gat" in
+  check_bool "bert kernel has an epilogue" true
+    (Compute.epilogue bert.Artifact.Record.compute <> None);
+  check_bool "bert kernel has a cert" true (bert.Artifact.Record.cert <> None);
+  let conv = decoded "golden/conv_verify_diags.gat" in
+  check_bool "conv carries diagnostics" true
+    (match conv.Artifact.Record.verify with
+    | Artifact.Record.Verified (_ :: _) -> true
+    | _ -> false);
+  check_string "conv is tuned for Orin"
+    (Artifact.Gpu_codec.fingerprint Hardware.Presets.orin_nano)
+    conv.Artifact.Record.device_fingerprint;
+  let esc = decoded "golden/escapes.gat" in
+  check_string "escaped compute name" "we\"ird\\name\n\ttab\255"
+    (Compute.name esc.Artifact.Record.compute)
+
+(* ---------- literals ---------- *)
+
+(* Literals with escapes take the [Scanf.unescaped] path, in plain fields
+   and inside expressions; a bad escape is an error on its file line. *)
+let test_literal_escapes () =
+  let module C = Artifact.Codec in
+  let strs = [ "a\"b"; "c\\d"; "e\nf"; "g\th"; "\255x"; "plain" ] in
+  let b = Buffer.create 64 in
+  C.key b "k";
+  List.iter (C.str b) strs;
+  C.eol b;
+  C.field b "x" C.sexp (C.L (List.map (fun s -> C.S s) strs));
+  let text =
+    Buffer.contents b ^ {|d "\255" "\t"|} ^ "\n" ^ {|bad "x\qy"|} ^ "\n"
+  in
+  check_bool "literals use backslash escapes" true (String.contains text '\\');
+  let cur = C.cursor text in
+  let ok what = function Ok v -> v | Error e -> fail_error what e in
+  let l = ok "k line" (C.line cur "k") in
+  List.iter
+    (fun s -> check_string "literal round-trips" s (ok "literal" (C.get_str l)))
+    strs;
+  ok "end of k line" (C.close l);
+  let l = ok "x line" (C.line cur "x") in
+  check_bool "literals round-trip inside an expression" true
+    (ok "expression" (C.get_sexp l) = C.L (List.map (fun s -> C.S s) strs));
+  let l = ok "d line" (C.line cur "d") in
+  check_string "decimal escape" "\255" (ok "decimal" (C.get_str l));
+  check_string "tab escape" "\t" (ok "tab" (C.get_str l));
+  match C.field_str cur "bad" with
+  | Ok _ -> Alcotest.fail "bad escape accepted"
+  | Error e -> check_int "bad escape reports its file line" 4 e.C.line
 
 (* ---------- negative paths: corrupt input yields Error, never raises ---- *)
 
@@ -388,11 +480,6 @@ let test_wrong_version () =
   let rest = String.sub text nl (String.length text - nl) in
   expect_error "future version" ("gensor-artifact 99" ^ rest);
   expect_error "bad magic" ("not-an-artifact 1" ^ rest);
-  let contains ~sub s =
-    let n = String.length sub and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
   match Artifact.Record.decode ("gensor-artifact 99" ^ rest) with
   | Error e ->
     check_bool "version error names the version" true
@@ -430,7 +517,16 @@ let test_tampered_fields () =
   expect_error "unknown field"
     (reframe (replace_line ~prefix:"steps" ~with_:"stepz 3" payload));
   expect_error "trailing garbage"
-    (reframe (payload ^ "\nextra junk 1\n"))
+    (reframe (payload ^ "\nextra junk 1\n"));
+  match
+    Artifact.Record.decode
+      (reframe
+         (replace_line ~prefix:"method" ~with_:{|method "bad\q"|} payload))
+  with
+  | Ok _ -> Alcotest.fail "bad escape accepted"
+  | Error e ->
+    check_int "bad escape is reported on the method line" 3
+      e.Artifact.Codec.line
 
 (* ---------- store ---------- *)
 
@@ -541,6 +637,162 @@ let test_store_keeps_better_duplicate () =
   ignore (Artifact.Store.purge store : int);
   Sys.rmdir dir
 
+(* ---------- per-scan device interning ---------- *)
+
+let file_of store k = Filename.concat (Artifact.Store.dir store) (k ^ ".gat")
+
+let rewrite path f =
+  let text = read path in
+  let i = String.index text '\n' in
+  let j = String.index_from text (i + 1) '\n' in
+  let payload = String.sub text (j + 1) (String.length text - j - 1) in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (Artifact.Codec.frame (f payload)))
+
+let replace ~sub ~by s =
+  let n = String.length sub in
+  let rec go i =
+    if String.sub s i n = sub then
+      String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+    else go (i + 1)
+  in
+  go 0
+
+let counter name = Option.value ~default:0 (Trace.Counter.find name)
+
+(* [n] records of one device in a fresh store, with their keys in file
+   (scan) order. *)
+let one_device_store ~seed n =
+  let dir = tmp_dir () in
+  let store = Artifact.Store.open_ dir in
+  let rand = Random.State.make [| seed |] in
+  let rec fill () =
+    if Artifact.Store.size store < n then begin
+      let r = QCheck.Gen.generate1 ~rand gen_record in
+      ignore (Artifact.Store.put store r : string);
+      fill ()
+    end
+  in
+  fill ();
+  (dir, store, List.map fst (Artifact.Store.entries store))
+
+let cleanup dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+(* An edited device section is decoded on its own and refused; a forged
+   [device_fp] in front of an interned section is refused too; an error
+   after a skipped section names its file line; the neighbours on the
+   real device still load. *)
+let test_interning_checks_each_record () =
+  let dir, store, keys = one_device_store ~seed:19 5 in
+  let file i = file_of store (List.nth keys i) in
+  let edited = file 1 and forged = file 2 and late = file 3 in
+  rewrite edited (replace ~sub:"\nsm_count 128\n" ~by:"\nsm_count 129\n");
+  rewrite forged (fun p ->
+      let fp = Artifact.Gpu_codec.fingerprint hw in
+      replace ~sub:("device_fp " ^ fp) ~by:"device_fp 0123456789ab" p);
+  rewrite late (replace ~sub:"\ncompute " ~by:"\ncompote ");
+  let compute_line =
+    let text = read late in
+    let rec go i line =
+      if String.sub text i 8 = "compote " then line
+      else go (i + 1) (if text.[i] = '\n' then line + 1 else line)
+    in
+    go 0 1
+  in
+  let store2 = Artifact.Store.open_ dir in
+  check_int "the two neighbours load" 2 (Artifact.Store.size store2);
+  let issue path =
+    match
+      List.find_opt
+        (fun (i : Artifact.Store.issue) -> i.path = path)
+        (Artifact.Store.issues store2)
+    with
+    | Some i -> i.error
+    | None -> Alcotest.failf "%s is not reported" path
+  in
+  List.iter
+    (fun path ->
+      check_bool (path ^ " names the device") true
+        (contains ~sub:"device fingerprint mismatch"
+           (issue path).Artifact.Codec.msg))
+    [ edited; forged ];
+  check_int "error after a skipped device section" compute_line
+    (issue late).Artifact.Codec.line;
+  check_int "three issues" 3 (List.length (Artifact.Store.issues store2));
+  cleanup dir
+
+let test_interning_two_devices () =
+  let dir = tmp_dir () in
+  let store = Artifact.Store.open_ dir in
+  let rand = Random.State.make [| 23 |] in
+  let orin = Hardware.Presets.orin_nano in
+  let on device =
+    let etir = gen_etir rand in
+    Artifact.Record.v ~method_name:"m" ~device ~etir
+      ~metrics:(Costmodel.Model.evaluate ~hw:device etir) ()
+  in
+  List.iter
+    (fun d -> ignore (Artifact.Store.put store (on d) : string))
+    [ hw; orin; hw; orin ];
+  let before = counter "store.devices_decoded" in
+  let store2 = Artifact.Store.open_ dir in
+  check_int "two device sections decoded" 2
+    (counter "store.devices_decoded" - before);
+  check_int "no issues" 0 (List.length (Artifact.Store.issues store2));
+  check_int "every record loads" (Artifact.Store.size store)
+    (Artifact.Store.size store2);
+  List.iter
+    (fun (_, (r : Artifact.Record.t)) ->
+      check_string "fingerprint matches the decoded device"
+        (Artifact.Gpu_codec.fingerprint r.device) r.device_fingerprint;
+      check_bool "device is one of the two presets" true
+        (List.mem r.device_fingerprint
+           (List.map Artifact.Gpu_codec.fingerprint [ hw; orin ])))
+    (Artifact.Store.entries store2);
+  List.iter
+    (fun d ->
+      check_bool
+        (Hardware.Gpu_spec.name d ^ " records load")
+        true
+        (List.exists
+           (fun (_, (r : Artifact.Record.t)) ->
+             r.device_fingerprint = Artifact.Gpu_codec.fingerprint d)
+           (Artifact.Store.entries store2)))
+    [ hw; orin ];
+  cleanup dir
+
+let test_reopen_is_stable () =
+  let dir, _, _ = one_device_store ~seed:29 5 in
+  let encoded s =
+    List.map
+      (fun (k, r) -> (k, Artifact.Record.encode r))
+      (Artifact.Store.entries s)
+  in
+  let a = Artifact.Store.open_ dir and b = Artifact.Store.open_ dir in
+  check_bool "two opens give equal entries" true (encoded a = encoded b);
+  cleanup dir
+
+let test_scan_counters () =
+  let n = 6 in
+  let dir, store, keys = one_device_store ~seed:31 n in
+  let bytes =
+    List.fold_left
+      (fun acc k -> acc + String.length (read (file_of store k)))
+      0 keys
+  in
+  let d0 = counter "store.devices_decoded"
+  and b0 = counter "store.bytes_scanned"
+  and e0 = counter "store.entries_scanned" in
+  ignore (Artifact.Store.open_ dir : Artifact.Store.t);
+  check_int "one device section decoded for N records" 1
+    (counter "store.devices_decoded" - d0);
+  check_int "every record scanned" n (counter "store.entries_scanned" - e0);
+  check_int "bytes scanned = file sizes" bytes
+    (counter "store.bytes_scanned" - b0);
+  cleanup dir
+
 let () =
   Alcotest.run "artifact"
     [ ( "roundtrip",
@@ -562,4 +814,18 @@ let () =
           Alcotest.test_case "skips corrupt entries" `Quick
             test_store_skips_corrupt;
           Alcotest.test_case "duplicate keeps better score" `Quick
-            test_store_keeps_better_duplicate ] ) ]
+            test_store_keeps_better_duplicate;
+          Alcotest.test_case "scan counters" `Quick test_scan_counters ] );
+      ( "interning",
+        [ Alcotest.test_case "each record's device is checked" `Quick
+            test_interning_checks_each_record;
+          Alcotest.test_case "two devices in one store" `Quick
+            test_interning_two_devices;
+          Alcotest.test_case "reopen gives equal entries" `Quick
+            test_reopen_is_stable ] );
+      ( "golden",
+        [ Alcotest.test_case "parent bytes and fingerprints" `Quick
+            test_golden_bytes ] );
+      ( "literals",
+        [ Alcotest.test_case "escapes and bad escapes" `Quick
+            test_literal_escapes ] ) ]

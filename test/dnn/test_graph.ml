@@ -253,8 +253,8 @@ let test_codec_epilogue_roundtrip () =
   let g, _, _ = small_conv_relu_graph () in
   let r = Dnn.Fusion.fuse g in
   let fc = Ops.Op.compute (Dnn.Graph.node r.Dnn.Fusion.graph 0).Dnn.Graph.op in
-  let lines = Artifact.Compute_codec.encode fc in
-  match Artifact.Compute_codec.decode (Artifact.Codec.cursor lines) with
+  let text = Artifact.Codec.to_string Artifact.Compute_codec.encode fc in
+  match Artifact.Compute_codec.decode (Artifact.Codec.cursor text) with
   | Error e -> Alcotest.failf "decode: %s" (Artifact.Codec.error_to_string e)
   | Ok fc' ->
     Alcotest.(check bool) "epilogue survives" true
