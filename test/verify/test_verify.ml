@@ -272,6 +272,157 @@ let test_nondividing_code () =
         (String.length coded > 4 && String.sub coded 0 4 = "GSR-"))
     diags
 
+(* ---------- one mutation per diagnostic code ----------
+
+   Each entry edits the configured GEMM's kernel or host and lists every
+   diagnostic the verifier then reports: code, severity, location and
+   message.  The clean kernel reports none. *)
+
+let row d =
+  Verify.Diagnostic.
+    (d.code, severity_to_string d.severity, d.loc, d.message)
+
+(* Line-level edits of emitted text; lines are numbered from 1. *)
+let edit_lines f text =
+  let lines = String.split_on_char '\n' text in
+  String.concat "\n" (List.concat (List.mapi (fun i l -> f (i + 1) l) lines))
+
+let replace_line n by = edit_lines (fun i l -> if i = n then [ by ] else [ l ])
+let delete_line n = edit_lines (fun i l -> if i = n then [] else [ l ])
+let insert_after n by = edit_lines (fun i l -> if i = n then [ l; by ] else [ l ])
+
+let run_mutated ?(kernel = Fun.id) ?(host = Fun.id) e =
+  Verify.run_text e ~hw
+    ~kernel:(kernel (Codegen.Cuda.emit e))
+    ~host:(host (Codegen.Cuda.emit_host e))
+
+let code_case (code, what, run, expected) =
+  Alcotest.test_case (code ^ " " ^ what) `Quick (fun () ->
+      Alcotest.(check (list (pair (pair string string) (pair string string))))
+        "diagnostics"
+        (List.map (fun (c, s, l, m) -> ((c, s), (l, m))) expected)
+        (List.map (fun d -> let c, s, l, m = row d in ((c, s), (l, m))) (run ())))
+
+let staged_race =
+  "cross-thread reads of smem_A, smem_B are not separated from the staging \
+   writes by __syncthreads() (read-after-write race)"
+
+let divergent_msg =
+  "__syncthreads() under divergent control flow: threads may not all reach \
+   the barrier (barrier divergence)"
+
+let code_cases =
+  let e = configured () in
+  [ ( "GSR-R01", "barrier in a thread-dependent loop",
+      (fun () ->
+        run_mutated e
+          ~kernel:
+            (replace_line 15
+               "    for (int s = threadIdx.x; s < 17; s += blockDim.x) \
+                __syncthreads();")),
+      [ ("GSR-R01", "error", "kernel line 15", divergent_msg);
+        ("GSR-R02", "error", "kernel line 25", staged_race) ] );
+    ( "GSR-R02", "staging barrier removed",
+      (fun () -> run_mutated e ~kernel:(delete_line 15)),
+      [ ("GSR-R02", "error", "kernel line 24", staged_race) ] );
+    ( "GSR-R03", "chunk-closing barrier removed",
+      (fun () -> run_mutated e ~kernel:(delete_line 32)),
+      [ ( "GSR-R03", "error", "kernel line 25 (end of reduction chunk)",
+          "no __syncthreads() after the chunk's reads: the next iteration's \
+           staging writes race with them (write-after-read across chunk \
+           iterations)" ) ] );
+    ( "GSR-L01", "shared declaration removed",
+      (fun () -> run_mutated e ~kernel:(delete_line 5)),
+      [ ( "GSR-L01", "error", "kernel",
+          "missing __shared__ declaration for the staged slice of B" ) ] );
+    ( "GSR-L02", "shared extent shrunk",
+      (fun () ->
+        run_mutated e
+          ~kernel:(replace_line 4 "  __shared__ float smem_A[128];  // level-1 tile")),
+      [ ( "GSR-L02", "error", "kernel line 4",
+          "__shared__ smem_A declares 128 floats but the level-1 footprint \
+           stages 256" ) ] );
+    ( "GSR-L03", "shared extent not a constant",
+      (fun () ->
+        run_mutated e
+          ~kernel:(replace_line 4 "  __shared__ float smem_A[N];")),
+      [ ( "GSR-L03", "error", "kernel line 4",
+          "__shared__ smem_A has a non-constant extent" ) ] );
+    ( "GSR-L04", "unbacked shared array",
+      (fun () ->
+        run_mutated e
+          ~kernel:(insert_after 5 "  __shared__ float smem_C[64];  // level-1 tile")),
+      [ ( "GSR-L04", "warning", "kernel line 6",
+          "shared array not backed by any staged level-1 slice" ) ] );
+    ( "GSR-L05", "accumulator removed",
+      (fun () -> run_mutated e ~kernel:(delete_line 8)),
+      [ ("GSR-L05", "error", "kernel", "no accumulator array for the thread tile") ] );
+    ( "GSR-L06", "accumulator shrunk",
+      (fun () ->
+        run_mutated e
+          ~kernel:
+            (fun k ->
+              k
+              |> replace_line 8 "  float acc[8];"
+              |> replace_line 10 "  for (int i = 0; i < 8; ++i) acc[i] = 0f;")),
+      [ ( "GSR-L06", "error", "kernel line 8",
+          "accumulator holds 8 floats but the level-0 tile has 16 elements" ) ] );
+    ( "GSR-L07", "unroll pragma without a loop",
+      (fun () -> run_mutated e ~kernel:(insert_after 33 "  #pragma unroll")),
+      [ ("GSR-L07", "error", "kernel line 34", "#pragma unroll with no loop to unroll") ] );
+    ( "GSR-L08", "unrolled loop with a variable trip",
+      (fun () ->
+        run_mutated e
+          ~kernel:(replace_line 23 "    for (int k_u = 0; k_u < K; ++k_u) {")),
+      [ ( "GSR-L08", "error", "kernel line 23",
+          "#pragma unroll on a loop whose trip count is not a compile-time \
+           constant" ) ] );
+    ( "GSR-L09", "closing brace removed",
+      (fun () -> run_mutated e ~kernel:(delete_line 36)),
+      [ ("GSR-L09", "error", "kernel", "unbalanced braces (7 '{' vs 6 '}')") ] );
+    ( "GSR-L10", "kernel renamed",
+      (fun () ->
+        run_mutated e
+          ~kernel:
+            (replace_line 3
+               "extern \"C\" __global__ void gemm_k(const float* __restrict__ \
+                A, const float* __restrict__ B, float* __restrict__ C) {")),
+      [ ("GSR-L10", "error", "kernel", "kernel symbol gemm_kernel not found") ] );
+    ( "GSR-L11", "host launches another kernel",
+      (fun () ->
+        run_mutated e
+          ~host:(replace_line 3 "gemm_k<<<grid, block, 1536>>>(A, B, C);")),
+      [ ("GSR-L11", "error", "host", "host snippet does not launch gemm_kernel") ] );
+    ( "GSR-L12", "grid declaration removed",
+      (fun () -> run_mutated e ~host:(delete_line 1)),
+      [ ("GSR-L12", "error", "host", "no grid declaration") ] );
+    ( "GSR-L13", "block shape shrunk",
+      (fun () ->
+        run_mutated e
+          ~kernel:
+            (replace_line 2 "// launch: <<<dim3(16,8,1), dim3(4,4,1), 1536>>>")
+          ~host:(replace_line 2 "dim3 block(4, 4, 1);")),
+      [ ( "GSR-L13", "error", "host",
+          "block launches 16 but the schedule prescribes 32" ) ] );
+    ( "GSR-L14", "dynamic shared memory shrunk",
+      (fun () ->
+        run_mutated e
+          ~kernel:
+            (replace_line 2 "// launch: <<<dim3(16,8,1), dim3(4,8,1), 1024>>>")
+          ~host:(replace_line 3 "gemm_kernel<<<grid, block, 1024>>>(A, B, C);")),
+      [ ( "GSR-L14", "error", "host",
+          "launch allocates 1024 bytes of dynamic shared memory but the \
+           staged footprint is 1536" ) ] );
+    ( "GSR-L15", "launch without a shared-memory size",
+      (fun () ->
+        run_mutated e ~host:(replace_line 3 "gemm_kernel<<<grid, block>>>(A, B, C);")),
+      [ ("GSR-L15", "error", "host", "launch does not carry a shared-memory size") ] );
+    ( "GSR-L16", "reduce-free kernel with staged slices",
+      (fun () -> run_mutated (Fixtures.elementwise ())),
+      [ ( "GSR-L16", "info", "kernel",
+          "shared arrays declared but never filled (no reduction staging \
+           phase)" ) ] ) ]
+
 (* ---------- certificates ---------- *)
 
 let test_cert_on_configured () =
@@ -595,7 +746,8 @@ let () =
        [ Alcotest.test_case "divergent barrier is GSR-R01" `Quick
            test_divergent_barrier_code;
          Alcotest.test_case "non-dividing tile is GSR-B04" `Quick
-           test_nondividing_code ]);
+           test_nondividing_code ]
+       @ List.map code_case code_cases);
       ("cert",
        [ Alcotest.test_case "configured GEMM certifies" `Quick
            test_cert_on_configured;
