@@ -1,41 +1,14 @@
-(* CUDA-like source emission from a scheduled ETIR.
+(* Lowering of a scheduled ETIR to the typed kernel tree.
 
-   The emitted kernel mirrors the structure the scheduled executor runs:
-   block-tile coordinates from blockIdx, logical-unit (physical thread x
-   vthread stripe) coordinates from threadIdx plus stripe loops, a chunked
+   The tree mirrors the structure the scheduled executor runs: block-tile
+   coordinates from blockIdx, logical-unit (physical thread x vthread
+   stripe) coordinates from threadIdx plus stripe loops, a chunked
    reduction with shared-memory staging at the level-1 boundary, and an
-   unrolled level-0 inner loop.  There is no GPU in this environment, so the
-   output is a faithful, human-checkable rendering rather than a compiled
-   artifact; structural tests assert its invariants (see test/). *)
+   unrolled level-0 inner loop.  [Kernel.print] renders it. *)
 
 open Tensor_lang
 open Sched
-
-let buffer_add = Buffer.add_string
-
-let indices_to_c indices env =
-  String.concat ""
-    (List.map (fun idx -> Fmt.str "[%s]" (Index.to_string (Index.subst ~bindings:env idx))) indices)
-
-(* [special] renders selected accesses directly (the fused epilogue's
-   accumulator read); everything else is a plain indexed load. *)
-let rec expr_to_c ?(special = fun _ -> None) env (expr : Expr.t) =
-  let to_c e = expr_to_c ~special env e in
-  match expr with
-  | Expr.Imm f -> Fmt.str "%gf" f
-  | Expr.Read access -> (
-    match special access with
-    | Some s -> s
-    | None ->
-      Fmt.str "%s%s" (Access.tensor access)
-        (indices_to_c (Access.indices access) env))
-  | Expr.Neg a -> Fmt.str "(-%s)" (to_c a)
-  | Expr.Add (a, b) -> Fmt.str "(%s + %s)" (to_c a) (to_c b)
-  | Expr.Sub (a, b) -> Fmt.str "(%s - %s)" (to_c a) (to_c b)
-  | Expr.Mul (a, b) -> Fmt.str "(%s * %s)" (to_c a) (to_c b)
-  | Expr.Div (a, b) -> Fmt.str "(%s / %s)" (to_c a) (to_c b)
-  | Expr.Max (a, b) -> Fmt.str "fmaxf(%s, %s)" (to_c a) (to_c b)
-  | Expr.Min (a, b) -> Fmt.str "fminf(%s, %s)" (to_c a) (to_c b)
+open Kernel
 
 let ceil_div a b = (a + b - 1) / b
 
@@ -52,181 +25,107 @@ let kernel_symbol compute =
   in
   name ^ "_kernel"
 
-let emit etir =
+(* Dim n-1 maps to x, n-2 to y; the rest share z, each as [z / stride %
+   extent] over the per-dimension [counts] (a lone third dim is plain z). *)
+let coord n counts i =
+  if i = n - 1 then X
+  else if i = n - 2 then Y
+  else if i = 0 && n <= 3 then Z
+  else begin
+    let stride = ref 1 in
+    for k = i + 1 to n - 3 do
+      stride := !stride * counts k
+    done;
+    Fold { stride = !stride; extent = counts i }
+  end
+
+let lower etir =
   let compute = Etir.compute etir in
-  let launch = Launch.of_etir etir in
-  let spatial = Array.of_list (Compute.spatial_axes compute) in
-  let reduce = Array.of_list (Compute.reduce_axes compute) in
-  let n = Array.length spatial and m = Array.length reduce in
-  let buf = Buffer.create 4096 in
-  let pr fmt = Fmt.kstr (fun s -> buffer_add buf s) fmt in
-  let kernel_name = kernel_symbol compute in
-  (* Signature: const inputs then the output. *)
-  let params =
-    String.concat ", "
-      (List.map
-         (fun { Compute.in_name; in_dtype; _ } ->
-           Fmt.str "const %s* __restrict__ %s" (Dtype.c_name in_dtype) in_name)
-         (Compute.inputs compute)
-      @ [ Fmt.str "%s* __restrict__ %s"
-            (Dtype.c_name (Compute.out_dtype compute))
-            (Compute.out_name compute) ])
+  let spatial = Array.of_list (List.map Axis.name (Compute.spatial_axes compute)) in
+  let reduce_axes = Array.of_list (Compute.reduce_axes compute) in
+  let reduce = Array.map Axis.name reduce_axes in
+  let n = Array.length spatial in
+  let sext = Etir.spatial_extents etir in
+  let blocks k = ceil_div sext.(k) (Etir.stile_eff etir ~level:1 ~dim:k) in
+  let threads k = Etir.physical_threads_dim etir k in
+  let staged = Costmodel.Footprint.input_elems etir ~level:1 in
+  let symbol = kernel_symbol compute in
+  (* Innermost unrolled level-0 reduce chunk around the accumulate. *)
+  let accumulate =
+    Accumulate { combine = Compute.combine compute; value = Compute.body compute }
   in
-  pr "// generated from ETIR %s\n" (Etir.signature etir);
-  pr "// launch: %s\n" (Fmt.str "%a" Launch.pp launch);
-  pr "extern \"C\" __global__ void %s(%s) {\n" kernel_name params;
-  (* Shared-memory staging for the level-1 input slices. *)
-  List.iter
-    (fun (tensor, elems) ->
-      pr "  __shared__ float smem_%s[%d];  // level-1 tile\n" tensor elems)
-    (Costmodel.Footprint.input_elems etir ~level:1);
-  (* Block-tile origins from the (collapsed) block index. *)
-  let block_of_dim i =
-    (* Dim n-1 -> blockIdx.x, n-2 -> blockIdx.y, the rest share blockIdx.z. *)
-    if i = n - 1 then "blockIdx.x"
-    else if i = n - 2 then "blockIdx.y"
-    else begin
-      let stride = ref 1 in
-      for k = i + 1 to n - 3 do
-        let sext = Etir.spatial_extents etir in
-        stride := !stride * ceil_div sext.(k) (Etir.stile_eff etir ~level:1 ~dim:k)
-      done;
-      let sext = Etir.spatial_extents etir in
-      let my = ceil_div sext.(i) (Etir.stile_eff etir ~level:1 ~dim:i) in
-      if i = 0 && n <= 3 then "blockIdx.z"
-      else Fmt.str "(blockIdx.z / %d %% %d)" !stride my
-    end
+  let unrolled =
+    Array.fold_right
+      (fun (j, axis) inner ->
+        [ Loop
+            ( { role = Unrolled; var = axis ^ "_u";
+                bound = Etir.rtile_eff etir ~level:0 ~dim:j;
+                thread_dependent = false },
+              Reduce_index axis :: inner ) ])
+      (Array.mapi (fun j a -> (j, a)) reduce)
+      [ accumulate ]
   in
-  let thread_of_dim i =
-    if i = n - 1 then "threadIdx.x"
-    else if i = n - 2 then "threadIdx.y"
-    else begin
-      let stride = ref 1 in
-      for k = i + 1 to n - 3 do
-        stride := !stride * Etir.physical_threads_dim etir k
-      done;
-      let my = Etir.physical_threads_dim etir i in
-      if i = 0 && n <= 3 then "threadIdx.z"
-      else Fmt.str "(threadIdx.z / %d %% %d)" !stride my
-    end
-  in
-  for i = 0 to n - 1 do
-    pr "  const int %s_block = %s * %d;\n" (Axis.name spatial.(i))
-      (block_of_dim i)
-      (Etir.stile_eff etir ~level:1 ~dim:i)
-  done;
-  (* Accumulators: one per element of the thread tile. *)
-  let acc_elems = ref 1 in
-  for i = 0 to n - 1 do
-    acc_elems := !acc_elems * Etir.stile etir ~level:0 ~dim:i
-  done;
-  pr "  float acc[%d];\n" !acc_elems;
-  pr "  #pragma unroll\n  for (int i = 0; i < %d; ++i) acc[i] = %gf;\n"
-    !acc_elems (Compute.init compute);
-  (* Reduction: chunked at the level-1 reduce tiles with a staging step. *)
-  for j = 0 to m - 1 do
-    let name = Axis.name reduce.(j) in
-    pr "  for (int %s_c1 = 0; %s_c1 < %d; %s_c1 += %d) {\n" name name
-      (Axis.extent reduce.(j))
-      name
-      (Etir.rtile_eff etir ~level:1 ~dim:j)
-  done;
-  if m > 0 then begin
-    pr "    // cooperative staging of the level-1 input slices\n";
-    List.iter
-      (fun (tensor, elems) ->
-        pr "    for (int s = threadIdx.x; s < %d; s += blockDim.x) \
-           smem_%s[s] = %s[/* level-1 slice offset */ s];\n"
-          elems tensor tensor)
-      (Costmodel.Footprint.input_elems etir ~level:1);
-    pr "    __syncthreads();\n"
-  end;
   (* Virtual-thread stripe loops (paper Fig. 3): each physical thread
      executes [v] interleaved stripes of its tile. *)
-  for i = 0 to n - 1 do
-    let v = Etir.vthread etir ~dim:i in
-    let name = Axis.name spatial.(i) in
-    let t0 = Etir.stile etir ~level:0 ~dim:i in
-    let w = ceil_div t0 v in
-    pr "    for (int %s_vt = 0; %s_vt < %d; ++%s_vt) {  // vthread stripes\n"
-      name name v name;
-    pr "    for (int %s_e = 0; %s_e < %d; ++%s_e) {\n" name name w name;
-    pr "    const int %s = %s_block + ((%s_vt * %d + %s) * %d) + %s_e;\n" name
-      name name
-      (Etir.physical_threads_dim etir i)
-      (thread_of_dim i) w name
-  done;
-  (* Innermost unrolled level-0 reduce chunk. *)
-  for j = 0 to m - 1 do
-    let name = Axis.name reduce.(j) in
-    let r0 = Etir.rtile_eff etir ~level:0 ~dim:j in
-    pr "    #pragma unroll\n";
-    pr "    for (int %s_u = 0; %s_u < %d; ++%s_u) {\n" name name r0 name;
-    pr "    const int %s = %s_c1 + %s_u;\n" name name name
-  done;
-  (* Body. *)
-  let env =
-    List.concat
-      [ List.init n (fun i -> (Axis.name spatial.(i), Index.var (Axis.name spatial.(i))));
-        List.init m (fun j -> (Axis.name reduce.(j), Index.var (Axis.name reduce.(j)))) ]
+  let stripes =
+    Array.fold_right
+      (fun (i, axis) inner ->
+        let v = Etir.vthread etir ~dim:i in
+        let width = ceil_div (Etir.stile etir ~level:0 ~dim:i) v in
+        let loop role var bound = { role; var; bound; thread_dependent = false } in
+        [ Loop
+            ( loop Stripe (axis ^ "_vt") v,
+              [ Loop
+                  ( loop Element (axis ^ "_e") width,
+                    Spatial_index
+                      { axis; threads = threads i; thread = coord n threads i; width }
+                    :: inner ) ] ) ])
+      (Array.mapi (fun i a -> (i, a)) spatial)
+      unrolled
   in
-  let combine_op =
-    match Compute.combine compute with
-    | Compute.Sum -> "+"
-    | Compute.Max_combine -> "max"
+  (* Reduction: chunked at the level-1 reduce tiles, each chunk staged
+     cooperatively between barriers. *)
+  let body =
+    if reduce = [||] then stripes
+    else
+      let staging =
+        Comment "cooperative staging of the level-1 input slices"
+        :: List.map
+             (fun (tensor, elems) ->
+               Loop
+                 ( { role = Staging; var = "s"; bound = elems; thread_dependent = true },
+                   [ Stage tensor ] ))
+             staged
+      in
+      Array.fold_right
+        (fun (j, axis) inner ->
+          [ Loop
+              ( { role = Chunk (Etir.rtile_eff etir ~level:1 ~dim:j);
+                  var = axis ^ "_c1";
+                  bound = Axis.extent reduce_axes.(j);
+                  thread_dependent = false },
+                inner ) ])
+        (Array.mapi (fun j a -> (j, a)) reduce)
+        (staging @ (Barrier :: stripes) @ [ Barrier ])
   in
-  let body_c = expr_to_c env (Compute.body compute) in
-  (if combine_op = "+" then pr "    acc[0] += %s;\n" body_c
-   else pr "    acc[0] = fmaxf(acc[0], %s);\n" body_c);
-  for _ = 1 to m do
-    pr "    }\n    // end reduce element\n"
-  done;
-  for _ = 1 to n do
-    pr "    }\n    }\n"
-  done;
-  if m > 0 then pr "    __syncthreads();\n";
-  for _ = 1 to m do
-    pr "  }\n"
-  done;
-  (* Epilogue: write the thread tile. *)
-  let out_coords =
-    String.concat ""
-      (List.init n (fun i -> Fmt.str "[%s_block]" (Axis.name spatial.(i))))
-  in
-  let acc_c =
-    if Compute.scale compute = 1.0 then "acc[0]"
-    else Fmt.str "(acc[0] * %gf)" (Compute.scale compute)
-  in
-  (match Compute.epilogue compute with
-   | None ->
-     pr "  // epilogue: write back the accumulator tile\n";
-     pr "  %s%s = %s;\n" (Compute.out_name compute) out_coords acc_c
-   | Some e ->
-     (* Fused epilogue: evaluated at the block-tile coordinates; the
-        accumulator read of the output renders as the register value. *)
-     pr "  // epilogue: fused pointwise tail over the accumulator tile\n";
-     let env =
-       List.init n (fun i ->
-           let name = Axis.name spatial.(i) in
-           (name, Index.var (name ^ "_block")))
-     in
-     let special access =
-       if Access.tensor access = Compute.out_name compute then Some acc_c
-       else None
-     in
-     pr "  %s%s = %s;\n" (Compute.out_name compute) out_coords
-       (expr_to_c ~special env e));
-  pr "}\n";
-  Buffer.contents buf
+  { source = lazy (Etir.signature etir);
+    symbol;
+    inputs =
+      List.map (fun i -> (i.Compute.in_name, i.Compute.in_dtype)) (Compute.inputs compute);
+    output = (Compute.out_name compute, Compute.out_dtype compute);
+    shared = staged;
+    origins =
+      List.init n (fun i ->
+          (spatial.(i), coord n blocks i, Etir.stile_eff etir ~level:1 ~dim:i));
+    acc = List.fold_left ( * ) 1 (List.init n (fun i -> Etir.stile etir ~level:0 ~dim:i));
+    init = Compute.init compute;
+    body;
+    store =
+      { out = Compute.out_name compute;
+        axes = Array.to_list spatial;
+        scale = Compute.scale compute;
+        epilogue = Compute.epilogue compute };
+    host = { launch = Launch.of_etir etir; callee = symbol } }
 
-(* Host-side launch snippet. *)
-let emit_host etir =
-  let compute = Etir.compute etir in
-  let launch = Launch.of_etir etir in
-  let gx, gy, gz = launch.Launch.grid and bx, by, bz = launch.Launch.block in
-  Fmt.str
-    "dim3 grid(%d, %d, %d);\ndim3 block(%d, %d, %d);\n%s<<<grid, block, %d>>>(%s);\n"
-    gx gy gz bx by bz (kernel_symbol compute) launch.Launch.smem_bytes
-    (String.concat ", "
-       (List.map (fun i -> i.Compute.in_name) (Compute.inputs compute)
-       @ [ Compute.out_name compute ]))
+let emit etir = Kernel.print (lower etir)
+let emit_host etir = Kernel.print_host (lower etir)

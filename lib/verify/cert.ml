@@ -20,9 +20,9 @@
    verifier, and exactly the same debt region-wide.  Inside the region no
    axis is structurally broken, hence the concrete bounds pass can never
    produce an access [Error] (its access checks fire only on broken axes):
-   error-freedom transfers to the whole region.  Race and lint operate on
-   freshly emitted text, which both corners of the region validate
-   concretely.
+   error-freedom transfers to the whole region.  Race and lint read the
+   kernel tree lowered at each state, which both corners of the region
+   validate concretely.
 
    On top of the structural argument, the engine re-runs the access
    analysis in the {!Sym_interval} domain (affine forms over the shape

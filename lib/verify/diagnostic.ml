@@ -4,7 +4,7 @@
    code ([GSR-B01], [GSR-R02], ...) for CI gates and editor integrations, a
    human-readable location (axis, kernel line, tensor) precise enough to act
    on, and a severity: [Error] marks a schedule or kernel that must not ship
-   (out-of-bounds access, data race, emitted text contradicting the
+   (out-of-bounds access, data race, kernel contradicting the
    schedule), [Warning] marks legality debts a guard would repay
    (non-dividing tiles), [Info] is advisory.
 

@@ -1,7 +1,7 @@
 (** Diagnostics of the schedule legality verifier.
 
     [Error] marks a schedule or kernel that must not ship (out-of-bounds
-    access, data race, emitted text contradicting the schedule); [Warning]
+    access, data race, kernel contradicting the schedule); [Warning]
     marks legality debts a boundary guard would repay (non-dividing tiles);
     [Info] is advisory.
 

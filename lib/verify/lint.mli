@@ -1,6 +1,6 @@
-(** Kernel lint pass: emitted CUDA/host text cross-checked against
-    ETIR-derived facts — shared-array extents vs the footprint model, launch
-    dims vs the ETIR thread/grid shape, accumulator extent vs the level-0
-    tile, unroll pragmas only on constant-trip loops, balanced structure. *)
+(** Kernel lint pass: the kernel tree cross-checked against ETIR-derived
+    facts — shared-slice extents vs the footprint model, the accumulator
+    vs the level-0 tile, kernel and launch symbols, launch dims and
+    dynamic shared memory vs the ETIR's grid, block and footprint. *)
 
-val check : Sched.Etir.t -> kernel:string -> host:string -> Diagnostic.t list
+val check : Sched.Etir.t -> Codegen.Kernel.t -> Diagnostic.t list

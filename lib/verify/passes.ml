@@ -1,10 +1,9 @@
 (* Shared pass composition of the legality verifier.
 
-   Both public entry points ([Verify.run], [Verify.run_text]) and the
-   certificate engine's corner validation ([Cert]) must agree on exactly
-   which checks constitute "legal": this module is the single place the
-   §IV-C capacity/launch checks are folded in with the analysis passes, so
-   the entry points cannot drift.
+   [Verify.run] and the certificate engine's corner validation ([Cert])
+   must agree on exactly which checks constitute "legal": this module is
+   the single place the §IV-C capacity/launch checks are folded in with the
+   analysis passes, so the two cannot drift.
 
    Each pass runs inside a {!Trace.with_span} so pass-level latency shows
    up in pipeline traces; counter bookkeeping lives in [Verify] (top-level
@@ -32,15 +31,13 @@ let static_checks etir ~hw =
   Trace.with_span ~name:"verify.capacity" (fun () -> capacity etir ~hw)
   @ Trace.with_span ~name:"verify.bounds" (fun () -> Bounds.check etir)
 
-(* Checks over the emitted kernel/host text. *)
-let kernel_checks etir ~kernel ~host =
-  Trace.with_span ~name:"verify.race" (fun () -> Race.check etir ~kernel)
-  @ Trace.with_span ~name:"verify.lint" (fun () ->
-        Lint.check etir ~kernel ~host)
+(* Checks over the kernel tree. *)
+let kernel_checks etir kernel =
+  Trace.with_span ~name:"verify.race" (fun () -> Race.check etir kernel)
+  @ Trace.with_span ~name:"verify.lint" (fun () -> Lint.check etir kernel)
 
-let run_text etir ~hw ~kernel ~host =
-  static_checks etir ~hw @ kernel_checks etir ~kernel ~host
-
-let run etir ~hw =
-  run_text etir ~hw ~kernel:(Codegen.Cuda.emit etir)
-    ~host:(Codegen.Cuda.emit_host etir)
+let run ?kernel etir ~hw =
+  let kernel =
+    match kernel with Some k -> k | None -> Codegen.Cuda.lower etir
+  in
+  static_checks etir ~hw @ kernel_checks etir kernel

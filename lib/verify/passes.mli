@@ -1,6 +1,6 @@
 (** Shared pass composition: the single definition of which checks
-    constitute schedule legality, used by both [Verify] entry points and
-    the certificate engine's concrete corner validation. *)
+    constitute schedule legality, used by [Verify.run] and the certificate
+    engine's concrete corner validation. *)
 
 (** §IV-C capacity and launch-limit violations as bounds-pass errors. *)
 val capacity :
@@ -10,15 +10,12 @@ val capacity :
 val static_checks :
   Sched.Etir.t -> hw:Hardware.Gpu_spec.t -> Diagnostic.t list
 
-(** Race + lint over the emitted kernel/host text. *)
-val kernel_checks :
-  Sched.Etir.t -> kernel:string -> host:string -> Diagnostic.t list
+(** Race + lint over a kernel tree. *)
+val kernel_checks : Sched.Etir.t -> Codegen.Kernel.t -> Diagnostic.t list
 
-val run_text :
+(** All passes; [kernel] defaults to [Codegen.Cuda.lower etir]. *)
+val run :
+  ?kernel:Codegen.Kernel.t ->
   Sched.Etir.t ->
   hw:Hardware.Gpu_spec.t ->
-  kernel:string ->
-  host:string ->
   Diagnostic.t list
-
-val run : Sched.Etir.t -> hw:Hardware.Gpu_spec.t -> Diagnostic.t list

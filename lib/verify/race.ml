@@ -1,109 +1,55 @@
 (* Race/synchronisation pass over the staged shared-memory reduction.
 
-   The emitted kernel's reduction chunk has a fixed phase structure per
+   The kernel's reduction chunk has a fixed phase structure per
    iteration: (1) cooperative staging — every thread writes a stripe of each
    level-1 input slice into shared memory; (2) compute — every thread reads
    the whole staged slice.  Iterating the chunk adds the loop-carried
    wrap-around edge from phase 2 of iteration t to phase 1 of iteration t+1.
 
-   The pass rebuilds that structure as a happens-before problem over events
-   (thread set, address interval, phase): staging writes by thread t cover
-   the stripe {s : s ≡ t (mod blockDim)} of [0, elems-1]; compute reads
-   cover all of [0, elems-1] from every thread.  Two events of different
-   threads conflict when their address intervals intersect; every conflicting
+   The pass reads that structure from the kernel tree's outermost
+   reduction-chunk loop as a happens-before problem over events (thread
+   set, address interval, phase): staging writes by thread t cover the
+   stripe {s : s ≡ t (mod blockDim)} of [0, elems-1]; compute reads cover
+   all of [0, elems-1] from every thread.  Two events of different threads
+   conflict when their address intervals intersect; every conflicting
    (write, read) pair must be separated — in program order within an
    iteration, or across the wrap-around edge — by an unconditional
-   __syncthreads().  A barrier under divergent control flow (an if, or a
-   loop whose trip count depends on threadIdx) does not synchronise: some
-   threads may never reach it, so it is itself an error (barrier
-   divergence).
-
-   Events are recovered from the emitted text by a line scanner, so the pass
-   also catches hand-edited or post-processed kernels whose barriers were
-   dropped or moved. *)
+   __syncthreads().  A barrier under a thread-dependent loop does not
+   synchronise: some threads may never reach it, so it is itself an error
+   (barrier divergence).  Events carry the kernel line their node prints
+   on. *)
 
 open Tensor_lang
 open Sched
+module K = Codegen.Kernel
 
 type event =
   | Write of { line : int; tensor : string }
   | Compute of { line : int }
   | Barrier of { line : int; divergent : bool }
 
-(* Open control-flow blocks; [divergent] when threads can disagree on the
-   branch or trip count. *)
-type block = { open_depth : int; divergent : bool }
-
-let count_char ch s =
-  String.fold_left (fun acc c -> if c = ch then acc + 1 else acc) 0 s
-
-(* Name of the smem array written on this line, if any: "smem_T[...] =". *)
-let smem_write_target line =
-  match Scan.find_sub line "smem_" with
-  | None -> None
-  | Some i -> (
-    let start = i + String.length "smem_" in
-    let stop = ref start in
-    while
-      !stop < String.length line
-      && (match line.[!stop] with
-         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
-         | _ -> false)
-    do
-      incr stop
-    done;
-    let tensor = String.sub line start (!stop - start) in
-    (* An assignment into the array: "smem_T[" ... "] =" with = not ==. *)
-    match String.index_from_opt line !stop ']' with
-    | Some j
-      when j + 2 < String.length line
-           && Scan.contains (String.sub line j (String.length line - j)) "] ="
-      -> Some tensor
-    | _ -> None)
-
-let parse kernel =
-  let events = ref [] in
-  let depth = ref 0 in
-  let stack = ref [] in
-  let chunk = ref None in  (* depth of the outermost reduction-chunk loop *)
-  let chunk_events = ref [] in
-  List.iter
-    (fun (num, line) ->
-      let pre_depth = !depth in
-      let has_if = Scan.contains line "if (" || Scan.contains line "if(" in
-      let has_for = Scan.contains line "for (" || Scan.contains line "for(" in
-      let thread_dep = Scan.contains line "threadIdx" in
-      let enclosing_divergent = List.exists (fun b -> b.divergent) !stack in
-      let divergent_here =
-        enclosing_divergent || has_if || (has_for && thread_dep)
+(* Events inside the first (outermost) reduction-chunk loop, in program
+   order. *)
+let chunk_events kernel =
+  let chunk = ref None and events = ref [] in
+  K.iter kernel (fun ~line ~loops stmt ->
+      (match (stmt, !chunk) with
+      | K.Loop (({ role = K.Chunk _; _ } as l), _), None -> chunk := Some l
+      | _ -> ());
+      let inside =
+        match !chunk with Some c -> List.memq c loops | None -> false
       in
-      let opens = count_char '{' line and closes = count_char '}' line in
-      if has_for && Scan.contains line "_c1 = 0" && !chunk = None then
-        chunk := Some pre_depth;
-      let record ev =
-        events := ev :: !events;
-        match !chunk with
-        | Some d when pre_depth > d -> chunk_events := ev :: !chunk_events
-        | _ -> ()
-      in
-      (match smem_write_target line with
-      | Some tensor -> record (Write { line = num; tensor })
-      | None -> ());
-      if Scan.contains line "__syncthreads" then
-        record (Barrier { line = num; divergent = divergent_here });
-      if
-        Scan.contains line "acc["
-        && (Scan.contains line "+=" || Scan.contains line "fmaxf")
-        && not (Scan.contains line "#pragma")
-      then record (Compute { line = num });
-      (* Maintain the block stack: a control line opening a brace pushes a
-         block; closing braces pop down to the matching depth. *)
-      if opens > closes && (has_if || has_for) then
-        stack := { open_depth = pre_depth; divergent = has_if || (has_for && thread_dep) } :: !stack;
-      depth := pre_depth + opens - closes;
-      stack := List.filter (fun b -> b.open_depth < !depth) !stack)
-    (Scan.lines kernel);
-  (List.rev !events, List.rev !chunk_events)
+      let record ev = if inside then events := ev :: !events in
+      match stmt with
+      | K.Stage tensor -> record (Write { line; tensor })
+      | K.Accumulate _ -> record (Compute { line })
+      | K.Barrier ->
+        record
+          (Barrier
+             { line;
+               divergent = List.exists (fun l -> l.K.thread_dependent) loops })
+      | _ -> ());
+  List.rev !events
 
 (* Addresses of one staged array as an interval; the pass only needs
    overlap, and both the striped write set and the full read set of a slice
@@ -117,11 +63,11 @@ let conflicts ~staged tensor =
     && Interval.inter (slice_interval elems) (slice_interval elems) <> None
   | None -> true (* unknown array: assume the worst *)
 
-let check etir ~kernel =
+let check etir kernel =
   let threads = Etir.threads_per_block etir in
   let staged = Costmodel.Footprint.input_elems etir ~level:1 in
   let steps = Etir.reduce_steps_at etir ~level:1 in
-  let _, chunk_events = parse kernel in
+  let chunk_events = chunk_events kernel in
   let diags = ref [] in
   let add d = diags := d :: !diags in
   (* Barrier divergence is an error wherever it appears. *)

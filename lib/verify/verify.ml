@@ -4,20 +4,20 @@
    Every compilation method in this reproduction is scored by the same
    analytical model, so one illegal-but-well-scored schedule silently
    corrupts every relative comparison.  [run] proves three families of
-   facts about a scheduled state and its emitted kernel:
+   facts about a scheduled state and its kernel tree ({!Codegen.Kernel}):
 
    - {!Bounds}: affine-interval bounds of every tensor access under the
      tiling, plus tile-vs-extent divisibility (guard obligations);
    - {!Race}: happens-before legality of the staged shared-memory
      reduction (missing or divergent __syncthreads());
-   - {!Lint}: the emitted CUDA/host text against ETIR-derived facts
-     (shared-array extents, launch dims, unroll pragmas).
+   - {!Lint}: the kernel tree against ETIR-derived facts (shared-slice
+     extents, accumulator, symbols, launch dims and shared memory).
 
    Capacity and launch-limit violations (the paper's §IV-C memory check,
    {!Costmodel.Mem_check}) are folded in as bounds-pass errors so that one
    call gives the complete legality verdict for a final state.  The actual
-   pass composition lives in {!Passes} — the single definition both entry
-   points and the {!Cert} engine share, so they cannot drift.
+   pass composition lives in {!Passes} — the single definition [run] and
+   the {!Cert} engine share, so they cannot drift.
 
    {!Cert} is the symbolic tier: it certifies a whole shape region per
    schedule; the kernel cache and the dynamic-shape executor consult its
@@ -53,8 +53,5 @@ let tally ds =
     ds;
   ds
 
-(* Verify a state against caller-supplied kernel text: the entry point for
-   linting mutated or externally post-processed kernels. *)
-let run_text etir ~hw ~kernel ~host = tally (Passes.run_text etir ~hw ~kernel ~host)
-let run etir ~hw = tally (Passes.run etir ~hw)
+let run ?kernel etir ~hw = tally (Passes.run ?kernel etir ~hw)
 let ok etir ~hw = Diagnostic.errors (run etir ~hw) = []

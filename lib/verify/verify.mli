@@ -3,7 +3,7 @@
 
     [run] executes the three passes — {!Bounds} (interval bounds of every
     access under the tiling), {!Race} (happens-before legality of the staged
-    shared-memory reduction), {!Lint} (emitted text vs ETIR facts) — plus
+    shared-memory reduction), {!Lint} (kernel tree vs ETIR facts) — plus
     the §IV-C capacity/launch checks, and returns every finding.  A state
     with no [Error]-severity diagnostics is legal to ship; [Warning]s mark
     boundary-guard obligations of non-dividing tiles.
@@ -22,16 +22,12 @@ module Cert = Cert
 module Export = Export
 
 (** All diagnostics of the state: capacity, bounds, race and lint passes
-    over the kernel/host text emitted by {!Codegen.Cuda}. *)
-val run : Sched.Etir.t -> hw:Hardware.Gpu_spec.t -> Diagnostic.t list
-
-(** [run_text] verifies against caller-supplied kernel/host text — the
-    entry point for mutated or externally post-processed kernels. *)
-val run_text :
+    over its kernel tree, [Codegen.Cuda.lower etir] unless [kernel] is
+    given (an edited tree, for mutation tests). *)
+val run :
+  ?kernel:Codegen.Kernel.t ->
   Sched.Etir.t ->
   hw:Hardware.Gpu_spec.t ->
-  kernel:string ->
-  host:string ->
   Diagnostic.t list
 
 (** No [Error]-severity diagnostics. *)

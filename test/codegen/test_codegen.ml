@@ -89,6 +89,40 @@ let test_emit_optimized_kernels () =
         ~stride:2 ();
       Ops.Elementwise.relu ~shape:[ 32; 64 ] () ]
 
+(* Every statement [Kernel.iter] reports on line N prints on line N, and
+   the shared and accumulator declarations sit on the lines the lint pass
+   names. *)
+let test_line_layout () =
+  let module K = Codegen.Kernel in
+  let check_kernel name (k : K.t) =
+    let lines = Array.of_list (String.split_on_char '\n' (K.print k)) in
+    let expect line needle =
+      if not (contains lines.(line - 1) needle) then
+        Alcotest.failf "%s: line %d %S lacks %S" name line lines.(line - 1) needle
+    in
+    List.iteri (fun i (t, _) -> expect (K.shared_line i) ("smem_" ^ t ^ "[")) k.shared;
+    expect (K.acc_line k) "float acc[";
+    K.iter k (fun ~line ~loops:_ stmt ->
+        expect line
+          (match stmt with
+          | K.Loop ({ role = K.Unrolled; _ }, _) -> "#pragma unroll"
+          | K.Loop (l, _) -> "for (int " ^ l.var ^ " ="
+          | K.Comment c -> "// " ^ c
+          | K.Stage t -> "smem_" ^ t ^ "[s] ="
+          | K.Barrier -> "__syncthreads();"
+          | K.Spatial_index { axis; _ } -> "const int " ^ axis ^ " ="
+          | K.Reduce_index a -> "const int " ^ a ^ " ="
+          | K.Accumulate _ -> "acc[0]"))
+  in
+  List.iter (fun (name, f) -> check_kernel name (Codegen.Cuda.lower (f ()))) Fixtures.all;
+  List.iter
+    (fun op ->
+      let r = Gensor.Optimizer.optimize ~hw (Ops.Op.compute op) in
+      check_kernel (Ops.Op.name op) (Codegen.Cuda.lower r.Gensor.Optimizer.etir))
+    [ Ops.Matmul.batch_matmul ~batch:2 ~m:64 ~n:64 ~k:32 ();
+      Ops.Conv.conv2d ~batch:2 ~in_channels:8 ~out_channels:8 ~height:8
+        ~width:8 ~kernel:3 ~stride:1 () ]
+
 let () =
   Alcotest.run "codegen"
     [ ("launch",
@@ -98,4 +132,5 @@ let () =
        [ Alcotest.test_case "structure" `Quick test_emit_structure;
          Alcotest.test_case "host snippet" `Quick test_emit_host;
          Alcotest.test_case "optimised kernels emit" `Quick
-           test_emit_optimized_kernels ]) ]
+           test_emit_optimized_kernels;
+         Alcotest.test_case "line layout" `Quick test_line_layout ]) ]

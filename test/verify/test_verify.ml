@@ -127,25 +127,42 @@ let test_oob_tile_fixture () =
 
 (* ---------- negative fixture 2: missing __syncthreads ---------- *)
 
-let strip_first_sync kernel =
-  let seen = ref false in
-  String.concat "\n"
-    (List.filter
-       (fun line ->
-         if (not !seen) && contains line "__syncthreads" then begin
-           seen := true;
-           false
-         end
-         else true)
-       (String.split_on_char '\n' kernel))
+module K = Codegen.Kernel
+
+(* Tree edits: [map_stmts f] rebuilds the body bottom-up, replacing each
+   statement [s] by [f s]; [edit_barrier n by] replaces the [n]-th
+   barrier in program order. *)
+let rec map_stmts f stmts =
+  List.concat_map
+    (fun s ->
+      f (match s with K.Loop (l, body) -> K.Loop (l, map_stmts f body) | s -> s))
+    stmts
+
+let edit_barrier n by (k : K.t) =
+  let seen = ref 0 in
+  { k with
+    body =
+      map_stmts
+        (function
+          | K.Barrier ->
+            incr seen;
+            if !seen = n then by else [ K.Barrier ]
+          | s -> [ s ])
+        k.body }
+
+(* The first barrier inside a loop whose trip count depends on threadIdx. *)
+let divergent_barrier =
+  edit_barrier 1
+    [ K.Loop
+        ( { role = K.Staging; var = "s"; bound = 17; thread_dependent = true },
+          [ K.Barrier ] ) ]
 
 let test_missing_sync_fixture () =
   (* Dropping the barrier between cooperative staging and the reads must
      surface as a race-pass error at the read line. *)
   let e = configured () in
-  let kernel = strip_first_sync (Codegen.Cuda.emit e) in
-  let host = Codegen.Cuda.emit_host e in
-  let diags = Verify.run_text e ~hw ~kernel ~host in
+  let kernel = edit_barrier 1 [] (Codegen.Cuda.lower e) in
+  let diags = Verify.run ~kernel e ~hw in
   let errs = errors diags in
   check_bool "at least one error" true (errs <> []);
   check_bool "every error is from the race pass" true
@@ -160,26 +177,9 @@ let test_missing_sync_fixture () =
 
 (* ---------- further mutations ---------- *)
 
-let replace ~sub ~by s =
-  let n = String.length sub and h = String.length s in
-  let rec go i =
-    if i + n > h then s
-    else if String.sub s i n = sub then
-      String.sub s 0 i ^ by ^ String.sub s (i + n) (h - i - n)
-    else go (i + 1)
-  in
-  go 0
-
 let test_divergent_barrier () =
   let e = configured () in
-  let kernel =
-    replace ~sub:"    __syncthreads();"
-      ~by:"    if (threadIdx.x < 17) __syncthreads();"
-      (Codegen.Cuda.emit e)
-  in
-  let diags =
-    Verify.run_text e ~hw ~kernel ~host:(Codegen.Cuda.emit_host e)
-  in
+  let diags = Verify.run ~kernel:(divergent_barrier (Codegen.Cuda.lower e)) e ~hw in
   check_bool "barrier divergence is an error" true
     (List.exists
        (fun t -> contains t "barrier divergence")
@@ -189,12 +189,11 @@ let test_lint_catches_shrunk_smem () =
   (* The staged A slice is 32x8 = 256 floats; shrinking the declaration
      behind the footprint model's back must fail the lint pass. *)
   let e = configured () in
+  let k = Codegen.Cuda.lower e in
   let kernel =
-    replace ~sub:"smem_A[256]" ~by:"smem_A[128]" (Codegen.Cuda.emit e)
+    { k with shared = List.map (fun (t, n) -> (t, if t = "A" then 128 else n)) k.shared }
   in
-  let diags =
-    Verify.run_text e ~hw ~kernel ~host:(Codegen.Cuda.emit_host e)
-  in
+  let diags = Verify.run ~kernel e ~hw in
   check_bool "smem extent mismatch is a lint error" true
     (List.exists
        (fun d ->
@@ -202,15 +201,14 @@ let test_lint_catches_shrunk_smem () =
          && contains d.Verify.Diagnostic.message "128")
        (errors diags))
 
+let with_launch f (k : K.t) = { k with host = { k.host with launch = f k.host.launch } }
+
 let test_lint_catches_wrong_launch () =
   let e = configured () in
-  let host =
-    replace ~sub:"dim3 block(4, 8, 1);" ~by:"dim3 block(4, 4, 1);"
-      (Codegen.Cuda.emit_host e)
+  let kernel =
+    with_launch (fun l -> { l with block = (4, 4, 1) }) (Codegen.Cuda.lower e)
   in
-  let diags =
-    Verify.run_text e ~hw ~kernel:(Codegen.Cuda.emit e) ~host
-  in
+  let diags = Verify.run ~kernel e ~hw in
   check_bool "launch-shape mismatch is a lint error" true
     (List.exists
        (fun d ->
@@ -235,14 +233,7 @@ let test_nondividing_warns_not_errors () =
 let test_divergent_barrier_code () =
   (* The barrier-divergence fixture must carry its stable code GSR-R01. *)
   let e = configured () in
-  let kernel =
-    replace ~sub:"    __syncthreads();"
-      ~by:"    if (threadIdx.x < 17) __syncthreads();"
-      (Codegen.Cuda.emit e)
-  in
-  let diags =
-    Verify.run_text e ~hw ~kernel ~host:(Codegen.Cuda.emit_host e)
-  in
+  let diags = Verify.run ~kernel:(divergent_barrier (Codegen.Cuda.lower e)) e ~hw in
   check_bool "divergence error carries GSR-R01" true
     (List.exists (fun d -> d.Verify.Diagnostic.code = "GSR-R01") (errors diags))
 
@@ -274,15 +265,20 @@ let test_nondividing_code () =
 
 (* ---------- one mutation per diagnostic code ----------
 
-   Each entry edits the configured GEMM's kernel or host and lists every
+   Each entry edits the configured GEMM's kernel tree and lists every
    diagnostic the verifier then reports: code, severity, location and
-   message.  The clean kernel reports none. *)
+   message (the clean kernel reports none).  It also gives the same edit
+   as line edits of the printed kernel and host text, so every "kernel
+   line N" is checked against the line the edited node prints on.
+
+   Codes the tree's types make unrepresentable are retired and have no
+   entry: GSR-L03, L05, L07, L08, L09, L12 and L15 (see Verify.Lint). *)
 
 let row d =
   Verify.Diagnostic.
-    (d.code, severity_to_string d.severity, d.loc, d.message)
+    ((d.code, severity_to_string d.severity), (d.loc, d.message))
 
-(* Line-level edits of emitted text; lines are numbered from 1. *)
+(* Line-level edits of printed text; lines are numbered from 1. *)
 let edit_lines f text =
   let lines = String.split_on_char '\n' text in
   String.concat "\n" (List.concat (List.mapi (fun i l -> f (i + 1) l) lines))
@@ -291,17 +287,34 @@ let replace_line n by = edit_lines (fun i l -> if i = n then [ by ] else [ l ])
 let delete_line n = edit_lines (fun i l -> if i = n then [] else [ l ])
 let insert_after n by = edit_lines (fun i l -> if i = n then [ l; by ] else [ l ])
 
-let run_mutated ?(kernel = Fun.id) ?(host = Fun.id) e =
-  Verify.run_text e ~hw
-    ~kernel:(kernel (Codegen.Cuda.emit e))
-    ~host:(host (Codegen.Cuda.emit_host e))
+type code_case = {
+  code : string;
+  what : string;
+  etir : unit -> Etir.t;
+  tree : K.t -> K.t;
+  kernel_text : string -> string;
+  host_text : string -> string;
+  expected : (string * string * string * string) list;
+}
 
-let code_case (code, what, run, expected) =
-  Alcotest.test_case (code ^ " " ^ what) `Quick (fun () ->
+let case ?(etir = configured) ?(tree = Fun.id) ?(kernel_text = Fun.id)
+    ?(host_text = Fun.id) code what expected =
+  { code; what; etir; tree; kernel_text; host_text; expected }
+
+let code_case c =
+  Alcotest.test_case (c.code ^ " " ^ c.what) `Quick (fun () ->
+      let e = c.etir () in
+      let kernel = c.tree (Codegen.Cuda.lower e) in
+      Alcotest.(check string) "kernel text"
+        (c.kernel_text (Codegen.Cuda.emit e))
+        (K.print kernel);
+      Alcotest.(check string) "host text"
+        (c.host_text (Codegen.Cuda.emit_host e))
+        (K.print_host kernel);
       Alcotest.(check (list (pair (pair string string) (pair string string))))
         "diagnostics"
-        (List.map (fun (c, s, l, m) -> ((c, s), (l, m))) expected)
-        (List.map (fun d -> let c, s, l, m = row d in ((c, s), (l, m))) (run ())))
+        (List.map (fun (c, s, l, m) -> ((c, s), (l, m))) c.expected)
+        (List.map row (Verify.run ~kernel e ~hw)))
 
 let staged_race =
   "cross-thread reads of smem_A, smem_B are not separated from the staging \
@@ -311,117 +324,76 @@ let divergent_msg =
   "__syncthreads() under divergent control flow: threads may not all reach \
    the barrier (barrier divergence)"
 
+let with_shared f (k : K.t) = { k with shared = f k.shared }
+
 let code_cases =
-  let e = configured () in
-  [ ( "GSR-R01", "barrier in a thread-dependent loop",
-      (fun () ->
-        run_mutated e
-          ~kernel:
-            (replace_line 15
-               "    for (int s = threadIdx.x; s < 17; s += blockDim.x) \
-                __syncthreads();")),
+  [ case "GSR-R01" "barrier in a thread-dependent loop" ~tree:divergent_barrier
+      ~kernel_text:
+        (replace_line 15
+           "    for (int s = threadIdx.x; s < 17; s += blockDim.x) \
+            __syncthreads();")
       [ ("GSR-R01", "error", "kernel line 15", divergent_msg);
-        ("GSR-R02", "error", "kernel line 25", staged_race) ] );
-    ( "GSR-R02", "staging barrier removed",
-      (fun () -> run_mutated e ~kernel:(delete_line 15)),
-      [ ("GSR-R02", "error", "kernel line 24", staged_race) ] );
-    ( "GSR-R03", "chunk-closing barrier removed",
-      (fun () -> run_mutated e ~kernel:(delete_line 32)),
+        ("GSR-R02", "error", "kernel line 25", staged_race) ];
+    case "GSR-R02" "staging barrier removed" ~tree:(edit_barrier 1 [])
+      ~kernel_text:(delete_line 15)
+      [ ("GSR-R02", "error", "kernel line 24", staged_race) ];
+    case "GSR-R03" "chunk-closing barrier removed" ~tree:(edit_barrier 2 [])
+      ~kernel_text:(delete_line 32)
       [ ( "GSR-R03", "error", "kernel line 25 (end of reduction chunk)",
           "no __syncthreads() after the chunk's reads: the next iteration's \
            staging writes race with them (write-after-read across chunk \
-           iterations)" ) ] );
-    ( "GSR-L01", "shared declaration removed",
-      (fun () -> run_mutated e ~kernel:(delete_line 5)),
+           iterations)" ) ];
+    case "GSR-L01" "shared declaration removed"
+      ~tree:(with_shared (List.filter (fun (t, _) -> t <> "B")))
+      ~kernel_text:(delete_line 5)
       [ ( "GSR-L01", "error", "kernel",
-          "missing __shared__ declaration for the staged slice of B" ) ] );
-    ( "GSR-L02", "shared extent shrunk",
-      (fun () ->
-        run_mutated e
-          ~kernel:(replace_line 4 "  __shared__ float smem_A[128];  // level-1 tile")),
+          "missing __shared__ declaration for the staged slice of B" ) ];
+    case "GSR-L02" "shared extent shrunk"
+      ~tree:(with_shared (List.map (fun (t, n) -> (t, if t = "A" then 128 else n))))
+      ~kernel_text:(replace_line 4 "  __shared__ float smem_A[128];  // level-1 tile")
       [ ( "GSR-L02", "error", "kernel line 4",
           "__shared__ smem_A declares 128 floats but the level-1 footprint \
-           stages 256" ) ] );
-    ( "GSR-L03", "shared extent not a constant",
-      (fun () ->
-        run_mutated e
-          ~kernel:(replace_line 4 "  __shared__ float smem_A[N];")),
-      [ ( "GSR-L03", "error", "kernel line 4",
-          "__shared__ smem_A has a non-constant extent" ) ] );
-    ( "GSR-L04", "unbacked shared array",
-      (fun () ->
-        run_mutated e
-          ~kernel:(insert_after 5 "  __shared__ float smem_C[64];  // level-1 tile")),
+           stages 256" ) ];
+    case "GSR-L04" "unbacked shared array"
+      ~tree:(with_shared (fun s -> s @ [ ("C", 64) ]))
+      ~kernel_text:(insert_after 5 "  __shared__ float smem_C[64];  // level-1 tile")
       [ ( "GSR-L04", "warning", "kernel line 6",
-          "shared array not backed by any staged level-1 slice" ) ] );
-    ( "GSR-L05", "accumulator removed",
-      (fun () -> run_mutated e ~kernel:(delete_line 8)),
-      [ ("GSR-L05", "error", "kernel", "no accumulator array for the thread tile") ] );
-    ( "GSR-L06", "accumulator shrunk",
-      (fun () ->
-        run_mutated e
-          ~kernel:
-            (fun k ->
-              k
-              |> replace_line 8 "  float acc[8];"
-              |> replace_line 10 "  for (int i = 0; i < 8; ++i) acc[i] = 0f;")),
+          "shared array not backed by any staged level-1 slice" ) ];
+    case "GSR-L06" "accumulator shrunk"
+      ~tree:(fun k -> { k with acc = 8 })
+      ~kernel_text:(fun k ->
+        k
+        |> replace_line 8 "  float acc[8];"
+        |> replace_line 10 "  for (int i = 0; i < 8; ++i) acc[i] = 0f;")
       [ ( "GSR-L06", "error", "kernel line 8",
-          "accumulator holds 8 floats but the level-0 tile has 16 elements" ) ] );
-    ( "GSR-L07", "unroll pragma without a loop",
-      (fun () -> run_mutated e ~kernel:(insert_after 33 "  #pragma unroll")),
-      [ ("GSR-L07", "error", "kernel line 34", "#pragma unroll with no loop to unroll") ] );
-    ( "GSR-L08", "unrolled loop with a variable trip",
-      (fun () ->
-        run_mutated e
-          ~kernel:(replace_line 23 "    for (int k_u = 0; k_u < K; ++k_u) {")),
-      [ ( "GSR-L08", "error", "kernel line 23",
-          "#pragma unroll on a loop whose trip count is not a compile-time \
-           constant" ) ] );
-    ( "GSR-L09", "closing brace removed",
-      (fun () -> run_mutated e ~kernel:(delete_line 36)),
-      [ ("GSR-L09", "error", "kernel", "unbalanced braces (7 '{' vs 6 '}')") ] );
-    ( "GSR-L10", "kernel renamed",
-      (fun () ->
-        run_mutated e
-          ~kernel:
-            (replace_line 3
-               "extern \"C\" __global__ void gemm_k(const float* __restrict__ \
-                A, const float* __restrict__ B, float* __restrict__ C) {")),
-      [ ("GSR-L10", "error", "kernel", "kernel symbol gemm_kernel not found") ] );
-    ( "GSR-L11", "host launches another kernel",
-      (fun () ->
-        run_mutated e
-          ~host:(replace_line 3 "gemm_k<<<grid, block, 1536>>>(A, B, C);")),
-      [ ("GSR-L11", "error", "host", "host snippet does not launch gemm_kernel") ] );
-    ( "GSR-L12", "grid declaration removed",
-      (fun () -> run_mutated e ~host:(delete_line 1)),
-      [ ("GSR-L12", "error", "host", "no grid declaration") ] );
-    ( "GSR-L13", "block shape shrunk",
-      (fun () ->
-        run_mutated e
-          ~kernel:
-            (replace_line 2 "// launch: <<<dim3(16,8,1), dim3(4,4,1), 1536>>>")
-          ~host:(replace_line 2 "dim3 block(4, 4, 1);")),
-      [ ( "GSR-L13", "error", "host",
-          "block launches 16 but the schedule prescribes 32" ) ] );
-    ( "GSR-L14", "dynamic shared memory shrunk",
-      (fun () ->
-        run_mutated e
-          ~kernel:
-            (replace_line 2 "// launch: <<<dim3(16,8,1), dim3(4,8,1), 1024>>>")
-          ~host:(replace_line 3 "gemm_kernel<<<grid, block, 1024>>>(A, B, C);")),
+          "accumulator holds 8 floats but the level-0 tile has 16 elements" ) ];
+    case "GSR-L10" "kernel renamed"
+      ~tree:(fun k -> { k with symbol = "gemm_k" })
+      ~kernel_text:
+        (replace_line 3
+           "extern \"C\" __global__ void gemm_k(const float* __restrict__ A, \
+            const float* __restrict__ B, float* __restrict__ C) {")
+      [ ("GSR-L10", "error", "kernel", "kernel symbol gemm_kernel not found") ];
+    case "GSR-L11" "host launches another kernel"
+      ~tree:(fun k -> { k with host = { k.host with callee = "gemm_k" } })
+      ~host_text:(replace_line 3 "gemm_k<<<grid, block, 1536>>>(A, B, C);")
+      [ ("GSR-L11", "error", "host", "host snippet does not launch gemm_kernel") ];
+    case "GSR-L13" "block shape shrunk"
+      ~tree:(with_launch (fun l -> { l with block = (4, 4, 1) }))
+      ~kernel_text:(replace_line 2 "// launch: <<<dim3(16,8,1), dim3(4,4,1), 1536>>>")
+      ~host_text:(replace_line 2 "dim3 block(4, 4, 1);")
+      [ ("GSR-L13", "error", "host", "block launches 16 but the schedule prescribes 32") ];
+    case "GSR-L14" "dynamic shared memory shrunk"
+      ~tree:(with_launch (fun l -> { l with smem_bytes = 1024 }))
+      ~kernel_text:(replace_line 2 "// launch: <<<dim3(16,8,1), dim3(4,8,1), 1024>>>")
+      ~host_text:(replace_line 3 "gemm_kernel<<<grid, block, 1024>>>(A, B, C);")
       [ ( "GSR-L14", "error", "host",
           "launch allocates 1024 bytes of dynamic shared memory but the \
-           staged footprint is 1536" ) ] );
-    ( "GSR-L15", "launch without a shared-memory size",
-      (fun () ->
-        run_mutated e ~host:(replace_line 3 "gemm_kernel<<<grid, block>>>(A, B, C);")),
-      [ ("GSR-L15", "error", "host", "launch does not carry a shared-memory size") ] );
-    ( "GSR-L16", "reduce-free kernel with staged slices",
-      (fun () -> run_mutated (Fixtures.elementwise ())),
+           staged footprint is 1536" ) ];
+    case "GSR-L16" "reduce-free kernel with staged slices" ~etir:Fixtures.elementwise
       [ ( "GSR-L16", "info", "kernel",
           "shared arrays declared but never filled (no reduction staging \
-           phase)" ) ] ) ]
+           phase)" ) ] ]
 
 (* ---------- certificates ---------- *)
 
