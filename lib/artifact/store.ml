@@ -1,8 +1,7 @@
 (* Persistent on-disk artifact store.
 
    Layout: one framed [Record] file per entry, named `<md5 of key>.gat`,
-   plus an advisory human-readable `INDEX.tsv` regenerated on every write.
-   The key is (device fingerprint, method name, compute fingerprint) — the
+   and nothing else (`gensor cache ls` lists the entries).  The key is (device fingerprint, method name, compute fingerprint) — the
    identity under which a tuned schedule is reusable.
 
    Crash/concurrency safety:
@@ -26,7 +25,6 @@ type t = {
 }
 
 let suffix = ".gat"
-let index_file = "INDEX.tsv"
 
 let key ~device_fingerprint ~method_name ~compute_fingerprint =
   Digest.to_hex
@@ -136,37 +134,16 @@ let entries t =
       Hashtbl.fold (fun k r acc -> (k, r) :: acc) t.table []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
-(* Advisory index for humans and text tools; the .gat files are the truth. *)
-let write_index_unlocked t =
-  let rows =
-    Hashtbl.fold (fun k r acc -> (k, r) :: acc) t.table []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.map (fun (k, (r : Record.t)) ->
-           Fmt.str "%s\t%s\t%s\t%s\t%s\t%s\t%d\t%s" k
-             (Tensor_lang.Compute.name r.compute)
-             (Record.shape_string r) r.method_name r.device_fingerprint
-             (Codec.float_str (Costmodel.Metrics.score r.metrics))
-             r.steps (filename_of_key k))
-  in
-  let body =
-    String.concat "\n"
-      ("# key\tname\tshape\tmethod\tdevice\tscore\tsteps\tfile" :: rows)
-    ^ "\n"
-  in
-  try write_file_atomic ~dir:t.dir ~path:(Filename.concat t.dir index_file) body
-  with Sys_error _ -> ()
-
 let put t (r : Record.t) =
   let k = key_of_record r in
   Trace.Counter.incr c_puts;
   Trace.with_span ~name:"store.put" ~args:[ ("key", k) ] @@ fun () ->
   locked t (fun () ->
       remember t k r;
-      (match Hashtbl.find_opt t.table k with
+      match Hashtbl.find_opt t.table k with
       | Some kept when kept == r ->
         write_file_atomic ~dir:t.dir ~path:(path_of_key t k) (Record.encode r)
       | _ -> ());
-      write_index_unlocked t);
   k
 
 let total_bytes t =
@@ -186,8 +163,6 @@ let purge t =
         t.table;
       Hashtbl.reset t.table;
       t.issues <- [];
-      (try Sys.remove (Filename.concat t.dir index_file)
-       with Sys_error _ -> ());
       n)
 
 let export t ~key:k ~dest =

@@ -1,7 +1,7 @@
 (** Persistent on-disk artifact store.
 
-    One framed {!Record} file per entry ([<md5-of-key>.gat]) plus an
-    advisory [INDEX.tsv].  Writes are atomic (same-directory temp file +
+    One framed {!Record} file per entry ([<md5-of-key>.gat]) and nothing
+    else.  Writes are atomic (same-directory temp file +
     rename); opening scans the directory and skips undecodable entries,
     reporting them as {!issues} instead of failing.  All operations are
     mutex-guarded and safe to share across [Parallel.Pool] domains. *)
@@ -46,8 +46,7 @@ val find :
 val entries : t -> (string * Record.t) list
 
 (** [put t r] persists [r] (atomic write-then-rename), keeps the
-    better-scoring record on key collision, refreshes [INDEX.tsv], and
-    returns the entry key. *)
+    better-scoring record on key collision, and returns the entry key. *)
 val put : t -> Record.t -> string
 
 (** Bytes on disk across all live entries. *)
