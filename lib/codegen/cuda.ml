@@ -39,6 +39,17 @@ let coord n counts i =
     Fold { stride = !stride; extent = counts i }
   end
 
+let loop ?(thread_dependent = false) role var bound =
+  { role; var; bound; thread_dependent }
+
+(* [nest axes level inner] wraps [inner] in [level i axes.(i)] for each
+   axis, the first outermost. *)
+let nest axes level inner =
+  let rec go i =
+    if i = Array.length axes then inner else level i axes.(i) (go (i + 1))
+  in
+  go 0
+
 let lower etir =
   let compute = Etir.compute etir in
   let spatial = Array.of_list (List.map Axis.name (Compute.spatial_axes compute)) in
@@ -51,28 +62,21 @@ let lower etir =
   let staged = Costmodel.Footprint.input_elems etir ~level:1 in
   let symbol = kernel_symbol compute in
   (* Innermost unrolled level-0 reduce chunk around the accumulate. *)
-  let accumulate =
-    Accumulate { combine = Compute.combine compute; value = Compute.body compute }
-  in
   let unrolled =
-    Array.fold_right
-      (fun (j, axis) inner ->
+    nest reduce
+      (fun j axis inner ->
         [ Loop
-            ( { role = Unrolled; var = axis ^ "_u";
-                bound = Etir.rtile_eff etir ~level:0 ~dim:j;
-                thread_dependent = false },
+            ( loop Unrolled (axis ^ "_u") (Etir.rtile_eff etir ~level:0 ~dim:j),
               Reduce_index axis :: inner ) ])
-      (Array.mapi (fun j a -> (j, a)) reduce)
-      [ accumulate ]
+      [ Accumulate { combine = Compute.combine compute; value = Compute.body compute } ]
   in
   (* Virtual-thread stripe loops (paper Fig. 3): each physical thread
      executes [v] interleaved stripes of its tile. *)
   let stripes =
-    Array.fold_right
-      (fun (i, axis) inner ->
+    nest spatial
+      (fun i axis inner ->
         let v = Etir.vthread etir ~dim:i in
         let width = ceil_div (Etir.stile etir ~level:0 ~dim:i) v in
-        let loop role var bound = { role; var; bound; thread_dependent = false } in
         [ Loop
             ( loop Stripe (axis ^ "_vt") v,
               [ Loop
@@ -80,7 +84,6 @@ let lower etir =
                     Spatial_index
                       { axis; threads = threads i; thread = coord n threads i; width }
                     :: inner ) ] ) ])
-      (Array.mapi (fun i a -> (i, a)) spatial)
       unrolled
   in
   (* Reduction: chunked at the level-1 reduce tiles, each chunk staged
@@ -92,20 +95,17 @@ let lower etir =
         Comment "cooperative staging of the level-1 input slices"
         :: List.map
              (fun (tensor, elems) ->
-               Loop
-                 ( { role = Staging; var = "s"; bound = elems; thread_dependent = true },
-                   [ Stage tensor ] ))
+               Loop (loop ~thread_dependent:true Staging "s" elems, [ Stage tensor ]))
              staged
       in
-      Array.fold_right
-        (fun (j, axis) inner ->
+      nest reduce
+        (fun j axis inner ->
           [ Loop
-              ( { role = Chunk (Etir.rtile_eff etir ~level:1 ~dim:j);
-                  var = axis ^ "_c1";
-                  bound = Axis.extent reduce_axes.(j);
-                  thread_dependent = false },
+              ( loop
+                  (Chunk (Etir.rtile_eff etir ~level:1 ~dim:j))
+                  (axis ^ "_c1")
+                  (Axis.extent reduce_axes.(j)),
                 inner ) ])
-        (Array.mapi (fun j a -> (j, a)) reduce)
         (staging @ (Barrier :: stripes) @ [ Barrier ])
   in
   { source = lazy (Etir.signature etir);

@@ -111,34 +111,40 @@ let coord_to_c base = function
   | Z -> base ^ ".z"
   | Fold { stride; extent } -> Printf.sprintf "(%s.z / %d %% %d)" base stride extent
 
-let header l =
-  let start = if l.thread_dependent then "threadIdx.x" else "0" in
-  let step =
-    match l.role with
-    | Chunk step -> Printf.sprintf "%s += %d" l.var step
-    | Staging -> Printf.sprintf "%s += blockDim.x" l.var
-    | Stripe | Element | Unrolled -> "++" ^ l.var
-  in
-  Printf.sprintf "for (int %s = %s; %s < %d; %s)" l.var start l.var l.bound step
+let header buf l =
+  Printf.bprintf buf "for (int %s = %s; %s < %d; " l.var
+    (if l.thread_dependent then "threadIdx.x" else "0")
+    l.var l.bound;
+  match l.role with
+  | Chunk step -> Printf.bprintf buf "%s += %d)" l.var step
+  | Staging -> Printf.bprintf buf "%s += blockDim.x)" l.var
+  | Stripe | Element | Unrolled -> Printf.bprintf buf "++%s)" l.var
 
 (* A statement's text on one line, without indentation. *)
-let rec inline = function
-  | Loop (({ role = Staging; _ } as l), body) ->
-    String.concat " " (header l :: List.map inline body)
-  | Loop (l, body) ->
-    String.concat " " ((header l ^ " {") :: List.map inline body) ^ " }"
-  | Comment c -> "// " ^ c
-  | Stage tensor ->
-    Printf.sprintf "smem_%s[s] = %s[/* level-1 slice offset */ s];" tensor tensor
-  | Barrier -> "__syncthreads();"
+let rec inline buf stmt =
+  let body stmts =
+    List.iter (fun s -> Buffer.add_char buf ' '; inline buf s) stmts
+  in
+  match stmt with
+  | Loop (({ role = Staging; _ } as l), stmts) ->
+    header buf l;
+    body stmts
+  | Loop (l, stmts) ->
+    header buf l;
+    Buffer.add_string buf " {";
+    body stmts;
+    Buffer.add_string buf " }"
+  | Comment c -> Printf.bprintf buf "// %s" c
+  | Stage t -> Printf.bprintf buf "smem_%s[s] = %s[/* level-1 slice offset */ s];" t t
+  | Barrier -> Buffer.add_string buf "__syncthreads();"
   | Spatial_index { axis = a; threads; thread; width } ->
-    Printf.sprintf "const int %s = %s_block + ((%s_vt * %d + %s) * %d) + %s_e;" a a a
-      threads (coord_to_c "threadIdx" thread) width a
-  | Reduce_index a -> Printf.sprintf "const int %s = %s_c1 + %s_u;" a a a
+    Printf.bprintf buf "const int %s = %s_block + ((%s_vt * %d + %s) * %d) + %s_e;"
+      a a a threads (coord_to_c "threadIdx" thread) width a
+  | Reduce_index a -> Printf.bprintf buf "const int %s = %s_c1 + %s_u;" a a a
   | Accumulate { combine = Compute.Sum; value } ->
-    Printf.sprintf "acc[0] += %s;" (expr_to_c [] value)
+    Printf.bprintf buf "acc[0] += %s;" (expr_to_c [] value)
   | Accumulate { combine = Compute.Max_combine; value } ->
-    Printf.sprintf "acc[0] = fmaxf(acc[0], %s);" (expr_to_c [] value)
+    Printf.bprintf buf "acc[0] = fmaxf(acc[0], %s);" (expr_to_c [] value)
 
 let print t =
   let buf = Buffer.create 4096 in
@@ -168,17 +174,23 @@ let print t =
      body is printed one level in. *)
   let rec stmt = function
     | Loop (({ role = Chunk _; _ } as l), body) ->
-      pr "  %s {\n" (header l);
+      pr "  ";
+      header buf l;
+      pr " {\n";
       List.iter stmt body;
       pr "  }\n"
     | Loop (({ role = Stripe | Element | Unrolled; _ } as l), body) ->
       if l.role = Unrolled then pr "    #pragma unroll\n";
-      pr "    %s {%s\n" (header l)
-        (if l.role = Stripe then "  // vthread stripes" else "");
+      pr "    ";
+      header buf l;
+      pr " {%s\n" (if l.role = Stripe then "  // vthread stripes" else "");
       List.iter stmt body;
       pr "    }\n";
       if l.role = Unrolled then pr "    // end reduce element\n"
-    | s -> pr "    %s\n" (inline s)
+    | s ->
+      pr "    ";
+      inline buf s;
+      pr "\n"
   in
   List.iter stmt t.body;
   let s = t.store in

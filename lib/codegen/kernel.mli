@@ -65,8 +65,8 @@ val shared_line : int -> int
 val acc_line : t -> int
 
 (** [iter t f] visits every statement of the body in program order with
-    the line it starts on in the printed kernel and its enclosing loops,
-    innermost first. *)
+    the line it starts on in the printed kernel (an [Unrolled] loop starts
+    at its pragma) and its enclosing loops, innermost first. *)
 val iter : t -> (line:int -> loops:loop list -> stmt -> unit) -> unit
 
 (** Kernel source text. *)

@@ -31,13 +31,11 @@ let static_checks etir ~hw =
   Trace.with_span ~name:"verify.capacity" (fun () -> capacity etir ~hw)
   @ Trace.with_span ~name:"verify.bounds" (fun () -> Bounds.check etir)
 
-(* Checks over the kernel tree. *)
-let kernel_checks etir kernel =
-  Trace.with_span ~name:"verify.race" (fun () -> Race.check etir kernel)
-  @ Trace.with_span ~name:"verify.lint" (fun () -> Lint.check etir kernel)
-
+(* The state's checks, then race and lint over its kernel tree. *)
 let run ?kernel etir ~hw =
   let kernel =
     match kernel with Some k -> k | None -> Codegen.Cuda.lower etir
   in
-  static_checks etir ~hw @ kernel_checks etir kernel
+  static_checks etir ~hw
+  @ Trace.with_span ~name:"verify.race" (fun () -> Race.check etir kernel)
+  @ Trace.with_span ~name:"verify.lint" (fun () -> Lint.check etir kernel)

@@ -10,10 +10,8 @@ val capacity :
 val static_checks :
   Sched.Etir.t -> hw:Hardware.Gpu_spec.t -> Diagnostic.t list
 
-(** Race + lint over a kernel tree. *)
-val kernel_checks : Sched.Etir.t -> Codegen.Kernel.t -> Diagnostic.t list
-
-(** All passes; [kernel] defaults to [Codegen.Cuda.lower etir]. *)
+(** Static checks, then race + lint over [kernel] (default
+    [Codegen.Cuda.lower etir]). *)
 val run :
   ?kernel:Codegen.Kernel.t ->
   Sched.Etir.t ->
