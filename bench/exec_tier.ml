@@ -1,10 +1,10 @@
-(* Executor tiers: the compiled bytecode VM vs the tree-walking
-   interpreter, in domain points per second, on realistic shapes with
-   Roller-constructed schedules.  Both tiers run the same ETIR; the table's
-   last column is the VM's win.  The tiers must agree bit for bit: a
-   single differing output bit, or a compiled run whose coverage is not
-   exact, fails the experiment (exit 1) after the table is printed.  Run
-   with: dune exec bench/main.exe exec *)
+(* Executor check: the compiled bytecode VM vs the reference interpreter,
+   in domain points per second, on realistic shapes with Roller-constructed
+   schedules; the table's last column is the VM's win.  Both reduce every
+   output element in the same order, so they must agree bit for bit: a
+   single differing output bit, or a VM run whose coverage is not exact,
+   fails the experiment (exit 1) after the table is printed.  Run with:
+   dune exec bench/main.exe exec *)
 
 let hw = Hardware.Presets.rtx4090
 
@@ -32,7 +32,7 @@ let time f =
   (r, Unix.gettimeofday () -. t0)
 
 let run () =
-  Ctx.section "Executor tiers — compiled VM vs interpreter (points/s)";
+  Ctx.section "Executor — compiled VM vs reference interpreter (points/s)";
   let failures = ref [] in
   let fail label what = failures := Fmt.str "%s: %s" label what :: !failures in
   let rows =
@@ -43,49 +43,47 @@ let run () =
         let inputs = Exec.Reference.random_inputs ~seed:3 compute in
         let points = float_of_int (Tensor_lang.Compute.domain_points compute) in
         let compiled, t_vm = time (fun () -> Exec.Compiled.run etir inputs) in
-        (* The interpreter's points/s is shape-insensitive, so the largest
+        (* The reference's points/s is shape-insensitive, so the largest
            case skips it instead of stalling the harness for seconds. *)
-        let interp_s =
+        let ref_s =
           if points > 8e6 then None
           else begin
-            let interp, t_int =
-              time (fun () -> Exec.Scheduled.run etir inputs)
+            let expected, t_ref =
+              time (fun () -> Exec.Reference.run compute inputs)
             in
             (match
-               Exec.Tensor.first_bit_mismatch interp.Exec.Scheduled.output
+               Exec.Tensor.first_bit_mismatch expected
                  compiled.Exec.Scheduled.output
              with
             | None -> ()
-            | Some (at, i, c) ->
+            | Some (at, e, c) ->
               fail label
-                (Fmt.str "tiers disagree at [%a]: interp %h, compiled %h"
+                (Fmt.str "VM differs at [%a]: reference %h, compiled %h"
                    Fmt.(list ~sep:comma int)
-                   at i c));
-            Some (points /. t_int)
+                   at e c));
+            Some (points /. t_ref)
           end
         in
         if not (Exec.Scheduled.coverage_exact compiled) then
           fail label "compiled coverage not exact";
         let vm_s = points /. t_vm in
-        (match interp_s with
-        | Some i when i > 0.0 ->
-          Ctx.record ~experiment:"exec" ~quantity:(label ^ " VM speedup")
-            ~measured:(vm_s /. i) ~unit_:"x" ()
-        | _ -> ());
+        let speedup = Option.map (fun r -> vm_s /. r) ref_s in
+        Option.iter
+          (fun x ->
+            Ctx.record ~experiment:"exec" ~quantity:(label ^ " VM speedup")
+              ~measured:x ~unit_:"x" ())
+          speedup;
+        let cell f = Option.fold ~none:"-" ~some:f in
         [ label;
           Fmt.str "%.2fM" (points /. 1e6);
           Fmt.str "%.1f" (vm_s /. 1e6);
-          (match interp_s with
-          | Some i -> Fmt.str "%.1f" (i /. 1e6)
-          | None -> "-");
-          (match interp_s with
-          | Some i when i > 0.0 -> Fmt.str "%.1fx" (vm_s /. i)
-          | _ -> "-") ])
+          cell (fun r -> Fmt.str "%.1f" (r /. 1e6)) ref_s;
+          cell (Fmt.str "%.1fx") speedup ])
       (cases ())
   in
   Report.Table.print
     (Report.Table.v
-       ~headers:[ "case"; "points"; "VM Mpt/s"; "interp Mpt/s"; "speedup" ]
+       ~headers:[ "case"; "points"; "VM Mpt/s"; "ref Mpt/s"; "speedup" ]
        rows);
   if !failures <> [] then begin
     List.iter (Fmt.epr "exec: %s@.") (List.rev !failures);

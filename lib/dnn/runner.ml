@@ -12,7 +12,6 @@
 
 let c_levels = Trace.Counter.make "graph.sched.levels"
 let c_compiled = Trace.Counter.make "graph.sched.compiled"
-let c_level_batches = Trace.Counter.make "graph.sched.batches"
 
 type graph_report = {
   g_model : string;
@@ -34,17 +33,16 @@ type graph_report = {
 }
 
 (* End-to-end evaluation over the graph: optionally fuse, plan memory, then
-   compile kernels level by level — nodes within a Kahn level are
-   independent, so their (deduplicated) kernels compile concurrently on the
-   worker pool; results are order-deterministic, so reports are identical
-   under any GENSOR_JOBS.  Latency is charged from the graph schedule:
-   every node instance runs once per forward pass, so the end-to-end time
-   is the sum over scheduled nodes of count x kernel time, and compile
-   costs add up in first-occurrence node order (not level-completion
-   order), so an unfused [Graph.of_model] lift reproduces the per-layer
-   table sums bit for bit.  The dependency-weighted critical path is
-   reported alongside for the concurrency headroom a multi-stream runtime
-   could exploit. *)
+   compile the distinct kernels — compiling does not depend on graph
+   levels, so every store miss compiles in one fan-out on the worker pool;
+   results are order-deterministic, so reports are identical under any
+   GENSOR_JOBS.  Latency is charged from the graph schedule: every node
+   instance runs once per forward pass, so the end-to-end time is the sum
+   over scheduled nodes of count x kernel time, and compile costs add up
+   in first-occurrence node order, so an unfused [Graph.of_model] lift
+   reproduces the per-layer table sums bit for bit.  The
+   dependency-weighted critical path is reported alongside for the
+   concurrency headroom a multi-stream runtime could exploit. *)
 let run_graph ?store ?jobs ?(fuse = true) ~hw
     (method_ : Pipeline.Methods.t) graph =
   Trace.with_span ~name:"graph.run" @@ fun () ->
@@ -69,59 +67,44 @@ let run_graph ?store ?jobs ?(fuse = true) ~hw
            ~method_name:method_.Pipeline.Methods.name
            ~compute_fingerprint:(Artifact.Compute_codec.fingerprint compute))
   in
-  List.iter
-    (fun level ->
-      (* Distinct not-yet-compiled ops of this level, in node order. *)
-      let batch =
-        List.filter_map
-          (fun id ->
-            let op = (Graph.node graph id).Graph.op in
-            let key = Model.distinct_key op in
-            if Hashtbl.mem cache key then None else Some (key, op))
-          level
-      in
-      let batch =
-        List.fold_left
-          (fun acc (key, op) ->
-            if List.mem_assoc key acc then acc else acc @ [ (key, op) ])
-          [] batch
-      in
-      (* Store hits resolve inline; the rest compile concurrently. *)
-      let to_compile =
-        List.filter
-          (fun (key, op) ->
-            match probe_store (Ops.Op.compute op) with
-            | Some output ->
-              incr cached;
-              Hashtbl.add cache key output;
-              false
-            | None -> true)
-          batch
-      in
-      if to_compile <> [] then begin
-        Trace.Counter.incr c_level_batches;
-        let outputs =
-          Parallel.Pool.map_auto ?jobs
-            (fun (_, op) -> method_.Pipeline.Methods.compile ~hw op)
-            to_compile
-        in
-        List.iter2
-          (fun (key, _) output ->
-            Option.iter
-              (fun store ->
-                ignore
-                  (Artifact.Store.put store
-                     (Pipeline.Methods.to_artifact
-                        ~method_name:method_.Pipeline.Methods.name ~hw output)
-                    : string))
-              store;
-            Trace.Counter.incr c_compiled;
-            Hashtbl.add cache key output)
-          to_compile outputs
-      end)
-    levels;
   let nodes = Graph.nodes graph in
   let keys = List.map (fun n -> Model.distinct_key n.Graph.op) nodes in
+  (* Distinct kernels in first-occurrence node order: store hits resolve
+     inline, the misses compile in one fan-out on the worker pool. *)
+  let seen = Hashtbl.create 64 in
+  let to_compile =
+    List.filter_map
+      (fun (n, key) ->
+        if Hashtbl.mem seen key then None
+        else begin
+          Hashtbl.add seen key ();
+          let op = n.Graph.op in
+          match probe_store (Ops.Op.compute op) with
+          | Some output ->
+            incr cached;
+            Hashtbl.add cache key output;
+            None
+          | None -> Some (key, op)
+        end)
+      (List.combine nodes keys)
+  in
+  if to_compile <> [] then
+    List.iter2
+      (fun (key, _) output ->
+        Option.iter
+          (fun store ->
+            ignore
+              (Artifact.Store.put store
+                 (Pipeline.Methods.to_artifact
+                    ~method_name:method_.Pipeline.Methods.name ~hw output)
+                : string))
+          store;
+        Trace.Counter.incr c_compiled;
+        Hashtbl.add cache key output)
+      to_compile
+      (Parallel.Pool.map_auto ?jobs
+         (fun (_, op) -> method_.Pipeline.Methods.compile ~hw op)
+         to_compile);
   let node_time n key =
     float_of_int n.Graph.count
     *. (Hashtbl.find cache key).Pipeline.Methods.metrics

@@ -28,11 +28,11 @@ type graph_report = {
 }
 
 (** End-to-end evaluation over the graph: fuse (unless [~fuse:false]), plan
-    memory, compile kernels level by level with independent kernels running
-    concurrently on the worker pool ([?jobs], order-deterministic — reports
-    are identical under any [GENSOR_JOBS]), then charge latency from the
-    graph schedule.  Counters: [graph.sched.levels], [graph.sched.batches],
-    [graph.sched.compiled] plus the [graph.fuse.*] family. *)
+    memory, compile the distinct kernels the store misses in one fan-out on
+    the worker pool ([?jobs], order-deterministic — reports are identical
+    under any [GENSOR_JOBS]), then charge latency from the graph schedule.
+    Counters: [graph.sched.levels], [graph.sched.compiled] plus the
+    [graph.fuse.*] family. *)
 val run_graph :
   ?store:Artifact.Store.t ->
   ?jobs:int ->

@@ -1,7 +1,7 @@
 (* Compiled execution tier: an ETIR schedule lowered to a flat
    register-based bytecode program, run by a tight dispatch-loop VM.
 
-   The tree-walking interpreter ([Scheduled.run]) pays a string-keyed env
+   Walking the expression tree per point would pay a string-keyed env
    lookup per variable, a [List.assoc_opt] per tensor read and a
    list-allocated coordinate per element.  This tier removes all of that at
    compile time (TVM's core move of lowering loop nests instead of
@@ -23,15 +23,15 @@
      float-array loops, and the multiply-accumulate reduces four adjacent
      output elements per pass over the run table.
 
-   The spatial loop nest (blocks / logical units / vthread stripes)
-   mirrors [Scheduled.run] exactly, so both tiers visit exactly the same
-   output elements, and every element's sum visits the reduce points in
-   the interpreter's ascending lexicographic order, so results are
-   bit-identical and [Scheduled.run] stays the differential-testing
-   oracle.  Unsafe array accesses are sound because [Compute.v] validates
-   every access's bounding region over the full iteration domain against
-   the declared tensor shapes, and [check_inputs] re-validates the actual
-   input shapes against the declaration at run time. *)
+   The spatial loop nest (blocks / logical units / vthread stripes) is the
+   generated kernel's, and every element's sum visits the reduce points in
+   ascending lexicographic order — the order of [Reference.run] — so the
+   VM's output equals the reference interpreter's bit for bit and the
+   reference is the differential-testing oracle.  Unsafe array accesses
+   are sound because [Compute.v] validates every access's bounding region
+   over the full iteration domain against the declared tensor shapes, and
+   [check_inputs] re-validates the actual input shapes against the
+   declaration at run time. *)
 
 open Tensor_lang
 open Sched
@@ -616,7 +616,7 @@ let run_compiled p inputs =
     if p.sum then Array.unsafe_get acc 0 +. v
     else Float.max (Array.unsafe_get acc 0) v
   in
-  (* Reduction.  The interpreter's chunked loops (level-1 chunks, level-0
+  (* Reduction.  The kernel's chunked loops (level-1 chunks, level-0
      sub-chunks) visit the reduce points in ascending lexicographic order
      and accumulate sequentially: the chunk structure is kernel-shaped
      bookkeeping with no numeric effect, so the VM walks the flat nest
@@ -837,8 +837,10 @@ let run_compiled p inputs =
       in
       (visit, fun () -> if !pending > 0 then flush ())
   in
-  (* Spatial nest, mirroring the interpreter: blocks over the grid,
-     logical units over the block, stripe elements within a unit. *)
+  (* Spatial nest, mirroring the kernel: blocks over the grid, logical
+     units (physical threads x vthread stripes, each stripe ceil(thread
+     tile / vthreads) wide so the units cover the tile) over the block,
+     stripe elements within a unit. *)
   let origin = Array.make n 0 in
   let block_start = Array.make n 0 in
   let visits = ref 0 in

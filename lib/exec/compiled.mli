@@ -5,10 +5,12 @@
     four adjacent outputs per multiply-accumulate pass), run by a tight
     dispatch-loop VM.
 
-    Output visit order and every element's reduction order are those of
-    {!Scheduled.run}, so the two tiers agree bit for bit and the
-    interpreter stays the differential-testing oracle.  The bytecode ISA
-    and compilation scheme are documented in DESIGN.md §15. *)
+    The VM visits output elements in the generated kernel's order (blocks,
+    logical units, vthread stripes) and reduces every element over its
+    reduce points in ascending lexicographic order, as {!Reference.run}
+    does, so the two agree bit for bit and the reference is the
+    differential-testing oracle.  The bytecode ISA and compilation scheme
+    are documented in DESIGN.md §15. *)
 
 type t
 (** A compiled program for one schedule. *)
@@ -20,8 +22,8 @@ val compile : Sched.Etir.t -> t
 
 (** Run a compiled program.  Input tensors are matched by name and
     validated against the declared shapes ([Invalid_argument] on a missing
-    input or shape mismatch).  Produces the same result type as
-    {!Scheduled.run}, including the per-element coverage tensor. *)
+    input or shape mismatch).  The result carries the per-element coverage
+    tensor ({!Scheduled.coverage_exact}). *)
 val run_compiled : t -> (string * Tensor.t) list -> Scheduled.result
 
 (** [run etir inputs] is [run_compiled (compile etir) inputs].  Compilation

@@ -62,9 +62,20 @@ let run compute inputs =
       done
     | _ -> assert false
   in
-  (* The epilogue sees the reduced+scaled accumulator wherever it reads the
-     output tensor; the shadowing rule lives in [Epilogue.apply]. *)
-  let apply_epilogue acc = Epilogue.apply compute ~read ~env:env_fn acc in
+  (* The epilogue runs once per output element over the spatial
+     environment, and a read of the output tensor inside it denotes the
+     reduced+scaled accumulator — it never touches memory.  Other tensors
+     resolve like body reads. *)
+  let apply_epilogue acc =
+    match Compute.epilogue compute with
+    | None -> acc
+    | Some e ->
+      let out = Compute.out_name compute in
+      let read tensor coords =
+        if String.equal tensor out then acc else read tensor coords
+      in
+      Expr.eval ~read ~env:env_fn e
+  in
   let rec spatial_loop axes slots coords =
     match (axes, slots) with
     | [], [] ->

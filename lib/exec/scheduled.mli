@@ -1,13 +1,10 @@
-(** Scheduled executor: runs an ETIR's tiled / virtual-threaded loop nest on
-    the CPU, mirroring the generated kernel's structure.  Used to validate
-    that schedules preserve the compute definition's semantics. *)
+(** The result of running a schedule on the CPU ({!Compiled.run}) and its
+    partition check. *)
 
 type result = {
   output : Tensor.t;
   coverage : Tensor.t;  (** per-output-element visit count *)
 }
-
-val run : Sched.Etir.t -> (string * Tensor.t) list -> result
 
 (** True when every output element was written exactly once — the partition
     invariant of a correct schedule. *)

@@ -62,15 +62,6 @@ let fill_random rng t =
     t.data.(i) <- Sched.Rng.float rng -. 0.5
   done
 
-let max_abs_diff a b =
-  if a.shape <> b.shape then invalid_arg "Tensor.max_abs_diff: shape mismatch";
-  let worst = ref 0.0 in
-  for i = 0 to Array.length a.data - 1 do
-    let d = Float.abs (a.data.(i) -. b.data.(i)) in
-    if d > !worst then worst := d
-  done;
-  !worst
-
 (* Mixed relative + absolute comparison.  A fixed absolute tolerance
    mis-fires in both directions once reduction depth grows: accumulated
    magnitudes make legitimate fp-reassociation error exceed it, and tiny
@@ -112,9 +103,6 @@ let first_bit_mismatch a b =
   first_where ~what:"Tensor.first_bit_mismatch"
     (fun x y -> Int64.bits_of_float x <> Int64.bits_of_float y)
     a b
-
-let approx_equal ?(atol = 1e-6) ?(rtol = 1e-4) a b =
-  first_mismatch ~atol ~rtol a b = None
 
 let unsafe_data t = t.data
 let strides t = t.strides

@@ -21,25 +21,18 @@ val init : int list -> (int list -> float) -> t
 (** Fill with uniform values in [-0.5, 0.5) from the deterministic RNG. *)
 val fill_random : Sched.Rng.t -> t -> unit
 
-val max_abs_diff : t -> t -> float
-
-(** [approx_equal ?atol ?rtol a b] holds when every element pair satisfies
-    the mixed criterion [|a-b| <= atol + rtol * max (|a|, |b|)]
-    (defaults [atol = 1e-6], [rtol = 1e-4]).  The relative term keeps the
-    comparison meaningful as reduction depth (and thus output magnitude)
-    grows; the absolute term covers near-zero elements.  The historical
+(** First element pair (row-major order) violating the mixed criterion
+    [|a-b| <= atol + rtol * max (|a|, |b|)] (defaults [atol = 1e-6],
+    [rtol = 1e-4]), as [(coords, a_value, b_value)].  The relative term
+    keeps the comparison meaningful as reduction depth (and thus output
+    magnitude) grows; the absolute term covers near-zero elements.  The
     absolute-only check is reachable as [~rtol:0.0 ~atol:tol]. *)
-val approx_equal : ?atol:float -> ?rtol:float -> t -> t -> bool
-
-(** First element pair (row-major order) violating the mixed criterion, as
-    [(coords, a_value, b_value)] — the diagnostic behind a failed
-    {!approx_equal}. *)
 val first_mismatch :
   ?atol:float -> ?rtol:float -> t -> t -> (int list * float * float) option
 
 (** First element pair (row-major order) whose bit patterns
-    ([Int64.bits_of_float]) differ.  Unlike [max_abs_diff = 0.], this
-    distinguishes [-0.] from [0.] and does not skip NaNs. *)
+    ([Int64.bits_of_float]) differ.  Unlike a zero absolute difference,
+    this distinguishes [-0.] from [0.] and does not skip NaNs. *)
 val first_bit_mismatch : t -> t -> (int list * float * float) option
 
 (** {2 Executor internals}

@@ -27,8 +27,7 @@ let ceil_div a b = (a + b - 1) / b
 type axis_range = {
   ar_name : string;
   lo : int;
-  hi : int;       (* unguarded: what the loops index without predication *)
-  hi_clip : int;  (* guarded: clipped to the axis extent *)
+  hi : int;  (* unguarded: what the loops index without predication *)
   broken : bool;  (* tile structurally illegal (region escape is certain) *)
 }
 
@@ -41,7 +40,7 @@ let block_spatial etir =
          let tile = Etir.stile_eff etir ~level:1 ~dim:i in
          let o = (ceil_div extent tile - 1) * tile in
          { ar_name = Axis.name ax; lo = o; hi = o + tile - 1;
-           hi_clip = min (o + tile - 1) (extent - 1); broken = tile > extent })
+           broken = tile > extent })
        (Etir.spatial_axes etir))
 
 (* Spatial ranges at thread granularity: the index range the last block's
@@ -61,7 +60,6 @@ let thread_spatial etir =
          let cover = p * v * w in
          let o = (ceil_div extent t1 - 1) * t1 in
          { ar_name = Axis.name ax; lo = o; hi = o + cover - 1;
-           hi_clip = min (o + cover - 1) (extent - 1);
            broken = t1 > extent || t0 > extent || v > t0 })
        (Etir.spatial_axes etir))
 
@@ -78,13 +76,12 @@ let reduce_ranges etir ~thread =
          in
          let o = (ceil_div extent r1 - 1) * r1 in
          { ar_name = Axis.name ax; lo = o; hi = o + width - 1;
-           hi_clip = min (o + width - 1) (extent - 1);
            broken = r1 > extent || width > extent })
        (Etir.reduce_axes etir))
 
-let env_of ranges ~guarded name =
+let env_of ranges name =
   match List.find_opt (fun r -> r.ar_name = name) ranges with
-  | Some r -> Interval.v r.lo (max r.lo (if guarded then r.hi_clip else r.hi))
+  | Some r -> Interval.v r.lo (max r.lo r.hi)
   | None -> invalid_arg (Fmt.str "Bounds: unknown axis %s" name)
 
 (* One access (or the output write) against one granularity's ranges:
@@ -104,7 +101,7 @@ let check_access ~granularity ~ranges ~tensor ~shape ~indices ~what =
   in
   if not touches_broken then []
   else begin
-    let env = env_of ranges ~guarded:false in
+    let env = env_of ranges in
     let region = List.map (Interval.of_index ~env) indices in
     List.concat
       (List.mapi

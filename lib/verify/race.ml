@@ -8,18 +8,17 @@
 
    The pass reads that structure from the kernel tree's outermost
    reduction-chunk loop as a happens-before problem over events (thread
-   set, address interval, phase): staging writes by thread t cover the
-   stripe {s : s ≡ t (mod blockDim)} of [0, elems-1]; compute reads cover
-   all of [0, elems-1] from every thread.  Two events of different threads
-   conflict when their address intervals intersect; every conflicting
-   (write, read) pair must be separated — in program order within an
-   iteration, or across the wrap-around edge — by an unconditional
-   __syncthreads().  A barrier under a thread-dependent loop does not
+   set, addresses, phase): staging writes by thread t cover the stripe
+   {s : s ≡ t (mod blockDim)} of [0, elems-1]; compute reads cover all of
+   [0, elems-1] from every thread.  Every thread reads the whole slice, so
+   a staging write conflicts with the reads whenever the slice is
+   non-empty; every conflicting (write, read) pair must be separated — in
+   program order within an iteration, or across the wrap-around edge — by
+   an unconditional __syncthreads().  A barrier under a thread-dependent loop does not
    synchronise: some threads may never reach it, so it is itself an error
    (barrier divergence).  Events carry the kernel line their node prints
    on. *)
 
-open Tensor_lang
 open Sched
 module K = Codegen.Kernel
 
@@ -51,16 +50,11 @@ let chunk_events kernel =
       | _ -> ());
   List.rev !events
 
-(* Addresses of one staged array as an interval; the pass only needs
-   overlap, and both the striped write set and the full read set of a slice
-   share the bounding interval [0, elems-1]. *)
-let slice_interval elems = Interval.v 0 (max 0 (elems - 1))
-
+(* Every thread reads the whole staged slice, so a staging write conflicts
+   with the compute reads whenever the slice is non-empty. *)
 let conflicts ~staged tensor =
   match List.assoc_opt tensor staged with
-  | Some elems ->
-    elems > 0
-    && Interval.inter (slice_interval elems) (slice_interval elems) <> None
+  | Some elems -> elems > 0
   | None -> true (* unknown array: assume the worst *)
 
 let check etir kernel =

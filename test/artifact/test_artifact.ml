@@ -793,6 +793,68 @@ let test_scan_counters () =
     (counter "store.bytes_scanned" - b0);
   cleanup dir
 
+(* Four domains write at once: each puts its own records and one shared
+   record, all through one handle or alternating between two handles on
+   the same directory (the second stands in for a second process).  A
+   fresh open must then show every record with its exact bytes, no
+   issues, and no leftover temp file. *)
+let concurrent_writers ~handles =
+  let dir = tmp_dir () in
+  let stores = List.init handles (fun _ -> Artifact.Store.open_ dir) in
+  let rand = Random.State.make [| 37 + handles |] in
+  let distinct = Hashtbl.create 16 in
+  let rec fresh () =
+    let r = QCheck.Gen.generate1 ~rand gen_record in
+    let k = Artifact.Store.key_of_record r in
+    if Hashtbl.mem distinct k then fresh ()
+    else begin
+      Hashtbl.add distinct k ();
+      r
+    end
+  in
+  let shared = fresh () in
+  let domains = 4 and per_domain = 3 in
+  let own = List.init domains (fun _ -> List.init per_domain (fun _ -> fresh ())) in
+  let pool = Parallel.Pool.create ~jobs:domains in
+  Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool) (fun () ->
+      ignore
+        (Parallel.Pool.map pool
+           (fun (i, records) ->
+             List.iteri
+               (fun j r ->
+                 let store = List.nth stores ((i + j) mod handles) in
+                 ignore (Artifact.Store.put store r : string);
+                 ignore (Artifact.Store.put store shared : string))
+               records)
+           (List.mapi (fun i rs -> (i, rs)) own)
+          : unit list));
+  let all = shared :: List.concat own in
+  let reopened = Artifact.Store.open_ dir in
+  check_bool "no issues" true (Artifact.Store.issues reopened = []);
+  check_int "every record present" (List.length all)
+    (Artifact.Store.size reopened);
+  List.iter
+    (fun r ->
+      let k = Artifact.Store.key_of_record r in
+      check_string "file bytes" (Artifact.Record.encode r)
+        (read (Filename.concat dir (k ^ ".gat")));
+      match List.assoc_opt k (Artifact.Store.entries reopened) with
+      | Some r' ->
+        check_string "reloaded bytes" (Artifact.Record.encode r)
+          (Artifact.Record.encode r')
+      | None -> Alcotest.failf "record %s lost" k)
+    all;
+  Array.iter
+    (fun f ->
+      if not (Filename.check_suffix f ".gat") then
+        Alcotest.failf "stray file %s left in the store" f)
+    (Sys.readdir dir);
+  cleanup dir
+
+let test_concurrent_writers () =
+  concurrent_writers ~handles:1;
+  concurrent_writers ~handles:2
+
 let () =
   Alcotest.run "artifact"
     [ ( "roundtrip",
@@ -815,7 +877,9 @@ let () =
             test_store_skips_corrupt;
           Alcotest.test_case "duplicate keeps better score" `Quick
             test_store_keeps_better_duplicate;
-          Alcotest.test_case "scan counters" `Quick test_scan_counters ] );
+          Alcotest.test_case "scan counters" `Quick test_scan_counters;
+          Alcotest.test_case "concurrent writers" `Quick
+            test_concurrent_writers ] );
       ( "interning",
         [ Alcotest.test_case "each record's device is checked" `Quick
             test_interning_checks_each_record;

@@ -178,9 +178,11 @@ let check_fusion_identity ~seed anchor consumer ~fed =
     let ref_out =
       Exec.Reference.run (Ops.Op.compute consumer) consumer_inputs
     in
-    let diff = Exec.Tensor.max_abs_diff fused_out ref_out in
-    if diff <> 0.0 then
-      Alcotest.failf "fused %s differs by %g" (Ops.Op.name fused) diff;
+    (match Exec.Tensor.first_bit_mismatch ref_out fused_out with
+     | None -> ()
+     | Some (_, r, f) ->
+       Alcotest.failf "fused %s differs: reference %h, fused %h"
+         (Ops.Op.name fused) r f);
     fused
 
 (* Anchor: small gemm; consumer: one of the pointwise tails.  Sizes stay

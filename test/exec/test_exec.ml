@@ -86,6 +86,9 @@ let test_reference_missing_input () =
 (* ---------- Tolerances and mismatch diagnostics ---------- *)
 
 let test_mixed_tolerance () =
+  let approx_equal ?atol ?rtol a b =
+    Exec.Tensor.first_mismatch ?atol ?rtol a b = None
+  in
   let pair a b =
     let ta = Exec.Tensor.create ~init:a [ 2 ] in
     let tb = Exec.Tensor.create ~init:b [ 2 ] in
@@ -95,20 +98,20 @@ let test_mixed_tolerance () =
      would reject. *)
   let a, b = pair 1000.0 1000.05 in
   Alcotest.(check bool) "rel term covers large values" true
-    (Exec.Tensor.approx_equal a b);
+    (approx_equal a b);
   Alcotest.(check bool) "absolute-only check rejects it" false
-    (Exec.Tensor.approx_equal ~atol:1e-3 ~rtol:0.0 a b);
+    (approx_equal ~atol:1e-3 ~rtol:0.0 a b);
   (* Near zero: absolute term covers noise below atol. *)
   let a, b = pair 1e-9 0.0 in
   Alcotest.(check bool) "atol covers near-zero" true
-    (Exec.Tensor.approx_equal a b);
+    (approx_equal a b);
   (* Genuine divergence fails under the defaults but passes under the
      historical absolute-only criterion. *)
   let a, b = pair 1.0 1.001 in
   Alcotest.(check bool) "1e-3 rel error rejected" false
-    (Exec.Tensor.approx_equal a b);
+    (approx_equal a b);
   Alcotest.(check bool) "legacy absolute-only accepts it" true
-    (Exec.Tensor.approx_equal ~atol:1e-2 ~rtol:0.0 a b)
+    (approx_equal ~atol:1e-2 ~rtol:0.0 a b)
 
 let test_first_mismatch () =
   let a = Exec.Tensor.init [ 2; 3 ] (fun _ -> 1.0) in
@@ -127,7 +130,7 @@ let test_first_mismatch () =
 let test_coverage_violation () =
   let compute = Ops.Op.compute (Ops.Matmul.gemm ~m:3 ~n:4 ~k:2 ()) in
   let inputs = Exec.Reference.random_inputs compute in
-  let result = Exec.Scheduled.run (Etir.create compute) inputs in
+  let result = Exec.Compiled.run (Etir.create compute) inputs in
   Alcotest.(check bool) "clean run is exact" true
     (Exec.Scheduled.coverage_exact result);
   Alcotest.(check bool) "clean run has no violation" true
@@ -149,7 +152,7 @@ let test_coverage_violation () =
        (contains msg "1,2")
    | None -> Alcotest.fail "violation not detected")
 
-(* ---------- Scheduled vs reference ---------- *)
+(* ---------- Compiled vs reference ---------- *)
 
 let small_ops =
   [ ("gemm 13x9x11", fun () -> Ops.Matmul.gemm ~m:13 ~n:9 ~k:11 ());
@@ -182,44 +185,27 @@ let random_schedule rng compute ~steps =
   done;
   !e
 
-(* Three-way differential check of one schedule: interpreter vs reference,
-   compiled vs reference, compiled vs interpreter (bit-identical — the
-   compiled tier reproduces the interpreter's accumulation order), and
-   coverage exactness on both tiers.  Failures name the schedule and the
-   first offending coordinate. *)
-let check_differential ?(tag = "") compute etir inputs expected =
-  let fail_cov tier result =
-    match Exec.Scheduled.coverage_violation result with
-    | None -> ()
-    | Some v ->
-      Alcotest.failf "%s%s: %s coverage: %a" tag (Etir.signature etir) tier
-        Exec.Scheduled.pp_coverage_violation v
-  in
-  let fail_diff tier expected got =
-    match Exec.Tensor.first_mismatch expected got with
-    | None -> ()
-    | Some (coords, e, g) ->
-      Alcotest.failf "%s%s: %s diverges at [%a]: expected %g, got %g" tag
-        (Etir.signature etir) tier
-        Fmt.(list ~sep:(any ",") int)
-        coords e g
-  in
-  let interp = Exec.Scheduled.run etir inputs in
-  let compiled = Exec.Compiled.run etir inputs in
-  fail_cov "interp" interp;
-  fail_cov "compiled" compiled;
-  fail_diff "interp" expected interp.Exec.Scheduled.output;
-  fail_diff "compiled" expected compiled.Exec.Scheduled.output;
+(* Differential check of one schedule: the VM must write every output
+   element exactly once and reproduce the reference bit for bit — both
+   reduce each element over its reduce points in ascending lexicographic
+   order.  Failures name the schedule and the first offending
+   coordinate. *)
+let check_differential ?(tag = "") etir inputs expected =
+  let result = Exec.Compiled.run etir inputs in
+  (match Exec.Scheduled.coverage_violation result with
+   | None -> ()
+   | Some v ->
+     Alcotest.failf "%s%s: coverage: %a" tag (Etir.signature etir)
+       Exec.Scheduled.pp_coverage_violation v);
   match
-    Exec.Tensor.first_bit_mismatch interp.Exec.Scheduled.output
-      compiled.Exec.Scheduled.output
+    Exec.Tensor.first_bit_mismatch expected result.Exec.Scheduled.output
   with
-  | None -> ignore compute
-  | Some (coords, i, c) ->
-    Alcotest.failf "%s%s: tiers differ at [%a]: compiled %h, interp %h" tag
+  | None -> ()
+  | Some (coords, e, g) ->
+    Alcotest.failf "%s%s: diverges at [%a]: reference %h, compiled %h" tag
       (Etir.signature etir)
       Fmt.(list ~sep:(any ",") int)
-      coords c i
+      coords e g
 
 let test_executors_match_reference () =
   let rng = Rng.create ~seed:99 in
@@ -230,12 +216,12 @@ let test_executors_match_reference () =
       let expected = Exec.Reference.run compute inputs in
       for _ = 1 to 3 do
         let etir = random_schedule rng compute ~steps:25 in
-        check_differential ~tag:(name ^ ": ") compute etir inputs expected
+        check_differential ~tag:(name ^ ": ") etir inputs expected
       done)
     small_ops
 
 (* GEMM with a fused bias + ReLU epilogue: exercises the epilogue float
-   program and the accumulator-shadowing read on both executor tiers. *)
+   program and the accumulator-shadowing read. *)
 let gemm_bias_relu ~m ~n ~k =
   let open Tensor_lang in
   let axes = [ Axis.spatial "i" m; Axis.spatial "j" n; Axis.reduce "k" k ] in
@@ -343,7 +329,7 @@ let differential_computes =
 
 let prop_random_schedules_correct =
   QCheck.Test.make ~count:180
-    ~name:"random schedules: compiled ≍ interp ≍ reference"
+    ~name:"random schedules: VM = reference"
     QCheck.(
       make
         Gen.(
@@ -356,7 +342,7 @@ let prop_random_schedules_correct =
       let inputs = Exec.Reference.random_inputs ~seed compute in
       let expected = Exec.Reference.run compute inputs in
       let etir = random_schedule rng compute ~steps in
-      check_differential ~tag:(tag ^ ": ") compute etir inputs expected;
+      check_differential ~tag:(tag ^ ": ") etir inputs expected;
       true)
 
 let prop_vthread_preserves_semantics =
@@ -371,7 +357,7 @@ let prop_vthread_preserves_semantics =
       let e = Etir.with_stile e ~level:0 ~dim:0 t0 in
       let e = Etir.with_stile e ~level:1 ~dim:0 (min 29 (t0 * 2)) in
       let e = Etir.with_vthread e ~dim:0 v in
-      check_differential ~tag:"vthread: " compute e inputs expected;
+      check_differential ~tag:"vthread: " e inputs expected;
       true)
 
 (* Regression: a vthread count that does not divide the thread tile (stripe
@@ -385,7 +371,7 @@ let test_non_dividing_vthread_stripe () =
   let e = Etir.with_stile e ~level:0 ~dim:0 5 in
   let e = Etir.with_stile e ~level:1 ~dim:0 13 in
   let e = Etir.with_vthread e ~dim:0 3 in
-  check_differential ~tag:"ragged vthread: " compute e inputs expected
+  check_differential ~tag:"ragged vthread: " e inputs expected
 
 (* Four-wide batches along the last spatial slot (extent 13) cut by the
    level-1 tile (5) and by the grid edge: blocks of 5, 5 and 3 columns,
@@ -398,7 +384,7 @@ let test_batches_cut_at_block_edges () =
   let e = Etir.with_stile e ~level:1 ~dim:0 3 in
   let e = Etir.with_stile e ~level:1 ~dim:1 5 in
   let e = Etir.with_stile e ~level:0 ~dim:1 5 in
-  check_differential ~tag:"batch edges: " compute e inputs expected
+  check_differential ~tag:"batch edges: " e inputs expected
 
 (* The lowering [Compiled.pp] reports: the reduce-run table and kernel. *)
 let test_lowering_summary () =
@@ -434,9 +420,8 @@ let test_lowering_summary () =
 
 (* ---------- Raised verification shapes ---------- *)
 
-(* Deep-reduction GEMM at the benchmark shape: 256^3, reduction depth 256.
-   The mixed tolerance is what makes this comparison meaningful — sums of
-   256 products reach magnitudes where a 1e-3 absolute bound is noise. *)
+(* Deep-reduction GEMM at the benchmark shape: 256^3, reduction depth 256,
+   chunked by both reduce tiles — the chunking must not reorder a sum. *)
 let test_gemm256_compiled_matches_reference () =
   let compute = Ops.Op.compute (Ops.Matmul.gemm ~m:256 ~n:256 ~k:256 ()) in
   let inputs = Exec.Reference.random_inputs ~seed:11 compute in
@@ -449,21 +434,10 @@ let test_gemm256_compiled_matches_reference () =
   let e = Etir.with_vthread e ~dim:1 2 in
   let e = Etir.with_rtile e ~level:0 ~dim:0 4 in
   let e = Etir.with_rtile e ~level:1 ~dim:0 32 in
-  let compiled = Exec.Compiled.run e inputs in
-  (match Exec.Scheduled.coverage_violation compiled with
-   | None -> ()
-   | Some v ->
-     Alcotest.failf "gemm256 coverage: %a" Exec.Scheduled.pp_coverage_violation
-       v);
-  match Exec.Tensor.first_mismatch expected compiled.Exec.Scheduled.output with
-  | None -> ()
-  | Some (coords, ev, gv) ->
-    Alcotest.failf "gemm256 diverges at [%a]: expected %g, got %g"
-      Fmt.(list ~sep:(any ",") int)
-      coords ev gv
+  check_differential ~tag:"gemm256: " e inputs expected
 
 (* A real conv layer (32x32 channels, 28x28 spatial, 3x3 kernel) through
-   the full three-way differential. *)
+   the full differential. *)
 let test_conv_layer_differential () =
   let compute =
     Ops.Op.compute
@@ -474,7 +448,7 @@ let test_conv_layer_differential () =
   let expected = Exec.Reference.run compute inputs in
   let rng = Rng.create ~seed:5 in
   let etir = random_schedule rng compute ~steps:30 in
-  check_differential ~tag:"conv layer: " compute etir inputs expected
+  check_differential ~tag:"conv layer: " etir inputs expected
 
 let () =
   Alcotest.run "exec"
@@ -494,7 +468,7 @@ let () =
        [ Alcotest.test_case "violation diagnostics" `Quick
            test_coverage_violation ]);
       ("differential",
-       [ Alcotest.test_case "both tiers match reference on all op classes"
+       [ Alcotest.test_case "VM = reference on all op classes"
            `Slow test_executors_match_reference;
          Alcotest.test_case "non-dividing vthread stripe" `Quick
            test_non_dividing_vthread_stripe;

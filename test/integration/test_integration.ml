@@ -33,23 +33,20 @@ let test_gensor_beats_roller () =
   in
   check_bool "gensor better on average" true (mean >= 1.0)
 
-(* Runs a schedule on the compiled VM and on the interpreter oracle.  Both
-   tiers must write every output element exactly once and agree bit for bit;
-   the VM's output is returned for the reference comparison. *)
-let run_both_tiers name etir inputs =
-  let compiled = Exec.Compiled.run etir inputs in
-  let interp = Exec.Scheduled.run etir inputs in
-  List.iter
-    (fun (tier, result) ->
-      if not (Exec.Scheduled.coverage_exact result) then
-        Alcotest.failf "%s: %s coverage broken" name tier)
-    [ ("compiled", compiled); ("interp", interp) ];
-  let bits (r : Exec.Scheduled.result) =
-    Array.map Int64.bits_of_float (Exec.Tensor.unsafe_data r.output)
-  in
-  if bits compiled <> bits interp then
-    Alcotest.failf "%s: compiled and interpreter outputs differ" name;
-  compiled.Exec.Scheduled.output
+(* Runs a schedule on the compiled VM: it must write every output element
+   exactly once and reproduce the reference bit for bit. *)
+let check_schedule name etir inputs expected =
+  let result = Exec.Compiled.run etir inputs in
+  if not (Exec.Scheduled.coverage_exact result) then
+    Alcotest.failf "%s: coverage broken" name;
+  match
+    Exec.Tensor.first_bit_mismatch expected result.Exec.Scheduled.output
+  with
+  | None -> ()
+  | Some (at, e, g) ->
+    Alcotest.failf "%s: diverges at [%a]: reference %h, compiled %h" name
+      Fmt.(list ~sep:comma int)
+      at e g
 
 (* Gensor's chosen schedule must compute the right answer. *)
 let test_optimized_schedules_are_correct () =
@@ -59,12 +56,8 @@ let test_optimized_schedules_are_correct () =
       let r = Gensor.Optimizer.optimize ~hw compute in
       let inputs = Exec.Reference.random_inputs compute in
       let expected = Exec.Reference.run compute inputs in
-      let output =
-        run_both_tiers (Tensor_lang.Compute.name compute)
-          r.Gensor.Optimizer.etir inputs
-      in
-      check_bool "numerically correct" true
-        (Exec.Tensor.approx_equal expected output))
+      check_schedule (Tensor_lang.Compute.name compute) r.Gensor.Optimizer.etir
+        inputs expected)
     [ Ops.Matmul.gemm ~m:31 ~n:17 ~k:23 ();
       Ops.Conv.conv2d ~batch:2 ~in_channels:3 ~out_channels:5 ~height:11
         ~width:11 ~kernel:3 ~stride:2 ();
@@ -77,10 +70,7 @@ let test_baseline_schedules_are_correct () =
   let compute = Ops.Op.compute op in
   let inputs = Exec.Reference.random_inputs compute in
   let expected = Exec.Reference.run compute inputs in
-  let check_etir name etir =
-    if not (Exec.Tensor.approx_equal expected (run_both_tiers name etir inputs))
-    then Alcotest.failf "%s: wrong results" name
-  in
+  let check_etir name etir = check_schedule name etir inputs expected in
   check_etir "roller" (Roller.construct ~hw compute).Roller.etir;
   check_etir "cublas" (Vendor.Cublas.compile ~hw op).Vendor.Cublas.etir;
   let config = { Ansor.Search.default_config with Ansor.Search.n_trials = 60 } in
