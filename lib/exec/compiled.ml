@@ -16,18 +16,25 @@
      registers, with direct unsafe loads from the input buffers;
    - when every body site is affine, the whole reduce nest is lowered to a
      {e run table} of (extent, per-site offset delta) runs: unit axes are
-     dropped and contiguous axes merged, so the offset program runs once
-     per output element and every reduce point is one register add away;
+     dropped and contiguous axes merged, so every reduce point is one
+     register add away;
+   - the output is walked in rows along the last spatial axis: the offset
+     program runs once per row and the site offsets then step by their
+     coefficient of the last spatial slot per element;
    - the two ubiquitous reduction bodies (multiply-accumulate and
      single-read fold) run the innermost run as dedicated unsafe
      float-array loops, and the multiply-accumulate reduces four adjacent
-     output elements per pass over the run table.
+     elements of a row per pass over the run table.
 
-   The spatial loop nest (blocks / logical units / vthread stripes) is the
-   generated kernel's, and every element's sum visits the reduce points in
-   ascending lexicographic order — the order of [Reference.run] — so the
-   VM's output equals the reference interpreter's bit for bit and the
-   reference is the differential-testing oracle.  Unsafe array accesses
+   The order in which output elements are visited is not observable: each
+   element's sum is independent of every other's.  The VM walks row tiles
+   (the level-1 block box, widened along the last spatial axis) rather
+   than the kernel's block / logical-unit / vthread-stripe nest, which
+   visits exactly the block box once per element (DESIGN.md §15).  Every
+   element's sum visits the reduce points in ascending lexicographic order
+   — the order of [Reference.run] — so the VM's output equals the
+   reference interpreter's bit for bit and the reference is the
+   differential-testing oracle.  Unsafe array accesses
    are sound because [Compute.v] validates every access's bounding region
    over the full iteration domain against the declared tensor shapes, and
    [check_inputs] re-validates the actual input shapes against the
@@ -71,7 +78,8 @@ and iaff = 11
      FNEG   dst a
      FADD   dst a b … FMIN   dst a b    arithmetic on fregs
      FACC   dst              fregs.(dst) <- the reduced+scaled accumulator
-                             (the epilogue's shadowed output read) *)
+                             (the epilogue's shadowed output read; the VM
+                             passes it in a one-cell float array) *)
 let fconst = 0
 and fload = 1
 and fneg = 2
@@ -108,9 +116,7 @@ type t = {
   m : int;  (* reduce dims *)
   sext : int array;
   rext : int array;
-  bsize : int array;
-  stripe : int array;
-  units : int array;
+  tile : int array;  (* row tile: the level-1 block, widened along the last axis *)
   init : float;
   scale : float;
   sum : bool;  (* combine = Sum *)
@@ -131,6 +137,12 @@ type t = {
 
 (* Output elements one multiply-accumulate pass reduces together. *)
 let batch = 4
+
+(* Least width of a row tile along the last spatial axis.  Rows cut at the
+   block edge can be one element long and never fill a batch; full-extent
+   rows lose the block's reuse of the second operand's strip.  64 measured
+   within noise of 16, 32 and 128 on the cpu-exec kernels. *)
+let row_width = 64
 
 let ceil_div a b = (a + b - 1) / b
 
@@ -371,12 +383,10 @@ let compile etir =
   let n = Array.length spatial and m = Array.length reduce in
   let sext = Array.map Axis.extent spatial in
   let rext = Array.map Axis.extent reduce in
-  let bsize = Array.init n (fun i -> Etir.stile_eff etir ~level:1 ~dim:i) in
-  let tsize = Array.init n (fun i -> Etir.stile etir ~level:0 ~dim:i) in
-  let vths = Array.init n (fun i -> Etir.vthread etir ~dim:i) in
-  let stripe = Array.init n (fun i -> ceil_div tsize.(i) vths.(i)) in
-  let units =
-    Array.init n (fun i -> ceil_div bsize.(i) tsize.(i) * vths.(i))
+  let tile =
+    Array.init n (fun i ->
+        let b = Etir.stile_eff etir ~level:1 ~dim:i in
+        if i = n - 1 then b * ceil_div row_width b else b)
   in
   (* Loop-variable slots: spatial 0..n-1, reduce n..n+m-1. *)
   let slot_of name =
@@ -463,7 +473,7 @@ let compile etir =
       let sdelta = Array.map (fun c -> if n = 0 then 0 else c.(n - 1)) coeffs in
       Runs { ext; delta; sdelta; kernel }
   in
-  { compute; n; m; sext; rext; bsize; stripe; units;
+  { compute; n; m; sext; rext; tile;
     init = Compute.init compute; scale = Compute.scale compute; sum;
     tensors; tshapes;
     n_sites = ctx.n_sites_c;
@@ -538,7 +548,7 @@ let exec_int code vars iregs =
       pc := base + 4
   done
 
-let exec_float code fpool iregs fregs (data : float array array) accv =
+let exec_float code fpool iregs fregs (data : float array array) cell =
   let len = Array.length code in
   let pc = ref 0 in
   while !pc < len do
@@ -562,7 +572,9 @@ let exec_float code fpool iregs fregs (data : float array array) accv =
         (-.Array.unsafe_get fregs (Array.unsafe_get code (base + 2)));
       pc := base + 3
     | 9 (* FACC *) ->
-      Array.unsafe_set fregs (Array.unsafe_get code (base + 1)) accv;
+      Array.unsafe_set fregs
+        (Array.unsafe_get code (base + 1))
+        (Array.unsafe_get cell 0);
       pc := base + 2
     | op ->
       let a = Array.unsafe_get fregs (Array.unsafe_get code (base + 2))
@@ -606,15 +618,37 @@ let run_compiled p inputs =
   let coverage = Tensor.create (Compute.output_shape p.compute) in
   let out_data = Tensor.unsafe_data out in
   let cov_data = Tensor.unsafe_data coverage in
-  let vars = Array.make (n + m) 0 in
+  (* [last] is the slot a row walks: the last spatial slot, or a spare slot
+     past the reduce slots when the output is a scalar (one row of one
+     element). *)
+  let last = if n = 0 then n + m else n - 1 in
+  let vars = Array.make (n + m + 1) 0 in
   let iregs = Array.make (max 1 p.n_iregs) 0 in
   let fregs = Array.make (max 1 p.n_fregs) 0.0 in
   (* Accumulators: cell 0 for one element, cell g for element g of a
-     batch. *)
+     batch; [cell] holds the scaled accumulator the epilogue's FACC
+     reads. *)
   let acc = Array.make batch 0.0 in
+  let cell = Array.make 1 0.0 in
   let combine v =
     if p.sum then Array.unsafe_get acc 0 +. v
     else Float.max (Array.unsafe_get acc 0) v
+  in
+  (* Scale, epilogue, store and coverage of the element at [vars] (output
+     offset [off]), whose reduction is in acc.(g). *)
+  let finish g off =
+    let v = Array.unsafe_get acc g *. p.scale in
+    let v =
+      match p.epi_code with
+      | None -> v
+      | Some code ->
+        Array.unsafe_set cell 0 v;
+        exec_int p.epi_idx vars iregs;
+        exec_float code p.fpool iregs fregs data cell;
+        Array.unsafe_get fregs 0
+    in
+    Array.unsafe_set out_data off v;
+    Array.unsafe_set cov_data off (Array.unsafe_get cov_data off +. 1.0)
   in
   (* Reduction.  The kernel's chunked loops (level-1 chunks, level-0
      sub-chunks) visit the reduce points in ascending lexicographic order
@@ -622,18 +656,19 @@ let run_compiled p inputs =
      bookkeeping with no numeric effect, so the VM walks the flat nest
      (as the run table when it has one) in that same order.
 
-     [reduce ()] leaves the reduction of the element at [vars] in acc.(0);
-     [reduce4], when the batched kernel applies, leaves those of the
-     [batch] elements [vars], [vars] + 1 along the last spatial slot, ...
-     in acc.(0..batch-1).  Kernel dispatch and site/tensor lookups are
-     hoisted out of the hot path by building the closures once per run. *)
-  let reduce, reduce4 =
+     [row c0 cnt off] reduces and stores the [cnt] elements of a row:
+     [vars] holds its coordinates but along [last], where it starts at
+     [c0]; [off] is its first element's output offset.  Kernel dispatch
+     and site/tensor lookups are hoisted out of the hot path by building
+     the closures once per run. *)
+  let batched = ref 0 in
+  let row =
     match p.reduction with
     | Per_point ->
       let rec points j =
         if j = m then begin
           exec_int p.body_idx vars iregs;
-          exec_float p.body_code p.fpool iregs fregs data 0.0;
+          exec_float p.body_code p.fpool iregs fregs data cell;
           acc.(0) <- combine fregs.(0)
         end
         else
@@ -642,7 +677,13 @@ let run_compiled p inputs =
             points (j + 1)
           done
       in
-      ((fun () -> acc.(0) <- p.init; points 0), None)
+      fun c0 cnt off ->
+        for e = 0 to cnt - 1 do
+          vars.(last) <- c0 + e;
+          acc.(0) <- p.init;
+          points 0;
+          finish 0 (off + e)
+        done
     | Runs { ext; delta; sdelta; kernel } ->
       let n_body = Array.length sdelta in
       let inner = Array.length ext - 1 in
@@ -664,224 +705,158 @@ let run_compiled p inputs =
           done
         end
       in
-      let run kernel () =
-        acc.(0) <- p.init;
-        exec_int p.body_idx vars iregs;
-        walk kernel 0
-      in
-      (match kernel with
-      | Mac (sa, sb) ->
-        let ta = data.(p.site_tensor.(sa)) and tb = data.(p.site_tensor.(sb)) in
-        let da = d.(sa) and db = d.(sb) in
-        let mac () =
-          let oa = ref iregs.(sa) and ob = ref iregs.(sb) in
-          let s = ref (Array.unsafe_get acc 0) in
-          for _ = 1 to len do
-            s := !s +. (Array.unsafe_get ta !oa *. Array.unsafe_get tb !ob);
-            oa := !oa + da;
-            ob := !ob + db
-          done;
-          Array.unsafe_set acc 0 !s
-        in
-        (* Element g reads at base + g * sdelta: four independent sums,
-           each in the single-element order. *)
-        let ga = sdelta.(sa) and gb = sdelta.(sb) in
-        let mac4 () =
-          let oa = ref iregs.(sa) and ob = ref iregs.(sb) in
-          let s0 = ref (Array.unsafe_get acc 0)
-          and s1 = ref (Array.unsafe_get acc 1)
-          and s2 = ref (Array.unsafe_get acc 2)
-          and s3 = ref (Array.unsafe_get acc 3) in
-          for _ = 1 to len do
-            let a = !oa and b = !ob in
-            s0 := !s0 +. (Array.unsafe_get ta a *. Array.unsafe_get tb b);
-            s1 :=
-              !s1
-              +. (Array.unsafe_get ta (a + ga) *. Array.unsafe_get tb (b + gb));
-            s2 :=
-              !s2
-              +. Array.unsafe_get ta (a + (2 * ga))
-                 *. Array.unsafe_get tb (b + (2 * gb));
-            s3 :=
-              !s3
-              +. Array.unsafe_get ta (a + (3 * ga))
-                 *. Array.unsafe_get tb (b + (3 * gb));
-            oa := a + da;
-            ob := b + db
-          done;
-          Array.unsafe_set acc 0 !s0;
-          Array.unsafe_set acc 1 !s1;
-          Array.unsafe_set acc 2 !s2;
-          Array.unsafe_set acc 3 !s3
-        in
-        let run4 () =
-          Array.fill acc 0 batch p.init;
-          exec_int p.body_idx vars iregs;
-          walk mac4 0
-        in
-        (run mac, if n = 0 then None else Some run4)
-      | Fold sa ->
-        let ta = data.(p.site_tensor.(sa)) in
-        let dk = d.(sa) in
-        let fold () =
-          let o = ref iregs.(sa) in
-          let s = ref (Array.unsafe_get acc 0) in
-          if p.sum then
-            for _ = 1 to len do
-              s := !s +. Array.unsafe_get ta !o;
-              o := !o + dk
-            done
-          else
-            for _ = 1 to len do
-              s := Float.max !s (Array.unsafe_get ta !o);
-              o := !o + dk
-            done;
-          Array.unsafe_set acc 0 !s
-        in
-        (run fold, None)
-      | Generic ->
-        let generic () =
-          for _ = 1 to len do
-            exec_float p.body_code p.fpool iregs fregs data 0.0;
-            acc.(0) <- combine fregs.(0);
-            for s = 0 to n_body - 1 do
-              iregs.(s) <- iregs.(s) + d.(s)
-            done
-          done;
-          for s = 0 to n_body - 1 do
-            iregs.(s) <- iregs.(s) - (len * d.(s))
-          done
-        in
-        (run generic, None))
-  in
-  (* Scale, epilogue, store and coverage of the element at [vars], whose
-     reduction is in acc.(g). *)
-  let finish g =
-    let v = acc.(g) *. p.scale in
-    let v =
-      match p.epi_code with
-      | None -> v
-      | Some code ->
-        exec_int p.epi_idx vars iregs;
-        exec_float code p.fpool iregs fregs data v;
-        fregs.(0)
-    in
-    let off = ref 0 in
-    for i = 0 to n - 1 do
-      off := !off + (vars.(i) * p.out_strides.(i))
-    done;
-    Array.unsafe_set out_data !off v;
-    Array.unsafe_set cov_data !off (Array.unsafe_get cov_data !off +. 1.0)
-  in
-  let single () =
-    reduce ();
-    finish 0
-  in
-  (* One output element.  With the batched kernel, a visit adjacent to
-     the previous one along the last spatial slot joins the pending batch;
-     a full batch is reduced in one pass, and any other visit (or the end
-     of the nest) first flushes a short batch element by element.  Stores
-     happen in visit order either way. *)
-  let batched = ref 0 in
-  let visit, flush =
-    match reduce4 with
-    | None -> (single, ignore)
-    | Some reduce4 ->
-      let last = n - 1 in
-      (* Spatial vars of the pending batch's first element. *)
-      let first = Array.make n 0 in
-      let pending = ref 0 in
-      let rec same i = i = last || (vars.(i) = first.(i) && same (i + 1)) in
-      let copy src dst =
-        for i = 0 to last do
-          Array.unsafe_set dst i (Array.unsafe_get src i)
+      (* Move the site offsets [k] elements along the row. *)
+      let advance k =
+        for s = 0 to n_body - 1 do
+          Array.unsafe_set iregs s
+            (Array.unsafe_get iregs s + (k * Array.unsafe_get sdelta s))
         done
       in
-      (* Run the pending elements one by one, leaving [first] = [vars]. *)
-      let flush () =
-        for i = 0 to last do
-          let v = vars.(i) in
-          vars.(i) <- first.(i);
-          first.(i) <- v
-        done;
-        let base = vars.(last) in
-        for g = 0 to !pending - 1 do
-          vars.(last) <- base + g;
-          single ()
-        done;
-        copy first vars;
-        pending := 0
-      in
-      let visit () =
-        if !pending = 0 then begin
-          copy vars first;
-          pending := 1
-        end
-        else if vars.(last) = first.(last) + !pending && same 0 then begin
-          incr pending;
-          if !pending = batch then begin
-            vars.(last) <- first.(last);
-            reduce4 ();
-            for g = 0 to batch - 1 do
-              vars.(last) <- first.(last) + g;
-              finish g
+      let one, four =
+        match kernel with
+        | Mac (sa, sb) ->
+          let ta = data.(p.site_tensor.(sa)) and tb = data.(p.site_tensor.(sb)) in
+          let da = d.(sa) and db = d.(sb) in
+          let mac () =
+            let oa = ref iregs.(sa) and ob = ref iregs.(sb) in
+            let s = ref (Array.unsafe_get acc 0) in
+            for _ = 1 to len do
+              s := !s +. (Array.unsafe_get ta !oa *. Array.unsafe_get tb !ob);
+              oa := !oa + da;
+              ob := !ob + db
             done;
-            batched := !batched + batch;
-            pending := 0
-          end
-        end
-        else begin
-          flush ();
-          pending := 1
-        end
+            Array.unsafe_set acc 0 !s
+          in
+          (* Element g reads at base + g * sdelta: four independent sums,
+             each in the single-element order. *)
+          let ga = sdelta.(sa) and gb = sdelta.(sb) in
+          let mac4 () =
+            let oa = ref iregs.(sa) and ob = ref iregs.(sb) in
+            let s0 = ref (Array.unsafe_get acc 0)
+            and s1 = ref (Array.unsafe_get acc 1)
+            and s2 = ref (Array.unsafe_get acc 2)
+            and s3 = ref (Array.unsafe_get acc 3) in
+            for _ = 1 to len do
+              let a = !oa and b = !ob in
+              s0 := !s0 +. (Array.unsafe_get ta a *. Array.unsafe_get tb b);
+              s1 :=
+                !s1
+                +. (Array.unsafe_get ta (a + ga) *. Array.unsafe_get tb (b + gb));
+              s2 :=
+                !s2
+                +. Array.unsafe_get ta (a + (2 * ga))
+                   *. Array.unsafe_get tb (b + (2 * gb));
+              s3 :=
+                !s3
+                +. Array.unsafe_get ta (a + (3 * ga))
+                   *. Array.unsafe_get tb (b + (3 * gb));
+              oa := a + da;
+              ob := b + db
+            done;
+            Array.unsafe_set acc 0 !s0;
+            Array.unsafe_set acc 1 !s1;
+            Array.unsafe_set acc 2 !s2;
+            Array.unsafe_set acc 3 !s3
+          in
+          (mac, if n = 0 then None else Some mac4)
+        | Fold sa ->
+          let ta = data.(p.site_tensor.(sa)) in
+          let dk = d.(sa) in
+          let fold () =
+            let o = ref iregs.(sa) in
+            let s = ref (Array.unsafe_get acc 0) in
+            if p.sum then
+              for _ = 1 to len do
+                s := !s +. Array.unsafe_get ta !o;
+                o := !o + dk
+              done
+            else
+              for _ = 1 to len do
+                s := Float.max !s (Array.unsafe_get ta !o);
+                o := !o + dk
+              done;
+            Array.unsafe_set acc 0 !s
+          in
+          (fold, None)
+        | Generic ->
+          let generic () =
+            for _ = 1 to len do
+              exec_float p.body_code p.fpool iregs fregs data cell;
+              acc.(0) <- combine fregs.(0);
+              for s = 0 to n_body - 1 do
+                iregs.(s) <- iregs.(s) + d.(s)
+              done
+            done;
+            for s = 0 to n_body - 1 do
+              iregs.(s) <- iregs.(s) - (len * d.(s))
+            done
+          in
+          (generic, None)
       in
-      (visit, fun () -> if !pending > 0 then flush ())
+      (* The body offset program runs once per row; groups of [batch]
+         elements go through the batched kernel, the rest one by one. *)
+      fun c0 cnt off ->
+        vars.(last) <- c0;
+        exec_int p.body_idx vars iregs;
+        let e = ref 0 in
+        (match four with
+        | None -> ()
+        | Some four ->
+          while !e + batch <= cnt do
+            Array.fill acc 0 batch p.init;
+            walk four 0;
+            for g = 0 to batch - 1 do
+              vars.(last) <- c0 + !e + g;
+              finish g (off + !e + g)
+            done;
+            advance batch;
+            e := !e + batch
+          done;
+          batched := !batched + !e);
+        while !e < cnt do
+          acc.(0) <- p.init;
+          walk one 0;
+          vars.(last) <- c0 + !e;
+          finish 0 (off + !e);
+          advance 1;
+          incr e
+        done
   in
-  (* Spatial nest, mirroring the kernel: blocks over the grid, logical
-     units (physical threads x vthread stripes, each stripe ceil(thread
-     tile / vthreads) wide so the units cover the tile) over the block,
-     stripe elements within a unit. *)
-  let origin = Array.make n 0 in
-  let block_start = Array.make n 0 in
-  let visits = ref 0 in
-  let rec stripe_dim i =
-    if i = n then begin
-      incr visits;
-      visit ()
+  (* Output space as row tiles (the block box, widened along [last]),
+     tiles in row-major order over the grid, rows in row-major order
+     within a tile.  [start] is the current tile's corner. *)
+  let start = Array.make n 0 in
+  let elements = ref 0 in
+  let rec rows i off =
+    if i = last then begin
+      let c0 = start.(i) in
+      let cnt = min p.tile.(i) (p.sext.(i) - c0) in
+      elements := !elements + cnt;
+      row c0 cnt (off + c0)
     end
-    else begin
-      let block_end = min (block_start.(i) + p.bsize.(i)) p.sext.(i) in
-      for e = 0 to p.stripe.(i) - 1 do
-        let coord = origin.(i) + e in
-        if coord < block_end then begin
-          vars.(i) <- coord;
-          stripe_dim (i + 1)
-        end
-      done
-    end
-  in
-  let rec unit_dim i =
-    if i = n then stripe_dim 0
     else
-      for u = 0 to p.units.(i) - 1 do
-        origin.(i) <- block_start.(i) + (u * p.stripe.(i));
-        unit_dim (i + 1)
+      for c = start.(i) to min (start.(i) + p.tile.(i)) p.sext.(i) - 1 do
+        vars.(i) <- c;
+        rows (i + 1) (off + (c * p.out_strides.(i)))
       done
   in
-  let rec block_dim i =
-    if i = n then unit_dim 0
+  let rec tiles i =
+    if i = n then rows 0 0
     else begin
       let b = ref 0 in
       while !b < p.sext.(i) do
-        block_start.(i) <- !b;
-        block_dim (i + 1);
-        b := !b + p.bsize.(i)
+        start.(i) <- !b;
+        tiles (i + 1);
+        b := !b + p.tile.(i)
       done
     end
   in
-  block_dim 0;
-  flush ();
-  Trace.Counter.add c_points (!visits * Array.fold_left ( * ) 1 p.rext);
+  if n = 0 then begin
+    elements := 1;
+    row 0 1 0
+  end
+  else tiles 0;
+  Trace.Counter.add c_points (!elements * Array.fold_left ( * ) 1 p.rext);
   Trace.Counter.add c_elements (Compute.output_points p.compute);
   Trace.Counter.add c_batched !batched;
   { Scheduled.output = out; coverage }

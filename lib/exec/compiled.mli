@@ -5,11 +5,11 @@
     four adjacent outputs per multiply-accumulate pass), run by a tight
     dispatch-loop VM.
 
-    The VM visits output elements in the generated kernel's order (blocks,
-    logical units, vthread stripes) and reduces every element over its
-    reduce points in ascending lexicographic order, as {!Reference.run}
-    does, so the two agree bit for bit and the reference is the
-    differential-testing oracle.  The bytecode ISA and compilation scheme
+    The VM walks the output in row tiles (the kernel's level-1 block box,
+    widened along the last spatial axis), row-major within a tile, and
+    reduces every element over its reduce points in ascending
+    lexicographic order, as {!Reference.run} does, so the two agree bit
+    for bit and the reference is the differential-testing oracle.  The bytecode ISA and compilation scheme
     are documented in DESIGN.md §15. *)
 
 type t

@@ -62,15 +62,6 @@ let fill_random rng t =
     t.data.(i) <- Sched.Rng.float rng -. 0.5
   done
 
-(* Mixed relative + absolute comparison.  A fixed absolute tolerance
-   mis-fires in both directions once reduction depth grows: accumulated
-   magnitudes make legitimate fp-reassociation error exceed it, and tiny
-   outputs can hide real bugs under it.  [rtol] scales with the larger
-   operand; [atol] keeps near-zero elements comparable.  The old
-   absolute-only behaviour is [~rtol:0.0 ~atol:tol]. *)
-let element_within ~atol ~rtol x y =
-  Float.abs (x -. y) <= atol +. (rtol *. Float.max (Float.abs x) (Float.abs y))
-
 let coords_of_offset t off =
   let shape = t.shape in
   let n = Array.length shape in
@@ -82,27 +73,56 @@ let coords_of_offset t off =
   done;
   Array.to_list coords
 
-(* First element pair (row-major) on which [differ] holds. *)
-let first_where ~what differ a b =
-  if a.shape <> b.shape then invalid_arg (what ^ ": shape mismatch");
-  let n = Array.length a.data in
-  let rec go i =
-    if i = n then None
-    else if differ a.data.(i) b.data.(i) then
-      Some (coords_of_offset a i, a.data.(i), b.data.(i))
-    else go (i + 1)
-  in
-  go 0
+(* The two compares are direct loops that call no function per element:
+   a call (a float closure, [Float.max], [Int64.equal]) boxes its
+   operands. *)
+let check_shapes ~what a b =
+  if a.shape <> b.shape then invalid_arg (what ^ ": shape mismatch")
 
+(* The pair at row-major offset [i], or [None] past the end. *)
+let pair_at a b i =
+  if i = Array.length a.data then None
+  else Some (coords_of_offset a i, a.data.(i), b.data.(i))
+
+(* Mixed relative + absolute comparison.  A fixed absolute tolerance
+   mis-fires in both directions once reduction depth grows: accumulated
+   magnitudes make legitimate fp-reassociation error exceed it, and tiny
+   outputs can hide real bugs under it.  [rtol] scales with the larger
+   operand; [atol] keeps near-zero elements comparable.  The old
+   absolute-only behaviour is [~rtol:0.0 ~atol:tol]. *)
 let first_mismatch ?(atol = 1e-6) ?(rtol = 1e-4) a b =
-  first_where ~what:"Tensor.first_mismatch"
-    (fun x y -> not (element_within ~atol ~rtol x y))
-    a b
+  check_shapes ~what:"Tensor.first_mismatch" a b;
+  let da = a.data and db = b.data in
+  let n = Array.length da in
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    let x = Array.unsafe_get da !i and y = Array.unsafe_get db !i in
+    let ax = Float.abs x and ay = Float.abs y in
+    (* [Float.max ax ay] but for NaN, which fails the test either way *)
+    Float.abs (x -. y) <= atol +. (rtol *. if ax >= ay then ax else ay)
+  do
+    incr i
+  done;
+  pair_at a b !i
 
 let first_bit_mismatch a b =
-  first_where ~what:"Tensor.first_bit_mismatch"
-    (fun x y -> Int64.bits_of_float x <> Int64.bits_of_float y)
-    a b
+  check_shapes ~what:"Tensor.first_bit_mismatch" a b;
+  let da = a.data and db = b.data in
+  let n = Array.length da in
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    let x = Array.unsafe_get da !i and y = Array.unsafe_get db !i in
+    (* Equal non-zero floats have equal bits; zeros and NaNs take the
+       exact test (a C call). *)
+    (x = y && x <> 0.0) || Int64.bits_of_float x = Int64.bits_of_float y
+  do
+    incr i
+  done;
+  pair_at a b !i
 
 let unsafe_data t = t.data
 let strides t = t.strides

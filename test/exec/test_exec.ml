@@ -127,6 +127,57 @@ let test_first_mismatch () =
      check_float "rhs value" 3.0 bv
    | None -> Alcotest.fail "mismatch not detected")
 
+(* Both compares against a per-element statement of their contract, on
+   tensors drawn from values that stress it: signed zeros, NaN, infinities
+   and pairs just inside and outside the default tolerance. *)
+let prop_compares_match_spec =
+  let values =
+    [| 0.0; -0.0; 1.0; 1.00005; 1.001; -1.0; nan; infinity; neg_infinity;
+       1e-9; 1000.0; 1000.05 |]
+  in
+  QCheck.Test.make ~count:300 ~name:"compares = per-element spec"
+    QCheck.(
+      make
+        Gen.(
+          list_size (int_range 1 12)
+            (pair (int_bound (Array.length values - 1))
+               (int_bound (Array.length values - 1)))))
+    (fun pairs ->
+      let n = List.length pairs in
+      let tensor pick =
+        let t = Exec.Tensor.create [ n ] in
+        List.iteri (fun i p -> Exec.Tensor.set t [ i ] values.(pick p)) pairs;
+        t
+      in
+      let a = tensor fst and b = tensor snd in
+      let spec differ =
+        let rec go i = function
+          | [] -> None
+          | (x, y) :: rest ->
+            let x = values.(x) and y = values.(y) in
+            if differ x y then Some ([ i ], x, y) else go (i + 1) rest
+        in
+        go 0 pairs
+      in
+      let same_offender r s =
+        match (r, s) with
+        | None, None -> true
+        | Some (c, x, y), Some (c', x', y') ->
+          c = c'
+          && Int64.bits_of_float x = Int64.bits_of_float x'
+          && Int64.bits_of_float y = Int64.bits_of_float y'
+        | _ -> false
+      in
+      same_offender
+        (Exec.Tensor.first_mismatch a b)
+        (spec (fun x y ->
+             not
+               (Float.abs (x -. y)
+               <= 1e-6 +. (1e-4 *. Float.max (Float.abs x) (Float.abs y)))))
+      && same_offender
+           (Exec.Tensor.first_bit_mismatch a b)
+           (spec (fun x y -> Int64.bits_of_float x <> Int64.bits_of_float y)))
+
 let test_coverage_violation () =
   let compute = Ops.Op.compute (Ops.Matmul.gemm ~m:3 ~n:4 ~k:2 ()) in
   let inputs = Exec.Reference.random_inputs compute in
@@ -373,9 +424,10 @@ let test_non_dividing_vthread_stripe () =
   let e = Etir.with_vthread e ~dim:0 3 in
   check_differential ~tag:"ragged vthread: " e inputs expected
 
-(* Four-wide batches along the last spatial slot (extent 13) cut by the
-   level-1 tile (5) and by the grid edge: blocks of 5, 5 and 3 columns,
-   each row of a block a batch of four plus a short remainder. *)
+(* Rows along the last spatial slot (extent 13) that cross the level-1
+   tile (5) and end at the grid edge: the row tile is 65 columns wide, so
+   each row is the full 13 columns, three batches of four and a one-element
+   tail. *)
 let test_batches_cut_at_block_edges () =
   let compute = Ops.Op.compute (Ops.Matmul.gemm ~m:3 ~n:13 ~k:7 ()) in
   let inputs = Exec.Reference.random_inputs ~seed:17 compute in
@@ -385,6 +437,58 @@ let test_batches_cut_at_block_edges () =
   let e = Etir.with_stile e ~level:1 ~dim:1 5 in
   let e = Etir.with_stile e ~level:0 ~dim:1 5 in
   check_differential ~tag:"batch edges: " e inputs expected
+
+(* The seed-2 [ffn_down] shape, reduced: a level-1 tile of 1x1, so every
+   row of output crosses blocks.  Rows cut at the block edge would be one
+   element long and never reach the four-wide pass; rows widened to the
+   row tile batch all but at most three tail elements each. *)
+let test_rows_cross_blocks () =
+  let m = 4 and n = 70 in
+  let compute = Ops.Op.compute (Ops.Matmul.gemm ~m ~n ~k:16 ()) in
+  let inputs = Exec.Reference.random_inputs ~seed:23 compute in
+  let expected = Exec.Reference.run compute inputs in
+  let e = Etir.create compute in
+  let e = Etir.with_stile e ~level:1 ~dim:0 1 in
+  let e = Etir.with_stile e ~level:1 ~dim:1 1 in
+  check_int "level-1 tile along j" 1 (Etir.stile_eff e ~level:1 ~dim:1);
+  let batched () =
+    Option.value ~default:0 (Trace.Counter.find "exec.compiled.batched")
+  in
+  let before = batched () in
+  check_differential ~tag:"rows across blocks: " e inputs expected;
+  (* Rows of at most 64 columns: 70 = 64 + 6 per output row. *)
+  let rows = m * 2 in
+  let got = batched () - before in
+  if got < (m * n) - (3 * rows) then
+    Alcotest.failf "batched %d of %d elements in %d rows" got (m * n) rows
+
+(* [Max_combine] starts from -inf: with every input negative, each
+   pooling window's maximum is negative, so any other init (0.0 say)
+   shows in every output element. *)
+let test_maxpool_all_negative () =
+  let compute =
+    Ops.Op.compute
+      (Ops.Pool.maxpool2d ~batch:1 ~channels:2 ~height:9 ~width:9 ~window:3
+         ~stride:3 ())
+  in
+  let inputs = Exec.Reference.random_inputs ~seed:29 compute in
+  List.iter
+    (fun (_, t) ->
+      let d = Exec.Tensor.unsafe_data t in
+      Array.iteri (fun i x -> d.(i) <- x -. 1.0) d)
+    inputs;
+  let expected = Exec.Reference.run compute inputs in
+  Array.iter
+    (fun x -> if not (x < 0.0) then Alcotest.failf "reference max %g" x)
+    (Exec.Tensor.unsafe_data expected);
+  let rng = Rng.create ~seed:31 in
+  check_differential ~tag:"all-negative maxpool: " (Etir.create compute)
+    inputs expected;
+  for _ = 1 to 4 do
+    check_differential ~tag:"all-negative maxpool: "
+      (random_schedule rng compute ~steps:20)
+      inputs expected
+  done
 
 (* The lowering [Compiled.pp] reports: the reduce-run table and kernel. *)
 let test_lowering_summary () =
@@ -457,7 +561,8 @@ let () =
          Alcotest.test_case "init" `Quick test_tensor_init;
          Alcotest.test_case "padding" `Quick test_tensor_pad;
          Alcotest.test_case "mixed tolerance" `Quick test_mixed_tolerance;
-         Alcotest.test_case "first mismatch" `Quick test_first_mismatch ]);
+         Alcotest.test_case "first mismatch" `Quick test_first_mismatch;
+         QCheck_alcotest.to_alcotest prop_compares_match_spec ]);
       ("reference",
        [ Alcotest.test_case "gemm 2x2" `Quick test_reference_gemm;
          Alcotest.test_case "avgpool scale" `Quick test_reference_avgpool_scale;
@@ -474,6 +579,9 @@ let () =
            test_non_dividing_vthread_stripe;
          Alcotest.test_case "batches cut at block edges" `Quick
            test_batches_cut_at_block_edges;
+         Alcotest.test_case "rows cross blocks" `Quick test_rows_cross_blocks;
+         Alcotest.test_case "maxpool with all-negative inputs" `Quick
+           test_maxpool_all_negative;
          Alcotest.test_case "lowering summary" `Quick test_lowering_summary;
          QCheck_alcotest.to_alcotest prop_random_schedules_correct;
          QCheck_alcotest.to_alcotest prop_vthread_preserves_semantics ]);
