@@ -18,27 +18,28 @@
      {e run table} of (extent, per-site offset delta) runs: unit axes are
      dropped and contiguous axes merged, so every reduce point is one
      register add away;
-   - the output is walked in rows along the last spatial axis: the offset
-     program runs once per row and the site offsets then step by their
-     coefficient of the last spatial slot per element;
-   - the two ubiquitous reduction bodies (multiply-accumulate and
-     single-read fold) run the innermost run as dedicated unsafe
-     float-array loops, and the multiply-accumulate reduces four adjacent
-     elements of a row per pass over the run table.
+   - the output is walked in row tiles (the level-1 block box, widened
+     along the last spatial axis); each row runs the offset programs once,
+     and an affine site's offset then steps by its coefficient of the last
+     spatial slot per element;
+   - the multiply-accumulate body walks the run table once per tile and,
+     per reduce point, updates every element of every row of the tile;
+     the other bodies fill the same tile accumulator element by element;
+   - an epilogue whose sites are all affine runs once per row, each
+     instruction over the row's lanes.
 
    The order in which output elements are visited is not observable: each
-   element's sum is independent of every other's.  The VM walks row tiles
-   (the level-1 block box, widened along the last spatial axis) rather
-   than the kernel's block / logical-unit / vthread-stripe nest, which
-   visits exactly the block box once per element (DESIGN.md §15).  Every
-   element's sum visits the reduce points in ascending lexicographic order
-   — the order of [Reference.run] — so the VM's output equals the
-   reference interpreter's bit for bit and the reference is the
-   differential-testing oracle.  Unsafe array accesses
-   are sound because [Compute.v] validates every access's bounding region
-   over the full iteration domain against the declared tensor shapes, and
-   [check_inputs] re-validates the actual input shapes against the
-   declaration at run time. *)
+   element's sum is independent of every other's, and the kernel's
+   block / logical-unit / vthread-stripe nest visits exactly the block box
+   once per element (DESIGN.md §15).  Every element's sum visits the
+   reduce points in ascending lexicographic order — the order of
+   [Reference.run] — and every epilogue lane runs the scalar program's
+   operations in its order, so the VM's output equals the reference
+   interpreter's bit for bit and the reference is the differential-testing
+   oracle.  Unsafe array accesses are sound because [Compute.v] validates
+   every access's bounding region over the full iteration domain against
+   the declared tensor shapes, and [check_inputs] re-validates the actual
+   input shapes against the declaration at run time. *)
 
 open Tensor_lang
 open Sched
@@ -79,7 +80,10 @@ and iaff = 11
      FADD   dst a b … FMIN   dst a b    arithmetic on fregs
      FACC   dst              fregs.(dst) <- the reduced+scaled accumulator
                              (the epilogue's shadowed output read; the VM
-                             passes it in a one-cell float array) *)
+                             passes it in a one-cell float array)
+   Run over lanes, an epilogue program reads and writes every register as
+   [cnt] lanes of one row; [FLOAD] lane e reads at off + e * step and
+   [FACC] lane e is the row's element e. *)
 let fconst = 0
 and fload = 1
 and fneg = 2
@@ -102,17 +106,20 @@ type reduction =
   | Runs of {
       ext : int array;  (* run extents, outermost first; never empty *)
       delta : int array array;  (* run -> body site -> offset step *)
-      sdelta : int array;
-          (* body site -> coefficient of the last spatial slot: the offset
-             step between adjacent output elements of a 4-wide batch *)
       kernel : kernel;
     }
       (* every body site is affine *)
   | Per_point  (* some body site is not: offsets re-derived per point *)
 
+(* How the epilogue runs. *)
+type epilogue =
+  | Plain  (* none: store the scaled accumulator *)
+  | Lanes of int array  (* every epilogue site affine: once per row *)
+  | Scalar of int array  (* some site is not: once per element *)
+
 type t = {
   compute : Compute.t;
-  n : int;  (* spatial dims *)
+  n : int;  (* spatial dims; [Compute.v] admits no fewer than one *)
   m : int;  (* reduce dims *)
   sext : int array;
   rext : int array;
@@ -124,25 +131,30 @@ type t = {
   tshapes : int list array;
   n_sites : int;  (* read sites; iregs.(site) holds the site's offset *)
   site_tensor : int array;
+  step : int array;
+      (* site -> coefficient of the last spatial slot: the offset step
+         between adjacent elements of a row (0 for a non-affine site) *)
   body_idx : int array;  (* int program: body site offsets from vars *)
   epi_idx : int array;  (* int program: epilogue site offsets *)
   reduction : reduction;
   body_code : int array;  (* float program; value lands in freg 0 *)
-  epi_code : int array option;
+  epilogue : epilogue;
   fpool : float array;
   n_iregs : int;
   n_fregs : int;
   out_strides : int array;
 }
 
-(* Output elements one multiply-accumulate pass reduces together. *)
-let batch = 4
-
 (* Least width of a row tile along the last spatial axis.  Rows cut at the
-   block edge can be one element long and never fill a batch; full-extent
-   rows lose the block's reuse of the second operand's strip.  64 measured
-   within noise of 16, 32 and 128 on the cpu-exec kernels. *)
+   block edge can be one element long; full-extent rows lose the block's
+   reuse of the second operand's strip.  64 measured within noise of 16,
+   32 and 128 on the cpu-exec kernels. *)
 let row_width = 64
+
+(* Most elements of a tile reduced in one walk of the run table: a tile's
+   rows are reduced in groups that fit, so the accumulator stays in
+   cache whatever the block size. *)
+let tile_elements = 4096
 
 let ceil_div a b = (a + b - 1) / b
 
@@ -204,6 +216,7 @@ type ctx = {
   tensor_strides : int array array;  (* tensor id -> row-major strides *)
   mutable sites : site list;  (* reversed; site id = position *)
   mutable n_sites_c : int;
+  mutable shared_from : int;  (* sites below this id are not shared *)
   mutable pool : float list;  (* reversed float constant pool *)
   mutable n_pool : int;
   mutable max_ireg : int;
@@ -271,16 +284,18 @@ let access_affine ctx tensor access =
   in
   go 0 0 (Array.make ctx.n_slots 0) (Access.indices access)
 
-(* Register a read site (dedup on structurally identical accesses) and
-   return its id; its offset register is the id itself. *)
+(* Register a read site (dedup on structurally identical accesses at or
+   above [shared_from]) and return its id; its offset register is the id
+   itself. *)
 let site_of ctx access =
   let tensor = ctx.tensor_of (Access.tensor access) in
   let existing =
     let rec find i = function
       | [] -> None
       | s :: rest ->
-        if s.s_tensor = tensor && s.s_access = access then
-          Some (ctx.n_sites_c - 1 - i)
+        let id = ctx.n_sites_c - 1 - i in
+        if id < ctx.shared_from then None
+        else if s.s_tensor = tensor && s.s_access = access then Some id
         else find (i + 1) rest
     in
     find 0 ctx.sites
@@ -426,7 +441,7 @@ let compile etir =
   let ctx =
     { slot_of; n_slots = n + m; tensor_of;
       tensor_strides = Array.map strides_of tshapes;
-      sites = []; n_sites_c = 0; pool = []; n_pool = 0;
+      sites = []; n_sites_c = 0; shared_from = 0; pool = []; n_pool = 0;
       max_ireg = 0; max_freg = 0 }
   in
   (* Body: float program first (registers its read sites), then the int
@@ -434,8 +449,18 @@ let compile etir =
   let body_buf = ref [] in
   compile_expr ctx body_buf ~acc_tensor:None 0 (Compute.body compute);
   let body_sites = ctx.n_sites_c in
+  let sum = Compute.combine compute = Compute.Sum in
+  let kernel =
+    match Compute.body compute with
+    | Expr.Mul (Expr.Read a, Expr.Read b) when sum ->
+      Mac (site_of ctx a, site_of ctx b)
+    | Expr.Read a -> Fold (site_of ctx a)
+    | _ -> Generic
+  in
   (* Epilogue: reads of the output tensor become FACC, everything else is
-     a regular site (over spatial variables only, per validation). *)
+     a site of its own (over spatial variables only, per validation), so
+     the epilogue's offsets never depend on the reduction's. *)
+  ctx.shared_from <- body_sites;
   let epi_code =
     match Compute.epilogue compute with
     | None -> None
@@ -456,30 +481,36 @@ let compile etir =
     compile_site_offset ctx epi_idx_buf scratch id
   done;
   let sites = Array.of_list (List.rev ctx.sites) in
-  let sum = Compute.combine compute = Compute.Sum in
-  let body = Array.sub sites 0 body_sites in
+  let affine lo hi =
+    Array.for_all (fun s -> s.s_affine <> None) (Array.sub sites lo (hi - lo))
+  in
   let reduction =
-    if Array.exists (fun s -> s.s_affine = None) body then Per_point
+    if not (affine 0 body_sites) then Per_point
     else
-      let coeffs = Array.map (fun s -> snd (Option.get s.s_affine)) body in
-      let ext, delta = run_table ~n ~rext coeffs in
-      let kernel =
-        match Compute.body compute with
-        | Expr.Mul (Expr.Read a, Expr.Read b) when sum ->
-          Mac (site_of ctx a, site_of ctx b)
-        | Expr.Read a -> Fold (site_of ctx a)
-        | _ -> Generic
+      let coeffs =
+        Array.init body_sites (fun s -> snd (Option.get sites.(s).s_affine))
       in
-      let sdelta = Array.map (fun c -> if n = 0 then 0 else c.(n - 1)) coeffs in
-      Runs { ext; delta; sdelta; kernel }
+      let ext, delta = run_table ~n ~rext coeffs in
+      Runs { ext; delta; kernel }
+  in
+  let epilogue =
+    match epi_code with
+    | None -> Plain
+    | Some code when affine body_sites (Array.length sites) -> Lanes code
+    | Some code -> Scalar code
   in
   { compute; n; m; sext; rext; tile;
     init = Compute.init compute; scale = Compute.scale compute; sum;
     tensors; tshapes;
     n_sites = ctx.n_sites_c;
     site_tensor = Array.map (fun s -> s.s_tensor) sites;
+    step =
+      Array.map
+        (fun s ->
+          match s.s_affine with Some (_, c) -> c.(n - 1) | None -> 0)
+        sites;
     body_idx = program body_idx_buf; epi_idx = program epi_idx_buf;
-    reduction; body_code = program body_buf; epi_code;
+    reduction; body_code = program body_buf; epilogue;
     fpool = Array.of_list (List.rev ctx.pool);
     n_iregs = ctx.max_ireg; n_fregs = ctx.max_freg;
     out_strides = strides_of (Compute.output_shape compute) }
@@ -593,6 +624,168 @@ let exec_float code fpool iregs fregs (data : float array array) cell =
       pc := base + 4
   done
 
+(* The float program over the [cnt] lanes of one row: register r's lane e
+   is [lanes.(r * w + e)].  [FLOAD] lane e reads at the site's row offset
+   [base.(rb + site)] plus e times its step; [FACC] lane e is
+   [acc.(o + e)].  Each instruction runs over every lane before the next
+   starts, so a lane sees the scalar program's operations in its order. *)
+let exec_lanes code fpool lanes w cnt (data : float array array) base rb
+    step acc o =
+  let len = Array.length code in
+  let pc = ref 0 in
+  while !pc < len do
+    let pc0 = !pc in
+    let d = Array.unsafe_get code (pc0 + 1) * w in
+    match Array.unsafe_get code pc0 with
+    | 0 (* FCONST *) ->
+      Array.fill lanes d cnt
+        (Array.unsafe_get fpool (Array.unsafe_get code (pc0 + 2)));
+      pc := pc0 + 3
+    | 1 (* FLOAD *) ->
+      let t = Array.unsafe_get data (Array.unsafe_get code (pc0 + 2)) in
+      let site = Array.unsafe_get code (pc0 + 3) in
+      let off = Array.unsafe_get base (rb + site) in
+      let g = Array.unsafe_get step site in
+      for e = 0 to cnt - 1 do
+        Array.unsafe_set lanes (d + e) (Array.unsafe_get t (off + (e * g)))
+      done;
+      pc := pc0 + 4
+    | 2 (* FNEG *) ->
+      let a = Array.unsafe_get code (pc0 + 2) * w in
+      for e = 0 to cnt - 1 do
+        Array.unsafe_set lanes (d + e) (-.Array.unsafe_get lanes (a + e))
+      done;
+      pc := pc0 + 3
+    | 9 (* FACC *) ->
+      Array.blit acc o lanes d cnt;
+      pc := pc0 + 2
+    | op ->
+      let a = Array.unsafe_get code (pc0 + 2) * w
+      and b = Array.unsafe_get code (pc0 + 3) * w in
+      (match op with
+      | 3 (* FADD *) ->
+        for e = 0 to cnt - 1 do
+          Array.unsafe_set lanes (d + e)
+            (Array.unsafe_get lanes (a + e) +. Array.unsafe_get lanes (b + e))
+        done
+      | 4 (* FSUB *) ->
+        for e = 0 to cnt - 1 do
+          Array.unsafe_set lanes (d + e)
+            (Array.unsafe_get lanes (a + e) -. Array.unsafe_get lanes (b + e))
+        done
+      | 5 (* FMUL *) ->
+        for e = 0 to cnt - 1 do
+          Array.unsafe_set lanes (d + e)
+            (Array.unsafe_get lanes (a + e) *. Array.unsafe_get lanes (b + e))
+        done
+      | 6 (* FDIV *) ->
+        for e = 0 to cnt - 1 do
+          Array.unsafe_set lanes (d + e)
+            (Array.unsafe_get lanes (a + e) /. Array.unsafe_get lanes (b + e))
+        done
+      | 7 (* FMAX *) ->
+        for e = 0 to cnt - 1 do
+          Array.unsafe_set lanes (d + e)
+            (Float.max (Array.unsafe_get lanes (a + e))
+               (Array.unsafe_get lanes (b + e)))
+        done
+      | 8 (* FMIN *) ->
+        for e = 0 to cnt - 1 do
+          Array.unsafe_set lanes (d + e)
+            (Float.min (Array.unsafe_get lanes (a + e))
+               (Array.unsafe_get lanes (b + e)))
+        done
+      | _ -> invalid_arg "Compiled: corrupt float opcode");
+      pc := pc0 + 4
+  done
+
+(* One row of the tile multiply-accumulate at one reduce point:
+   [acc.(o + e) <- acc.(o + e) + ta.(a + e * ga) * tb.(b + e * gb)] for
+   [e < cnt], four elements per step and a scalar tail.  An operand whose
+   step is 0 (A in a GEMM, the weight in a conv) is loaded once. *)
+let mac_row (acc : float array) o cnt (ta : float array) a ga
+    (tb : float array) b gb =
+  let stop = o + cnt in
+  let i = ref o and ja = ref a and jb = ref b in
+  if ga = 0 then begin
+    let x = Array.unsafe_get ta a in
+    while !i + 4 <= stop do
+      let i0 = !i and j = !jb in
+      Array.unsafe_set acc i0
+        (Array.unsafe_get acc i0 +. (x *. Array.unsafe_get tb j));
+      Array.unsafe_set acc (i0 + 1)
+        (Array.unsafe_get acc (i0 + 1) +. (x *. Array.unsafe_get tb (j + gb)));
+      Array.unsafe_set acc (i0 + 2)
+        (Array.unsafe_get acc (i0 + 2)
+        +. (x *. Array.unsafe_get tb (j + (2 * gb))));
+      Array.unsafe_set acc (i0 + 3)
+        (Array.unsafe_get acc (i0 + 3)
+        +. (x *. Array.unsafe_get tb (j + (3 * gb))));
+      i := i0 + 4;
+      jb := j + (4 * gb)
+    done;
+    while !i < stop do
+      Array.unsafe_set acc !i
+        (Array.unsafe_get acc !i +. (x *. Array.unsafe_get tb !jb));
+      incr i;
+      jb := !jb + gb
+    done
+  end
+  else if gb = 0 then begin
+    let y = Array.unsafe_get tb b in
+    while !i + 4 <= stop do
+      let i0 = !i and j = !ja in
+      Array.unsafe_set acc i0
+        (Array.unsafe_get acc i0 +. (Array.unsafe_get ta j *. y));
+      Array.unsafe_set acc (i0 + 1)
+        (Array.unsafe_get acc (i0 + 1) +. (Array.unsafe_get ta (j + ga) *. y));
+      Array.unsafe_set acc (i0 + 2)
+        (Array.unsafe_get acc (i0 + 2)
+        +. (Array.unsafe_get ta (j + (2 * ga)) *. y));
+      Array.unsafe_set acc (i0 + 3)
+        (Array.unsafe_get acc (i0 + 3)
+        +. (Array.unsafe_get ta (j + (3 * ga)) *. y));
+      i := i0 + 4;
+      ja := j + (4 * ga)
+    done;
+    while !i < stop do
+      Array.unsafe_set acc !i
+        (Array.unsafe_get acc !i +. (Array.unsafe_get ta !ja *. y));
+      incr i;
+      ja := !ja + ga
+    done
+  end
+  else begin
+    while !i + 4 <= stop do
+      let i0 = !i and j = !ja and k = !jb in
+      Array.unsafe_set acc i0
+        (Array.unsafe_get acc i0
+        +. (Array.unsafe_get ta j *. Array.unsafe_get tb k));
+      Array.unsafe_set acc (i0 + 1)
+        (Array.unsafe_get acc (i0 + 1)
+        +. (Array.unsafe_get ta (j + ga) *. Array.unsafe_get tb (k + gb)));
+      Array.unsafe_set acc (i0 + 2)
+        (Array.unsafe_get acc (i0 + 2)
+        +. Array.unsafe_get ta (j + (2 * ga))
+           *. Array.unsafe_get tb (k + (2 * gb)));
+      Array.unsafe_set acc (i0 + 3)
+        (Array.unsafe_get acc (i0 + 3)
+        +. Array.unsafe_get ta (j + (3 * ga))
+           *. Array.unsafe_get tb (k + (3 * gb)));
+      i := i0 + 4;
+      ja := j + (4 * ga);
+      jb := k + (4 * gb)
+    done;
+    while !i < stop do
+      Array.unsafe_set acc !i
+        (Array.unsafe_get acc !i
+        +. (Array.unsafe_get ta !ja *. Array.unsafe_get tb !jb));
+      incr i;
+      ja := !ja + ga;
+      jb := !jb + gb
+    done
+  end
+
 let check_inputs p inputs =
   Array.mapi
     (fun i name ->
@@ -612,90 +805,109 @@ let check_inputs p inputs =
 let run_compiled p inputs =
   Trace.with_span ~name:"exec.compiled.run" @@ fun () ->
   Trace.Counter.incr c_runs;
-  let { n; m; _ } = p in
+  let { n; m; n_sites = ns; _ } = p in
   let data = check_inputs p inputs in
   let out = Tensor.create (Compute.output_shape p.compute) in
   let coverage = Tensor.create (Compute.output_shape p.compute) in
   let out_data = Tensor.unsafe_data out in
   let cov_data = Tensor.unsafe_data coverage in
-  (* [last] is the slot a row walks: the last spatial slot, or a spare slot
-     past the reduce slots when the output is a scalar (one row of one
-     element). *)
-  let last = if n = 0 then n + m else n - 1 in
-  let vars = Array.make (n + m + 1) 0 in
-  let iregs = Array.make (max 1 p.n_iregs) 0 in
+  let last = n - 1 in
+  let vars = Array.make (n + m) 0 in
+  let iregs = Array.make p.n_iregs 0 in
   let fregs = Array.make (max 1 p.n_fregs) 0.0 in
-  (* Accumulators: cell 0 for one element, cell g for element g of a
-     batch; [cell] holds the scaled accumulator the epilogue's FACC
-     reads. *)
-  let acc = Array.make batch 0.0 in
   let cell = Array.make 1 0.0 in
-  let combine v =
-    if p.sum then Array.unsafe_get acc 0 +. v
-    else Float.max (Array.unsafe_get acc 0) v
+  (* Tile buffers, for a group of at most [cap] rows of [width] elements:
+     the accumulators (row h's element e at [h * cnt + e]), and per row
+     its first element's output offset, its spatial coordinates and its
+     site offsets at that element. *)
+  let width = min p.tile.(last) p.sext.(last) in
+  let box = ref 1 in
+  for i = 0 to last - 1 do
+    box := !box * min p.tile.(i) p.sext.(i)
+  done;
+  let cap = max 1 (min !box (tile_elements / width)) in
+  let acc = Array.make (cap * width) 0.0 in
+  let roff = Array.make cap 0 in
+  let rvars = Array.make (cap * n) 0 in
+  let rbase = Array.make (cap * ns) 0 in
+  let lanes =
+    match p.epilogue with
+    | Lanes _ -> Array.make (p.n_fregs * width) 0.0
+    | Plain | Scalar _ -> [||]
   in
-  (* Scale, epilogue, store and coverage of the element at [vars] (output
-     offset [off]), whose reduction is in acc.(g). *)
-  let finish g off =
-    let v = Array.unsafe_get acc g *. p.scale in
-    let v =
-      match p.epi_code with
-      | None -> v
-      | Some code ->
-        Array.unsafe_set cell 0 v;
-        exec_int p.epi_idx vars iregs;
-        exec_float code p.fpool iregs fregs data cell;
-        Array.unsafe_get fregs 0
-    in
-    Array.unsafe_set out_data off v;
-    Array.unsafe_set cov_data off (Array.unsafe_get cov_data off +. 1.0)
-  in
+  let combine a v = if p.sum then a +. v else Float.max a v in
   (* Reduction.  The kernel's chunked loops (level-1 chunks, level-0
      sub-chunks) visit the reduce points in ascending lexicographic order
      and accumulate sequentially: the chunk structure is kernel-shaped
      bookkeeping with no numeric effect, so the VM walks the flat nest
      (as the run table when it has one) in that same order.
 
-     [row c0 cnt off] reduces and stores the [cnt] elements of a row:
-     [vars] holds its coordinates but along [last], where it starts at
-     [c0]; [off] is its first element's output offset.  Kernel dispatch
-     and site/tensor lookups are hoisted out of the hot path by building
-     the closures once per run. *)
-  let batched = ref 0 in
-  let row =
+     [reduce rows cnt] reduces the group's [rows] rows of [cnt] elements
+     into [acc], which holds [init].  Kernel dispatch and site/tensor
+     lookups are hoisted out of the hot path by building the closure once
+     per run. *)
+  let reduce =
     match p.reduction with
     | Per_point ->
-      let rec points j =
+      let rec points j i =
         if j = m then begin
           exec_int p.body_idx vars iregs;
           exec_float p.body_code p.fpool iregs fregs data cell;
-          acc.(0) <- combine fregs.(0)
+          acc.(i) <- combine acc.(i) fregs.(0)
         end
         else
           for r = 0 to p.rext.(j) - 1 do
             vars.(n + j) <- r;
-            points (j + 1)
+            points (j + 1) i
           done
       in
-      fun c0 cnt off ->
-        for e = 0 to cnt - 1 do
-          vars.(last) <- c0 + e;
-          acc.(0) <- p.init;
-          points 0;
-          finish 0 (off + e)
+      fun rows cnt ->
+        for h = 0 to rows - 1 do
+          Array.blit rvars (h * n) vars 0 n;
+          let c0 = vars.(last) in
+          for e = 0 to cnt - 1 do
+            vars.(last) <- c0 + e;
+            points 0 ((h * cnt) + e)
+          done
         done
-    | Runs { ext; delta; sdelta; kernel } ->
-      let n_body = Array.length sdelta in
+    | Runs { ext; delta; kernel = Mac (sa, sb) } ->
+      (* The whole group per walk of the run table: at each reduce point,
+         every element of every row, so the operand strip a point reads
+         serves all the group's rows. *)
+      let ta = data.(p.site_tensor.(sa)) and tb = data.(p.site_tensor.(sb)) in
+      let ga = p.step.(sa) and gb = p.step.(sb) in
+      let inner = Array.length ext - 1 in
+      let rec walk rows cnt k ra rb =
+        let da = delta.(k).(sa) and db = delta.(k).(sb) in
+        if k < inner then
+          for r = 0 to ext.(k) - 1 do
+            walk rows cnt (k + 1) (ra + (r * da)) (rb + (r * db))
+          done
+        else
+          for r = 0 to ext.(k) - 1 do
+            let ra = ra + (r * da) and rb = rb + (r * db) in
+            for h = 0 to rows - 1 do
+              mac_row acc (h * cnt) cnt ta
+                (ra + Array.unsafe_get rbase ((h * ns) + sa))
+                ga tb
+                (rb + Array.unsafe_get rbase ((h * ns) + sb))
+                gb
+            done
+          done
+      in
+      fun rows cnt -> walk rows cnt 0 0 0
+    | Runs { ext; delta; kernel = (Fold _ | Generic) as kernel } ->
+      let n_body = Array.length delta.(0) in
       let inner = Array.length ext - 1 in
       let len = ext.(inner) and d = delta.(inner) in
       (* Outer runs step the site offset registers and restore them;
-         the innermost run is the kernel's. *)
-      let rec walk kernel k =
-        if k = inner then kernel ()
+         the innermost run is the kernel's, into [acc.(i)]. *)
+      let rec walk kernel i k =
+        if k = inner then kernel i
         else begin
           let dk = delta.(k) in
           for _ = 1 to ext.(k) do
-            walk kernel (k + 1);
+            walk kernel i (k + 1);
             for s = 0 to n_body - 1 do
               iregs.(s) <- iregs.(s) + dk.(s)
             done
@@ -705,66 +917,14 @@ let run_compiled p inputs =
           done
         end
       in
-      (* Move the site offsets [k] elements along the row. *)
-      let advance k =
-        for s = 0 to n_body - 1 do
-          Array.unsafe_set iregs s
-            (Array.unsafe_get iregs s + (k * Array.unsafe_get sdelta s))
-        done
-      in
-      let one, four =
+      let one =
         match kernel with
-        | Mac (sa, sb) ->
-          let ta = data.(p.site_tensor.(sa)) and tb = data.(p.site_tensor.(sb)) in
-          let da = d.(sa) and db = d.(sb) in
-          let mac () =
-            let oa = ref iregs.(sa) and ob = ref iregs.(sb) in
-            let s = ref (Array.unsafe_get acc 0) in
-            for _ = 1 to len do
-              s := !s +. (Array.unsafe_get ta !oa *. Array.unsafe_get tb !ob);
-              oa := !oa + da;
-              ob := !ob + db
-            done;
-            Array.unsafe_set acc 0 !s
-          in
-          (* Element g reads at base + g * sdelta: four independent sums,
-             each in the single-element order. *)
-          let ga = sdelta.(sa) and gb = sdelta.(sb) in
-          let mac4 () =
-            let oa = ref iregs.(sa) and ob = ref iregs.(sb) in
-            let s0 = ref (Array.unsafe_get acc 0)
-            and s1 = ref (Array.unsafe_get acc 1)
-            and s2 = ref (Array.unsafe_get acc 2)
-            and s3 = ref (Array.unsafe_get acc 3) in
-            for _ = 1 to len do
-              let a = !oa and b = !ob in
-              s0 := !s0 +. (Array.unsafe_get ta a *. Array.unsafe_get tb b);
-              s1 :=
-                !s1
-                +. (Array.unsafe_get ta (a + ga) *. Array.unsafe_get tb (b + gb));
-              s2 :=
-                !s2
-                +. Array.unsafe_get ta (a + (2 * ga))
-                   *. Array.unsafe_get tb (b + (2 * gb));
-              s3 :=
-                !s3
-                +. Array.unsafe_get ta (a + (3 * ga))
-                   *. Array.unsafe_get tb (b + (3 * gb));
-              oa := a + da;
-              ob := b + db
-            done;
-            Array.unsafe_set acc 0 !s0;
-            Array.unsafe_set acc 1 !s1;
-            Array.unsafe_set acc 2 !s2;
-            Array.unsafe_set acc 3 !s3
-          in
-          (mac, if n = 0 then None else Some mac4)
         | Fold sa ->
           let ta = data.(p.site_tensor.(sa)) in
           let dk = d.(sa) in
-          let fold () =
+          fun i ->
             let o = ref iregs.(sa) in
-            let s = ref (Array.unsafe_get acc 0) in
+            let s = ref (Array.unsafe_get acc i) in
             if p.sum then
               for _ = 1 to len do
                 s := !s +. Array.unsafe_get ta !o;
@@ -775,14 +935,12 @@ let run_compiled p inputs =
                 s := Float.max !s (Array.unsafe_get ta !o);
                 o := !o + dk
               done;
-            Array.unsafe_set acc 0 !s
-          in
-          (fold, None)
-        | Generic ->
-          let generic () =
+            Array.unsafe_set acc i !s
+        | Generic | Mac _ ->
+          fun i ->
             for _ = 1 to len do
               exec_float p.body_code p.fpool iregs fregs data cell;
-              acc.(0) <- combine fregs.(0);
+              acc.(i) <- combine acc.(i) fregs.(0);
               for s = 0 to n_body - 1 do
                 iregs.(s) <- iregs.(s) + d.(s)
               done
@@ -790,58 +948,97 @@ let run_compiled p inputs =
             for s = 0 to n_body - 1 do
               iregs.(s) <- iregs.(s) - (len * d.(s))
             done
-          in
-          (generic, None)
       in
-      (* The body offset program runs once per row; groups of [batch]
-         elements go through the batched kernel, the rest one by one. *)
-      fun c0 cnt off ->
-        vars.(last) <- c0;
-        exec_int p.body_idx vars iregs;
-        let e = ref 0 in
-        (match four with
-        | None -> ()
-        | Some four ->
-          while !e + batch <= cnt do
-            Array.fill acc 0 batch p.init;
-            walk four 0;
-            for g = 0 to batch - 1 do
-              vars.(last) <- c0 + !e + g;
-              finish g (off + !e + g)
+      fun rows cnt ->
+        for h = 0 to rows - 1 do
+          for e = 0 to cnt - 1 do
+            for s = 0 to n_body - 1 do
+              iregs.(s) <- rbase.((h * ns) + s) + (e * p.step.(s))
             done;
-            advance batch;
-            e := !e + batch
-          done;
-          batched := !batched + !e);
-        while !e < cnt do
-          acc.(0) <- p.init;
-          walk one 0;
-          vars.(last) <- c0 + !e;
-          finish 0 (off + !e);
-          advance 1;
-          incr e
+            walk one ((h * cnt) + e) 0
+          done
         done
+  in
+  (* Scale, epilogue, store and coverage of the group: the epilogue runs
+     over each row's lanes when it can, else per element (leaving its
+     value in [acc]); each row is then stored in one loop. *)
+  let finish rows cnt =
+    for i = 0 to (rows * cnt) - 1 do
+      Array.unsafe_set acc i (Array.unsafe_get acc i *. p.scale)
+    done;
+    for h = 0 to rows - 1 do
+      let o = h * cnt in
+      let src, so =
+        match p.epilogue with
+        | Plain -> (acc, o)
+        | Lanes code ->
+          exec_lanes code p.fpool lanes width cnt data rbase (h * ns) p.step
+            acc o;
+          (lanes, 0)
+        | Scalar code ->
+          Array.blit rvars (h * n) vars 0 n;
+          let c0 = vars.(last) in
+          for e = 0 to cnt - 1 do
+            vars.(last) <- c0 + e;
+            cell.(0) <- acc.(o + e);
+            exec_int p.epi_idx vars iregs;
+            exec_float code p.fpool iregs fregs data cell;
+            acc.(o + e) <- fregs.(0)
+          done;
+          (acc, o)
+      in
+      let off = roff.(h) in
+      for e = 0 to cnt - 1 do
+        Array.unsafe_set out_data (off + e) (Array.unsafe_get src (so + e));
+        Array.unsafe_set cov_data (off + e)
+          (Array.unsafe_get cov_data (off + e) +. 1.0)
+      done
+    done
   in
   (* Output space as row tiles (the block box, widened along [last]),
      tiles in row-major order over the grid, rows in row-major order
-     within a tile.  [start] is the current tile's corner. *)
+     within a tile.  [start] is the current tile's corner.  Each row
+     gathered runs the body offset program (for the run table) and the
+     epilogue's (for its lanes) once, at its first element; a full group
+     is reduced and stored at once. *)
+  let runs = match p.reduction with Runs _ -> true | Per_point -> false in
+  let lanes_epi = match p.epilogue with Lanes _ -> true | _ -> false in
+  let tiled =
+    match p.reduction with Runs { kernel = Mac _; _ } -> true | _ -> false
+  in
   let start = Array.make n 0 in
-  let elements = ref 0 in
-  let rec rows i off =
+  let rows = ref 0 and elements = ref 0 in
+  let flush () =
+    let cnt = min p.tile.(last) (p.sext.(last) - start.(last)) in
+    Array.fill acc 0 (!rows * cnt) p.init;
+    reduce !rows cnt;
+    finish !rows cnt;
+    elements := !elements + (!rows * cnt);
+    rows := 0
+  in
+  let rec gather i off =
     if i = last then begin
-      let c0 = start.(i) in
-      let cnt = min p.tile.(i) (p.sext.(i) - c0) in
-      elements := !elements + cnt;
-      row c0 cnt (off + c0)
+      let h = !rows in
+      vars.(last) <- start.(last);
+      Array.blit vars 0 rvars (h * n) n;
+      roff.(h) <- off + start.(last);
+      if runs then exec_int p.body_idx vars iregs;
+      if lanes_epi then exec_int p.epi_idx vars iregs;
+      Array.blit iregs 0 rbase (h * ns) ns;
+      rows := h + 1;
+      if !rows = cap then flush ()
     end
     else
       for c = start.(i) to min (start.(i) + p.tile.(i)) p.sext.(i) - 1 do
         vars.(i) <- c;
-        rows (i + 1) (off + (c * p.out_strides.(i)))
+        gather (i + 1) (off + (c * p.out_strides.(i)))
       done
   in
   let rec tiles i =
-    if i = n then rows 0 0
+    if i = n then begin
+      gather 0 0;
+      if !rows > 0 then flush ()
+    end
     else begin
       let b = ref 0 in
       while !b < p.sext.(i) do
@@ -851,14 +1048,10 @@ let run_compiled p inputs =
       done
     end
   in
-  if n = 0 then begin
-    elements := 1;
-    row 0 1 0
-  end
-  else tiles 0;
+  tiles 0;
   Trace.Counter.add c_points (!elements * Array.fold_left ( * ) 1 p.rext);
   Trace.Counter.add c_elements (Compute.output_points p.compute);
-  Trace.Counter.add c_batched !batched;
+  Trace.Counter.add c_batched (if tiled then !elements else 0);
   { Scheduled.output = out; coverage }
 
 let run etir inputs = run_compiled (compile etir) inputs
@@ -871,7 +1064,6 @@ let pp ppf p =
         Fmt.(array ~sep:(any ";") int)
         ext
         (match kernel with
-        | Mac _ when p.n > 0 -> "mac×" ^ string_of_int batch
         | Mac _ -> "mac"
         | Fold _ -> "fold"
         | Generic -> "generic")
@@ -882,7 +1074,8 @@ let pp ppf p =
     (Compute.name p.compute) p.n_sites
     (Array.length p.body_idx)
     (Array.length p.body_code)
-    (match p.epi_code with
-    | None -> "none"
-    | Some c -> string_of_int (Array.length c) ^ " words")
+    (match p.epilogue with
+    | Plain -> "none"
+    | Lanes c -> Fmt.str "%d words" (Array.length c)
+    | Scalar c -> Fmt.str "%d words per element" (Array.length c))
     pp_reduction p.reduction p.n_iregs p.n_fregs

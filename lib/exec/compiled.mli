@@ -1,16 +1,18 @@
 (** Compiled execution tier: an ETIR schedule lowered to a flat
     register-based bytecode program (pre-resolved axis slots, precomputed
-    row-major strides, the reduce nest as a table of offset-delta runs,
-    specialised multiply-accumulate / fold loops over the innermost run,
-    four adjacent outputs per multiply-accumulate pass), run by a tight
-    dispatch-loop VM.
+    row-major strides, the reduce nest as a table of offset-delta runs),
+    run by a tight dispatch-loop VM.
 
     The VM walks the output in row tiles (the kernel's level-1 block box,
-    widened along the last spatial axis), row-major within a tile, and
-    reduces every element over its reduce points in ascending
-    lexicographic order, as {!Reference.run} does, so the two agree bit
-    for bit and the reference is the differential-testing oracle.  The bytecode ISA and compilation scheme
-    are documented in DESIGN.md §15. *)
+    widened along the last spatial axis).  A multiply-accumulate body
+    walks the run table once per tile, updating every element of every
+    row at each reduce point; other bodies fill the same tile accumulator
+    element by element.  An epilogue whose reads are all affine runs once
+    per row, each instruction over the row's elements.  Every element is
+    reduced over its reduce points in ascending lexicographic order, as
+    {!Reference.run} does, so the two agree bit for bit and the reference
+    is the differential-testing oracle.  The bytecode ISA and compilation
+    scheme are documented in DESIGN.md §15. *)
 
 type t
 (** A compiled program for one schedule. *)
@@ -31,8 +33,9 @@ val run_compiled : t -> (string * Tensor.t) list -> Scheduled.result
     tight re-execution loops. *)
 val run : Sched.Etir.t -> (string * Tensor.t) list -> Scheduled.result
 
-(** One-line program summary: site/instruction counts and the reduction
-    lowering, e.g. [reduce runs [3;3] mac×4] (run extents, outermost first,
-    and the innermost-run kernel; [×4] when outputs are batched) or
+(** One-line program summary: site/instruction counts, the epilogue
+    ([epi 9 words], or [epi 9 words per element] when some epilogue access
+    is not affine) and the reduction lowering, e.g. [reduce runs [3;3] mac]
+    (run extents, outermost first, and the innermost-run kernel) or
     [per-point offsets] when some body access is not affine. *)
 val pp : t Fmt.t

@@ -3,6 +3,11 @@ open Sched
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
 
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+  go 0
+
 (* ---------- Tensor ---------- *)
 
 let test_tensor_basics () =
@@ -194,11 +199,6 @@ let test_coverage_violation () =
      let msg =
        Fmt.str "%a" Exec.Scheduled.pp_coverage_violation (coords, count)
      in
-     let contains s sub =
-       let n = String.length s and k = String.length sub in
-       let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
-       go 0
-     in
      Alcotest.(check bool) "message names the coordinate" true
        (contains msg "1,2")
    | None -> Alcotest.fail "violation not detected")
@@ -347,6 +347,64 @@ let hadamard ~m ~n =
   let body = Expr.mul (Expr.read "A" ij) (Expr.read "B" ij) in
   Compute.v ~name:"hadamard" ~axes ~inputs ~out_name:"C" ~body ()
 
+(* GEMM whose epilogue runs every float opcode over a residual and a
+   per-column divisor: max (min ((-(C - R[i,j]) / (D[j] + 2)) * 1.5)
+   0.5) (-0.5). *)
+let gemm_epilogue_all_ops ~m ~n ~k =
+  let open Tensor_lang in
+  let axes = [ Axis.spatial "i" m; Axis.spatial "j" n; Axis.reduce "k" k ] in
+  let inputs =
+    [ { Compute.in_name = "A"; in_shape = [ m; k ]; in_dtype = Dtype.F32 };
+      { Compute.in_name = "B"; in_shape = [ k; n ]; in_dtype = Dtype.F32 };
+      { Compute.in_name = "R"; in_shape = [ m; n ]; in_dtype = Dtype.F32 };
+      { Compute.in_name = "D"; in_shape = [ n ]; in_dtype = Dtype.F32 } ]
+  in
+  let body =
+    Expr.mul
+      (Expr.read "A" [ Index.var "i"; Index.var "k" ])
+      (Expr.read "B" [ Index.var "k"; Index.var "j" ])
+  in
+  let epilogue =
+    Expr.max_
+      (Expr.min_
+         (Expr.mul
+            (Expr.div
+               (Expr.neg
+                  (Expr.sub
+                     (Expr.read "C" [ Index.var "i"; Index.var "j" ])
+                     (Expr.read "R" [ Index.var "i"; Index.var "j" ])))
+               (Expr.add (Expr.read "D" [ Index.var "j" ]) (Expr.imm 2.0)))
+            (Expr.imm 1.5))
+         (Expr.imm 0.5))
+      (Expr.imm (-0.5))
+  in
+  Compute.v ~name:"gemm_epilogue_all_ops" ~axes ~inputs ~out_name:"C"
+    ~epilogue ~body ()
+
+(* GEMM + a bias read at column j / 2: a non-affine epilogue site, so the
+   epilogue runs per element instead of over a row's lanes. *)
+let gemm_bias_div ~m ~n ~k =
+  let open Tensor_lang in
+  let axes = [ Axis.spatial "i" m; Axis.spatial "j" n; Axis.reduce "k" k ] in
+  let inputs =
+    [ { Compute.in_name = "A"; in_shape = [ m; k ]; in_dtype = Dtype.F32 };
+      { Compute.in_name = "B"; in_shape = [ k; n ]; in_dtype = Dtype.F32 };
+      { Compute.in_name = "Bias"; in_shape = [ (n + 1) / 2 ];
+        in_dtype = Dtype.F32 } ]
+  in
+  let body =
+    Expr.mul
+      (Expr.read "A" [ Index.var "i"; Index.var "k" ])
+      (Expr.read "B" [ Index.var "k"; Index.var "j" ])
+  in
+  let epilogue =
+    Expr.add
+      (Expr.read "C" [ Index.var "i"; Index.var "j" ])
+      (Expr.read "Bias" [ Index.div (Index.var "j") (Index.const 2) ])
+  in
+  Compute.v ~name:"gemm_bias_div" ~axes ~inputs ~out_name:"C" ~epilogue
+    ~body ()
+
 let conv1x1 () =
   Ops.Op.compute
     (Ops.Conv.conv2d ~batch:1 ~in_channels:6 ~out_channels:5 ~height:5
@@ -358,11 +416,12 @@ let dwconv3x3 ~stride =
        ~kernel:3 ~stride ())
 
 (* The differential computes: random tiles/vthreads run over each body,
-   combine and reduce-nest shape the compiler lowers differently — plain
-   GEMM, Max_combine (maxpool), an epilogue, unit reduce axes (1x1 conv),
-   a non-mergeable nest (3x3 depthwise; stride 2 puts a coefficient of 2
-   on the batched spatial slot), a merged run, non-affine accesses and a
-   reduce-free product. *)
+   combine, reduce-nest shape and epilogue the compiler lowers differently
+   — plain GEMM, Max_combine (maxpool), an epilogue over a row's lanes,
+   one with every lane opcode, one per element (a non-affine site), unit
+   reduce axes (1x1 conv), a non-mergeable nest (3x3 depthwise; stride 2
+   puts a coefficient of 2 on the row's slot), a merged run, non-affine
+   accesses and a reduce-free product. *)
 let differential_computes =
   [ ("gemm", fun () -> Ops.Op.compute (Ops.Matmul.gemm ~m:17 ~n:13 ~k:19 ()));
     ("maxpool",
@@ -371,6 +430,8 @@ let differential_computes =
          (Ops.Pool.maxpool2d ~batch:1 ~channels:2 ~height:9 ~width:9 ~window:3
             ~stride:3 ()));
     ("gemm+bias+relu", fun () -> gemm_bias_relu ~m:17 ~n:13 ~k:19);
+    ("gemm+all-op epilogue", fun () -> gemm_epilogue_all_ops ~m:9 ~n:14 ~k:5);
+    ("gemm+bias[j/2]", fun () -> gemm_bias_div ~m:9 ~n:13 ~k:5);
     ("conv 1x1", conv1x1);
     ("dwconv 3x3 s1", fun () -> dwconv3x3 ~stride:1);
     ("dwconv 3x3 s2", fun () -> dwconv3x3 ~stride:2);
@@ -379,7 +440,7 @@ let differential_computes =
     ("hadamard (m = 0)", fun () -> hadamard ~m:7 ~n:13) ]
 
 let prop_random_schedules_correct =
-  QCheck.Test.make ~count:180
+  QCheck.Test.make ~count:220
     ~name:"random schedules: VM = reference"
     QCheck.(
       make
@@ -426,7 +487,7 @@ let test_non_dividing_vthread_stripe () =
 
 (* Rows along the last spatial slot (extent 13) that cross the level-1
    tile (5) and end at the grid edge: the row tile is 65 columns wide, so
-   each row is the full 13 columns, three batches of four and a one-element
+   each row is the full 13 columns, three steps of four and a one-element
    tail. *)
 let test_batches_cut_at_block_edges () =
   let compute = Ops.Op.compute (Ops.Matmul.gemm ~m:3 ~n:13 ~k:7 ()) in
@@ -440,8 +501,8 @@ let test_batches_cut_at_block_edges () =
 
 (* The seed-2 [ffn_down] shape, reduced: a level-1 tile of 1x1, so every
    row of output crosses blocks.  Rows cut at the block edge would be one
-   element long and never reach the four-wide pass; rows widened to the
-   row tile batch all but at most three tail elements each. *)
+   element long; rows widened to the row tile go through the tile
+   multiply-accumulate, all but at most three elements each. *)
 let test_rows_cross_blocks () =
   let m = 4 and n = 70 in
   let compute = Ops.Op.compute (Ops.Matmul.gemm ~m ~n ~k:16 ()) in
@@ -461,6 +522,73 @@ let test_rows_cross_blocks () =
   let got = batched () - before in
   if got < (m * n) - (3 * rows) then
     Alcotest.failf "batched %d of %d elements in %d rows" got (m * n) rows
+
+(* A fixed schedule of [compute], level-1 tile [tiles], checked against the
+   reference bit for bit with exact coverage; returns how many elements
+   the tile multiply-accumulate reduced. *)
+let check_fixed ~tag ?(seed = 37) compute tiles =
+  let inputs = Exec.Reference.random_inputs ~seed compute in
+  let expected = Exec.Reference.run compute inputs in
+  let e =
+    List.fold_left
+      (fun (e, d) t -> (Etir.with_stile e ~level:1 ~dim:d t, d + 1))
+      (Etir.create compute, 0) tiles
+    |> fst
+  in
+  let tiled () =
+    Option.value ~default:0 (Trace.Counter.find "exec.compiled.batched")
+  in
+  let before = tiled () in
+  check_differential ~tag e inputs expected;
+  tiled () - before
+
+(* GEMM 11x131x9 under two level-1 tiles: 4 and 3 rows per tile, the last
+   tile clipped to 3 and 2 rows; 65 and 67 columns, the last clipped to 66
+   and 64.  Row lengths are 1, 2, 3 and 0 mod 4, so the four-wide step
+   ends in every tail length.  A operand does not step along a row, so
+   its load is hoisted. *)
+let test_tile_gemm_clipped () =
+  let compute = Ops.Op.compute (Ops.Matmul.gemm ~m:11 ~n:131 ~k:9 ()) in
+  List.iter
+    (fun tiles ->
+      let got = check_fixed ~tag:"clipped gemm tile: " compute tiles in
+      check_int "every element through the tile kernel" (11 * 131) got)
+    [ [ 4; 65 ]; [ 3; 67 ] ]
+
+(* Depthwise 3x3 at stride 2: the input steps by 2 along a row (ga = 2)
+   and the weight not at all, so the weight's load is hoisted.  Rows of 11
+   end in a tail of 3. *)
+let test_tile_dwconv_s2 () =
+  let compute =
+    Ops.Op.compute
+      (Ops.Conv.depthwise_conv2d ~batch:1 ~channels:3 ~height:11 ~width:23
+         ~kernel:3 ~stride:2 ())
+  in
+  ignore (check_fixed ~tag:"dwconv s2 tile: " compute [ 1; 2; 3; 4 ])
+
+(* Hadamard product: both operands step along a row, one reduce point. *)
+let test_tile_hadamard () =
+  ignore
+    (check_fixed ~tag:"hadamard tile: " (hadamard ~m:7 ~n:13) [ 3; 5 ])
+
+(* Epilogues, on clipped multi-row tiles: one over a row's lanes that runs
+   every float opcode, and one with a non-affine site that runs per
+   element.  [Compiled.pp] names the per-element case. *)
+let test_epilogue_lanes_and_fallback () =
+  let summary compute =
+    Fmt.str "%a" Exec.Compiled.pp (Exec.Compiled.compile (Etir.create compute))
+  in
+  let all_ops = gemm_epilogue_all_ops ~m:9 ~n:70 ~k:5 in
+  let div = gemm_bias_div ~m:9 ~n:70 ~k:5 in
+  if contains (summary all_ops) "per element" then
+    Alcotest.failf "all-op epilogue runs per element: %s" (summary all_ops);
+  if not (contains (summary div) "per element") then
+    Alcotest.failf "bias[j/2] epilogue runs over lanes: %s" (summary div);
+  List.iter
+    (fun (tag, compute) ->
+      ignore (check_fixed ~tag compute [ 4; 3 ]);
+      ignore (check_fixed ~tag compute [ 2; 70 ]))
+    [ ("all-op epilogue: ", all_ops); ("bias[j/2] epilogue: ", div) ]
 
 (* [Max_combine] starts from -inf: with every input negative, each
    pooling window's maximum is negative, so any other init (0.0 say)
@@ -495,26 +623,21 @@ let test_lowering_summary () =
   let summary compute =
     Fmt.str "%a" Exec.Compiled.pp (Exec.Compiled.compile (Etir.create compute))
   in
-  let contains s sub =
-    let n = String.length s and k = String.length sub in
-    let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
-    go 0
-  in
   List.iter
     (fun (what, compute, expected) ->
       let got = summary compute in
       if not (contains got expected) then
         Alcotest.failf "%s: %S lacks %S" what got expected)
     [ ("gemm", Ops.Op.compute (Ops.Matmul.gemm ~m:8 ~n:8 ~k:16 ()),
-       "reduce runs [16] mac×4");
+       "reduce runs [16] mac");
       ("1x1 conv",
        Ops.Op.compute
          (Ops.Conv.conv2d ~batch:1 ~in_channels:32 ~out_channels:8 ~height:6
             ~width:6 ~kernel:1 ~stride:1 ()),
-       "reduce runs [32] mac×4");
-      ("3x3 depthwise", dwconv3x3 ~stride:1, "reduce runs [3;3] mac×4");
+       "reduce runs [32] mac");
+      ("3x3 depthwise", dwconv3x3 ~stride:1, "reduce runs [3;3] mac");
       ("merged pair", gemm_two_reduce ~m:7 ~n:9 ~c:3 ~k:5,
-       "reduce runs [15] mac×4");
+       "reduce runs [15] mac");
       ("maxpool",
        Ops.Op.compute
          (Ops.Pool.maxpool2d ~batch:1 ~channels:2 ~height:9 ~width:9 ~window:3
@@ -580,6 +703,13 @@ let () =
          Alcotest.test_case "batches cut at block edges" `Quick
            test_batches_cut_at_block_edges;
          Alcotest.test_case "rows cross blocks" `Quick test_rows_cross_blocks;
+         Alcotest.test_case "tile kernel: clipped multi-row GEMM" `Quick
+           test_tile_gemm_clipped;
+         Alcotest.test_case "tile kernel: dwconv 3x3 s2" `Quick
+           test_tile_dwconv_s2;
+         Alcotest.test_case "tile kernel: hadamard" `Quick test_tile_hadamard;
+         Alcotest.test_case "epilogue over lanes and per element" `Quick
+           test_epilogue_lanes_and_fallback;
          Alcotest.test_case "maxpool with all-negative inputs" `Quick
            test_maxpool_all_negative;
          Alcotest.test_case "lowering summary" `Quick test_lowering_summary;
