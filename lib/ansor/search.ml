@@ -130,26 +130,21 @@ let normalise genome =
         genome.vthreads }
 
 (* The evolutionary loop is generational: each generation draws a batch of
-   children from the current population (all RNG-driven choices made
-   sequentially, in child order), scores the whole batch — the step that
-   models Ansor's parallel hardware measurements, and the one fanned over
-   the domain pool — and then applies best/replacement updates sequentially
-   in batch order.  Every RNG draw and every population update happens on
-   the coordinating domain in a fixed order, so results are bit-identical
-   for any [jobs] value. *)
-let search ?(config = default_config) ?knobs ?jobs ~hw compute =
+   children from the current population (all RNG-driven choices made in
+   child order), scores the whole batch — the step that models Ansor's
+   parallel hardware measurements — and then applies best/replacement
+   updates in batch order.  Every RNG draw and every population update
+   happens in a fixed order, so results are deterministic. *)
+let search ?(config = default_config) ?knobs ~hw compute =
   let start = Unix.gettimeofday () in
   let knobs = Option.value knobs ~default:Costmodel.Model.default_knobs in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Parallel.Pool.default_jobs ()
-  in
   let levels = Hardware.Gpu_spec.schedulable_cache_levels hw in
   let etir0 = Etir.create ~num_levels:levels compute in
   let rng = Rng.create ~seed:config.seed in
   let trials = ref 0 in
   let best = ref None in
   let best_genome = ref None in
-  (* Pure fitness of a genome (safe to run on any domain).  Each evaluation
+  (* Pure fitness of a genome.  Each evaluation
      is one trial: infeasible candidates burn theirs too (Ansor discovers
      infeasibility by failing to build/run the kernel). *)
   let evaluate genome =
@@ -175,7 +170,7 @@ let search ?(config = default_config) ?knobs ?jobs ~hw compute =
   in
   let pop_size = max 4 config.population in
   (* Initial population: genomes sampled sequentially (fixed RNG order),
-     scored as one parallel batch. *)
+     scored as one batch. *)
   let init_genomes =
     let rec sample n acc =
       if n = 0 then List.rev acc
@@ -183,7 +178,7 @@ let search ?(config = default_config) ?knobs ?jobs ~hw compute =
     in
     sample pop_size []
   in
-  let init_scores = Parallel.Pool.map_auto ~jobs evaluate init_genomes in
+  let init_scores = List.map evaluate init_genomes in
   List.iter2 register init_genomes init_scores;
   let population =
     Array.of_list
@@ -220,7 +215,7 @@ let search ?(config = default_config) ?knobs ?jobs ~hw compute =
       in
       gen n []
     in
-    let scores = Parallel.Pool.map_auto ~jobs evaluate children in
+    let scores = List.map evaluate children in
     List.iter2
       (fun child ((_, _, f) as scored) ->
         register child scored;

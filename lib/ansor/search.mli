@@ -10,7 +10,7 @@ type config = {
   population : int;
   mutation_rate : float;
   batch : int;
-      (** candidates generated (and scored in parallel) per generation;
+      (** candidates generated (and scored as one batch) per generation;
           clamped to the remaining trial budget *)
 }
 
@@ -23,15 +23,14 @@ type result = {
   wall_time_s : float;
 }
 
-(** [search ~hw compute] runs the generational evolutionary loop.  [jobs]
-    (default [GENSOR_JOBS]) fans each generation's fitness batch over the
-    domain pool — the analogue of Ansor's parallel hardware measurements.
-    RNG draws and population updates stay sequential on the coordinating
-    domain, so results are bit-identical for every [jobs] value. *)
+(** [search ~hw compute] runs the generational evolutionary loop in the
+    calling domain; a graph's distinct kernels are the parallel grain
+    ([Dnn.Runner.run_graph], [Pipeline.Methods.sweep]).  RNG draws and
+    population updates happen in a fixed order, so results are
+    deterministic. *)
 val search :
   ?config:config ->
   ?knobs:Costmodel.Model.knobs ->
-  ?jobs:int ->
   hw:Hardware.Gpu_spec.t ->
   Tensor_lang.Compute.t ->
   result

@@ -85,16 +85,13 @@ let c_candidates_evaluated = Trace.Counter.make "optimizer.candidates_evaluated"
 let c_candidates_pruned = Trace.Counter.make "optimizer.candidates_pruned"
 let c_restarts = Trace.Counter.make "optimizer.restarts"
 
-let optimize ?(config = default_config) ?warm_start ?jobs ~hw compute =
+let optimize ?(config = default_config) ?warm_start ~hw compute =
   Trace.with_span ~name:"optimizer.optimize"
     ~args:
       [ ("compute", Tensor_lang.Compute.name compute);
         ("warm", if warm_start = None then "false" else "true") ]
   @@ fun () ->
   let start = Unix.gettimeofday () in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Parallel.Pool.default_jobs ()
-  in
   let levels = Hardware.Gpu_spec.schedulable_cache_levels hw in
   let initial =
     match warm_start with
@@ -125,10 +122,9 @@ let optimize ?(config = default_config) ?warm_start ?jobs ~hw compute =
     if intensity < 8.0 then min 4 (max 1 config.restarts)
     else max 1 config.restarts
   in
-  (* Chain RNG streams are split from the master sequentially, in chain
-     order, *before* the fan-out: the streams each chain sees are a pure
-     function of the seed and the restart count, never of domain
-     scheduling.  This is the keystone of the jobs-invariance guarantee. *)
+  (* Chain RNG streams are split from the master up front, in chain order,
+     before any chain runs: each chain's draws are a pure function of the
+     seed and the restart count, so the schedule is deterministic. *)
   let chain_rngs =
     let rec split n acc =
       if n = 0 then List.rev acc else split (n - 1) (Rng.split rng :: acc)
@@ -137,11 +133,9 @@ let optimize ?(config = default_config) ?warm_start ?jobs ~hw compute =
   in
   let outcomes =
     Trace.with_span ~name:"optimizer.chains"
-      ~args:
-        [ ("restarts", string_of_int restarts);
-          ("jobs", string_of_int jobs) ]
+      ~args:[ ("restarts", string_of_int restarts) ]
       (fun () ->
-        Parallel.Pool.map_auto ~jobs
+        List.map
           (fun chain_rng ->
             Anneal.run ~hw ~rng:chain_rng ~config:anneal_config initial)
           chain_rngs)
@@ -193,7 +187,7 @@ let optimize ?(config = default_config) ?warm_start ?jobs ~hw compute =
      monotone aggregation, so it is dropped before the full-model pass.
      The O(n²) sweep is sequential and order-independent (a state is kept
      unless *some* sibling strictly dominates it), so the surviving set —
-     and hence the selected schedule — does not depend on [jobs]. *)
+     and hence the selected schedule — does not depend on candidate order. *)
   let candidates, candidates_pruned =
     if not config.prune_dominated then (candidates, 0)
     else
@@ -208,7 +202,7 @@ let optimize ?(config = default_config) ?warm_start ?jobs ~hw compute =
          transitivity being dominated at all implies being dominated by a
          *maximal* element — so each candidate only needs checking against
          the non-dominated set built so far.  The kept set is exactly the
-         all-pairs one (and hence still order- and jobs-invariant); only
+         all-pairs one (and hence still order-invariant); only
          the comparison count changes. *)
       let arr = Array.of_list candidates in
       let n = Array.length arr in
@@ -262,7 +256,7 @@ let optimize ?(config = default_config) ?warm_start ?jobs ~hw compute =
     Trace.with_span ~name:"optimizer.score"
       ~args:[ ("candidates", string_of_int (List.length candidates)) ]
       (fun () ->
-        Parallel.Pool.map_auto ~jobs
+        List.map
           (fun (etir, comps) ->
             (etir,
              Costmodel.Model.evaluate_with ~knobs:config.knobs ~hw etir comps))
@@ -276,7 +270,7 @@ let optimize ?(config = default_config) ?warm_start ?jobs ~hw compute =
           compare (Costmodel.Metrics.score b) (Costmodel.Metrics.score a)
         in
         (* Deterministic tie-break so equal-score states rank identically
-           regardless of pool width or hash order. *)
+           regardless of hash order. *)
         if c <> 0 then c else compare (Etir.signature ea) (Etir.signature eb))
       scored
   in
@@ -291,7 +285,7 @@ let optimize ?(config = default_config) ?warm_start ?jobs ~hw compute =
     Trace.with_span ~name:"optimizer.polish"
       ~args:[ ("leaders", string_of_int (List.length leaders)) ]
       (fun () ->
-        Parallel.Pool.map_auto ~jobs
+        List.map
           (fun (etir, metrics) ->
             Costmodel.Polish.greedy ~knobs:config.knobs ~budget:32 ~metrics
               ~hw etir)

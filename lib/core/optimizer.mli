@@ -12,7 +12,7 @@ type config = {
   prune_dominated : bool;
       (** drop pooled candidates strictly dominated by a sibling (see
           {!Costmodel.Delta.dominates}) before the final full-model pass;
-          deterministic and jobs-invariant *)
+          deterministic and order-invariant *)
 }
 
 val default_config : config
@@ -40,15 +40,14 @@ type result = {
     [Invalid_argument] if the warm-start schedule's axis structure does not
     match [compute].
 
-    [jobs] (default [Parallel.Pool.default_jobs ()], i.e. [GENSOR_JOBS])
-    fans the restart chains, final scoring and leader polish over a domain
-    pool.  Results are bit-identical for every [jobs] value: chain RNG
-    streams are pre-split sequentially, the candidate pool keeps insertion
-    order, and ranking ties break on the state signature. *)
+    The search runs sequentially in the calling domain; a graph's distinct
+    kernels are the parallel grain ([Dnn.Runner.run_graph],
+    [Pipeline.Methods.sweep]).  Results are deterministic: chain RNG
+    streams are split up front in chain order, the candidate pool keeps
+    insertion order, and ranking ties break on the state signature. *)
 val optimize :
   ?config:config ->
   ?warm_start:Sched.Etir.t ->
-  ?jobs:int ->
   hw:Hardware.Gpu_spec.t ->
   Tensor_lang.Compute.t ->
   result

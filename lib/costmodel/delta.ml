@@ -55,9 +55,10 @@ let set_enabled b = Atomic.set enabled_flag b
 let enabled () = Atomic.get enabled_flag
 
 (* Build counters live in the unified registry (Trace.Counter): still
-   atomics underneath — concurrent anneal chains under GENSOR_JOBS>1 never
-   tear them and [stats] stays a lock-free snapshot — but now readable
-   alongside every other layer's counters from one place. *)
+   atomics underneath — distinct kernels optimising concurrently under
+   GENSOR_JOBS>1 never tear them and [stats] stays a lock-free snapshot —
+   but now readable alongside every other layer's counters from one
+   place. *)
 let full_builds = Trace.Counter.make "delta.full_builds"
 let incremental_builds = Trace.Counter.make "delta.incremental_builds"
 let levels_recomputed = Trace.Counter.make "delta.levels_recomputed"

@@ -151,9 +151,10 @@ let map pool f xs =
 (* GENSOR_JOBS is validated, not trusted: zero/negative widths clamp to 1
    and garbage falls back to the machine default, each with a one-time
    stderr warning (Trace.Env) — a typo'd width must never surface as a
-   failure deep inside a domain spawn. *)
+   failure deep inside a domain spawn.  The default counts the caller as a
+   lane: a pool of [jobs] spawns [jobs - 1] workers. *)
 let default_jobs () =
-  let fallback = max 1 (Domain.recommended_domain_count () - 1) in
+  let fallback = max 1 (Domain.recommended_domain_count ()) in
   Trace.Env.int ~min:1 ~default:fallback "GENSOR_JOBS"
 
 (* Shared pools, one per requested width, created lazily.  Workers idle on a

@@ -1,5 +1,5 @@
-(** Domain pool: the multicore fan-out substrate of the construction
-    runtime.
+(** Domain pool: the multicore fan-out over a graph's (or a sweep's)
+    distinct kernels; each kernel's search runs sequentially inside.
 
     A pool owns [jobs - 1] worker domains pulling tasks from a shared queue;
     the caller participates in draining its own submissions, so a pool of
@@ -30,11 +30,11 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 val shutdown : t -> unit
 
 (** Parallelism width requested by the environment: [GENSOR_JOBS] when set
-    to a positive integer, otherwise [Domain.recommended_domain_count () - 1]
-    floored at 1.  Invalid values degrade loudly instead of misbehaving:
-    zero or negative widths clamp to 1 and unparseable values fall back to
-    the machine default, each after a one-time warning on stderr (see
-    {!Trace.Env}). *)
+    to a positive integer, otherwise [Domain.recommended_domain_count ()]
+    floored at 1 (the calling domain is one of the lanes).  Invalid values
+    degrade loudly instead of misbehaving: zero or negative widths clamp to
+    1 and unparseable values fall back to the machine default, each after a
+    one-time warning on stderr (see {!Trace.Env}). *)
 val default_jobs : unit -> int
 
 (** [get ?jobs ()] is the shared process-wide pool of the given width
@@ -42,6 +42,7 @@ val default_jobs : unit -> int
 val get : ?jobs:int -> unit -> t
 
 (** [map_auto ?jobs f xs]: sequential [List.map] when the effective width is
-    1, otherwise {!map} on the shared pool.  This is the entry point the
-    optimiser hot paths use. *)
+    1, otherwise {!map} on the shared pool.  This is the entry point of the
+    one parallel grain, a graph's distinct kernels ([Dnn.Runner.run_graph],
+    [Pipeline.Methods.sweep]). *)
 val map_auto : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list

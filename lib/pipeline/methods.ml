@@ -142,11 +142,10 @@ let of_artifact (r : Artifact.Record.t) =
 let standard () = [ cublas (); ansor (); roller (); gensor () ]
 
 (* Sweep: compile every device x op x method cell, fanned over the domain
-   pool.  Each cell is an independent compilation, so this is the
-   coarsest-grained (and best-scaling) parallel axis in the repo; methods
-   that parallelise internally degrade gracefully because nested pool maps
-   run inline.  Cells come back in deterministic device x op x method
-   order regardless of the pool width. *)
+   pool.  Each cell is an independent compilation, and every method runs
+   its own search sequentially, so the cell (a kernel) is the one parallel
+   grain, as in [Dnn.Runner.run_graph].  Cells come back in deterministic
+   device x op x method order regardless of the pool width. *)
 type cell = {
   cell_device : Hardware.Gpu_spec.t;
   cell_label : string;

@@ -1,7 +1,7 @@
 (* One parser for every GENSOR_* knob; see the mli for the accepted
    spellings.  Warnings are per-key and once per process so a typo'd knob
-   read in a hot loop (Pool.default_jobs is called per optimize) cannot
-   flood stderr. *)
+   read repeatedly (Pool.default_jobs is called per fan-out) cannot flood
+   stderr. *)
 
 let lock = Mutex.create ()
 let warned_keys : string list ref = ref []

@@ -324,27 +324,6 @@ let test_optimizer_deterministic () =
   check_bool "same seed, same schedule" true
     (Etir.equal a.Gensor.Optimizer.etir b.Gensor.Optimizer.etir)
 
-(* The parallel runtime's core invariant: the pool width must not leak into
-   results.  jobs=1 takes the plain sequential path; jobs=4 fans chains,
-   scoring and polish over worker domains — schedules, metrics and counters
-   must match bit for bit. *)
-let test_optimizer_jobs_invariant () =
-  let config =
-    { Gensor.Optimizer.default_config with Gensor.Optimizer.restarts = 4 }
-  in
-  let a = Gensor.Optimizer.optimize ~config ~jobs:1 ~hw (gemm ()) in
-  let b = Gensor.Optimizer.optimize ~config ~jobs:4 ~hw (gemm ()) in
-  check_bool "identical schedule" true
-    (Etir.equal a.Gensor.Optimizer.etir b.Gensor.Optimizer.etir);
-  check_bool "identical metrics" true
-    (a.Gensor.Optimizer.metrics = b.Gensor.Optimizer.metrics);
-  Alcotest.(check int)
-    "identical exploration" a.Gensor.Optimizer.states_explored
-    b.Gensor.Optimizer.states_explored;
-  Alcotest.(check int)
-    "identical candidate count" a.Gensor.Optimizer.candidates_evaluated
-    b.Gensor.Optimizer.candidates_evaluated
-
 (* Eval-equivalent sampled states (same tiles, different construction
    cursor) must be deduplicated before final scoring. *)
 let test_optimizer_unique_candidates () =
@@ -439,9 +418,9 @@ let test_optimizer_prune_transparent () =
       Gensor.Optimizer.restarts = 4;
       prune_dominated = p }
   in
-  let on = Gensor.Optimizer.optimize ~config:(cfg true) ~jobs:1 ~hw (gemm ()) in
+  let on = Gensor.Optimizer.optimize ~config:(cfg true) ~hw (gemm ()) in
   let off =
-    Gensor.Optimizer.optimize ~config:(cfg false) ~jobs:1 ~hw (gemm ())
+    Gensor.Optimizer.optimize ~config:(cfg false) ~hw (gemm ())
   in
   check_bool "identical schedule" true
     (Etir.equal on.Gensor.Optimizer.etir off.Gensor.Optimizer.etir);
@@ -477,9 +456,9 @@ let test_optimizer_incremental_transparent () =
       List.iter
         (fun (config, compute) ->
           Costmodel.Delta.set_enabled true;
-          let on = Gensor.Optimizer.optimize ~config ~jobs:1 ~hw compute in
+          let on = Gensor.Optimizer.optimize ~config ~hw compute in
           Costmodel.Delta.set_enabled false;
-          let off = Gensor.Optimizer.optimize ~config ~jobs:1 ~hw compute in
+          let off = Gensor.Optimizer.optimize ~config ~hw compute in
           check_bool "identical schedule" true
             (Etir.equal on.Gensor.Optimizer.etir off.Gensor.Optimizer.etir);
           check_bool "identical metrics" true
@@ -524,8 +503,6 @@ let () =
       ("optimizer",
        [ Alcotest.test_case "legal result" `Quick test_optimizer_result_legal;
          Alcotest.test_case "deterministic" `Quick test_optimizer_deterministic;
-         Alcotest.test_case "jobs invariant" `Quick
-           test_optimizer_jobs_invariant;
          Alcotest.test_case "prune transparent" `Quick
            test_optimizer_prune_transparent;
          Alcotest.test_case "incremental transparent" `Quick

@@ -15,7 +15,7 @@ let test_optimize_retains_nothing () =
     Ops.Op.compute (Ops.Matmul.gemm ~m:1024 ~n:1024 ~k:1024 ())
   in
   let before = live_words () in
-  let result = Gensor.Optimizer.optimize ~jobs:1 ~hw compute in
+  let result = Gensor.Optimizer.optimize ~hw compute in
   let after = live_words () in
   ignore (Sys.opaque_identity result);
   let grown_mb =

@@ -299,14 +299,19 @@ let graph_report_key (r : Dnn.Runner.graph_report) =
     r.Dnn.Runner.g_nodes, r.Dnn.Runner.g_folded, r.Dnn.Runner.g_peak_bytes,
     r.Dnn.Runner.g_sched_levels )
 
+(* The graph's distinct kernels are the one parallel grain: each method's
+   report must not depend on how many domains compile them. *)
 let test_run_graph_deterministic () =
-  let report jobs =
-    Dnn.Runner.run_graph ~jobs ~hw (roller ())
-      (Dnn.Transformer.bert_small_graph ~batch:8 ())
-  in
-  let r1 = report 1 and r4 = report 4 in
-  if graph_report_key r1 <> graph_report_key r4 then
-    Alcotest.fail "per-model latency report differs between jobs=1 and jobs=4"
+  let graph = Dnn.Transformer.bert_small_graph ~batch:8 () in
+  List.iter
+    (fun method_ ->
+      let report jobs = Dnn.Runner.run_graph ~jobs ~hw method_ graph in
+      let r1 = report 1 and r4 = report 4 in
+      if graph_report_key r1 <> graph_report_key r4 then
+        Alcotest.failf
+          "%s: per-model latency report differs between jobs=1 and jobs=4"
+          method_.Pipeline.Methods.name)
+    [ roller (); Pipeline.Methods.gensor (); Pipeline.Methods.ansor () ]
 
 let test_fused_beats_unfused () =
   List.iter

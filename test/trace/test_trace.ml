@@ -98,9 +98,51 @@ let find_sub s sub =
   in
   go 0
 
+(* Lanes (exported tids) on which a span named [name] opens. *)
+let lanes_of body name =
+  let digits line i =
+    let j = ref i in
+    while !j < String.length line && line.[!j] >= '0' && line.[!j] <= '9' do
+      incr j
+    done;
+    int_of_string (String.sub line i (!j - i))
+  in
+  String.split_on_char '\n' body
+  |> List.filter_map (fun line ->
+         if
+           find_sub line (Fmt.str "\"name\":%S" name) <> None
+           && find_sub line "\"ph\":\"B\"" <> None
+         then Option.map (digits line) (find_sub line "\"tid\":")
+         else None)
+  |> List.sort_uniq compare
+
+(* [meeting ~lanes m] compiles like [m], except that its first [lanes]
+   compiles wait for each other (for up to 10 s) before they start.  Under
+   a pool of at least [lanes] lanes they therefore run on distinct domains,
+   so a test can rely on worker-lane spans and counter increments instead
+   of on scheduling luck. *)
+let meeting ~lanes (m : Pipeline.Methods.t) =
+  let arrived = Atomic.make 0 in
+  { m with
+    Pipeline.Methods.compile =
+      (fun ~hw op ->
+        Atomic.incr arrived;
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while Atomic.get arrived < lanes && Unix.gettimeofday () < deadline do
+          Domain.cpu_relax ()
+        done;
+        m.Pipeline.Methods.compile ~hw op) }
+
+(* Distinct compute-bound GEMMs: one sweep cell each. *)
+let sweep_ops () =
+  List.map
+    (fun (m, n, k) ->
+      (Fmt.str "gemm%dx%dx%d" m n k, Ops.Matmul.gemm ~m ~n ~k ()))
+    [ (128, 128, 64); (64, 64, 64); (128, 64, 64); (64, 128, 64) ]
+
 (* Every E must close the B on top of its lane's stack, even though the
-   traced workload fans over worker domains and polish/prune/score spans
-   nest inside optimize. *)
+   traced sweep compiles its kernels on two domains and polish/prune/score
+   spans nest inside each optimize. *)
 let test_span_nesting_well_formed () =
   let path = temp_trace () in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
@@ -109,7 +151,9 @@ let test_span_nesting_well_formed () =
   let config =
     { Gensor.Optimizer.default_config with Gensor.Optimizer.restarts = 2 }
   in
-  ignore (Gensor.Optimizer.optimize ~config ~jobs:2 ~hw (gemm ()));
+  let methods = [ meeting ~lanes:2 (Pipeline.Methods.gensor ~config ()) ] in
+  ignore
+    (Pipeline.Methods.sweep ~jobs:2 ~devices:[ hw ] ~methods (sweep_ops ()));
   check_bool "events recorded" true (Trace.recorded_events () > 0);
   (match Trace.flush () with
   | None -> Alcotest.fail "flush returned no path"
@@ -128,8 +172,16 @@ let test_span_nesting_well_formed () =
       (fun name ->
         check_bool (name ^ " span present") true
           (find_sub body (Fmt.str "\"name\":%S" name) <> None))
-      [ "optimizer.optimize"; "optimizer.chains"; "anneal.run";
-        "polish.greedy"; "pool.map" ]
+      [ "pipeline.sweep"; "pool.map"; "pool.chunk"; "method.compile";
+        "optimizer.optimize"; "optimizer.chains"; "anneal.run";
+        "polish.greedy" ];
+    (* The kernels really compiled on a worker lane as well as the
+       caller's. *)
+    List.iter
+      (fun name ->
+        check_bool (name ^ " on two lanes") true
+          (List.length (lanes_of body name) >= 2))
+      [ "pool.chunk"; "optimizer.optimize"; "anneal.run" ]
 
 (* Allocation is visible per span: a traced optimize of Table IV's M1
    reports the minor words its anneal chains allocated, and the export
@@ -143,7 +195,7 @@ let test_span_minor_words () =
     | None -> Alcotest.fail "Table IV has no M1"
   in
   Trace.set_output (Some path);
-  ignore (Gensor.Optimizer.optimize ~jobs:1 ~hw (Ops.Op.compute op));
+  ignore (Gensor.Optimizer.optimize ~hw (Ops.Op.compute op));
   ignore (Trace.flush ());
   (match Trace.validate_file path with
   | Error m -> Alcotest.fail m
@@ -199,24 +251,50 @@ let test_parse_spec () =
 (* ---------- counter registry ---------- *)
 
 (* Counters bumped from worker domains must accumulate into the one
-   registry and agree with the optimiser's own result record. *)
+   registry and agree with the optimiser's own result records, summed over
+   a sweep whose kernels compile on several domains. *)
 let test_counter_merge_under_jobs4 () =
   Trace.Counter.reset_all ();
   let config =
     { Gensor.Optimizer.default_config with Gensor.Optimizer.restarts = 4 }
   in
-  let r = Gensor.Optimizer.optimize ~config ~jobs:4 ~hw (gemm ()) in
+  let lock = Mutex.create () in
+  let runs = ref [] in
+  let recording =
+    { Pipeline.Methods.name = "Gensor";
+      compile =
+        (fun ~hw op ->
+          let r = Gensor.Optimizer.optimize ~config ~hw (Ops.Op.compute op) in
+          Mutex.protect lock (fun () ->
+              runs := ((Domain.self () :> int), r) :: !runs);
+          { Pipeline.Methods.etir = r.Gensor.Optimizer.etir;
+            metrics = r.Gensor.Optimizer.metrics;
+            analysis_steps = 0;
+            tree_steps = 0;
+            measure_trials = 0;
+            wall_s = r.Gensor.Optimizer.wall_time_s }) }
+  in
+  ignore
+    (Pipeline.Methods.sweep ~jobs:4 ~devices:[ hw ]
+       ~methods:[ meeting ~lanes:2 recording ] (sweep_ops ()));
+  let runs = !runs in
+  check_int "one run per kernel"
+    (List.length (sweep_ops ())) (List.length runs);
+  check_bool "runs on two domains" true
+    (List.length (List.sort_uniq compare (List.map fst runs)) >= 2);
+  let total f = Some (List.fold_left (fun acc (_, r) -> acc + f r) 0 runs) in
   Alcotest.(check (option int))
-    "states_explored" (Some r.Gensor.Optimizer.states_explored)
+    "states_explored" (total (fun r -> r.Gensor.Optimizer.states_explored))
     (Trace.Counter.find "optimizer.states_explored");
   Alcotest.(check (option int))
-    "candidates_evaluated" (Some r.Gensor.Optimizer.candidates_evaluated)
+    "candidates_evaluated"
+    (total (fun r -> r.Gensor.Optimizer.candidates_evaluated))
     (Trace.Counter.find "optimizer.candidates_evaluated");
   Alcotest.(check (option int))
-    "candidates_pruned" (Some r.Gensor.Optimizer.candidates_pruned)
+    "candidates_pruned" (total (fun r -> r.Gensor.Optimizer.candidates_pruned))
     (Trace.Counter.find "optimizer.candidates_pruned");
   Alcotest.(check (option int))
-    "restarts" (Some 4) (Trace.Counter.find "optimizer.restarts");
+    "restarts" (total (fun _ -> 4)) (Trace.Counter.find "optimizer.restarts");
   (* Worker-domain increments landed: the chains build delta components. *)
   check_bool "delta builds counted" true
     (Option.value ~default:0 (Trace.Counter.find "delta.full_builds") > 0);
@@ -255,13 +333,13 @@ let test_tracing_transparent =
       in
       let op = gemm ~m:64 ~n:64 ~k:64 () in
       Trace.set_output None;
-      let off = Gensor.Optimizer.optimize ~config ~jobs:2 ~hw op in
+      let off = Gensor.Optimizer.optimize ~config ~hw op in
       let path = temp_trace () in
       Fun.protect
         ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
         (fun () ->
           Trace.set_output (Some path);
-          let on = Gensor.Optimizer.optimize ~config ~jobs:2 ~hw op in
+          let on = Gensor.Optimizer.optimize ~config ~hw op in
           ignore (Trace.flush ());
           Etir.signature off.Gensor.Optimizer.etir
           = Etir.signature on.Gensor.Optimizer.etir
