@@ -14,6 +14,9 @@ let hw = Hardware.Presets.rtx4090
 let cases () =
   [ ("GEMM 128^3", Ops.Matmul.gemm ~m:128 ~n:128 ~k:128 ());
     ("GEMM 256^3 (VM only)", Ops.Matmul.gemm ~m:256 ~n:256 ~k:256 ());
+    (* BERT-small's FFN up-projection at four tokens: a skinny GEMM whose
+       few rows all share each strip of the weight. *)
+    ("BERT FFN 4 tok 4x1024x256", Ops.Matmul.gemm ~m:4 ~n:1024 ~k:256 ());
     ("Conv 16ch 28x28 k3",
      Ops.Conv.conv2d ~batch:1 ~in_channels:16 ~out_channels:16 ~height:28
        ~width:28 ~kernel:3 ~stride:1 ());

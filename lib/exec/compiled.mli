@@ -4,11 +4,13 @@
     run by a tight dispatch-loop VM.
 
     The VM walks the output in row tiles (the kernel's level-1 block box,
-    widened along the last spatial axis).  A multiply-accumulate body
+    widened by whole blocks to at least 64 elements along the last spatial
+    axis and 4 rows along the one before it).  A multiply-accumulate body
     walks the run table once per tile, updating every element of every
-    row at each reduce point; other bodies fill the same tile accumulator
-    element by element.  An epilogue whose reads are all affine runs once
-    per row, each instruction over the row's elements.  Every element is
+    row at four consecutive points of the innermost run per pass (one at a
+    time for the run's last [len mod 4]); other bodies fill the same tile
+    accumulator element by element.  An epilogue whose reads are all
+    affine runs once per row, each instruction over the row's elements.  Every element is
     reduced over its reduce points in ascending lexicographic order, as
     {!Reference.run} does, so the two agree bit for bit and the reference
     is the differential-testing oracle.  The bytecode ISA and compilation
@@ -35,7 +37,8 @@ val run : Sched.Etir.t -> (string * Tensor.t) list -> Scheduled.result
 
 (** One-line program summary: site/instruction counts, the epilogue
     ([epi 9 words], or [epi 9 words per element] when some epilogue access
-    is not affine) and the reduction lowering, e.g. [reduce runs [3;3] mac]
+    is not affine), the reduction lowering, e.g. [reduce runs [3;3] mac]
     (run extents, outermost first, and the innermost-run kernel) or
-    [per-point offsets] when some body access is not affine. *)
+    [per-point offsets] when some body access is not affine, and the row
+    tile, e.g. [row tile [4;64]]. *)
 val pp : t Fmt.t

@@ -501,8 +501,9 @@ let test_batches_cut_at_block_edges () =
 
 (* The seed-2 [ffn_down] shape, reduced: a level-1 tile of 1x1, so every
    row of output crosses blocks.  Rows cut at the block edge would be one
-   element long; rows widened to the row tile go through the tile
-   multiply-accumulate, all but at most three elements each. *)
+   element long; the row tile widens the block to 4 rows of 64 columns,
+   so the grid is one tile tall and two wide (64 + 6 columns), and every
+   element goes through the tile multiply-accumulate. *)
 let test_rows_cross_blocks () =
   let m = 4 and n = 70 in
   let compute = Ops.Op.compute (Ops.Matmul.gemm ~m ~n ~k:16 ()) in
@@ -523,18 +524,20 @@ let test_rows_cross_blocks () =
   if got < (m * n) - (3 * rows) then
     Alcotest.failf "batched %d of %d elements in %d rows" got (m * n) rows
 
+(* The default schedule of [compute] with level-1 tile [tiles]. *)
+let fixed_schedule compute tiles =
+  List.fold_left
+    (fun (e, d) t -> (Etir.with_stile e ~level:1 ~dim:d t, d + 1))
+    (Etir.create compute, 0) tiles
+  |> fst
+
 (* A fixed schedule of [compute], level-1 tile [tiles], checked against the
    reference bit for bit with exact coverage; returns how many elements
    the tile multiply-accumulate reduced. *)
 let check_fixed ~tag ?(seed = 37) compute tiles =
   let inputs = Exec.Reference.random_inputs ~seed compute in
   let expected = Exec.Reference.run compute inputs in
-  let e =
-    List.fold_left
-      (fun (e, d) t -> (Etir.with_stile e ~level:1 ~dim:d t, d + 1))
-      (Etir.create compute, 0) tiles
-    |> fst
-  in
+  let e = fixed_schedule compute tiles in
   let tiled () =
     Option.value ~default:0 (Trace.Counter.find "exec.compiled.batched")
   in
@@ -571,13 +574,94 @@ let test_tile_hadamard () =
   ignore
     (check_fixed ~tag:"hadamard tile: " (hadamard ~m:7 ~n:13) [ 3; 5 ])
 
+(* out[i,j] = Σ_k A[i,j,k] * B[k,j]: both operands step along a row (by
+   k and by 1), and a reduce point steps them by 1 and by n, so the
+   four-point pass loads both per point and a swapped step shows. *)
+let row_dot ~m ~n ~k =
+  let open Tensor_lang in
+  let axes = [ Axis.spatial "i" m; Axis.spatial "j" n; Axis.reduce "k" k ] in
+  let inputs =
+    [ { Compute.in_name = "A"; in_shape = [ m; n; k ]; in_dtype = Dtype.F32 };
+      { Compute.in_name = "B"; in_shape = [ k; n ]; in_dtype = Dtype.F32 } ]
+  in
+  let body =
+    Expr.mul
+      (Expr.read "A" [ Index.var "i"; Index.var "j"; Index.var "k" ])
+      (Expr.read "B" [ Index.var "k"; Index.var "j" ])
+  in
+  Compute.v ~name:"row_dot" ~axes ~inputs ~out_name:"C" ~body ()
+
+(* [Compiled.pp] of [compute] under level-1 tile [tiles]. *)
+let summary ?(tiles = []) compute =
+  Fmt.str "%a" Exec.Compiled.pp
+    (Exec.Compiled.compile (fixed_schedule compute tiles))
+
+let check_summary what got expected =
+  if not (contains got expected) then
+    Alcotest.failf "%s: %S lacks %S" what got expected
+
+(* Fixed tile-kernel cases [(what, compute, elements, schedules)]: under
+   each schedule's level-1 tile, [Compiled.pp] shows the expected text,
+   the VM matches the reference bit for bit with exact coverage, and all
+   [elements] go through the tile kernel. *)
+let check_tile_cases cases =
+  List.iter
+    (fun (what, compute, elements, schedules) ->
+      List.iter
+        (fun (tiles, expect) ->
+          check_summary what (summary ~tiles compute) expect;
+          let got = check_fixed ~tag:(what ^ ": ") compute tiles in
+          check_int (what ^ ": elements through the tile kernel") elements got)
+        schedules)
+    cases
+
+(* Reduce runs of 8, 9, 10 and 11 points (two passes of four and a tail
+   of 0 to 3), on one-row and multi-row tiles: a GEMM, whose A does not
+   step along a row, and a product where both operands do.  A 5x5 conv
+   over 3 channels keeps all three reduce axes as runs, so each 5-point
+   inner run restarts the pass inside every outer point; its weight does
+   not step along a row. *)
+let test_tile_four_point () =
+  let conv =
+    Ops.Op.compute
+      (Ops.Conv.conv2d ~batch:1 ~in_channels:3 ~out_channels:2 ~height:11
+         ~width:13 ~kernel:5 ~stride:1 ())
+  in
+  let conv_runs = "reduce runs [3;5;5] mac" in
+  check_tile_cases
+    (List.concat_map
+       (fun k ->
+         let runs = Fmt.str "reduce runs [%d] mac" k in
+         let schedules = [ ([ 1; 5 ], runs); ([ 4; 13 ], runs) ] in
+         [ (Fmt.str "gemm k=%d" k,
+            Ops.Op.compute (Ops.Matmul.gemm ~m:6 ~n:13 ~k ()), 6 * 13,
+            schedules);
+           (Fmt.str "row dot k=%d" k, row_dot ~m:6 ~n:13 ~k, 6 * 13,
+            schedules) ])
+       [ 8; 9; 10; 11 ]
+    @ [ ("conv 5x5", conv, 2 * 7 * 9,
+         [ ([ 1; 1; 1; 1 ], conv_runs); ([ 1; 2; 3; 5 ], conv_runs) ]) ])
+
+(* One-row level-1 blocks still reduce four rows per tile: GEMM 6x70
+   under a 1x1 block runs tiles of 4 rows and then 2; a depthwise conv
+   with 9 output rows ends in a 1-row tile, and a 3-row block widens to
+   6 rows, clipped to 3. *)
+let test_tile_tall () =
+  check_tile_cases
+    [ ("gemm 6x70", Ops.Op.compute (Ops.Matmul.gemm ~m:6 ~n:70 ~k:16 ()),
+       6 * 70, [ ([ 1; 1 ], "row tile [4;64]") ]);
+      ("dwconv 9 rows",
+       Ops.Op.compute
+         (Ops.Conv.depthwise_conv2d ~batch:1 ~channels:3 ~height:11 ~width:12
+            ~kernel:3 ~stride:1 ()),
+       3 * 9 * 10,
+       [ ([ 1; 1; 1; 1 ], "row tile [1;1;4;64]");
+         ([ 1; 2; 3; 5 ], "row tile [1;2;6;65]") ]) ]
+
 (* Epilogues, on clipped multi-row tiles: one over a row's lanes that runs
    every float opcode, and one with a non-affine site that runs per
    element.  [Compiled.pp] names the per-element case. *)
 let test_epilogue_lanes_and_fallback () =
-  let summary compute =
-    Fmt.str "%a" Exec.Compiled.pp (Exec.Compiled.compile (Etir.create compute))
-  in
   let all_ops = gemm_epilogue_all_ops ~m:9 ~n:70 ~k:5 in
   let div = gemm_bias_div ~m:9 ~n:70 ~k:5 in
   if contains (summary all_ops) "per element" then
@@ -620,14 +704,9 @@ let test_maxpool_all_negative () =
 
 (* The lowering [Compiled.pp] reports: the reduce-run table and kernel. *)
 let test_lowering_summary () =
-  let summary compute =
-    Fmt.str "%a" Exec.Compiled.pp (Exec.Compiled.compile (Etir.create compute))
-  in
   List.iter
     (fun (what, compute, expected) ->
-      let got = summary compute in
-      if not (contains got expected) then
-        Alcotest.failf "%s: %S lacks %S" what got expected)
+      check_summary what (summary compute) expected)
     [ ("gemm", Ops.Op.compute (Ops.Matmul.gemm ~m:8 ~n:8 ~k:16 ()),
        "reduce runs [16] mac");
       ("1x1 conv",
@@ -708,6 +787,9 @@ let () =
          Alcotest.test_case "tile kernel: dwconv 3x3 s2" `Quick
            test_tile_dwconv_s2;
          Alcotest.test_case "tile kernel: hadamard" `Quick test_tile_hadamard;
+         Alcotest.test_case "tile kernel: four-point reduce" `Quick
+           test_tile_four_point;
+         Alcotest.test_case "tile kernel: tall tiles" `Quick test_tile_tall;
          Alcotest.test_case "epilogue over lanes and per element" `Quick
            test_epilogue_lanes_and_fallback;
          Alcotest.test_case "maxpool with all-negative inputs" `Quick
