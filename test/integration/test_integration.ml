@@ -127,17 +127,33 @@ let test_mismatched_levels_rejected () =
   with Invalid_argument _ -> ()
 
 (* Golden outputs of the gensor method: the exact schedule signature and
-   model score of three ops on both device presets, recorded at a fixed
-   seed.  Any change to the search that moves a schedule or a score shows up
-   here; a change meant to leave outputs alone must pass unchanged.  Scores
-   are compared exactly via their hex spelling. *)
+   model score of five ops, recorded at a fixed seed.  Any change to the
+   search that moves a schedule or a score shows up here; a change meant to
+   leave outputs alone must pass unchanged.  Scores are compared exactly via
+   their hex spelling.  The two network kernels are compile-cold's: BERT-small's
+   fused [ffn_up+relu] (a GEMM with an epilogue) and GPT-2's [lm_head], whose
+   wide vocabulary axis gives many tied scores. *)
 let golden_ops =
   let table label () =
     (Option.get (Workloads.Table_iv.find label)).Workloads.Table_iv.op ()
   in
+  let kernel graph name () =
+    let fused = (Dnn.Fusion.fuse (graph ())).Dnn.Fusion.graph in
+    match
+      List.find_opt
+        (fun n -> Ops.Op.name n.Dnn.Graph.op = name)
+        (Dnn.Graph.nodes fused)
+    with
+    | Some n -> n.Dnn.Graph.op
+    | None -> Alcotest.failf "no fused kernel named %s" name
+  in
   [ ("M1", table "M1");
     ("C1", table "C1");
-    ("BMM", fun () -> Ops.Matmul.batch_matmul ~batch:12 ~m:128 ~n:128 ~k:64 ()) ]
+    ("BMM", fun () -> Ops.Matmul.batch_matmul ~batch:12 ~m:128 ~n:128 ~k:64 ());
+    ("ffn_up+relu",
+     kernel (Dnn.Transformer.bert_small_graph ~batch:8 ~seq:128) "ffn_up+relu");
+    ("lm_head", kernel (Dnn.Transformer.gpt2_graph ~batch:8 ~seq:128) "lm_head")
+  ]
 
 let golden =
   [ ("rtx4090", "M1", "gemm|L2@0|s:8x8;128x256;4096x4096|r:4;1;16|v:8x8",
@@ -153,7 +169,12 @@ let golden =
      "conv2d|L2@0|s:4x8x1x2;8x128x14x1;8x256x1x7|r:1x1x3;4x3x1;16x3x1|v:2x4x1x2",
      "0x1.b29e1570b5a26p+39");
     ("orin", "BMM", "bmm|L2@0|s:1x8x8;1x128x128;1x32x128|r:4;1;32|v:1x8x8",
-     "0x1.18f221d2e850fp+39") ]
+     "0x1.18f221d2e850fp+39");
+    ("rtx4090", "ffn_up+relu",
+     "ffn_up+relu|L2@0|s:4x8;128x128;1024x2048|r:8;1;16|v:1x8",
+     "0x1.2815fb84312eap+45");
+    ("rtx4090", "lm_head", "lm_head|L2@0|s:8x8;128x64;1024x8192|r:2;1;64|v:4x8",
+     "0x1.7c792e03a2974p+45") ]
 
 let test_golden_schedules () =
   let device = function
