@@ -36,7 +36,7 @@ let ilp_eff_of_chunk chunk =
 
 (* The occupancy an Eq. 1 ratio reads, floored so an infeasible side
    cannot divide by zero. *)
-let occ_floor occ = Float.max 0.02 occ
+let[@inline] occ_floor occ = Float.max 0.02 occ
 
 (* Eq. 1 over its scalar inputs: Q and F at the modified level before and
    after the edge, the SM occupancies and the per-thread ILP chunks.
@@ -45,8 +45,9 @@ let occ_floor occ = Float.max 0.02 occ
    guidance includes "parallelism features" (§III); without this term
    nothing drives block-tile growth on operators whose traffic barely
    depends on it (GEMV, pooling), which is precisely the multi-objective
-   edge over Roller's single objective. *)
-let tiling ~level ~q ~q' ~f ~f' ~occ ~occ' ~chunk ~chunk' =
+   edge over Roller's single objective.  Inlined so the edge scorer passes
+   its floats unboxed. *)
+let[@inline] tiling ~level ~q ~q' ~f ~f' ~occ ~occ' ~chunk ~chunk' =
   let f = float_of_int f and f' = float_of_int f' in
   if q' <= 0.0 || f <= 0.0 || f' <= 0.0 then 0.0
   else begin
@@ -63,7 +64,7 @@ let tiling ~level ~q ~q' ~f ~f' ~occ ~occ' ~chunk ~chunk' =
    Moving the working set S (the footprint at level [cur - 1]) from the
    slower memory feeding level [cur] into the next faster level. *)
 let caching_ratio ~(hw : Hardware.Gpu_spec.t) ~cur ~s_data =
-  let s_data = max s_data 1 in
+  let s_data = Int.max s_data 1 in
   let low = Hardware.Gpu_spec.level hw (cur + 1) in
   let high = Hardware.Gpu_spec.level hw cur in
   let clock = Hardware.Gpu_spec.clock_ghz hw in

@@ -55,11 +55,11 @@ type result = {
    its successor starts. *)
 let sized_anneal_config base compute ~levels =
   let open Tensor_lang in
-  let log2 n = int_of_float (ceil (Float.log2 (float_of_int (max 2 n)))) in
+  let log2 n = int_of_float (ceil (Float.log2 (float_of_int (Int.max 2 n)))) in
   let doublings =
     List.fold_left (fun acc ax -> acc + log2 (Axis.extent ax)) 0 (Compute.axes compute)
   in
-  let per_level = max 25 (doublings * 8 / 5) in
+  let per_level = Int.max 25 (doublings * 8 / 5) in
   let iterations = (levels + 1) * per_level in
   (* The configured midpoint acts as a pace multiplier relative to the
      default: halving it makes every level cache twice as eagerly. *)
@@ -72,6 +72,87 @@ let sized_anneal_config base compute ~levels =
     mode =
       { base.Anneal.mode with
         Policy.cache_midpoint = 0.7 *. pace *. float_of_int per_level } }
+
+(* Dominance pruning of a pooled frontier (DESIGN.md §10): a candidate
+   pointwise no better than a sibling cannot out-score it under the
+   monotone aggregation, so it is dropped before the full-model pass.  A
+   state is kept unless *some* sibling strictly dominates it, so the kept
+   set does not depend on candidate order; survivors keep input order.
+
+   Skyline sweep instead of the naive all-pairs scan.  Components are
+   lower-better, so a dominator's component sum is strictly smaller than
+   its victim's; processing in ascending-sum order guarantees every
+   candidate's dominators are classified before it, and by transitivity
+   being dominated at all implies being dominated by a *maximal* element —
+   so each candidate only needs checking against the non-dominated set
+   built so far.  The kept set is exactly the all-pairs one; only the
+   comparison count changes.  All vectors live in one flat array and the
+   skyline in an index array, so the sweep allocates nothing per
+   candidate. *)
+let prune_dominated ~hw candidates =
+  match candidates with
+  | [] -> []
+  | (_, first) :: _ ->
+    let arr = Array.of_list candidates in
+    let n = Array.length arr in
+    let width = Costmodel.Delta.dominance_width first in
+    let caps =
+      Costmodel.Delta.dominance_capacities ~hw
+        ~num_levels:(Array.length first.Costmodel.Delta.traffic - 1)
+    in
+    let vecs = Array.make (n * width) 0.0 in
+    let has_vec =
+      Array.init n (fun i ->
+          Costmodel.Delta.write_dominance ~caps (snd arr.(i)) vecs
+            ~off:(i * width))
+    in
+    (* Launch-infeasible leftovers carry no vector: sorted last, never
+       dominated, never dominating. *)
+    let sums =
+      Array.init n (fun i ->
+          let sum = ref 0.0 in
+          if has_vec.(i) then
+            for k = i * width to ((i + 1) * width) - 1 do
+              sum := !sum +. vecs.(k)
+            done;
+          !sum)
+    in
+    let order = Array.init n Fun.id in
+    Array.sort
+      (fun a b ->
+        match (has_vec.(a), has_vec.(b)) with
+        | true, true -> Float.compare sums.(a) sums.(b)
+        | true, false -> -1
+        | false, true -> 1
+        | false, false -> Int.compare a b)
+      order;
+    let kept = Array.make n true in
+    let skyline = Array.make n 0 and skyline_len = ref 0 in
+    for o = 0 to n - 1 do
+      let i = order.(o) in
+      if has_vec.(i) then begin
+        (* Newest skyline member first, the order the list-based sweep
+           had: oldest first took about twice as long on compile-cold's
+           pools. *)
+        let dominated = ref false and s = ref (!skyline_len - 1) in
+        while (not !dominated) && !s >= 0 do
+          dominated :=
+            Costmodel.Delta.dominates_in vecs ~a_off:(skyline.(!s) * width)
+              vecs ~b_off:(i * width) ~width;
+          decr s
+        done;
+        if !dominated then kept.(i) <- false
+        else begin
+          skyline.(!skyline_len) <- i;
+          incr skyline_len
+        end
+      end
+    done;
+    let survivors = ref [] in
+    for i = n - 1 downto 0 do
+      if kept.(i) then survivors := arr.(i) :: !survivors
+    done;
+    !survivors
 
 (* [warm_start] seeds construction with an existing schedule retargeted at
    the new shape (the paper's ongoing-work direction: real-time
@@ -119,8 +200,8 @@ let optimize ?(config = default_config) ?warm_start ~hw compute =
       float_of_int (Compute.total_flops compute)
       /. float_of_int (Compute.input_bytes compute + Compute.output_bytes compute)
     in
-    if intensity < 8.0 then min 4 (max 1 config.restarts)
-    else max 1 config.restarts
+    if intensity < 8.0 then Int.min 4 (Int.max 1 config.restarts)
+    else Int.max 1 config.restarts
   in
   (* Chain RNG streams are split from the master up front, in chain order,
      before any chain runs: each chain's draws are a pure function of the
@@ -182,75 +263,16 @@ let optimize ?(config = default_config) ?warm_start ~hw compute =
     | [] -> [ (initial, Costmodel.Delta.of_etir ~hw initial) ]
     | states -> states
   in
-  (* Dominance pruning of the pooled frontier (DESIGN.md §10): a candidate
-     pointwise no better than a sibling cannot out-score it under the
-     monotone aggregation, so it is dropped before the full-model pass.
-     The O(n²) sweep is sequential and order-independent (a state is kept
-     unless *some* sibling strictly dominates it), so the surviving set —
-     and hence the selected schedule — does not depend on candidate order. *)
+  (* Dominance pruning of the pooled frontier; the surviving set — and
+     hence the selected schedule — does not depend on candidate order. *)
   let candidates, candidates_pruned =
     if not config.prune_dominated then (candidates, 0)
     else
       Trace.with_span ~name:"optimizer.prune"
         ~args:[ ("candidates", string_of_int (List.length candidates)) ]
       @@ fun () ->
-      begin
-      (* Skyline sweep instead of the naive all-pairs scan.  Components are
-         lower-better, so a dominator's component sum is strictly smaller
-         than its victim's; processing in ascending-sum order guarantees
-         every candidate's dominators are classified before it, and by
-         transitivity being dominated at all implies being dominated by a
-         *maximal* element — so each candidate only needs checking against
-         the non-dominated set built so far.  The kept set is exactly the
-         all-pairs one (and hence still order-invariant); only
-         the comparison count changes. *)
-      let arr = Array.of_list candidates in
-      let n = Array.length arr in
-      let vecs =
-        Array.map
-          (fun (_, comps) -> Costmodel.Delta.dominance_vector ~hw comps)
-          arr
-      in
-      let sums =
-        Array.map
-          (function Some v -> Array.fold_left ( +. ) 0.0 v | None -> 0.0)
-          vecs
-      in
-      let order =
-        let idx = Array.init n (fun i -> i) in
-        Array.sort
-          (fun a b ->
-            match (vecs.(a), vecs.(b)) with
-            | Some _, Some _ -> Float.compare sums.(a) sums.(b)
-            | Some _, None -> -1
-            | None, Some _ -> 1
-            | None, None -> compare a b)
-          idx;
-        idx
-      in
-      let kept = Array.make n true in
-      let skyline = ref [] in
-      Array.iter
-        (fun i ->
-          match vecs.(i) with
-          | None -> ()  (* launch-infeasible leftovers carry no vector *)
-          | Some v ->
-            if
-              List.exists
-                (fun j ->
-                  match vecs.(j) with
-                  | Some o -> Costmodel.Delta.dominates o v
-                  | None -> false)
-                !skyline
-            then kept.(i) <- false
-            else skyline := i :: !skyline)
-        order;
-      let survivors = ref [] in
-      for i = n - 1 downto 0 do
-        if kept.(i) then survivors := arr.(i) :: !survivors
-      done;
-      (!survivors, n - List.length !survivors)
-    end
+      let survivors = prune_dominated ~hw candidates in
+      (survivors, List.length candidates - List.length survivors)
   in
   let scored =
     Trace.with_span ~name:"optimizer.score"
@@ -264,15 +286,18 @@ let optimize ?(config = default_config) ?warm_start ~hw compute =
   in
   let evaluated = ref (List.length scored) in
   let ranked =
-    List.sort
-      (fun (ea, a) (eb, b) ->
-        let c =
-          compare (Costmodel.Metrics.score b) (Costmodel.Metrics.score a)
-        in
-        (* Deterministic tie-break so equal-score states rank identically
-           regardless of hash order. *)
-        if c <> 0 then c else compare (Etir.signature ea) (Etir.signature eb))
-      scored
+    (* Deterministic tie-break so equal-score states rank identically
+       regardless of hash order.  Ties are common, so each candidate's
+       signature is built at most once, the first time a tie needs it. *)
+    List.map (fun (etir, m) -> (etir, m, lazy (Etir.signature etir))) scored
+    |> List.sort (fun (_, a, sig_a) (_, b, sig_b) ->
+           let c =
+             Float.compare (Costmodel.Metrics.score b)
+               (Costmodel.Metrics.score a)
+           in
+           if c <> 0 then c
+           else String.compare (Lazy.force sig_a) (Lazy.force sig_b))
+    |> List.map (fun (etir, m, _) -> (etir, m))
   in
   (* Local polish of the leading states: follow the model's gradient through
      the same action edges while it strictly improves.  This is part of the

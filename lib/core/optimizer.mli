@@ -33,6 +33,17 @@ type result = {
   wall_time_s : float;
 }
 
+(** [prune_dominated ~hw candidates] drops every pooled candidate whose
+    dominance vector ({!Costmodel.Delta.dominance_vector}) some other
+    candidate strictly dominates; survivors keep their input order.
+    Candidates without a vector (launch-infeasible) are always kept.  The
+    kept set is exactly the all-pairs one.  All candidates must come from
+    one compute and device. *)
+val prune_dominated :
+  hw:Hardware.Gpu_spec.t ->
+  (Sched.Etir.t * Costmodel.Delta.components) list ->
+  (Sched.Etir.t * Costmodel.Delta.components) list
+
 (** [optimize ~hw compute] runs the full construction.  [warm_start] seeds
     every chain with an existing schedule retargeted at [compute] and cuts
     the annealing budget to a quarter — the incremental re-optimisation the

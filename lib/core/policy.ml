@@ -49,7 +49,7 @@ type mode = {
 let graph_mode =
   { vthread_enabled = true; tree_mode = false; cache_midpoint = 35.0 }
 
-let allowed mode (action : Action.t) =
+let[@inline] allowed mode (action : Action.t) =
   match action with
   | Action.Set_vthread _ -> mode.vthread_enabled
   | Action.Tile { dir = Action.Shrink; _ }

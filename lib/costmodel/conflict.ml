@@ -21,8 +21,8 @@ let access_stride_words etir ~bank_width_bytes =
     let v = Sched.Etir.vthread etir ~dim in
     (* V virtual threads interleave V adjacent thread tiles, so the physical
        stride shrinks by V, never below one element. *)
-    let stride_elems = max 1 (thread_tile / v) in
-    max 1 (stride_elems * elem_bytes / bank_width_bytes)
+    let stride_elems = Int.max 1 (thread_tile / v) in
+    Int.max 1 (stride_elems * elem_bytes / bank_width_bytes)
   end
 
 (* Raw serialisation degree >= 1: how many shared-memory transactions replace
@@ -35,8 +35,8 @@ let raw_degree etir ~(hw : Hardware.Gpu_spec.t) =
     let warp = Hardware.Gpu_spec.warp_size hw in
     let stride = access_stride_words etir ~bank_width_bytes:(Hardware.Mem_level.bank_width_bytes smem) in
     let distinct = banks / gcd stride banks in
-    let lanes = min warp banks in
-    float_of_int (max 1 (lanes / max 1 distinct))
+    let lanes = Int.min warp banks in
+    float_of_int (Int.max 1 (lanes / Int.max 1 distinct))
   end
 
 (* Effective slowdown of the shared-memory path.  Only a fraction of a real

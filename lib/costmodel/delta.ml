@@ -256,18 +256,25 @@ let score_tile ~hw s ~before ~(parent : components) ~level ~dim ~spatial
   let num_levels = Etir.num_levels before in
   let n_spatial = Etir.num_spatial before in
   let slot = if spatial then dim else n_spatial + dim in
-  Array.blit parent.footprint 0 s.sc_footprint 0 (num_levels + 1);
+  (* Plain loops, not [Array.blit]: the rows are 3-4 ints and a blit is a
+     C call per edge. *)
+  for l = 0 to num_levels do
+    s.sc_footprint.(l) <- parent.footprint.(l)
+  done;
   s.sc_terms.(0) <- parent.traffic.(level);
   let eff1 = ref (Etir.eff_row before ~level:1).(slot) in
   let e =
     ref
       (if level = 0 then size
-       else max (Etir.eff_row before ~level:(level - 1)).(slot) size)
+       else Int.max (Etir.eff_row before ~level:(level - 1)).(slot) size)
   in
   let k = ref level in
   while !k <= num_levels && !e <> (Etir.eff_row before ~level:!k).(slot) do
     let row = s.sc_row in
-    Array.blit (Etir.eff_row before ~level:!k) 0 row 0 (Array.length row);
+    let eff = Etir.eff_row before ~level:!k in
+    for i = 0 to Array.length row - 1 do
+      row.(i) <- eff.(i)
+    done;
     row.(slot) <- !e;
     let input = fill_footprint before row ~level:!k ~footprint:s.sc_footprint in
     if !k = level then
@@ -276,7 +283,7 @@ let score_tile ~hw s ~before ~(parent : components) ~level ~dim ~spatial
     incr k;
     if !k <= num_levels then
       e :=
-        max !e
+        Int.max !e
           (if spatial then Etir.stile before ~level:!k ~dim
            else Etir.rtile before ~level:!k ~dim)
   done;
@@ -350,46 +357,62 @@ let score_edge ~hw s ~before ~(parent : components) (action : Sched.Action.t)
    the occupancy-for-peak clamp, thrash's max-with-1) can absorb a strict
    component gap into a score *tie* — dominance pruning may therefore swap
    between exactly-tied states, but never past a strictly better one (see
-   DESIGN.md §10).  Launch-infeasible states ([blocks_per_sm = 0]) return
-   [None]: construction passes through them transiently and they must stay
-   expandable. *)
-let dominance_vector ~(hw : Hardware.Gpu_spec.t) (c : components) =
-  if c.occ.Occupancy.blocks_per_sm = 0 then None
+   DESIGN.md §10).  Launch-infeasible states ([blocks_per_sm = 0]) have no
+   vector: construction passes through them transiently and they must stay
+   expandable.
+
+   A sweep over many candidates writes their vectors side by side into one
+   flat array ([write_dominance] at an offset, [dominates_in]), with the
+   level capacities looked up once ([dominance_capacities]), so it
+   allocates nothing per candidate. *)
+let dominance_width (c : components) = (2 * Array.length c.traffic) + 6
+
+let dominance_capacities ~(hw : Hardware.Gpu_spec.t) ~num_levels =
+  Array.init (num_levels + 1) (fun level ->
+      float_of_int
+        (Hardware.Mem_level.capacity_bytes (Hardware.Gpu_spec.level hw level)))
+
+let write_dominance ~caps (c : components) v ~off =
+  if c.occ.Occupancy.blocks_per_sm = 0 then false
   else begin
     let num_levels = Array.length c.traffic - 1 in
-    let v = Array.make ((2 * (num_levels + 1)) + 6) 0.0 in
     for level = 0 to num_levels do
-      v.(level) <-
+      v.(off + level) <-
         (if level = num_levels then Float.max c.traffic.(level) c.compulsory
          else c.traffic.(level));
-      let cap =
-        Hardware.Mem_level.capacity_bytes (Hardware.Gpu_spec.level hw level)
-      in
-      v.(num_levels + 1 + level) <-
-        Float.max 1.0 (float_of_int c.footprint.(level) /. float_of_int cap)
+      v.(off + num_levels + 1 + level) <-
+        Float.max 1.0 (float_of_int c.footprint.(level) /. caps.(level))
     done;
-    let base = 2 * (num_levels + 1) in
+    let base = off + (2 * (num_levels + 1)) in
     v.(base) <- c.conflict_raw;
     v.(base + 1) <- -.float_of_int c.chunk_flops;
     v.(base + 2) <- -.c.occ.Occupancy.sm_occupancy;
     v.(base + 3) <- -.c.occ.Occupancy.tail_efficiency;
     v.(base + 4) <- -.float_of_int c.occ.Occupancy.global_threads;
     v.(base + 5) <- -.float_of_int c.occ.Occupancy.blocks_per_sm;
-    Some v
+    true
   end
 
-(* [dominates a b]: [a] pointwise <= [b] with at least one strict <. *)
-let dominates (a : float array) (b : float array) =
+let dominance_vector ~hw (c : components) =
+  let v = Array.make (dominance_width c) 0.0 in
+  let caps =
+    dominance_capacities ~hw ~num_levels:(Array.length c.traffic - 1)
+  in
+  if write_dominance ~caps c v ~off:0 then Some v else None
+
+(* The [width] values of [a] from [a_off] pointwise <= those of [b] from
+   [b_off], with at least one strict <. *)
+let dominates_in (a : float array) ~a_off (b : float array) ~b_off ~width =
+  let strict = ref false in
+  let le = ref true in
+  let i = ref 0 in
+  while !le && !i < width do
+    let x = a.(a_off + !i) and y = b.(b_off + !i) in
+    if x > y then le := false else if x < y then strict := true;
+    incr i
+  done;
+  !le && !strict
+
+let dominates a b =
   let n = Array.length a in
-  if n <> Array.length b then false
-  else begin
-    let strict = ref false in
-    let le = ref true in
-    let i = ref 0 in
-    while !le && !i < n do
-      if a.(!i) > b.(!i) then le := false
-      else if a.(!i) < b.(!i) then strict := true;
-      incr i
-    done;
-    !le && !strict
-  end
+  n = Array.length b && dominates_in a ~a_off:0 b ~b_off:0 ~width:n

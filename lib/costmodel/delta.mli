@@ -94,6 +94,25 @@ val dominance_vector : hw:Hardware.Gpu_spec.t -> components -> float array optio
     mismatch. *)
 val dominates : float array -> float array -> bool
 
+(** The allocation-free form for sweeps over many states, whose vectors sit
+    side by side in one flat array.  [dominance_width c] is the length of
+    [c]'s vector (all states of one compute and device share it);
+    [dominance_capacities] are the per-level capacities the vector divides
+    by, looked up once per sweep; [write_dominance ~caps c v ~off] writes
+    [dominance_vector]'s values into [v] from [off] and returns [true], or
+    writes nothing and returns [false] where [dominance_vector] is [None];
+    [dominates_in] is [dominates] over [width] values from the offsets. *)
+val dominance_width : components -> int
+
+val dominance_capacities :
+  hw:Hardware.Gpu_spec.t -> num_levels:int -> float array
+
+val write_dominance :
+  caps:float array -> components -> float array -> off:int -> bool
+
+val dominates_in :
+  float array -> a_off:int -> float array -> b_off:int -> width:int -> bool
+
 (** {2 Gating and counters} *)
 
 (** Incremental evaluation on/off (default on; the transparency tests

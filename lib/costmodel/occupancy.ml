@@ -24,21 +24,21 @@ let resident ~(hw : Hardware.Gpu_spec.t) ~tpb ~smem_bytes
     if smem_bytes = 0 then hard_block_cap
     else Hardware.Mem_level.capacity_bytes smem / smem_bytes
   in
-  let by_threads = Hardware.Gpu_spec.max_threads_per_sm hw / max 1 tpb in
+  let by_threads = Hardware.Gpu_spec.max_threads_per_sm hw / Int.max 1 tpb in
   let by_regs =
     let reg_file_bytes = Hardware.Gpu_spec.registers_per_sm hw * 4 in
-    reg_file_bytes / max 1 (reg_bytes_per_thread * tpb)
+    reg_file_bytes / Int.max 1 (reg_bytes_per_thread * tpb)
   in
   let fits_block = tpb <= Hardware.Gpu_spec.max_threads_per_block hw in
   if not fits_block then 0
-  else min (min by_smem by_threads) (min by_regs hard_block_cap)
+  else Int.min (Int.min by_smem by_threads) (Int.min by_regs hard_block_cap)
 
 (* Resident-thread fraction for [resident > 0] blocks per SM: a small grid
    cannot fill every SM's resident slots. *)
 let occupancy_of_resident ~(hw : Hardware.Gpu_spec.t) ~tpb ~grid resident =
   let sm_count = Hardware.Gpu_spec.sm_count hw in
   let per_sm_available = (grid + sm_count - 1) / sm_count in
-  let resident_actual = min resident per_sm_available in
+  let resident_actual = Int.min resident per_sm_available in
   Float.min 1.0
     (float_of_int (resident_actual * tpb)
     /. float_of_int (Hardware.Gpu_spec.max_threads_per_sm hw))
@@ -64,7 +64,7 @@ let of_parts ~(hw : Hardware.Gpu_spec.t) ~tpb ~grid ~smem_bytes
     let tail =
       float_of_int grid /. float_of_int (waves * wave_capacity)
     in
-    let global_threads = min grid (resident * sm_count) * tpb in
+    let global_threads = Int.min grid (resident * sm_count) * tpb in
     { blocks_per_sm = resident; sm_occupancy = occ;
       tail_efficiency = Float.max tail 1e-6; waves; global_threads }
   end

@@ -48,7 +48,8 @@ let registers_per_sm t = t.registers_per_sm
 let power_watts t = t.power_watts
 let levels t = t.levels
 let num_levels t = Array.length t.levels
-let level t i =
+(* Inlined: the cost model checks capacities per scored edge. *)
+let[@inline] level t i =
   if i < 0 || i >= Array.length t.levels then
     invalid_arg "Gpu_spec.level: index out of range";
   t.levels.(i)
@@ -57,7 +58,7 @@ let level t i =
    between the register file and DRAM.  This is the paper's [L]. *)
 let schedulable_cache_levels t = Array.length t.levels - 2
 
-let registers_level t = t.levels.(0)
+let[@inline] registers_level t = t.levels.(0)
 let dram_level t = t.levels.(Array.length t.levels - 1)
 
 (* Peak single-precision throughput in FLOP/s assuming one FMA (2 FLOPs) per

@@ -65,7 +65,8 @@ let invalidation = function
 
 (* Doubling with an extent cap: tiles take values 1, 2, 4, ..., extent;
    -1 = no legal size. *)
-let grow_size size extent = if size >= extent then -1 else min (size * 2) extent
+let grow_size size extent =
+  if size >= extent then -1 else Int.min (size * 2) extent
 let shrink_size size = if size <= 1 then -1 else size / 2
 
 (* The legality rule of every action, shared by [apply] and the edge

@@ -51,9 +51,12 @@ type t = {
 let compute t = t.compute
 let num_levels t = t.num_levels
 let cur_level t = t.cur_level
-let stile t ~level ~dim = t.stiles.(level).(dim)
-let rtile t ~level ~dim = t.rtiles.(level).(dim)
-let vthread t ~dim = t.vthreads.(dim)
+(* The tile readers are [@inline]: the edge scorer reads them per scored
+   edge, and a bound-checked double index is over the default inlining
+   size, so they would stay calls even across a non-opaque build. *)
+let[@inline] stile t ~level ~dim = t.stiles.(level).(dim)
+let[@inline] rtile t ~level ~dim = t.rtiles.(level).(dim)
+let[@inline] vthread t ~dim = t.vthreads.(dim)
 
 (* Effective tile at a level: the raw tile widened to cover every inner
    level's tile, eff(0) = raw(0) and eff(l) = max(eff(l-1), raw(l)).  Raw
@@ -62,8 +65,9 @@ let vthread t ~dim = t.vthreads.(dim)
    levels below); all derived quantities use the effective values, which
    are monotone by construction.  They are cached in [eff], so these are
    reads. *)
-let stile_eff t ~level ~dim = t.eff.(level).(dim)
-let rtile_eff t ~level ~dim = t.eff.(level).(Array.length t.vthreads + dim)
+let[@inline] stile_eff t ~level ~dim = t.eff.(level).(dim)
+let[@inline] rtile_eff t ~level ~dim =
+  t.eff.(level).(Array.length t.vthreads + dim)
 let eff_row t ~level = t.eff.(level)
 
 let spatial_axes t = Array.of_list (Compute.spatial_axes t.compute)
@@ -107,7 +111,7 @@ let eff_of ~n_spatial ~n_reduce stiles rtiles =
               if slot < n_spatial then srow.(slot)
               else rtiles.(l).(slot - n_spatial)
             in
-            if l = 0 then raw else max eff.(l - 1).(slot) raw))
+            if l = 0 then raw else Int.max eff.(l - 1).(slot) raw))
     stiles;
   eff
 
@@ -117,7 +121,7 @@ let create ?(num_levels = 2) compute =
   let n_spatial = Array.length k.sext in
   let n_reduce = Array.length k.rext in
   let stiles = Array.make_matrix (num_levels + 1) n_spatial 1 in
-  let rtiles = Array.make_matrix (num_levels + 1) (max n_reduce 1) 1 in
+  let rtiles = Array.make_matrix (num_levels + 1) (Int.max n_reduce 1) 1 in
   { compute; num_levels; cur_level = num_levels; stiles; rtiles;
     vthreads = Array.make n_spatial 1;
     eff = eff_of ~n_spatial ~n_reduce stiles rtiles;
@@ -257,7 +261,7 @@ let with_eff eff ~level ~slot raw ~col =
   let changed = ref true in
   while !changed && !k < Array.length eff do
     let r = raw.(!k).(col) in
-    let e = if !k = 0 then r else max !out.(!k - 1).(slot) r in
+    let e = if !k = 0 then r else Int.max !out.(!k - 1).(slot) r in
     if e = eff.(!k).(slot) then changed := false
     else begin
       if !out == eff then out := Array.copy eff;
@@ -295,13 +299,13 @@ let retarget t compute' =
   let k = consts_of compute' in
   if Array.length k.sext <> num_spatial t || Array.length k.rext <> num_reduce t
   then invalid_arg "Etir.retarget: axis structure mismatch";
-  let clamp_row ext row = Array.mapi (fun i s -> min s ext.(i)) row in
+  let clamp_row ext row = Array.mapi (fun i s -> Int.min s ext.(i)) row in
   let stiles = Array.map (clamp_row k.sext) t.stiles in
   let rtiles =
     if Array.length k.rext = 0 then t.rtiles
     else Array.map (clamp_row k.rext) t.rtiles
   in
-  let vthreads = Array.mapi (fun i v -> min v stiles.(0).(i)) t.vthreads in
+  let vthreads = Array.mapi (fun i v -> Int.min v stiles.(0).(i)) t.vthreads in
   let eff =
     eff_of ~n_spatial:(Array.length k.sext) ~n_reduce:(Array.length k.rext)
       stiles rtiles
@@ -316,26 +320,38 @@ let retarget t compute' =
    part of the tensor program, so states differing only in it evaluate
    identically and should share dedup slots.  The hash is cached in the
    state (all update paths reset it), making repeated dedupe lookups on the
-   same state nearly free. *)
-let mix64 h v =
+   same state nearly free.
+
+   [mix64] is inlined into plain loops over a local accumulator, so the
+   hash stays unboxed: a closure over the accumulator or a call per value
+   would box an [Int64] on every step. *)
+let[@inline] mix64 h v =
   let open Int64 in
   let z = add (logxor h (mul v 0x9E3779B97F4A7C15L)) 0x9E3779B97F4A7C15L in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
+let[@inline] mix_row h (row : int array) =
+  let h = ref h in
+  for i = 0 to Array.length row - 1 do
+    h := mix64 !h (Int64.of_int row.(i))
+  done;
+  !h
+
 let fingerprint t =
   if t.fp <> 0L then t.fp
   else begin
-    let h = ref (Int64.of_int t.k.cfp) in
-    let add v = h := mix64 !h (Int64.of_int v) in
-    add t.num_levels;
-    Array.iter add (spatial_extents t);
-    Array.iter add (reduce_extents t);
-    Array.iter (Array.iter add) t.stiles;
-    Array.iter (Array.iter add) t.rtiles;
-    Array.iter add t.vthreads;
-    let fp = if !h = 0L then 1L else !h in
+    let h = mix64 (Int64.of_int t.k.cfp) (Int64.of_int t.num_levels) in
+    let h = ref (mix_row (mix_row h t.k.sext) t.k.rext) in
+    for l = 0 to Array.length t.stiles - 1 do
+      h := mix_row !h t.stiles.(l)
+    done;
+    for l = 0 to Array.length t.rtiles - 1 do
+      h := mix_row !h t.rtiles.(l)
+    done;
+    let h = mix_row !h t.vthreads in
+    let fp = if h = 0L then 1L else h in
     t.fp <- fp;
     fp
   end

@@ -40,24 +40,26 @@ let choice t items =
    the selection rule of paper Algorithm 2.  Returns the chosen index.
    When all weights are zero, falls back to uniform choice. *)
 let roulette t weights =
-  if Array.length weights = 0 then invalid_arg "Rng.roulette: empty weights";
-  Array.iter
-    (fun w ->
-      if w < 0.0 || Float.is_nan w then
-        invalid_arg "Rng.roulette: negative or NaN weight")
-    weights;
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  if total <= 0.0 then int t (Array.length weights)
+  let n = Array.length weights in
+  if n = 0 then invalid_arg "Rng.roulette: empty weights";
+  (* Loops over unboxed float accumulators: the anneal loop draws once per
+     step, and a fold or a recursive scan would box a float per weight. *)
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    let w = weights.(i) in
+    if w < 0.0 || Float.is_nan w then
+      invalid_arg "Rng.roulette: negative or NaN weight";
+    total := !total +. w
+  done;
+  if !total <= 0.0 then int t n
   else begin
-    let target = float t *. total in
-    let n = Array.length weights in
-    let rec scan i acc =
-      if i = n - 1 then i
-      else
-        let acc = acc +. weights.(i) in
-        if target < acc then i else scan (i + 1) acc
-    in
-    scan 0 0.0
+    let target = float t *. !total in
+    let i = ref 0 and acc = ref 0.0 and found = ref false in
+    while (not !found) && !i < n - 1 do
+      acc := !acc +. weights.(!i);
+      if target < !acc then found := true else incr i
+    done;
+    !i
   end
 
 (* Derive an independent stream, for splitting work deterministically. *)

@@ -54,10 +54,10 @@ let rem a b =
   | _ -> Mod (a, b)
 
 let min_ a b =
-  match (a, b) with Const m, Const n -> Const (min m n) | _ -> Min (a, b)
+  match (a, b) with Const m, Const n -> Const (Int.min m n) | _ -> Min (a, b)
 
 let max_ a b =
-  match (a, b) with Const m, Const n -> Const (max m n) | _ -> Max (a, b)
+  match (a, b) with Const m, Const n -> Const (Int.max m n) | _ -> Max (a, b)
 
 let floordiv m n = if m >= 0 then m / n else -(((-m) + n - 1) / n)
 let floormod m n = ((m mod n) + n) mod n
@@ -77,8 +77,8 @@ let rec eval ~env t =
     let d = eval ~env b in
     if d <= 0 then invalid_arg "Index.eval: modulo by non-positive value";
     floormod (eval ~env a) d
-  | Min (a, b) -> min (eval ~env a) (eval ~env b)
-  | Max (a, b) -> max (eval ~env a) (eval ~env b)
+  | Min (a, b) -> Int.min (eval ~env a) (eval ~env b)
+  | Max (a, b) -> Int.max (eval ~env a) (eval ~env b)
 
 let rec fold_vars f acc t =
   match t with

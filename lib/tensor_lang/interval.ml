@@ -27,8 +27,8 @@ let neg a = { lo = -a.hi; hi = -a.lo }
 
 let mul a b =
   let products = [ a.lo * b.lo; a.lo * b.hi; a.hi * b.lo; a.hi * b.hi ] in
-  { lo = List.fold_left min max_int products;
-    hi = List.fold_left max min_int products }
+  { lo = List.fold_left Int.min max_int products;
+    hi = List.fold_left Int.max min_int products }
 
 (* Floor division by an interval of positive divisors. *)
 let div a b =
@@ -37,8 +37,8 @@ let div a b =
     [ Index.floordiv a.lo b.lo; Index.floordiv a.lo b.hi;
       Index.floordiv a.hi b.lo; Index.floordiv a.hi b.hi ]
   in
-  { lo = List.fold_left min max_int quotients;
-    hi = List.fold_left max min_int quotients }
+  { lo = List.fold_left Int.min max_int quotients;
+    hi = List.fold_left Int.max min_int quotients }
 
 (* Remainder modulo an interval of positive divisors.  Exact when the whole
    numerator interval lies within one period; otherwise the full residue
@@ -53,13 +53,13 @@ let rem a b =
   end
   else { lo = 0; hi = b.hi - 1 }
 
-let min_ a b = { lo = min a.lo b.lo; hi = min a.hi b.hi }
-let max_ a b = { lo = max a.lo b.lo; hi = max a.hi b.hi }
+let min_ a b = { lo = Int.min a.lo b.lo; hi = Int.min a.hi b.hi }
+let max_ a b = { lo = Int.max a.lo b.lo; hi = Int.max a.hi b.hi }
 
-let union a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
+let union a b = { lo = Int.min a.lo b.lo; hi = Int.max a.hi b.hi }
 
 let inter a b =
-  let lo = max a.lo b.lo and hi = min a.hi b.hi in
+  let lo = Int.max a.lo b.lo and hi = Int.min a.hi b.hi in
   if lo > hi then None else Some { lo; hi }
 
 let rec of_index ~env (idx : Index.t) =

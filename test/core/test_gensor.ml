@@ -434,6 +434,59 @@ let test_optimizer_prune_transparent () =
     (on.Gensor.Optimizer.candidates_evaluated
     < off.Gensor.Optimizer.candidates_evaluated)
 
+(* The optimizer's skyline sweep keeps exactly the naive all-pairs survivor
+   set, in input order: a pooled candidate survives unless some other
+   candidate's dominance vector strictly dominates its own, and a candidate
+   without a vector (launch-infeasible) always survives.  The pools are the
+   sampled states of several chains, as the optimizer pools them, for ops
+   of different shapes. *)
+let test_optimizer_prune_all_pairs () =
+  List.iter
+    (fun (name, compute) ->
+      let levels = Hardware.Gpu_spec.schedulable_cache_levels hw in
+      let initial = Etir.create ~num_levels:levels compute in
+      let rng = Rng.create ~seed:5 in
+      let pool =
+        List.concat_map
+          (fun _ ->
+            (Gensor.Anneal.run ~hw ~rng:(Rng.split rng) initial)
+              .Gensor.Anneal.top_results)
+          (List.init 6 Fun.id)
+      in
+      let vecs =
+        Array.of_list
+          (List.map (fun (_, c) -> Costmodel.Delta.dominance_vector ~hw c) pool)
+      in
+      let all_pairs =
+        List.filteri
+          (fun i _ ->
+            match vecs.(i) with
+            | None -> true
+            | Some v ->
+              not
+                (Array.exists
+                   (function
+                     | Some o -> Costmodel.Delta.dominates o v | None -> false)
+                   vecs))
+          pool
+      in
+      let swept = Gensor.Optimizer.prune_dominated ~hw pool in
+      check_int (name ^ ": survivor count") (List.length all_pairs)
+        (List.length swept);
+      check_bool (name ^ ": same survivors in input order") true
+        (List.for_all2 ( == ) all_pairs swept);
+      check_bool (name ^ ": the sweep pruned something") true
+        (List.length swept < List.length pool))
+    [ ("gemm", gemm ());
+      ("gemv", Ops.Op.compute (Ops.Matmul.gemv ~m:8192 ~n:1024 ()));
+      ("conv",
+       Ops.Op.compute
+         (Ops.Conv.conv2d ~batch:8 ~in_channels:32 ~out_channels:32 ~height:28
+            ~width:28 ~kernel:3 ~stride:1 ()));
+      ("bmm",
+       Ops.Op.compute
+         (Ops.Matmul.batch_matmul ~batch:12 ~m:128 ~n:128 ~k:64 ())) ]
+
 (* Incremental component evaluation is an oracle-equivalence refactor: with
    it disabled (every edge re-analysed from scratch) the optimizer must
    select the same schedule with the same metrics.  Inputs: a small GEMM
@@ -505,6 +558,8 @@ let () =
          Alcotest.test_case "deterministic" `Quick test_optimizer_deterministic;
          Alcotest.test_case "prune transparent" `Quick
            test_optimizer_prune_transparent;
+         Alcotest.test_case "prune keeps all-pairs survivors" `Quick
+           test_optimizer_prune_all_pairs;
          Alcotest.test_case "incremental transparent" `Quick
            test_optimizer_incremental_transparent;
          Alcotest.test_case "unique candidates" `Quick
