@@ -343,42 +343,60 @@ let write_out out doc =
     Out_channel.with_open_bin path (fun oc -> output_string oc doc);
     Fmt.pr "wrote %s@." path
 
+(* A sweep cell's report name, [device/op/method]. *)
+let cell_target (cell : Pipeline.Methods.cell) =
+  Fmt.str "%s/%s/%s"
+    (Hardware.Gpu_spec.name cell.Pipeline.Methods.cell_device)
+    cell.Pipeline.Methods.cell_label cell.Pipeline.Methods.cell_method
+
+(* An export item for a certification outcome: its region, when one was
+   certified, and its diagnostics followed by [extra]. *)
+let cert_item ~target ?(extra = []) (outcome : Verify.Cert.outcome) =
+  let region =
+    Option.map (Fmt.str "%a" Verify.Cert.pp_region) outcome.Verify.Cert.cert
+  in
+  Verify.Export.item ?region ~target (outcome.Verify.Cert.diags @ extra)
+
+(* The device x method x Table-IV sweep that verify and analyze run. *)
+let resolve_sweep device methods_csv op_filter =
+  let ( let* ) = Result.bind in
+  let* devices =
+    if String.lowercase_ascii device = "all" then Ok Hardware.Presets.all
+    else Result.map (fun hw -> [ hw ]) (resolve_device device)
+  in
+  let* methods =
+    List.fold_right
+      (fun name acc ->
+        Result.bind acc (fun ms ->
+            Result.map (fun m -> m :: ms) (resolve_method name)))
+      (String.split_on_char ',' methods_csv)
+      (Ok [])
+  in
+  let* entries =
+    match op_filter with
+    | None -> Ok Workloads.Table_iv.all
+    | Some label -> (
+      match Workloads.Table_iv.find label with
+      | Some e -> Ok [ e ]
+      | None -> Error (`Msg (Fmt.str "unknown workload %s" label)))
+  in
+  Ok
+    ( devices,
+      methods,
+      List.map
+        (fun entry ->
+          (entry.Workloads.Table_iv.label, entry.Workloads.Table_iv.op ()))
+        entries )
+
 let verify_cmd =
   let run device methods_csv op_filter format out verbose jobs trace =
     apply_trace trace;
-    let devices =
-      if String.lowercase_ascii device = "all" then Ok Hardware.Presets.all
-      else Result.map (fun hw -> [ hw ]) (resolve_device device)
-    in
-    let methods =
-      List.fold_right
-        (fun name acc ->
-          Result.bind acc (fun ms ->
-              Result.map (fun m -> m :: ms) (resolve_method name)))
-        (String.split_on_char ',' methods_csv)
-        (Ok [])
-    in
-    let entries =
-      match op_filter with
-      | None -> Ok Workloads.Table_iv.all
-      | Some label -> (
-        match Workloads.Table_iv.find label with
-        | Some e -> Ok [ e ]
-        | None -> Error (`Msg (Fmt.str "unknown workload %s" label)))
-    in
-    match (devices, methods, entries) with
-    | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
-      `Error (false, m)
-    | Ok devices, Ok methods, Ok entries ->
+    match resolve_sweep device methods_csv op_filter with
+    | Error (`Msg m) -> `Error (false, m)
+    | Ok (devices, methods, ops) ->
       (* Compile every device x op x method cell through the parallel
          sweep; diagnostics run sequentially afterwards so the report
          order is stable. *)
-      let ops =
-        List.map
-          (fun entry ->
-            (entry.Workloads.Table_iv.label, entry.Workloads.Table_iv.op ()))
-          entries
-      in
       let cells = Pipeline.Methods.sweep ?jobs ~devices ~methods ops in
       let total_errors = ref 0 and total_warnings = ref 0 in
       let items = ref [] in
@@ -388,11 +406,7 @@ let verify_cmd =
             let open Pipeline.Methods in
             let hw = cell.cell_device in
             let diags = Verify.run cell.cell_output.etir ~hw in
-            let target =
-              Fmt.str "%s/%s/%s"
-                (Hardware.Gpu_spec.name hw)
-                cell.cell_label cell.cell_method
-            in
+            let target = cell_target cell in
             items := Verify.Export.item ~target diags :: !items;
             let errors =
               Verify.Diagnostic.count Verify.Diagnostic.Error diags
@@ -407,9 +421,7 @@ let verify_cmd =
                 (fun d ->
                   let open Verify.Diagnostic in
                   if is_error d || verbose then
-                    Fmt.pr "%s/%s/%s %a@."
-                      (Hardware.Gpu_spec.name hw)
-                      cell.cell_label cell.cell_method pp d)
+                    Fmt.pr "%s %a@." target pp d)
                 (Verify.Diagnostic.by_severity diags);
             [ Hardware.Gpu_spec.name hw; cell.cell_label; cell.cell_method;
               string_of_int errors; string_of_int warnings;
@@ -510,66 +522,22 @@ let analyze_bert ~hw (method_ : Pipeline.Methods.t) ~batch ~seqs =
                       dispatch would refuse it" m))
             rest
       in
-      let region =
-        Option.map
-          (Fmt.str "%a" Verify.Cert.pp_region)
-          outcome.Verify.Cert.cert
-      in
-      Verify.Export.item ?region ~target
-        (outcome.Verify.Cert.diags @ coverage))
+      cert_item ~target ~extra:coverage outcome)
     (List.rev !order)
 
 let analyze_cmd =
   let run device methods_csv op_filter format out dynamic verbose jobs trace =
     apply_trace trace;
-    let devices =
-      if String.lowercase_ascii device = "all" then Ok Hardware.Presets.all
-      else Result.map (fun hw -> [ hw ]) (resolve_device device)
-    in
-    let methods =
-      List.fold_right
-        (fun name acc ->
-          Result.bind acc (fun ms ->
-              Result.map (fun m -> m :: ms) (resolve_method name)))
-        (String.split_on_char ',' methods_csv)
-        (Ok [])
-    in
-    let entries =
-      match op_filter with
-      | None -> Ok Workloads.Table_iv.all
-      | Some label -> (
-        match Workloads.Table_iv.find label with
-        | Some e -> Ok [ e ]
-        | None -> Error (`Msg (Fmt.str "unknown workload %s" label)))
-    in
-    match (devices, methods, entries) with
-    | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
-      `Error (false, m)
-    | Ok devices, Ok methods, Ok entries ->
-      let ops =
-        List.map
-          (fun entry ->
-            (entry.Workloads.Table_iv.label, entry.Workloads.Table_iv.op ()))
-          entries
-      in
+    match resolve_sweep device methods_csv op_filter with
+    | Error (`Msg m) -> `Error (false, m)
+    | Ok (devices, methods, ops) ->
       let cells = Pipeline.Methods.sweep ?jobs ~devices ~methods ops in
       let sweep_items =
         List.map
           (fun cell ->
             let open Pipeline.Methods in
-            let hw = cell.cell_device in
-            let outcome = Verify.Cert.certify ~hw cell.cell_output.etir in
-            let target =
-              Fmt.str "%s/%s/%s"
-                (Hardware.Gpu_spec.name hw)
-                cell.cell_label cell.cell_method
-            in
-            let region =
-              Option.map
-                (Fmt.str "%a" Verify.Cert.pp_region)
-                outcome.Verify.Cert.cert
-            in
-            Verify.Export.item ?region ~target outcome.Verify.Cert.diags)
+            cert_item ~target:(cell_target cell)
+              (Verify.Cert.certify ~hw:cell.cell_device cell.cell_output.etir))
           cells
       in
       let dynamic_items =
@@ -777,9 +745,10 @@ let trace_check_cmd =
     | Error m -> `Error (false, m)
   in
   let doc =
-    "Validate a Chrome-format trace: well-formed events and balanced, \
-     properly nested spans on every thread lane.  Exits non-zero on any \
-     violation (CI uses this as the trace-smoke gate)."
+    "Validate a Chrome-format trace: a JSON document whose traceEvents \
+     are well-formed, with balanced, properly nested spans on every thread \
+     lane.  Exits non-zero on any violation (CI uses this as the \
+     trace-smoke gate)."
   in
   Cmd.v (Cmd.info "check" ~doc) Term.(ret (const run $ trace_file_arg))
 

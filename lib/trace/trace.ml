@@ -98,22 +98,6 @@ let recorded_events () =
 
 (* ---------- export ---------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Chronological order with raw domain ids renumbered densely by first
    appearance, then grouped per lane (stable, so program order within a
    lane is preserved).  Lane grouping is what makes two runs of the same
@@ -135,45 +119,31 @@ let ordered_events () =
   let evs = List.map (fun ev -> (dense ev.ev_tid, ev)) evs in
   List.stable_sort (fun (a, _) (b, _) -> compare a b) evs
 
-let pp_event buf (tid, ev) ~last =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"gensor\",\"ph\":\"%c\",\"ts\":%.1f,\"pid\":1,\"tid\":%d"
-       (json_escape ev.ev_name) ev.ev_ph ev.ev_ts tid);
-  (match ev.ev_args with
-  | [] -> ()
-  | args ->
-    Buffer.add_string buf ",\"args\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-      args;
-    Buffer.add_char buf '}');
-  Buffer.add_string buf (if last then "}\n" else "},\n")
+(* [ts] is rounded to 0.1 us so it prints in a few digits. *)
+let event_json name ph ts tid args =
+  Json.Object
+    ([ ("name", Json.String name); ("cat", Json.String "gensor");
+       ("ph", Json.String ph); ("ts", Json.Number (Float.round (ts *. 10.) /. 10.));
+       ("pid", Json.Number 1.); ("tid", Json.Number (float_of_int tid)) ]
+    @ if args = [] then [] else [ ("args", Json.Object args) ])
 
+(* One event per line, so traces diff line by line.  Final counter values
+   ride along as Chrome counter ('C') events so the registry is readable
+   straight from the trace file. *)
 let chrome_json () =
-  let evs = ordered_events () in
-  let counters = Counter.snapshot () in
   let final_ts = Atomic.get last_ts in
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf "{ \"traceEvents\": [\n";
-  let n_ev = List.length evs and n_ctr = List.length counters in
-  List.iteri
-    (fun i ev -> pp_event buf ev ~last:(n_ctr = 0 && i = n_ev - 1))
-    evs;
-  (* Final counter values ride along as Chrome counter ('C') events so the
-     registry is readable straight from the trace file. *)
-  List.iteri
-    (fun i (name, value) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"gensor\",\"ph\":\"C\",\"ts\":%.1f,\"pid\":1,\"tid\":0,\"args\":{\"value\":%d}}%s\n"
-           (json_escape name) final_ts value
-           (if i = n_ctr - 1 then "" else ",")))
-    counters;
-  Buffer.add_string buf "], \"displayTimeUnit\": \"ms\" }\n";
-  Buffer.contents buf
+  let span (tid, ev) =
+    event_json ev.ev_name (String.make 1 ev.ev_ph) ev.ev_ts tid
+      (List.map (fun (k, v) -> (k, Json.String v)) ev.ev_args)
+  and counter (name, value) =
+    event_json name "C" final_ts 0 [ ("value", Json.Number (float_of_int value)) ]
+  in
+  let events =
+    List.map span (ordered_events ()) @ List.map counter (Counter.snapshot ())
+  in
+  "{ \"traceEvents\": [\n"
+  ^ String.concat ",\n" (List.map Json.to_string events)
+  ^ "\n], \"displayTimeUnit\": \"ms\" }\n"
 
 (* Flat text summary: per-span aggregates in name order, then the counter
    registry.  Self-contained replacement for grepping N ad-hoc stat
@@ -248,102 +218,51 @@ type validation = {
   v_tids : int;
 }
 
-(* The exporter writes one event per line, so validation is line-oriented:
-   a full JSON parser would be the repo's only external-parser dependency. *)
-let field line key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let n = String.length line and m = String.length pat in
-  let rec go i = if i + m > n then None else if String.sub line i m = pat then Some (i + m) else go (i + 1) in
-  Option.map
-    (fun start ->
-      let stop = ref start in
-      let in_string = String.length line > start && line.[start] = '"' in
-      if in_string then begin
-        stop := start + 1;
-        while !stop < n && line.[!stop] <> '"' do incr stop done;
-        String.sub line (start + 1) (!stop - start - 1)
-      end
-      else begin
-        while
-          !stop < n
-          && (match line.[!stop] with
-             | ',' | '}' | ' ' -> false
-             | _ -> true)
-        do
-          incr stop
-        done;
-        String.sub line start (!stop - start)
-      end)
-    (go 0)
-
 let validate_file path =
-  match open_in path with
-  | exception Sys_error m -> Error m
-  | ic ->
-    let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
-    let tids : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-    let events = ref 0 and spans = ref 0 and counters = ref 0 in
-    let error = ref None in
-    let fail lineno msg =
-      if !error = None then
-        error := Some (Printf.sprintf "%s:%d: %s" path lineno msg)
+  let fail fmt = Printf.ksprintf failwith fmt in
+  match
+    let body = In_channel.with_open_bin path In_channel.input_all in
+    let events =
+      match Result.map (Json.member "traceEvents") (Json.parse body) with
+      | Ok (Some (Json.Array evs)) -> evs
+      | Ok _ -> fail "no traceEvents array"
+      | Error m -> fail "%s" m
     in
-    let lineno = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         incr lineno;
-         match field line "ph" with
-         | None -> ()
-         | Some ph ->
-           incr events;
-           let name = Option.value ~default:"" (field line "name") in
-           let tid =
-             Option.bind (field line "tid") int_of_string_opt
-             |> Option.value ~default:0
-           in
-           Hashtbl.replace tids tid ();
-           let stack =
-             Option.value ~default:[] (Hashtbl.find_opt stacks tid)
-           in
-           (match ph with
-           | "B" -> Hashtbl.replace stacks tid (name :: stack)
-           | "E" -> (
-             match stack with
-             | top :: rest when String.equal top name ->
-               incr spans;
-               Hashtbl.replace stacks tid rest
-             | top :: _ ->
-               fail !lineno
-                 (Printf.sprintf "E %S does not close the open span %S (tid %d)"
-                    name top tid)
-             | [] ->
-               fail !lineno
-                 (Printf.sprintf "E %S with no open span (tid %d)" name tid))
-           | "C" -> incr counters
-           | other -> fail !lineno (Printf.sprintf "unknown phase %S" other))
-       done
-     with End_of_file -> ());
-    close_in_noerr ic;
-    (match !error with
-    | Some _ -> ()
-    | None ->
-      Hashtbl.iter
-        (fun tid stack ->
-          if stack <> [] then
-            error :=
-              Some
-                (Printf.sprintf "%s: %d span(s) left open on tid %d (deepest %S)"
-                   path (List.length stack) tid (List.hd stack)))
-        stacks);
-    (match !error with
-    | Some msg -> Error msg
-    | None ->
-      if !events = 0 then Error (Printf.sprintf "%s: no trace events" path)
-      else
-        Ok
-          { v_events = !events; v_spans = !spans; v_counters = !counters;
-            v_tids = Hashtbl.length tids })
+    if events = [] then fail "no trace events";
+    (* Each lane's stack of open span names. *)
+    let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
+    let spans = ref 0 and counters = ref 0 in
+    List.iteri
+      (fun i ev ->
+        let name, ph, tid =
+          match Json.(member "name" ev, member "ph" ev, member "tid" ev) with
+          | Some (Json.String name), Some (Json.String ph), Some (Json.Number t)
+            when Float.is_integer t -> (name, ph, int_of_float t)
+          | _ -> fail "traceEvents[%d]: needs a string name and ph and an integer tid" i
+        in
+        let bad fmt = Printf.ksprintf (fail "traceEvents[%d]: %s" i) fmt in
+        let stack = Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
+        Hashtbl.replace stacks tid
+          (match (ph, stack) with
+          | "B", _ -> name :: stack
+          | "E", top :: rest when String.equal top name -> incr spans; rest
+          | "E", top :: _ -> bad "E %S does not close the open span %S (tid %d)" name top tid
+          | "E", [] -> bad "E %S with no open span (tid %d)" name tid
+          | "C", _ -> incr counters; stack
+          | _ -> bad "unknown phase %S" ph))
+      events;
+    Hashtbl.iter
+      (fun tid stack ->
+        if stack <> [] then
+          fail "%d span(s) left open on tid %d (deepest %S)" (List.length stack) tid
+            (List.hd stack))
+      stacks;
+    { v_events = List.length events; v_spans = !spans; v_counters = !counters;
+      v_tids = Hashtbl.length stacks }
+  with
+  | v -> Ok v
+  | exception Failure m -> Error (path ^ ": " ^ m)
+  | exception Sys_error m -> Error m
 
 (* Self-configuration: GENSOR_TRACE=<path> starts a recording in any
    binary that links this library; flush is guaranteed at exit. *)

@@ -1,4 +1,5 @@
-(** Zero-dependency tracing and metrics for the construction pipeline.
+(** Tracing and metrics for the construction pipeline (links only [unix]
+    and the repository's [Json]).
 
     A process-wide span recorder ({!with_span}) with monotonic timestamps
     and domain ids, safe under the [Parallel.Pool] domains, plus the
@@ -63,7 +64,9 @@ type validation = {
   v_tids : int;      (** distinct thread lanes *)
 }
 
-(** Check a Chrome-format trace file: well-formed events, and every [E]
-    closes the [B] on top of its thread's stack (balanced, properly
-    nested).  Used by the test suite and [gensor trace check]. *)
+(** Check a Chrome-format trace file: a JSON [traceEvents] array whose
+    events have a string [name] and [ph] and an integer [tid], and where
+    every [E] closes the [B] on top of its thread's stack (balanced,
+    properly nested).  Errors name the byte offset of a parse failure or
+    the offending event.  Used by the tests and [gensor trace check]. *)
 val validate_file : string -> (validation, string) result

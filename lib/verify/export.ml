@@ -1,12 +1,5 @@
 (* Machine-readable renderings of verifier output: a compact JSON format
-   and SARIF 2.1.0.
-
-   Both are hand-emitted — this repository deliberately has no JSON
-   dependency (the bench and trace layers hand-write JSON for the same
-   reason), and the subset needed here is small: objects, arrays, strings,
-   integers, null.  Strings go through one escaper that covers every JSON
-   obligation (quote, backslash, control characters), so emitted documents
-   are valid for any diagnostic text.
+   and SARIF 2.1.0, both built as [Json.t] values and printed by [Json].
 
    SARIF notes:
    - diagnostic codes are the SARIF rule ids; the driver's [rules] array
@@ -24,70 +17,44 @@ type item = {
 
 let item ?region ~target diags = { target; diags; region }
 
-(* ---------- JSON primitives ---------- *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jstr s = "\"" ^ escape s ^ "\""
-let jfield k v = jstr k ^ ": " ^ v
-let jobj fields = "{" ^ String.concat ", " fields ^ "}"
-let jarr items = "[" ^ String.concat ", " items ^ "]"
-
-let severity_counts diags =
-  ( Diagnostic.count Diagnostic.Error diags,
-    Diagnostic.count Diagnostic.Warning diags,
-    Diagnostic.count Diagnostic.Info diags )
+let str s = Json.String s
+let int n = Json.Number (float_of_int n)
+let obj members = Json.Object members
+let text s = obj [ ("text", str s) ]
+let document v = Json.to_string v ^ "\n"
 
 (* ---------- compact JSON ---------- *)
 
+let tallies diags =
+  [ ("errors", int (Diagnostic.count Diagnostic.Error diags));
+    ("warnings", int (Diagnostic.count Diagnostic.Warning diags));
+    ("infos", int (Diagnostic.count Diagnostic.Info diags)) ]
+
 let diag_json (d : Diagnostic.t) =
-  jobj
-    [ jfield "code" (jstr d.Diagnostic.code);
-      jfield "severity"
-        (jstr (Diagnostic.severity_to_string d.Diagnostic.severity));
-      jfield "pass" (jstr (Diagnostic.pass_to_string d.Diagnostic.pass));
-      jfield "loc" (jstr d.Diagnostic.loc);
-      jfield "message" (jstr d.Diagnostic.message) ]
+  obj
+    [ ("code", str d.Diagnostic.code);
+      ("severity", str (Diagnostic.severity_to_string d.Diagnostic.severity));
+      ("pass", str (Diagnostic.pass_to_string d.Diagnostic.pass));
+      ("loc", str d.Diagnostic.loc);
+      ("message", str d.Diagnostic.message) ]
 
 let item_json it =
-  let errors, warnings, infos = severity_counts it.diags in
-  jobj
-    [ jfield "target" (jstr it.target);
-      jfield "region"
-        (match it.region with Some r -> jstr r | None -> "null");
-      jfield "errors" (string_of_int errors);
-      jfield "warnings" (string_of_int warnings);
-      jfield "infos" (string_of_int infos);
-      jfield "diagnostics"
-        (jarr (List.map diag_json (Diagnostic.by_severity it.diags))) ]
+  obj
+    ([ ("target", str it.target);
+       ("region", Option.fold ~none:Json.Null ~some:str it.region) ]
+    @ tallies it.diags
+    @ [ ("diagnostics",
+         Json.Array (List.map diag_json (Diagnostic.by_severity it.diags))) ])
 
 let json items =
-  let all = List.concat_map (fun it -> it.diags) items in
-  let errors, warnings, infos = severity_counts all in
-  jobj
-    [ jfield "tool" (jstr "gensor-verify");
-      jfield "items" (jarr (List.map item_json items));
-      jfield "summary"
-        (jobj
-           [ jfield "targets" (string_of_int (List.length items));
-             jfield "errors" (string_of_int errors);
-             jfield "warnings" (string_of_int warnings);
-             jfield "infos" (string_of_int infos) ]) ]
-  ^ "\n"
+  document
+    (obj
+       [ ("tool", str "gensor-verify");
+         ("items", Json.Array (List.map item_json items));
+         ("summary",
+          obj
+            (("targets", int (List.length items))
+            :: tallies (List.concat_map (fun it -> it.diags) items))) ])
 
 (* ---------- SARIF 2.1.0 ---------- *)
 
@@ -107,33 +74,27 @@ let rules items =
           else begin
             Hashtbl.add seen d.Diagnostic.code ();
             Some
-              (jobj
-                 [ jfield "id" (jstr d.Diagnostic.code);
-                   jfield "shortDescription"
-                     (jobj
-                        [ jfield "text"
-                            (jstr
-                               (Fmt.str "gensor verifier %s-pass diagnostic"
-                                  (Diagnostic.pass_to_string
-                                     d.Diagnostic.pass))) ]) ])
+              (obj
+                 [ ("id", str d.Diagnostic.code);
+                   ("shortDescription",
+                    text
+                      (Fmt.str "gensor verifier %s-pass diagnostic"
+                         (Diagnostic.pass_to_string d.Diagnostic.pass))) ])
           end)
         it.diags)
     items
 
 let sarif_result ~target (d : Diagnostic.t) =
-  jobj
-    [ jfield "ruleId" (jstr d.Diagnostic.code);
-      jfield "level" (jstr (sarif_level d.Diagnostic.severity));
-      jfield "message" (jobj [ jfield "text" (jstr d.Diagnostic.message) ]);
-      jfield "locations"
-        (jarr
-           [ jobj
-               [ jfield "logicalLocations"
-                   (jarr
-                      [ jobj
-                          [ jfield "fullyQualifiedName"
-                              (jstr (target ^ ": " ^ d.Diagnostic.loc));
-                            jfield "kind" (jstr "member") ] ]) ] ]) ]
+  let locus =
+    obj
+      [ ("fullyQualifiedName", str (target ^ ": " ^ d.Diagnostic.loc));
+        ("kind", str "member") ]
+  in
+  obj
+    [ ("ruleId", str d.Diagnostic.code);
+      ("level", str (sarif_level d.Diagnostic.severity));
+      ("message", text d.Diagnostic.message);
+      ("locations", Json.Array [ obj [ ("logicalLocations", Json.Array [ locus ]) ] ]) ]
 
 let sarif items =
   let results =
@@ -143,18 +104,16 @@ let sarif items =
           (Diagnostic.by_severity it.diags))
       items
   in
-  jobj
-    [ jfield "$schema" (jstr "https://json.schemastore.org/sarif-2.1.0.json");
-      jfield "version" (jstr "2.1.0");
-      jfield "runs"
-        (jarr
-           [ jobj
-               [ jfield "tool"
-                   (jobj
-                      [ jfield "driver"
-                          (jobj
-                             [ jfield "name" (jstr "gensor-verify");
-                               jfield "version" (jstr "1.0");
-                               jfield "rules" (jarr (rules items)) ]) ]);
-                 jfield "results" (jarr results) ] ]) ]
-  ^ "\n"
+  let driver =
+    obj
+      [ ("name", str "gensor-verify");
+        ("version", str "1.0");
+        ("rules", Json.Array (rules items)) ]
+  in
+  document
+    (obj
+       [ ("$schema", str "https://json.schemastore.org/sarif-2.1.0.json");
+         ("version", str "2.1.0");
+         ("runs",
+          Json.Array
+            [ obj [ ("tool", obj [ ("driver", driver) ]); ("results", Json.Array results) ] ]) ])

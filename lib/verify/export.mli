@@ -1,11 +1,9 @@
 (** Machine-readable renderings of verifier output.
 
-    Hand-emitted JSON (this repository carries no JSON dependency) in two
-    dialects: a compact per-target format, and SARIF 2.1.0 with the stable
-    diagnostic codes as rule ids — [gensor_cli verify]/[analyze] serve
-    both behind [--format].  Documents are valid JSON for any diagnostic
-    text (one escaper covers quotes, backslashes and control
-    characters). *)
+    JSON in two dialects, printed by the [Json] library: a compact
+    per-target format, and SARIF 2.1.0 with the stable diagnostic codes
+    as rule ids — [gensor_cli verify]/[analyze] serve both behind
+    [--format].  Documents are valid JSON for any diagnostic text. *)
 
 (** One analysis target: a schedule (sweep cell, model layer, ...) with
     its diagnostics and, when certification ran, the rendered certificate
@@ -25,7 +23,3 @@ val json : item list -> string
 (** SARIF 2.1.0: one run, diagnostic codes as rule ids, targets as logical
     locations, newline terminated. *)
 val sarif : item list -> string
-
-(** JSON string escaping shared by both emitters (exposed for the trace
-    and bench layers' hand-written JSON). *)
-val escape : string -> string

@@ -88,32 +88,28 @@ let test_pool_jobs_env_validation () =
 
 let temp_trace () = Filename.temp_file "gensor-test-trace" ".json"
 
-(* Index just past the first occurrence of [sub] in [s]. *)
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
+(* The events of a written trace, parsed. *)
+let trace_events path =
+  let body = In_channel.with_open_bin path In_channel.input_all in
+  match Result.map (Json.member "traceEvents") (Json.parse body) with
+  | Ok (Some (Json.Array evs)) -> evs
+  | Ok _ -> Alcotest.fail "no traceEvents array"
+  | Error m -> Alcotest.fail m
+
+(* [field key ev] is the string member [key] of event [ev], if any;
+   [arg key ev] the string arg [key]. *)
+let field key ev =
+  match Json.member key ev with Some (Json.String s) -> Some s | _ -> None
+
+let arg key ev = Option.bind (Json.member "args" ev) (field key)
+
+let events_named name ~ph evs =
+  List.filter (fun ev -> field "name" ev = Some name && field "ph" ev = Some ph) evs
 
 (* Lanes (exported tids) on which a span named [name] opens. *)
-let lanes_of body name =
-  let digits line i =
-    let j = ref i in
-    while !j < String.length line && line.[!j] >= '0' && line.[!j] <= '9' do
-      incr j
-    done;
-    int_of_string (String.sub line i (!j - i))
-  in
-  String.split_on_char '\n' body
-  |> List.filter_map (fun line ->
-         if
-           find_sub line (Fmt.str "\"name\":%S" name) <> None
-           && find_sub line "\"ph\":\"B\"" <> None
-         then Option.map (digits line) (find_sub line "\"tid\":")
-         else None)
+let lanes_of evs name =
+  events_named name ~ph:"B" evs
+  |> List.map (fun ev -> Json.member "tid" ev)
   |> List.sort_uniq compare
 
 (* [meeting ~lanes m] compiles like [m], except that its first [lanes]
@@ -165,13 +161,11 @@ let test_span_nesting_well_formed () =
     check_bool "spans present" true (v.Trace.v_spans > 0);
     check_bool "counters exported" true (v.Trace.v_counters > 0);
     (* The instrumented layers all appear in an optimizer run. *)
-    let ic = open_in path in
-    let body = really_input_string ic (in_channel_length ic) in
-    close_in ic;
+    let evs = trace_events path in
     List.iter
       (fun name ->
         check_bool (name ^ " span present") true
-          (find_sub body (Fmt.str "\"name\":%S" name) <> None))
+          (List.exists (fun ev -> field "name" ev = Some name) evs))
       [ "pipeline.sweep"; "pool.map"; "pool.chunk"; "method.compile";
         "optimizer.optimize"; "optimizer.chains"; "anneal.run";
         "polish.greedy" ];
@@ -180,7 +174,7 @@ let test_span_nesting_well_formed () =
     List.iter
       (fun name ->
         check_bool (name ^ " on two lanes") true
-          (List.length (lanes_of body name) >= 2))
+          (List.length (lanes_of evs name) >= 2))
       [ "pool.chunk"; "optimizer.optimize"; "anneal.run" ]
 
 (* Allocation is visible per span: a traced optimize of Table IV's M1
@@ -197,49 +191,71 @@ let test_span_minor_words () =
   Trace.set_output (Some path);
   ignore (Gensor.Optimizer.optimize ~hw (Ops.Op.compute op));
   ignore (Trace.flush ());
-  (match Trace.validate_file path with
-  | Error m -> Alcotest.fail m
-  | Ok _ -> ());
-  (* The exporter writes one event per line. *)
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
+  Result.iter_error Alcotest.fail (Trace.validate_file path);
   let closes =
     List.filter_map
-      (fun line ->
-        if
-          find_sub line "\"name\":\"anneal.run\"" <> None
-          && find_sub line "\"ph\":\"E\"" <> None
-        then
-          Option.bind (find_sub line "\"minor_words\":\"") (fun start ->
-              let stop = String.index_from line start '"' in
-              float_of_string_opt (String.sub line start (stop - start)))
-        else None)
-      !lines
+      (fun ev -> Option.bind (arg "minor_words" ev) float_of_string_opt)
+      (events_named "anneal.run" ~ph:"E" (trace_events path))
   in
   check_bool "anneal.run closes recorded" true (closes <> []);
   List.iter
     (fun words -> check_bool "anneal.run minor_words > 0" true (words > 0.0))
     closes
 
-let test_validate_rejects_unbalanced () =
+(* A hand-written trace: one event per line in the exporter's framing;
+   [name] is JSON string text, escapes included. *)
+let event ~name ~ph =
+  Fmt.str {|{"name":"%s","cat":"gensor","ph":"%s","ts":1.0,"pid":1,"tid":0}|} name ph
+
+let trace_body events =
+  "{ \"traceEvents\": [\n" ^ String.concat ",\n" events
+  ^ "\n], \"displayTimeUnit\": \"ms\" }\n"
+
+(* [check_rejected ~at body]: validation of a file holding [body] fails,
+   and the message locates the fault at [at] ("byte ..." or the event). *)
+let check_rejected ~at body =
   let path = temp_trace () in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let oc = open_out path in
-  output_string oc "{ \"traceEvents\": [\n";
-  output_string oc
-    "{\"name\":\"a\",\"cat\":\"gensor\",\"ph\":\"B\",\"ts\":1.0,\"pid\":1,\"tid\":0},\n";
-  output_string oc
-    "{\"name\":\"b\",\"cat\":\"gensor\",\"ph\":\"E\",\"ts\":2.0,\"pid\":1,\"tid\":0}\n";
-  output_string oc "], \"displayTimeUnit\": \"ms\" }\n";
-  close_out oc;
+  Out_channel.with_open_bin path (fun oc -> output_string oc body);
   match Trace.validate_file path with
-  | Ok _ -> Alcotest.fail "mismatched E accepted"
-  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "accepted %S" body
+  | Error m ->
+    check_bool (Fmt.str "%S locates the fault at %S" m at) true
+      (String.starts_with ~prefix:(path ^ ": " ^ at) m)
+
+let test_validate_rejects_unbalanced () =
+  check_rejected ~at:"traceEvents[1]: E"
+    (trace_body [ event ~name:"a" ~ph:"B"; event ~name:"b" ~ph:"E" ])
+
+(* Each of these holds lines that read like well-formed events. *)
+let test_validate_rejects_truncated () =
+  let body = trace_body [ event ~name:"a" ~ph:"B"; event ~name:"a" ~ph:"E" ] in
+  check_rejected ~at:"byte "
+    (String.sub body 0 (String.rindex body ']'))
+
+let test_validate_reads_escaped_names () =
+  check_rejected ~at:"traceEvents[1]: E"
+    (trace_body [ event ~name:{|x\"y|} ~ph:"B"; event ~name:{|x\"z|} ~ph:"E" ])
+
+let test_validate_rejects_non_json () =
+  check_rejected ~at:"byte 0:" "counters follow\n\"ph\":\"C\"\n"
+
+(* Span args survive export and parsing byte for byte. *)
+let test_escaped_args_round_trip () =
+  let path = temp_trace () in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let nasty = "q\"uo\"te \\ back\\slash\n\t\r\001\031 end" in
+  Trace.set_output (Some path);
+  Trace.with_span ~name:"round\"trip" ~args:[ ("note", nasty) ] (fun () -> ());
+  ignore (Trace.flush ());
+  (match Trace.validate_file path with
+  | Error m -> Alcotest.fail m
+  | Ok v -> check_int "one span" 1 v.Trace.v_spans);
+  match events_named "round\"trip" ~ph:"B" (trace_events path) with
+  | [ ev ] ->
+    Alcotest.(check (option string)) "arg round-trips" (Some nasty)
+      (arg "note" ev)
+  | evs -> Alcotest.failf "%d opens of the span" (List.length evs)
 
 let test_parse_spec () =
   Alcotest.(check (option string)) "off" None (Trace.parse_spec "off");
@@ -366,6 +382,14 @@ let () =
             test_span_minor_words;
           Alcotest.test_case "unbalanced rejected" `Quick
             test_validate_rejects_unbalanced;
+          Alcotest.test_case "truncated rejected" `Quick
+            test_validate_rejects_truncated;
+          Alcotest.test_case "escaped names compared whole" `Quick
+            test_validate_reads_escaped_names;
+          Alcotest.test_case "non-JSON rejected" `Quick
+            test_validate_rejects_non_json;
+          Alcotest.test_case "escaped args round-trip" `Quick
+            test_escaped_args_round_trip;
           Alcotest.test_case "parse_spec" `Quick test_parse_spec;
         ] );
       ( "counters",

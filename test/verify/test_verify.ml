@@ -471,158 +471,13 @@ let prop_cert_sound =
 
 (* ---------- export: JSON and SARIF ---------- *)
 
-(* Minimal recursive-descent JSON reader — enough structure to check the
-   emitted documents are valid JSON and shaped like SARIF 2.1.0.  The
-   repository deliberately has no JSON dependency, so the test carries its
-   own reader rather than trusting the emitter to validate itself. *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
+let parse_json s =
+  match Json.parse s with Ok v -> v | Error m -> Alcotest.fail m
 
-  exception Bad of string
-
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let fail m = raise (Bad (Fmt.str "%s at byte %d" m !pos)) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Fmt.str "expected %c" c)
-    in
-    let literal word v =
-      String.iter expect word;
-      v
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> advance (); Buffer.add_char b '"'; go ()
-          | Some '\\' -> advance (); Buffer.add_char b '\\'; go ()
-          | Some '/' -> advance (); Buffer.add_char b '/'; go ()
-          | Some 'n' -> advance (); Buffer.add_char b '\n'; go ()
-          | Some 'r' -> advance (); Buffer.add_char b '\r'; go ()
-          | Some 't' -> advance (); Buffer.add_char b '\t'; go ()
-          | Some 'b' -> advance (); Buffer.add_char b '\b'; go ()
-          | Some 'f' -> advance (); Buffer.add_char b '\012'; go ()
-          | Some 'u' ->
-            advance ();
-            let h = ref 0 in
-            for _ = 1 to 4 do
-              (match peek () with
-              | Some c -> (
-                let d =
-                  match c with
-                  | '0' .. '9' -> Char.code c - Char.code '0'
-                  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-                  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-                  | _ -> fail "bad \\u escape"
-                in
-                h := (!h * 16) + d)
-              | None -> fail "bad \\u escape");
-              advance ()
-            done;
-            (* The emitter only \u-escapes control characters. *)
-            Buffer.add_char b (Char.chr (!h land 0xff));
-            go ()
-          | _ -> fail "bad escape")
-        | Some c when Char.code c < 0x20 -> fail "raw control character"
-        | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let parse_number () =
-      let start = !pos in
-      let num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c -> num_char c | None -> false) do
-        advance ()
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> fail "bad number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin advance (); Obj [] end
-        else
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((key, v) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          members []
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin advance (); Arr [] end
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elements (v :: acc)
-            | Some ']' -> advance (); Arr (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          elements []
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (parse_number ())
-      | None -> fail "empty input"
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let member key = function
-    | Obj fields -> List.assoc_opt key fields
-    | _ -> None
-
-  let get_str = function Some (Str s) -> s | _ -> raise (Bad "expected string")
-  let get_arr = function Some (Arr a) -> a | _ -> raise (Bad "expected array")
-end
+let json = Alcotest.testable (fun ppf v -> Fmt.string ppf (Json.to_string v)) ( = )
+let member key v = Option.get (Json.member key v)
+let array key v =
+  match member key v with Json.Array a -> a | _ -> Alcotest.failf "%s: not an array" key
 
 (* Diagnostics with every JSON-hostile character the messages can carry. *)
 let nasty_diags () =
@@ -638,60 +493,45 @@ let test_json_export_valid () =
     [ Verify.Export.item ~target:"dev/op \"x\"" (nasty_diags ());
       Verify.Export.item ~region:"32 <= i <= 256" ~target:"dev/op2" [] ]
   in
-  let doc = Json.parse (Verify.Export.json items) in
-  Alcotest.(check string)
-    "tool name" "gensor-verify"
-    (Json.get_str (Json.member "tool" doc));
-  let parsed_items = Json.get_arr (Json.member "items" doc) in
-  Alcotest.(check int) "two items" 2 (List.length parsed_items);
-  let summary = Option.get (Json.member "summary" doc) in
-  Alcotest.(check string) "error tally" "1."
-    (Fmt.str "%g." (match Json.member "errors" summary with
-                    | Some (Json.Num f) -> f
-                    | _ -> nan));
-  (* round-trips the hostile message bytes *)
-  let first = List.hd parsed_items in
-  let diags = Json.get_arr (Json.member "diagnostics" first) in
-  check_bool "escaped message round-trips" true
-    (List.exists
-       (fun d ->
-         Json.get_str (Json.member "message" d) = "tile > extent \\ q\"uo\"te")
-       diags)
+  let doc = parse_json (Verify.Export.json items) in
+  Alcotest.check json "tool name" (Json.String "gensor-verify") (member "tool" doc);
+  Alcotest.check json "error tally" (Json.Number 1.)
+    (member "errors" (member "summary" doc));
+  match array "items" doc with
+  | [ first; _ ] ->
+    (* round-trips the hostile message bytes *)
+    check_bool "escaped message round-trips" true
+      (List.mem (Json.String "tile > extent \\ q\"uo\"te")
+         (List.map (member "message") (array "diagnostics" first)))
+  | items -> Alcotest.failf "%d items, expected two" (List.length items)
 
 let test_sarif_export_valid () =
   let items =
     [ Verify.Export.item ~target:"rtx4090/M1/gensor" (nasty_diags ()) ]
   in
-  let doc = Json.parse (Verify.Export.sarif items) in
-  Alcotest.(check string)
-    "sarif version" "2.1.0"
-    (Json.get_str (Json.member "version" doc));
+  let doc = parse_json (Verify.Export.sarif items) in
+  Alcotest.check json "sarif version" (Json.String "2.1.0") (member "version" doc);
   check_bool "schema uri present" true
-    (contains (Json.get_str (Json.member "$schema" doc)) "sarif-2.1.0");
-  let runs = Json.get_arr (Json.member "runs" doc) in
-  Alcotest.(check int) "one run" 1 (List.length runs);
-  let run = List.hd runs in
-  let driver = Json.member "driver" (Option.get (Json.member "tool" run)) in
-  Alcotest.(check string)
-    "driver name" "gensor-verify"
-    (Json.get_str (Json.member "name" (Option.get driver)));
-  let rule_ids =
-    List.map
-      (fun r -> Json.get_str (Json.member "id" r))
-      (Json.get_arr (Json.member "rules" (Option.get driver)))
-  in
-  let results = Json.get_arr (Json.member "results" run) in
-  Alcotest.(check int) "one result per diagnostic" 3 (List.length results);
-  List.iter
-    (fun r ->
-      let rule_id = Json.get_str (Json.member "ruleId" r) in
-      check_bool "ruleId is a listed rule" true (List.mem rule_id rule_ids);
-      let level = Json.get_str (Json.member "level" r) in
-      check_bool "level is a SARIF level" true
-        (List.mem level [ "error"; "warning"; "note" ]);
-      check_bool "message text present" true
-        (Json.member "text" (Option.get (Json.member "message" r)) <> None))
-    results
+    (contains (Json.to_string (member "$schema" doc)) "sarif-2.1.0");
+  match array "runs" doc with
+  | [ run ] ->
+    let driver = member "driver" (member "tool" run) in
+    Alcotest.check json "driver name" (Json.String "gensor-verify")
+      (member "name" driver);
+    let rule_ids = List.map (member "id") (array "rules" driver) in
+    let results = array "results" run in
+    Alcotest.(check int) "one result per diagnostic" 3 (List.length results);
+    List.iter
+      (fun r ->
+        check_bool "ruleId is a listed rule" true
+          (List.mem (member "ruleId" r) rule_ids);
+        check_bool "level is a SARIF level" true
+          (List.mem (member "level" r)
+             (List.map (fun l -> Json.String l) [ "error"; "warning"; "note" ]));
+        check_bool "message text present" true
+          (Json.member "text" (member "message" r) <> None))
+      results
+  | runs -> Alcotest.failf "%d runs, expected one" (List.length runs)
 
 let () =
   Alcotest.run "verify"
