@@ -9,6 +9,8 @@
      so results carry [logicalLocations] with the analysis target and the
      diagnostic's own locus as the fully qualified name. *)
 
+open Json
+
 type item = {
   target : string;
   diags : Diagnostic.t list;
@@ -17,11 +19,9 @@ type item = {
 
 let item ?region ~target diags = { target; diags; region }
 
-let str s = Json.String s
-let int n = Json.Number (float_of_int n)
-let obj members = Json.Object members
-let text s = obj [ ("text", str s) ]
-let document v = Json.to_string v ^ "\n"
+let int n = Number (float_of_int n)
+let text s = Object [ ("text", String s) ]
+let document v = to_string v ^ "\n"
 
 (* ---------- compact JSON ---------- *)
 
@@ -31,28 +31,27 @@ let tallies diags =
     ("infos", int (Diagnostic.count Diagnostic.Info diags)) ]
 
 let diag_json (d : Diagnostic.t) =
-  obj
-    [ ("code", str d.Diagnostic.code);
-      ("severity", str (Diagnostic.severity_to_string d.Diagnostic.severity));
-      ("pass", str (Diagnostic.pass_to_string d.Diagnostic.pass));
-      ("loc", str d.Diagnostic.loc);
-      ("message", str d.Diagnostic.message) ]
+  Object
+    [ ("code", String d.Diagnostic.code);
+      ("severity", String (Diagnostic.severity_to_string d.Diagnostic.severity));
+      ("pass", String (Diagnostic.pass_to_string d.Diagnostic.pass));
+      ("loc", String d.Diagnostic.loc);
+      ("message", String d.Diagnostic.message) ]
 
 let item_json it =
-  obj
-    ([ ("target", str it.target);
-       ("region", Option.fold ~none:Json.Null ~some:str it.region) ]
+  Object
+    ([ ("target", String it.target);
+       ("region", Option.fold ~none:Null ~some:(fun r -> String r) it.region) ]
     @ tallies it.diags
-    @ [ ("diagnostics",
-         Json.Array (List.map diag_json (Diagnostic.by_severity it.diags))) ])
+    @ [ ("diagnostics", Array (List.map diag_json (Diagnostic.by_severity it.diags))) ])
 
 let json items =
   document
-    (obj
-       [ ("tool", str "gensor-verify");
-         ("items", Json.Array (List.map item_json items));
+    (Object
+       [ ("tool", String "gensor-verify");
+         ("items", Array (List.map item_json items));
          ("summary",
-          obj
+          Object
             (("targets", int (List.length items))
             :: tallies (List.concat_map (fun it -> it.diags) items))) ])
 
@@ -74,8 +73,8 @@ let rules items =
           else begin
             Hashtbl.add seen d.Diagnostic.code ();
             Some
-              (obj
-                 [ ("id", str d.Diagnostic.code);
+              (Object
+                 [ ("id", String d.Diagnostic.code);
                    ("shortDescription",
                     text
                       (Fmt.str "gensor verifier %s-pass diagnostic"
@@ -86,15 +85,15 @@ let rules items =
 
 let sarif_result ~target (d : Diagnostic.t) =
   let locus =
-    obj
-      [ ("fullyQualifiedName", str (target ^ ": " ^ d.Diagnostic.loc));
-        ("kind", str "member") ]
+    Object
+      [ ("fullyQualifiedName", String (target ^ ": " ^ d.Diagnostic.loc));
+        ("kind", String "member") ]
   in
-  obj
-    [ ("ruleId", str d.Diagnostic.code);
-      ("level", str (sarif_level d.Diagnostic.severity));
+  Object
+    [ ("ruleId", String d.Diagnostic.code);
+      ("level", String (sarif_level d.Diagnostic.severity));
       ("message", text d.Diagnostic.message);
-      ("locations", Json.Array [ obj [ ("logicalLocations", Json.Array [ locus ]) ] ]) ]
+      ("locations", Array [ Object [ ("logicalLocations", Array [ locus ]) ] ]) ]
 
 let sarif items =
   let results =
@@ -105,15 +104,14 @@ let sarif items =
       items
   in
   let driver =
-    obj
-      [ ("name", str "gensor-verify");
-        ("version", str "1.0");
-        ("rules", Json.Array (rules items)) ]
+    Object
+      [ ("name", String "gensor-verify");
+        ("version", String "1.0");
+        ("rules", Array (rules items)) ]
   in
   document
-    (obj
-       [ ("$schema", str "https://json.schemastore.org/sarif-2.1.0.json");
-         ("version", str "2.1.0");
+    (Object
+       [ ("$schema", String "https://json.schemastore.org/sarif-2.1.0.json");
+         ("version", String "2.1.0");
          ("runs",
-          Json.Array
-            [ obj [ ("tool", obj [ ("driver", driver) ]); ("results", Json.Array results) ] ]) ])
+          Array [ Object [ ("tool", Object [ ("driver", driver) ]); ("results", Array results) ] ]) ])

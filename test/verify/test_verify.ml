@@ -478,6 +478,8 @@ let json = Alcotest.testable (fun ppf v -> Fmt.string ppf (Json.to_string v)) ( 
 let member key v = Option.get (Json.member key v)
 let array key v =
   match member key v with Json.Array a -> a | _ -> Alcotest.failf "%s: not an array" key
+let get_string key v =
+  match member key v with Json.String s -> s | _ -> Alcotest.failf "%s: not a string" key
 
 (* Diagnostics with every JSON-hostile character the messages can carry. *)
 let nasty_diags () =
@@ -512,22 +514,21 @@ let test_sarif_export_valid () =
   let doc = parse_json (Verify.Export.sarif items) in
   Alcotest.check json "sarif version" (Json.String "2.1.0") (member "version" doc);
   check_bool "schema uri present" true
-    (contains (Json.to_string (member "$schema" doc)) "sarif-2.1.0");
+    (contains (get_string "$schema" doc) "sarif-2.1.0");
   match array "runs" doc with
   | [ run ] ->
     let driver = member "driver" (member "tool" run) in
     Alcotest.check json "driver name" (Json.String "gensor-verify")
       (member "name" driver);
-    let rule_ids = List.map (member "id") (array "rules" driver) in
+    let rule_ids = List.map (get_string "id") (array "rules" driver) in
     let results = array "results" run in
     Alcotest.(check int) "one result per diagnostic" 3 (List.length results);
     List.iter
       (fun r ->
         check_bool "ruleId is a listed rule" true
-          (List.mem (member "ruleId" r) rule_ids);
+          (List.mem (get_string "ruleId" r) rule_ids);
         check_bool "level is a SARIF level" true
-          (List.mem (member "level" r)
-             (List.map (fun l -> Json.String l) [ "error"; "warning"; "note" ]));
+          (List.mem (get_string "level" r) [ "error"; "warning"; "note" ]);
         check_bool "message text present" true
           (Json.member "text" (member "message" r) <> None))
       results
