@@ -3,7 +3,9 @@
    schedules; the table's last column is the VM's win.  The VM column is
    the fastest of [vm_runs] runs of a program compiled beforehand, so it
    reads the same from run to run on a shared host; the reference, ~100x
-   slower, is timed once.  Both reduce every
+   slower, is timed once; the last column is the VM's reduction lowering
+   ([Compiled.pp_reduction]), naming the multiply-accumulate's pass.
+   Both reduce every
    output element in the same order, so they must agree bit for bit: a
    single differing output bit, or a VM run whose coverage is not exact,
    fails the experiment (exit 1) after the table is printed.  Run with:
@@ -30,7 +32,12 @@ let cases () =
        ~width:112 ~kernel:1 ~stride:1 ());
     ("MBv2 dw 3x3 32ch 112^2",
      Ops.Conv.depthwise_conv2d ~batch:1 ~channels:32 ~height:112 ~width:112
-       ~kernel:3 ~stride:1 ~pad:1 ()) ]
+       ~kernel:3 ~stride:1 ~pad:1 ());
+    (* The same at stride 2 (as in MobileNetV2's downsampling blocks): the
+       input steps by 2 along a row, the weight not at all. *)
+    ("MBv2 dw 3x3 s2 32ch 112^2",
+     Ops.Conv.depthwise_conv2d ~batch:1 ~channels:32 ~height:112 ~width:112
+       ~kernel:3 ~stride:2 ~pad:1 ()) ]
 
 let vm_runs = 10
 
@@ -99,12 +106,14 @@ let run () =
           Fmt.str "%.2fM" (points /. 1e6);
           Fmt.str "%.1f" (vm_s /. 1e6);
           cell (fun r -> Fmt.str "%.1f" (r /. 1e6)) ref_s;
-          cell (Fmt.str "%.1fx") speedup ])
+          cell (Fmt.str "%.1fx") speedup;
+          Fmt.str "%a" Exec.Compiled.pp_reduction prog ])
       (cases ())
   in
   Report.Table.print
     (Report.Table.v
-       ~headers:[ "case"; "points"; "VM Mpt/s"; "ref Mpt/s"; "speedup" ]
+       ~headers:
+         [ "case"; "points"; "VM Mpt/s"; "ref Mpt/s"; "speedup"; "lowering" ]
        rows);
   if !failures <> [] then begin
     List.iter (Fmt.epr "exec: %s@.") (List.rev !failures);

@@ -23,10 +23,15 @@
      four rows of 64 elements); each row runs the offset programs once,
      and an affine site's offset then steps by its coefficient of the last
      spatial slot per element;
-   - the multiply-accumulate body walks the run table once per tile and,
-     four points of the innermost run per pass, updates every element of
-     every row of the tile: each accumulator is loaded once, takes the
-     four products in point order and is stored once;
+   - the multiply-accumulate body walks the reduce nest once per tile and,
+     four points per pass, updates every element of every row of the
+     tile: an odometer over the run table (one counter per run) yields the
+     next four points in ascending order, across run boundaries, and each
+     accumulator is loaded once, takes the four products in point order
+     and is stored once; the nest's last [points mod 4] go one at a time.
+     The pass is chosen at compile time from the operands' steps along a
+     row: where one does not step and the other steps by 1, it holds 4
+     elements x 4 points in registers;
      the other bodies fill the same tile accumulator element by element;
    - an epilogue whose sites are all affine runs once per row, each
      instruction over the row's lanes.
@@ -98,9 +103,18 @@ and fmax' = 7
 and fmin' = 8
 and facc = 9
 
-(* Innermost-run kernel, chosen at compile time. *)
+(* The multiply-accumulate's four-point pass, chosen at compile time from
+   the two operands' steps along a row. *)
+type mac_pass =
+  | Unit_b  (* A does not step, B steps by 1: every GEMM *)
+  | Unit_a  (* B does not step, A steps by 1: a stride-1 conv *)
+  | Strided_a  (* B does not step, A by more than 1: a strided conv *)
+  | General  (* any other pair: both operands loaded per element *)
+
+(* Reduction kernel, chosen at compile time. *)
 type kernel =
-  | Mac of int * int  (* acc <- acc + t_a[o_a] * t_b[o_b]; the GEMM/conv body *)
+  | Mac of int * int * mac_pass
+      (* acc <- acc + t_a[o_a] * t_b[o_b]; the GEMM/conv body *)
   | Fold of int       (* acc <- combine acc t_a[o_a]; pooling / elementwise *)
   | Generic           (* dispatch the body program per point *)
 
@@ -461,10 +475,24 @@ let compile etir =
   compile_expr ctx body_buf ~acc_tensor:None 0 (Compute.body compute);
   let body_sites = ctx.n_sites_c in
   let sum = Compute.combine compute = Compute.Sum in
+  (* A site's offset step between adjacent elements of a row: its
+     coefficient of the last spatial slot (0 for a non-affine site). *)
+  let row_step s =
+    match s.s_affine with Some (_, c) -> c.(n - 1) | None -> 0
+  in
   let kernel =
     match Compute.body compute with
     | Expr.Mul (Expr.Read a, Expr.Read b) when sum ->
-      Mac (site_of ctx a, site_of ctx b)
+      let sa = site_of ctx a and sb = site_of ctx b in
+      let step id = row_step (List.nth ctx.sites (ctx.n_sites_c - 1 - id)) in
+      let pass =
+        match (step sa, step sb) with
+        | 0, 1 -> Unit_b
+        | 1, 0 -> Unit_a
+        | ga, 0 when ga > 1 -> Strided_a
+        | _ -> General
+      in
+      Mac (sa, sb, pass)
     | Expr.Read a -> Fold (site_of ctx a)
     | _ -> Generic
   in
@@ -515,11 +543,7 @@ let compile etir =
     tensors; tshapes;
     n_sites = ctx.n_sites_c;
     site_tensor = Array.map (fun s -> s.s_tensor) sites;
-    step =
-      Array.map
-        (fun s ->
-          match s.s_affine with Some (_, c) -> c.(n - 1) | None -> 0)
-        sites;
+    step = Array.map row_step sites;
     body_idx = program body_idx_buf; epi_idx = program epi_idx_buf;
     reduction; body_code = program body_buf; epilogue;
     fpool = Array.of_list (List.rev ctx.pool);
@@ -712,175 +736,167 @@ let exec_lanes code fpool lanes w cnt (data : float array array) base rb
 
 (* One row of the tile multiply-accumulate at one reduce point:
    [acc.(o + e) <- acc.(o + e) + ta.(a + e * ga) * tb.(b + e * gb)] for
-   [e < cnt], four elements per step and a scalar tail.  An operand whose
-   step is 0 (A in a GEMM, the weight in a conv) is loaded once. *)
+   [e < cnt].  It takes only the nest's last [points mod 4] points, so a
+   plain loop: hoisted and unrolled branches measured within noise. *)
 let mac_row (acc : float array) o cnt (ta : float array) a ga
     (tb : float array) b gb =
-  let stop = o + cnt in
-  let i = ref o and ja = ref a and jb = ref b in
-  if ga = 0 then begin
-    let x = Array.unsafe_get ta a in
-    while !i + 4 <= stop do
-      let i0 = !i and j = !jb in
-      Array.unsafe_set acc i0
-        (Array.unsafe_get acc i0 +. (x *. Array.unsafe_get tb j));
-      Array.unsafe_set acc (i0 + 1)
-        (Array.unsafe_get acc (i0 + 1) +. (x *. Array.unsafe_get tb (j + gb)));
-      Array.unsafe_set acc (i0 + 2)
-        (Array.unsafe_get acc (i0 + 2)
-        +. (x *. Array.unsafe_get tb (j + (2 * gb))));
-      Array.unsafe_set acc (i0 + 3)
-        (Array.unsafe_get acc (i0 + 3)
-        +. (x *. Array.unsafe_get tb (j + (3 * gb))));
-      i := i0 + 4;
-      jb := j + (4 * gb)
-    done;
-    while !i < stop do
-      Array.unsafe_set acc !i
-        (Array.unsafe_get acc !i +. (x *. Array.unsafe_get tb !jb));
-      incr i;
-      jb := !jb + gb
-    done
-  end
-  else if gb = 0 then begin
-    let y = Array.unsafe_get tb b in
-    while !i + 4 <= stop do
-      let i0 = !i and j = !ja in
-      Array.unsafe_set acc i0
-        (Array.unsafe_get acc i0 +. (Array.unsafe_get ta j *. y));
-      Array.unsafe_set acc (i0 + 1)
-        (Array.unsafe_get acc (i0 + 1) +. (Array.unsafe_get ta (j + ga) *. y));
-      Array.unsafe_set acc (i0 + 2)
-        (Array.unsafe_get acc (i0 + 2)
-        +. (Array.unsafe_get ta (j + (2 * ga)) *. y));
-      Array.unsafe_set acc (i0 + 3)
-        (Array.unsafe_get acc (i0 + 3)
-        +. (Array.unsafe_get ta (j + (3 * ga)) *. y));
-      i := i0 + 4;
-      ja := j + (4 * ga)
-    done;
-    while !i < stop do
-      Array.unsafe_set acc !i
-        (Array.unsafe_get acc !i +. (Array.unsafe_get ta !ja *. y));
-      incr i;
-      ja := !ja + ga
-    done
-  end
-  else begin
-    while !i + 4 <= stop do
-      let i0 = !i and j = !ja and k = !jb in
-      Array.unsafe_set acc i0
-        (Array.unsafe_get acc i0
-        +. (Array.unsafe_get ta j *. Array.unsafe_get tb k));
-      Array.unsafe_set acc (i0 + 1)
-        (Array.unsafe_get acc (i0 + 1)
-        +. (Array.unsafe_get ta (j + ga) *. Array.unsafe_get tb (k + gb)));
-      Array.unsafe_set acc (i0 + 2)
-        (Array.unsafe_get acc (i0 + 2)
-        +. Array.unsafe_get ta (j + (2 * ga))
-           *. Array.unsafe_get tb (k + (2 * gb)));
-      Array.unsafe_set acc (i0 + 3)
-        (Array.unsafe_get acc (i0 + 3)
-        +. Array.unsafe_get ta (j + (3 * ga))
-           *. Array.unsafe_get tb (k + (3 * gb)));
-      i := i0 + 4;
-      ja := j + (4 * ga);
-      jb := k + (4 * gb)
-    done;
-    while !i < stop do
-      Array.unsafe_set acc !i
-        (Array.unsafe_get acc !i
-        +. (Array.unsafe_get ta !ja *. Array.unsafe_get tb !jb));
-      incr i;
-      ja := !ja + ga;
-      jb := !jb + gb
-    done
-  end
+  let ja = ref a and jb = ref b in
+  for i = o to o + cnt - 1 do
+    Array.unsafe_set acc i
+      (Array.unsafe_get acc i
+      +. (Array.unsafe_get ta !ja *. Array.unsafe_get tb !jb));
+    ja := !ja + ga;
+    jb := !jb + gb
+  done
 
-(* One row of the tile multiply-accumulate at four consecutive reduce
-   points: point q reads [ta.(a + q * da + e * ga)] and
-   [tb.(b + q * db + e * gb)].  Each accumulator is loaded once, the four
-   products are added to it in point order and it is stored once, so the
-   sum is four [mac_row]s' bit for bit.  A hoisted operand is loaded once
-   per point.  When A is hoisted (the GEMM case), two elements' sums are
-   interleaved as independent add chains: 5-15% on the cpu-exec GEMMs,
-   where the same in the other branches measured within noise. *)
-let mac_row4 (acc : float array) o cnt (ta : float array) a ga da
-    (tb : float array) b gb db =
-  let stop = o + cnt - 1 in
-  if ga = 0 then begin
+(* One row of the tile multiply-accumulate at four reduce points: point q
+   reads [ta.(a + aq + e * ga)] and [tb.(b + bq + e * gb)], where
+   [a0 = b0 = 0] and [a1..a3], [b1..b3] are the other points' offsets
+   from the first.  Each accumulator is loaded once, the four products are
+   added to it in point order and it is stored once, so the sum is four
+   [mac_row]s' bit for bit.  On unit-step rows ([Unit_b]: A does not step
+   and B steps by 1; [Unit_a] the other way round) the hoisted operand's
+   four values stay in registers and each step takes a 4-element x
+   4-point block, the element index folded into the load's displacement;
+   every other pair of steps loads both operands per element. *)
+let mac_row4 pass (acc : float array) o cnt (ta : float array) a a1 a2 a3 ga
+    (tb : float array) b b1 b2 b3 gb =
+  let stop = o + cnt in
+  match pass with
+  | Unit_b ->
     let x0 = Array.unsafe_get ta a
-    and x1 = Array.unsafe_get ta (a + da)
-    and x2 = Array.unsafe_get ta (a + (2 * da))
-    and x3 = Array.unsafe_get ta (a + (3 * da)) in
+    and x1 = Array.unsafe_get ta (a + a1)
+    and x2 = Array.unsafe_get ta (a + a2)
+    and x3 = Array.unsafe_get ta (a + a3) in
     let i = ref o and j = ref b in
-    while !i < stop do
+    while !i + 4 <= stop do
       let i0 = !i and j0 = !j in
-      let j1 = j0 + gb in
-      let s = Array.unsafe_get acc i0 +. (x0 *. Array.unsafe_get tb j0) in
-      let t = Array.unsafe_get acc (i0 + 1) +. (x0 *. Array.unsafe_get tb j1) in
-      let s = s +. (x1 *. Array.unsafe_get tb (j0 + db)) in
-      let t = t +. (x1 *. Array.unsafe_get tb (j1 + db)) in
-      let s = s +. (x2 *. Array.unsafe_get tb (j0 + (2 * db))) in
-      let t = t +. (x2 *. Array.unsafe_get tb (j1 + (2 * db))) in
-      let s = s +. (x3 *. Array.unsafe_get tb (j0 + (3 * db))) in
-      let t = t +. (x3 *. Array.unsafe_get tb (j1 + (3 * db))) in
-      Array.unsafe_set acc i0 s;
-      Array.unsafe_set acc (i0 + 1) t;
-      i := i0 + 2;
-      j := j1 + gb
+      let j1 = j0 + b1 and j2 = j0 + b2 and j3 = j0 + b3 in
+      let s0 = Array.unsafe_get acc i0 +. (x0 *. Array.unsafe_get tb j0) in
+      let s1 =
+        Array.unsafe_get acc (i0 + 1) +. (x0 *. Array.unsafe_get tb (j0 + 1))
+      in
+      let s2 =
+        Array.unsafe_get acc (i0 + 2) +. (x0 *. Array.unsafe_get tb (j0 + 2))
+      in
+      let s3 =
+        Array.unsafe_get acc (i0 + 3) +. (x0 *. Array.unsafe_get tb (j0 + 3))
+      in
+      let s0 = s0 +. (x1 *. Array.unsafe_get tb j1) in
+      let s1 = s1 +. (x1 *. Array.unsafe_get tb (j1 + 1)) in
+      let s2 = s2 +. (x1 *. Array.unsafe_get tb (j1 + 2)) in
+      let s3 = s3 +. (x1 *. Array.unsafe_get tb (j1 + 3)) in
+      let s0 = s0 +. (x2 *. Array.unsafe_get tb j2) in
+      let s1 = s1 +. (x2 *. Array.unsafe_get tb (j2 + 1)) in
+      let s2 = s2 +. (x2 *. Array.unsafe_get tb (j2 + 2)) in
+      let s3 = s3 +. (x2 *. Array.unsafe_get tb (j2 + 3)) in
+      Array.unsafe_set acc i0 (s0 +. (x3 *. Array.unsafe_get tb j3));
+      Array.unsafe_set acc (i0 + 1)
+        (s1 +. (x3 *. Array.unsafe_get tb (j3 + 1)));
+      Array.unsafe_set acc (i0 + 2)
+        (s2 +. (x3 *. Array.unsafe_get tb (j3 + 2)));
+      Array.unsafe_set acc (i0 + 3)
+        (s3 +. (x3 *. Array.unsafe_get tb (j3 + 3)));
+      i := i0 + 4;
+      j := j0 + 4
     done;
-    if !i = stop then begin
-      let j0 = !j in
-      let s = Array.unsafe_get acc stop +. (x0 *. Array.unsafe_get tb j0) in
-      let s = s +. (x1 *. Array.unsafe_get tb (j0 + db)) in
-      let s = s +. (x2 *. Array.unsafe_get tb (j0 + (2 * db))) in
-      let s = s +. (x3 *. Array.unsafe_get tb (j0 + (3 * db))) in
-      Array.unsafe_set acc stop s
-    end
-  end
-  else if gb = 0 then begin
+    for i = !i to stop - 1 do
+      let j0 = b + (i - o) in
+      let s = Array.unsafe_get acc i +. (x0 *. Array.unsafe_get tb j0) in
+      let s = s +. (x1 *. Array.unsafe_get tb (j0 + b1)) in
+      let s = s +. (x2 *. Array.unsafe_get tb (j0 + b2)) in
+      Array.unsafe_set acc i (s +. (x3 *. Array.unsafe_get tb (j0 + b3)))
+    done
+  | Unit_a ->
     let y0 = Array.unsafe_get tb b
-    and y1 = Array.unsafe_get tb (b + db)
-    and y2 = Array.unsafe_get tb (b + (2 * db))
-    and y3 = Array.unsafe_get tb (b + (3 * db)) in
+    and y1 = Array.unsafe_get tb (b + b1)
+    and y2 = Array.unsafe_get tb (b + b2)
+    and y3 = Array.unsafe_get tb (b + b3) in
+    let i = ref o and j = ref a in
+    while !i + 4 <= stop do
+      let i0 = !i and j0 = !j in
+      let j1 = j0 + a1 and j2 = j0 + a2 and j3 = j0 + a3 in
+      let s0 = Array.unsafe_get acc i0 +. (Array.unsafe_get ta j0 *. y0) in
+      let s1 =
+        Array.unsafe_get acc (i0 + 1) +. (Array.unsafe_get ta (j0 + 1) *. y0)
+      in
+      let s2 =
+        Array.unsafe_get acc (i0 + 2) +. (Array.unsafe_get ta (j0 + 2) *. y0)
+      in
+      let s3 =
+        Array.unsafe_get acc (i0 + 3) +. (Array.unsafe_get ta (j0 + 3) *. y0)
+      in
+      let s0 = s0 +. (Array.unsafe_get ta j1 *. y1) in
+      let s1 = s1 +. (Array.unsafe_get ta (j1 + 1) *. y1) in
+      let s2 = s2 +. (Array.unsafe_get ta (j1 + 2) *. y1) in
+      let s3 = s3 +. (Array.unsafe_get ta (j1 + 3) *. y1) in
+      let s0 = s0 +. (Array.unsafe_get ta j2 *. y2) in
+      let s1 = s1 +. (Array.unsafe_get ta (j2 + 1) *. y2) in
+      let s2 = s2 +. (Array.unsafe_get ta (j2 + 2) *. y2) in
+      let s3 = s3 +. (Array.unsafe_get ta (j2 + 3) *. y2) in
+      Array.unsafe_set acc i0 (s0 +. (Array.unsafe_get ta j3 *. y3));
+      Array.unsafe_set acc (i0 + 1)
+        (s1 +. (Array.unsafe_get ta (j3 + 1) *. y3));
+      Array.unsafe_set acc (i0 + 2)
+        (s2 +. (Array.unsafe_get ta (j3 + 2) *. y3));
+      Array.unsafe_set acc (i0 + 3)
+        (s3 +. (Array.unsafe_get ta (j3 + 3) *. y3));
+      i := i0 + 4;
+      j := j0 + 4
+    done;
+    for i = !i to stop - 1 do
+      let j0 = a + (i - o) in
+      let s = Array.unsafe_get acc i +. (Array.unsafe_get ta j0 *. y0) in
+      let s = s +. (Array.unsafe_get ta (j0 + a1) *. y1) in
+      let s = s +. (Array.unsafe_get ta (j0 + a2) *. y2) in
+      Array.unsafe_set acc i (s +. (Array.unsafe_get ta (j0 + a3) *. y3))
+    done
+  | Strided_a ->
+    let y0 = Array.unsafe_get tb b
+    and y1 = Array.unsafe_get tb (b + b1)
+    and y2 = Array.unsafe_get tb (b + b2)
+    and y3 = Array.unsafe_get tb (b + b3) in
     let j = ref a in
-    for i = o to stop do
+    for i = o to stop - 1 do
       let j0 = !j in
       let s = Array.unsafe_get acc i +. (Array.unsafe_get ta j0 *. y0) in
-      let s = s +. (Array.unsafe_get ta (j0 + da) *. y1) in
-      let s = s +. (Array.unsafe_get ta (j0 + (2 * da)) *. y2) in
-      let s = s +. (Array.unsafe_get ta (j0 + (3 * da)) *. y3) in
-      Array.unsafe_set acc i s;
+      let s = s +. (Array.unsafe_get ta (j0 + a1) *. y1) in
+      let s = s +. (Array.unsafe_get ta (j0 + a2) *. y2) in
+      Array.unsafe_set acc i (s +. (Array.unsafe_get ta (j0 + a3) *. y3));
       j := j0 + ga
     done
-  end
-  else begin
+  | General ->
     let ja = ref a and jb = ref b in
-    for i = o to stop do
+    for i = o to stop - 1 do
       let j0 = !ja and k0 = !jb in
       let s =
         Array.unsafe_get acc i
         +. (Array.unsafe_get ta j0 *. Array.unsafe_get tb k0)
       in
       let s =
-        s +. (Array.unsafe_get ta (j0 + da) *. Array.unsafe_get tb (k0 + db))
+        s +. (Array.unsafe_get ta (j0 + a1) *. Array.unsafe_get tb (k0 + b1))
       in
       let s =
-        s
-        +. Array.unsafe_get ta (j0 + (2 * da))
-           *. Array.unsafe_get tb (k0 + (2 * db))
+        s +. (Array.unsafe_get ta (j0 + a2) *. Array.unsafe_get tb (k0 + b2))
       in
-      let s =
-        s
-        +. Array.unsafe_get ta (j0 + (3 * da))
-           *. Array.unsafe_get tb (k0 + (3 * db))
-      in
-      Array.unsafe_set acc i s;
+      Array.unsafe_set acc i
+        (s +. (Array.unsafe_get ta (j0 + a3) *. Array.unsafe_get tb (k0 + b3)));
       ja := j0 + ga;
       jb := k0 + gb
     done
-  end
+
+(* Step the odometer [ctr] over the run extents [ext] to the next reduce
+   point in ascending lexicographic order, and return the run that
+   stepped; every run inside it rewinds to its first point.  The current
+   point must not be the last. *)
+let advance ext ctr =
+  let k = ref (Array.length ext - 1) in
+  while Array.unsafe_get ctr !k + 1 = Array.unsafe_get ext !k do
+    Array.unsafe_set ctr !k 0;
+    decr k
+  done;
+  Array.unsafe_set ctr !k (Array.unsafe_get ctr !k + 1);
+  !k
 
 let check_inputs p inputs =
   Array.mapi
@@ -966,49 +982,70 @@ let run_compiled p inputs =
             points 0 ((h * cnt) + e)
           done
         done
-    | Runs { ext; delta; kernel = Mac (sa, sb) } ->
+    | Runs { ext; delta; kernel = Mac (sa, sb, pass) } ->
       (* The whole group per walk of the run table: at each reduce point
-         (four at a time along the innermost run), every element of every
-         row, so the operand strip a point reads serves all the group's
-         rows. *)
+         (four at a time, drawn across run boundaries by an odometer),
+         every element of every row, so the operand strip a point reads
+         serves all the group's rows. *)
       let ta = data.(p.site_tensor.(sa)) and tb = data.(p.site_tensor.(sb)) in
       let ga = p.step.(sa) and gb = p.step.(sb) in
-      let inner = Array.length ext - 1 in
-      let rec walk rows cnt k ra rb =
-        let da = delta.(k).(sa) and db = delta.(k).(sb) in
-        if k < inner then
-          for r = 0 to ext.(k) - 1 do
-            walk rows cnt (k + 1) (ra + (r * da)) (rb + (r * db))
-          done
-        else begin
-          (* Four points per pass over the group, then the run's
-             [len mod 4] tail one point at a time. *)
-          let len = ext.(k) in
-          let r = ref 0 in
-          while !r + 4 <= len do
-            let ra = ra + (!r * da) and rb = rb + (!r * db) in
-            for h = 0 to rows - 1 do
-              mac_row4 acc (h * cnt) cnt ta
-                (ra + Array.unsafe_get rbase ((h * ns) + sa))
-                ga da tb
-                (rb + Array.unsafe_get rbase ((h * ns) + sb))
-                gb db
+      let runs = Array.length ext in
+      let points = Array.fold_left ( * ) 1 ext in
+      (* A site's offset change when run k steps and the runs inside it
+         rewind. *)
+      let carry s =
+        Array.init runs (fun k ->
+            let c = ref delta.(k).(s) in
+            for j = k + 1 to runs - 1 do
+              c := !c - ((ext.(j) - 1) * delta.(j).(s))
             done;
-            r := !r + 4
-          done;
-          for r = !r to len - 1 do
-            let ra = ra + (r * da) and rb = rb + (r * db) in
-            for h = 0 to rows - 1 do
-              mac_row acc (h * cnt) cnt ta
-                (ra + Array.unsafe_get rbase ((h * ns) + sa))
-                ga tb
-                (rb + Array.unsafe_get rbase ((h * ns) + sb))
-                gb
-            done
-          done
-        end
+            !c)
       in
-      fun rows cnt -> walk rows cnt 0 0 0
+      let ca = carry sa and cb = carry sb in
+      let ctr = Array.make runs 0 in
+      fun rows cnt ->
+        Array.fill ctr 0 runs 0;
+        (* [a], [b]: the current point's run offsets; [left] counts the
+           points not yet reduced, the current one included. *)
+        let a = ref 0 and b = ref 0 and left = ref points in
+        while !left >= 4 do
+          let a0 = !a and b0 = !b in
+          let k = advance ext ctr in
+          let a1 = a0 + ca.(k) and b1 = b0 + cb.(k) in
+          let k = advance ext ctr in
+          let a2 = a1 + ca.(k) and b2 = b1 + cb.(k) in
+          let k = advance ext ctr in
+          let a3 = a2 + ca.(k) and b3 = b2 + cb.(k) in
+          for h = 0 to rows - 1 do
+            mac_row4 pass acc (h * cnt) cnt ta
+              (a0 + Array.unsafe_get rbase ((h * ns) + sa))
+              (a1 - a0) (a2 - a0) (a3 - a0) ga tb
+              (b0 + Array.unsafe_get rbase ((h * ns) + sb))
+              (b1 - b0) (b2 - b0) (b3 - b0) gb
+          done;
+          left := !left - 4;
+          if !left > 0 then begin
+            let k = advance ext ctr in
+            a := a3 + ca.(k);
+            b := b3 + cb.(k)
+          end
+        done;
+        (* The last [points mod 4] one at a time. *)
+        while !left > 0 do
+          for h = 0 to rows - 1 do
+            mac_row acc (h * cnt) cnt ta
+              (!a + Array.unsafe_get rbase ((h * ns) + sa))
+              ga tb
+              (!b + Array.unsafe_get rbase ((h * ns) + sb))
+              gb
+          done;
+          decr left;
+          if !left > 0 then begin
+            let k = advance ext ctr in
+            a := !a + ca.(k);
+            b := !b + cb.(k)
+          end
+        done
     | Runs { ext; delta; kernel = (Fold _ | Generic) as kernel } ->
       let n_body = Array.length delta.(0) in
       let inner = Array.length ext - 1 in
@@ -1169,18 +1206,22 @@ let run_compiled p inputs =
 
 let run etir inputs = run_compiled (compile etir) inputs
 
+let pp_reduction ppf p =
+  match p.reduction with
+  | Per_point -> Fmt.string ppf "per-point offsets"
+  | Runs { ext; kernel; _ } ->
+    Fmt.pf ppf "reduce runs [%a] %s"
+      Fmt.(array ~sep:(any ";") int)
+      ext
+      (match kernel with
+      | Mac (_, _, Unit_b) -> "mac unit-step B"
+      | Mac (_, _, Unit_a) -> "mac unit-step A"
+      | Mac (_, _, Strided_a) -> "mac strided A"
+      | Mac (_, _, General) -> "mac general"
+      | Fold _ -> "fold"
+      | Generic -> "generic")
+
 let pp ppf p =
-  let pp_reduction ppf = function
-    | Per_point -> Fmt.string ppf "per-point offsets"
-    | Runs { ext; kernel; _ } ->
-      Fmt.pf ppf "reduce runs [%a] %s"
-        Fmt.(array ~sep:(any ";") int)
-        ext
-        (match kernel with
-        | Mac _ -> "mac"
-        | Fold _ -> "fold"
-        | Generic -> "generic")
-  in
   Fmt.pf ppf
     "compiled{%s: %d sites, body %d+%d words, epi %s, %a, row tile [%a], %d \
      iregs, %d fregs}"
@@ -1191,6 +1232,6 @@ let pp ppf p =
     | Plain -> "none"
     | Lanes c -> Fmt.str "%d words" (Array.length c)
     | Scalar c -> Fmt.str "%d words per element" (Array.length c))
-    pp_reduction p.reduction
+    pp_reduction p
     Fmt.(array ~sep:(any ";") int)
     p.tile p.n_iregs p.n_fregs

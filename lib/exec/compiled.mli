@@ -7,9 +7,11 @@
     widened by whole blocks to at least 64 elements along the last spatial
     axis and 4 rows along the one before it).  A multiply-accumulate body
     walks the run table once per tile, updating every element of every
-    row at four consecutive points of the innermost run per pass (one at a
-    time for the run's last [len mod 4]); other bodies fill the same tile
-    accumulator element by element.  An epilogue whose reads are all
+    row at the next four reduce points per pass, drawn across run
+    boundaries (one at a time for the nest's last [points mod 4]); on rows
+    where one operand does not step and the other steps by 1, each pass
+    holds 4 elements x 4 points in registers.  Other bodies fill the same
+    tile accumulator element by element.  An epilogue whose reads are all
     affine runs once per row, each instruction over the row's elements.  Every element is
     reduced over its reduce points in ascending lexicographic order, as
     {!Reference.run} does, so the two agree bit for bit and the reference
@@ -35,10 +37,16 @@ val run_compiled : t -> (string * Tensor.t) list -> Scheduled.result
     tight re-execution loops. *)
 val run : Sched.Etir.t -> (string * Tensor.t) list -> Scheduled.result
 
+(** The reduction lowering: the run extents, outermost first, and the
+    kernel, e.g. [reduce runs [3;3] mac unit-step A]; a multiply-accumulate
+    names its four-point pass ([unit-step B]: A does not step along a row
+    and B steps by 1, [unit-step A] the other way round, [strided A]: B
+    does not step and A steps by more than 1, else [general]).  Prints
+    [per-point offsets] when some body access is not affine. *)
+val pp_reduction : t Fmt.t
+
 (** One-line program summary: site/instruction counts, the epilogue
     ([epi 9 words], or [epi 9 words per element] when some epilogue access
-    is not affine), the reduction lowering, e.g. [reduce runs [3;3] mac]
-    (run extents, outermost first, and the innermost-run kernel) or
-    [per-point offsets] when some body access is not affine, and the row
+    is not affine), the reduction lowering ({!pp_reduction}) and the row
     tile, e.g. [row tile [4;64]]. *)
 val pp : t Fmt.t

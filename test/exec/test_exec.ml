@@ -618,16 +618,16 @@ let check_tile_cases cases =
 (* Reduce runs of 8, 9, 10 and 11 points (two passes of four and a tail
    of 0 to 3), on one-row and multi-row tiles: a GEMM, whose A does not
    step along a row, and a product where both operands do.  A 5x5 conv
-   over 3 channels keeps all three reduce axes as runs, so each 5-point
-   inner run restarts the pass inside every outer point; its weight does
-   not step along a row. *)
+   over 3 channels keeps all three reduce axes as runs: its 75 points go
+   as eighteen four-point blocks, most of them spanning two 5-point inner
+   runs, and a tail of 3; its weight does not step along a row. *)
 let test_tile_four_point () =
   let conv =
     Ops.Op.compute
       (Ops.Conv.conv2d ~batch:1 ~in_channels:3 ~out_channels:2 ~height:11
          ~width:13 ~kernel:5 ~stride:1 ())
   in
-  let conv_runs = "reduce runs [3;5;5] mac" in
+  let conv_runs = "reduce runs [3;5;5] mac unit-step A" in
   check_tile_cases
     (List.concat_map
        (fun k ->
@@ -641,6 +641,130 @@ let test_tile_four_point () =
        [ 8; 9; 10; 11 ]
     @ [ ("conv 5x5", conv, 2 * 7 * 9,
          [ ([ 1; 1; 1; 1 ], conv_runs); ([ 1; 2; 3; 5 ], conv_runs) ]) ])
+
+(* out[i,j] = Σ_{r0,r1,r2} A[i,..] * B[..] over reduce extents [ext]:
+   each operand, given as (step, slide), steps by [step] along j and
+   either takes the reduce indices in order and then [step*j] (slide
+   [None]) or takes the other two and then [step*j + r_p] (slide
+   [Some p]).  Extent-1 axes drop out of the run table, an operand that
+   does not slide lets the axes merge, and a slid axis stays a run of its
+   own, so the shape of the table and both operands' steps vary. *)
+let window_mac ~m ~n ~ext (step_a, slide_a) (step_b, slide_b) =
+  let open Tensor_lang in
+  let r = [| "r0"; "r1"; "r2" |] in
+  let along_j step =
+    match step with
+    | 0 -> Index.const 0
+    | 1 -> Index.var "j"
+    | s -> Index.mul (Index.const s) (Index.var "j")
+  in
+  (* An operand's indices and shape. *)
+  let operand step slide =
+    let last = (step * (n - 1)) + 1 in
+    match slide with
+    | None ->
+      ( List.map Index.var (Array.to_list r) @ [ along_j step ],
+        Array.to_list ext @ [ last ] )
+    | Some p ->
+      let others = List.filter (fun q -> q <> p) [ 0; 1; 2 ] in
+      ( List.map (fun q -> Index.var r.(q)) others
+        @ [ Index.add (along_j step) (Index.var r.(p)) ],
+        List.map (fun q -> ext.(q)) others @ [ last + ext.(p) - 1 ] )
+  in
+  let ia, shape_a = operand step_a slide_a
+  and ib, shape_b = operand step_b slide_b in
+  let axes =
+    [ Axis.spatial "i" m; Axis.spatial "j" n ]
+    @ Array.to_list (Array.mapi (fun k e -> Axis.reduce r.(k) e) ext)
+  in
+  let inputs =
+    [ { Compute.in_name = "A"; in_shape = m :: shape_a; in_dtype = Dtype.F32 };
+      { Compute.in_name = "B"; in_shape = shape_b; in_dtype = Dtype.F32 } ]
+  in
+  let body =
+    Expr.mul (Expr.read "A" (Index.var "i" :: ia)) (Expr.read "B" ib)
+  in
+  Compute.v ~name:"window_mac" ~axes ~inputs ~out_name:"C" ~body ()
+
+(* Four-point blocks are drawn across run boundaries: [3;3] runs as 4+4+1
+   points (under each pass that takes it), [2;3] as 4+2 and [3;5;5] (in
+   the four-point test above) as eighteen blocks and 3; nests of fewer
+   than four points run one point at a time. *)
+let test_tile_nest_blocks () =
+  let window a b = window_mac ~m:5 ~n:11 ~ext:[| 1; 2; 3 |] a b in
+  let gemm k = Ops.Op.compute (Ops.Matmul.gemm ~m:5 ~n:11 ~k ()) in
+  check_tile_cases
+    ([ ("dwconv 3x3 s1", dwconv3x3 ~stride:1, 3 * 9 * 9,
+        [ ([ 1; 1; 2; 3 ], "reduce runs [3;3] mac unit-step A") ]);
+       ("dwconv 3x3 s2", dwconv3x3 ~stride:2, 3 * 5 * 5,
+        [ ([ 1; 1; 2; 3 ], "reduce runs [3;3] mac strided A") ]);
+       ("[2;3] A steps", window (1, Some 2) (0, None), 5 * 11,
+        [ ([ 2; 5 ], "reduce runs [2;3] mac unit-step A") ]);
+       ("[2;3] B steps", window (0, None) (1, Some 2), 5 * 11,
+        [ ([ 2; 5 ], "reduce runs [2;3] mac unit-step B") ]);
+       ("[2;3] both step", window (1, Some 2) (2, None), 5 * 11,
+        [ ([ 2; 5 ], "reduce runs [2;3] mac general") ]) ]
+    @ List.map
+        (fun k ->
+          (Fmt.str "gemm k=%d" k, gemm k, 5 * 11,
+           [ ([ 1; 5 ], Fmt.str "reduce runs [%d] mac unit-step B" k) ]))
+        [ 1; 2; 3 ])
+
+(* Each register-blocked pass on rows of 1 to 11 elements, every length
+   mod 4, so its 4-element blocks end in every tail: a GEMM (A does not
+   step, B steps by 1) with 9-point runs, a 1x1 conv (the weight does not
+   step, the input steps by 1) with 6-point runs and a 3x3 depthwise conv
+   with [3;3] (at one output column an input row is the kernel's width,
+   so the two runs merge into [9]). *)
+let test_unit_step_rows () =
+  check_tile_cases
+    (List.concat_map
+       (fun w ->
+         [ (Fmt.str "gemm n=%d" w,
+            Ops.Op.compute (Ops.Matmul.gemm ~m:5 ~n:w ~k:9 ()), 5 * w,
+            [ ([ 2; w ], "reduce runs [9] mac unit-step B") ]);
+           (Fmt.str "conv 1x1 w=%d" w,
+            Ops.Op.compute
+              (Ops.Conv.conv2d ~batch:1 ~in_channels:6 ~out_channels:2
+                 ~height:3 ~width:w ~kernel:1 ~stride:1 ()),
+            2 * 3 * w,
+            [ ([ 1; 1; 2; w ], "reduce runs [6] mac unit-step A") ]);
+           (Fmt.str "dwconv 3x3 w=%d" w,
+            Ops.Op.compute
+              (Ops.Conv.depthwise_conv2d ~batch:1 ~channels:2 ~height:5
+                 ~width:(w + 2) ~kernel:3 ~stride:1 ()),
+            2 * 3 * w,
+            [ ( [ 1; 1; 2; w ],
+                Fmt.str "reduce runs [%s] mac unit-step A"
+                  (if w = 1 then "9" else "3;3") ) ]) ])
+       (List.init 11 (fun i -> i + 1)))
+
+(* Random reduce nests: extents 1 to 6 on three axes (so one to three
+   runs, or a single one-point run), each operand stepping by 0, 1 or 2
+   along a row and sliding along any or no reduce axis, under a random
+   schedule.  Every pass and every way a block can span runs comes up. *)
+let prop_random_nests_correct =
+  QCheck.Test.make ~count:200 ~name:"random reduce nests: VM = reference"
+    QCheck.(make Gen.(pair (int_range 0 100_000) (int_range 0 30)))
+    (fun (seed, steps) ->
+      let rng = Rng.create ~seed in
+      let operand () =
+        let step = Rng.int rng 3 in
+        (step, Rng.choice rng [ None; Some 0; Some 1; Some 2 ])
+      in
+      let ext = Array.init 3 (fun _ -> 1 + Rng.int rng 6) in
+      let m = 1 + Rng.int rng 5 in
+      let n = 1 + Rng.int rng 12 in
+      let a = operand () in
+      let b = operand () in
+      let compute = window_mac ~m ~n ~ext a b in
+      let inputs = Exec.Reference.random_inputs ~seed compute in
+      let expected = Exec.Reference.run compute inputs in
+      let etir = random_schedule rng compute ~steps in
+      check_differential
+        ~tag:(Fmt.str "%a: " Exec.Compiled.pp (Exec.Compiled.compile etir))
+        etir inputs expected;
+      true)
 
 (* One-row level-1 blocks still reduce four rows per tile: GEMM 6x70
    under a 1x1 block runs tiles of 4 rows and then 2; a depthwise conv
@@ -702,21 +826,27 @@ let test_maxpool_all_negative () =
       inputs expected
   done
 
-(* The lowering [Compiled.pp] reports: the reduce-run table and kernel. *)
+(* The lowering [Compiled.pp] reports: the reduce-run table, the kernel
+   and, for a multiply-accumulate, the four-point pass its operands'
+   steps along a row select. *)
 let test_lowering_summary () =
   List.iter
     (fun (what, compute, expected) ->
       check_summary what (summary compute) expected)
     [ ("gemm", Ops.Op.compute (Ops.Matmul.gemm ~m:8 ~n:8 ~k:16 ()),
-       "reduce runs [16] mac");
+       "reduce runs [16] mac unit-step B");
       ("1x1 conv",
        Ops.Op.compute
          (Ops.Conv.conv2d ~batch:1 ~in_channels:32 ~out_channels:8 ~height:6
             ~width:6 ~kernel:1 ~stride:1 ()),
-       "reduce runs [32] mac");
-      ("3x3 depthwise", dwconv3x3 ~stride:1, "reduce runs [3;3] mac");
+       "reduce runs [32] mac unit-step A");
+      ("3x3 depthwise", dwconv3x3 ~stride:1,
+       "reduce runs [3;3] mac unit-step A");
+      ("3x3 depthwise s2", dwconv3x3 ~stride:2,
+       "reduce runs [3;3] mac strided A");
+      ("hadamard", hadamard ~m:7 ~n:13, "reduce runs [1] mac general");
       ("merged pair", gemm_two_reduce ~m:7 ~n:9 ~c:3 ~k:5,
-       "reduce runs [15] mac");
+       "reduce runs [15] mac unit-step B");
       ("maxpool",
        Ops.Op.compute
          (Ops.Pool.maxpool2d ~batch:1 ~channels:2 ~height:9 ~width:9 ~window:3
@@ -795,6 +925,11 @@ let () =
          Alcotest.test_case "maxpool with all-negative inputs" `Quick
            test_maxpool_all_negative;
          Alcotest.test_case "lowering summary" `Quick test_lowering_summary;
+         Alcotest.test_case "tile kernel: blocks across runs" `Quick
+           test_tile_nest_blocks;
+         Alcotest.test_case "tile kernel: unit-step rows" `Quick
+           test_unit_step_rows;
+         QCheck_alcotest.to_alcotest prop_random_nests_correct;
          QCheck_alcotest.to_alcotest prop_random_schedules_correct;
          QCheck_alcotest.to_alcotest prop_vthread_preserves_semantics ]);
       ("raised shapes",
