@@ -757,8 +757,9 @@ let mac_row (acc : float array) o cnt (ta : float array) a ga
    [mac_row]s' bit for bit.  On unit-step rows ([Unit_b]: A does not step
    and B steps by 1; [Unit_a] the other way round) the hoisted operand's
    four values stay in registers and each step takes a 4-element x
-   4-point block, the element index folded into the load's displacement;
-   every other pair of steps loads both operands per element. *)
+   4-point block, the element index folded into the load's displacement.
+   [Strided_a] keeps B's four values in registers and takes one element
+   at a time; [General] loads both operands per element. *)
 let mac_row4 pass (acc : float array) o cnt (ta : float array) a a1 a2 a3 ga
     (tb : float array) b b1 b2 b3 gb =
   let stop = o + cnt in
