@@ -122,11 +122,6 @@ let consumers t =
     t.nodes;
   Array.map (fun l -> List.sort_uniq compare l) succ
 
-let output_ids t =
-  let succ = consumers t in
-  Array.to_list t.nodes
-  |> List.filter_map (fun n -> if succ.(n.id) = [] then Some n.id else None)
-
 (* Kahn levels over the dependency DAG: level k holds every node whose
    longest dependency chain has length k.  Nodes within a level are
    independent, so their kernels can compile concurrently; ids inside each

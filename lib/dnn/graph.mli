@@ -55,9 +55,6 @@ val of_nodes : name:string -> batch:int -> node list -> t
 (** Per-node consumer ids (deduplicated, sorted). *)
 val consumers : t -> int list array
 
-(** Nodes with no consumers — the network outputs. *)
-val output_ids : t -> int list
-
 (** Kahn levels: level k holds nodes whose longest dependency chain is k.
     Nodes within a level are independent; ids stay sorted. *)
 val levels : t -> int list list

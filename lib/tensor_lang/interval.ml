@@ -56,8 +56,6 @@ let rem a b =
 let min_ a b = { lo = Int.min a.lo b.lo; hi = Int.min a.hi b.hi }
 let max_ a b = { lo = Int.max a.lo b.lo; hi = Int.max a.hi b.hi }
 
-let union a b = { lo = Int.min a.lo b.lo; hi = Int.max a.hi b.hi }
-
 let inter a b =
   let lo = Int.max a.lo b.lo and hi = Int.min a.hi b.hi in
   if lo > hi then None else Some { lo; hi }

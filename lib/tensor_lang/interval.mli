@@ -33,7 +33,6 @@ val rem : t -> t -> t
 
 val min_ : t -> t -> t
 val max_ : t -> t -> t
-val union : t -> t -> t
 val inter : t -> t -> t option
 
 (** [of_index ~env idx] bounds [idx] when each variable ranges over

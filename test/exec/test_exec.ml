@@ -49,7 +49,12 @@ let test_reference_gemm () =
   let b = Exec.Tensor.init [ 2; 2 ] (fun c ->
       match c with [ k; j ] -> float_of_int ((k * 2) + j + 5) | _ -> nan)
   in
+  let points () =
+    Option.value ~default:0 (Trace.Counter.find "exec.reference.points")
+  in
+  let before = points () in
   let out = Exec.Reference.run compute [ ("A", a); ("B", b) ] in
+  check_int "exec.reference.points counts the domain" 8 (points () - before);
   (* [[1 2];[3 4]] x [[5 6];[7 8]] = [[19 22];[43 50]] *)
   check_float "c00" 19.0 (Exec.Tensor.get out [ 0; 0 ]);
   check_float "c01" 22.0 (Exec.Tensor.get out [ 0; 1 ]);
@@ -87,6 +92,164 @@ let test_reference_missing_input () =
   Alcotest.check_raises "missing input"
     (Invalid_argument "Reference: missing input A") (fun () ->
       ignore (Exec.Reference.run compute []))
+
+let test_reference_shape_mismatch () =
+  let compute = Ops.Op.compute (Ops.Matmul.gemm ~m:2 ~n:3 ~k:4 ()) in
+  let inputs =
+    [ ("A", Exec.Tensor.create [ 4; 2 ]); ("B", Exec.Tensor.create [ 4; 3 ]) ]
+  in
+  Alcotest.check_raises "shape mismatch"
+    (Invalid_argument "Reference: input A has shape [4;2], declared [2;4]")
+    (fun () -> ignore (Exec.Reference.run compute inputs))
+
+(* The specification the staged reference must match bit for bit: every
+   point evaluated by [Expr.eval] over a string-keyed environment, the
+   spatial points in row-major order ([Tensor.init]), each element's reduce
+   points in ascending lexicographic order, and the epilogue's read of the
+   output tensor denoting the scaled accumulator. *)
+let spec_run compute inputs =
+  let open Tensor_lang in
+  let spatial = Compute.spatial_axes compute in
+  let reduce = Compute.reduce_axes compute in
+  let points axes =
+    List.fold_right
+      (fun ax rest ->
+        List.concat_map
+          (fun v -> List.map (fun p -> v :: p) rest)
+          (List.init (Axis.extent ax) Fun.id))
+      axes [ [] ]
+  in
+  let env axes values v =
+    List.assoc v (List.combine (List.map Axis.name axes) values)
+  in
+  let read t coords = Exec.Tensor.get (List.assoc t inputs) coords in
+  Exec.Tensor.init (Compute.output_shape compute) (fun sp ->
+      let acc =
+        List.fold_left
+          (fun acc rp ->
+            let v =
+              Expr.eval ~read ~env:(env (spatial @ reduce) (sp @ rp))
+                (Compute.body compute)
+            in
+            match Compute.combine compute with
+            | Compute.Sum -> acc +. v
+            | Compute.Max_combine -> Float.max acc v)
+          (Compute.init compute) (points reduce)
+      in
+      let acc = acc *. Compute.scale compute in
+      match Compute.epilogue compute with
+      | None -> acc
+      | Some e ->
+        let read t coords =
+          if t = Compute.out_name compute then acc else read t coords
+        in
+        Expr.eval ~read ~env:(env spatial sp) e)
+
+(* A random compute: one or two spatial axes, up to two reduce axes, a body
+   over fresh inputs read at index expressions built from every [Index]
+   operator (divisors positive constants, differences clamped at 0, so
+   each coordinate is non-negative and each input's shape is its interval
+   bound), [Sum] or [Max_combine], and half the time an epilogue that
+   reads the accumulator and further inputs at spatial coordinates. *)
+let random_compute rng =
+  let open Tensor_lang in
+  let extent () = 1 + Rng.int rng 4 in
+  let spatial =
+    List.init (1 + Rng.int rng 2) (fun i -> Axis.spatial (Fmt.str "s%d" i) (extent ()))
+  in
+  let reduce =
+    List.init (Rng.int rng 3) (fun i -> Axis.reduce (Fmt.str "r%d" i) (extent ()))
+  in
+  let const () = Index.Const (1 + Rng.int rng 3) in
+  let rec index vars depth =
+    if depth = 0 || Rng.int rng 3 = 0 then
+      if Rng.int rng 4 = 0 then Index.Const (Rng.int rng 3)
+      else Index.Var (Axis.name (Rng.choice rng vars))
+    else
+      let sub () = index vars (depth - 1) in
+      match Rng.int rng 7 with
+      | 0 -> Index.Add (sub (), sub ())
+      | 1 -> Index.Mul (const (), sub ())
+      | 2 -> Index.Div (sub (), const ())
+      | 3 -> Index.Mod (sub (), const ())
+      | 4 -> Index.Min (sub (), sub ())
+      | 5 -> Index.Max (sub (), sub ())
+      | _ -> Index.Max (Index.Sub (sub (), sub ()), Index.Const 0)
+  in
+  let inputs = ref [] in
+  let fresh_read prefix vars =
+    let indices = List.init (1 + Rng.int rng 3) (fun _ -> index vars 3) in
+    let bound ax = Interval.v 0 (Axis.extent ax - 1) in
+    let env v = bound (List.find (fun ax -> Axis.name ax = v) vars) in
+    let shape =
+      List.map (fun i -> Interval.hi (Interval.of_index ~env i) + 1) indices
+    in
+    let name = Fmt.str "%s%d" prefix (List.length !inputs) in
+    inputs :=
+      { Compute.in_name = name; in_shape = shape; in_dtype = Dtype.F32 }
+      :: !inputs;
+    Expr.read name indices
+  in
+  let rec expr leaf depth =
+    if depth = 0 || Rng.int rng 4 = 0 then leaf ()
+    else
+      let a = expr leaf (depth - 1) and b = expr leaf (depth - 1) in
+      match Rng.int rng 7 with
+      | 0 -> Expr.neg a
+      | 1 -> Expr.add a b
+      | 2 -> Expr.sub a b
+      | 3 -> Expr.mul a b
+      | 4 -> Expr.div a b
+      | 5 -> Expr.max_ a b
+      | _ -> Expr.min_ a b
+  in
+  let imm () = Expr.imm (Rng.choice rng [ 0.0; -0.0; 0.5; -2.0 ]) in
+  let body =
+    expr
+      (fun () ->
+        if Rng.int rng 4 = 0 then imm () else fresh_read "T" (spatial @ reduce))
+      3
+  in
+  let acc = Expr.read "C" (List.map (fun ax -> Index.var (Axis.name ax)) spatial) in
+  let epilogue =
+    if Rng.bool rng then None
+    else
+      let rest =
+        expr
+          (fun () ->
+            match Rng.int rng 3 with
+            | 0 -> acc
+            | 1 -> imm ()
+            | _ -> fresh_read "E" spatial)
+          2
+      in
+      Some (Rng.choice rng [ Expr.add acc rest; Expr.max_ rest acc; Expr.mul acc rest ])
+  in
+  let combine, init =
+    if Rng.bool rng then (Compute.Sum, 0.0)
+    else (Compute.Max_combine, Float.neg_infinity)
+  in
+  Compute.v ~name:"random" ~axes:(spatial @ reduce) ~inputs:(List.rev !inputs)
+    ~out_name:"C" ~init ~combine
+    ~scale:(Rng.choice rng [ 1.0; 0.5; 1.0 /. 9.0 ])
+    ?epilogue ~body ()
+
+let prop_reference_matches_spec =
+  QCheck.Test.make ~count:600 ~name:"staged reference = Expr.eval spec"
+    QCheck.(make Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let compute = random_compute (Rng.create ~seed) in
+      let inputs = Exec.Reference.random_inputs ~seed compute in
+      match
+        Exec.Tensor.first_bit_mismatch (spec_run compute inputs)
+          (Exec.Reference.run compute inputs)
+      with
+      | None -> true
+      | Some (at, e, g) ->
+        QCheck.Test.fail_reportf "%a@.differs at [%a]: spec %h, staged %h"
+          Tensor_lang.Compute.pp compute
+          Fmt.(list ~sep:(any ",") int)
+          at e g)
 
 (* ---------- Tolerances and mismatch diagnostics ---------- *)
 
@@ -899,8 +1062,10 @@ let () =
        [ Alcotest.test_case "gemm 2x2" `Quick test_reference_gemm;
          Alcotest.test_case "avgpool scale" `Quick test_reference_avgpool_scale;
          Alcotest.test_case "maxpool combine" `Quick test_reference_maxpool;
-         Alcotest.test_case "missing input" `Quick test_reference_missing_input
-       ]);
+         Alcotest.test_case "missing input" `Quick test_reference_missing_input;
+         Alcotest.test_case "shape mismatch" `Quick
+           test_reference_shape_mismatch;
+         QCheck_alcotest.to_alcotest prop_reference_matches_spec ]);
       ("coverage",
        [ Alcotest.test_case "violation diagnostics" `Quick
            test_coverage_violation ]);
