@@ -3,7 +3,8 @@
    schedules; the speedup column is the VM's win.  The VM column is the
    fastest of [vm_runs] runs of a program compiled beforehand, so it reads
    the same from run to run on a shared host; the reference, ~50-100x
-   slower, is timed once, staging included; the last column is the VM's
+   slower on the multiply-accumulate cases, is timed once, staging
+   included; the last column is the VM's
    reduction lowering ([Compiled.pp_reduction]), naming the
    multiply-accumulate's pass.  Both reduce every output element in the
    same order, so they must agree bit for bit on every case: a single
