@@ -155,10 +155,12 @@ let random_compute rng =
   let open Tensor_lang in
   let extent () = 1 + Rng.int rng 4 in
   let spatial =
-    List.init (1 + Rng.int rng 2) (fun i -> Axis.spatial (Fmt.str "s%d" i) (extent ()))
+    List.init (1 + Rng.int rng 2) (fun i ->
+        Axis.spatial (Fmt.str "s%d" i) (extent ()))
   in
   let reduce =
-    List.init (Rng.int rng 3) (fun i -> Axis.reduce (Fmt.str "r%d" i) (extent ()))
+    List.init (Rng.int rng 3) (fun i ->
+        Axis.reduce (Fmt.str "r%d" i) (extent ()))
   in
   let const () = Index.Const (1 + Rng.int rng 3) in
   let rec index vars depth =
@@ -210,7 +212,9 @@ let random_compute rng =
         if Rng.int rng 4 = 0 then imm () else fresh_read "T" (spatial @ reduce))
       3
   in
-  let acc = Expr.read "C" (List.map (fun ax -> Index.var (Axis.name ax)) spatial) in
+  let acc =
+    Expr.read "C" (List.map (fun ax -> Index.var (Axis.name ax)) spatial)
+  in
   let epilogue =
     if Rng.bool rng then None
     else
@@ -223,7 +227,9 @@ let random_compute rng =
             | _ -> fresh_read "E" spatial)
           2
       in
-      Some (Rng.choice rng [ Expr.add acc rest; Expr.max_ rest acc; Expr.mul acc rest ])
+      Some
+        (Rng.choice rng
+           [ Expr.add acc rest; Expr.max_ rest acc; Expr.mul acc rest ])
   in
   let combine, init =
     if Rng.bool rng then (Compute.Sum, 0.0)
