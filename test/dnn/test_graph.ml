@@ -290,6 +290,54 @@ let test_memplan () =
   Alcotest.(check bool) "fusion shrinks peak" true
     (fplan.Dnn.Memplan.peak_bytes <= plan.Dnn.Memplan.peak_bytes)
 
+(* ---------- pinned network outputs ---------- *)
+
+(* The six networks the CLI's [graph] command knows, each at batch 1 and 8.
+   The digest covers the fused graph dump, the fusion groups and refusals,
+   and the memory plans of the fused and the unfused graph, so a rewrite of
+   either pass that moves one byte of that output fails here. *)
+let pinned_networks =
+  [ ("resnet50", fun batch -> Dnn.Resnet.resnet50_graph ~batch ());
+    ("resnet34", fun batch -> Dnn.Graph.of_model (Dnn.Resnet.resnet34 ~batch ()));
+    ("vgg16", fun batch -> Dnn.Graph.of_model (Dnn.Resnet.vgg16 ~batch ()));
+    ("bert", fun batch -> Dnn.Transformer.bert_small_graph ~batch ());
+    ("gpt2", fun batch -> Dnn.Transformer.gpt2_graph ~batch ());
+    ("mobilenet", fun batch -> Dnn.Mobilenet.mobilenet_v2_graph ~batch ()) ]
+
+let pinned_digests =
+  [ ("resnet50", 1, "d2a21e5604c0368247f9d6a281350557");
+    ("resnet50", 8, "c16f0ac800e1bbd92220d4e20bcaa5e7");
+    ("resnet34", 1, "02c2679a9a5985dc6eb6d56cbcdc3218");
+    ("resnet34", 8, "420c4425862cf1430de516d510dfeceb");
+    ("vgg16", 1, "2430f5d99576cba598eaf8adff33e123");
+    ("vgg16", 8, "df1421f5eebcc946a8dd44c5d0d816dc");
+    ("bert", 1, "6c63d20951df7fdbe9d8bb69a35bdc13");
+    ("bert", 8, "d47931af2a6c01bc8868abe4db2dd25a");
+    ("gpt2", 1, "4e6993ec06dc8159652446b797da2986");
+    ("gpt2", 8, "1ba9edb290fce01942421d056f3a66cc");
+    ("mobilenet", 1, "e1d3bca733643b345df21764f0212b45");
+    ("mobilenet", 8, "5d3d9da44d39acc6dd81435013ffa860") ]
+
+let network_dump g =
+  let r = Dnn.Fusion.fuse g in
+  Fmt.str "%a@.%a@.%a@.%a@.%a@." Dnn.Graph.pp_text r.Dnn.Fusion.graph
+    Fmt.(list ~sep:cut Dnn.Fusion.pp_group) r.Dnn.Fusion.groups
+    Fmt.(list ~sep:cut Dnn.Fusion.pp_refusal) r.Dnn.Fusion.refused
+    Dnn.Memplan.pp_full (Dnn.Memplan.plan r.Dnn.Fusion.graph)
+    Dnn.Memplan.pp_full (Dnn.Memplan.plan g)
+
+let test_pinned_outputs () =
+  let moved =
+    List.filter_map
+      (fun (name, batch, want) ->
+        let g = (List.assoc name pinned_networks) batch in
+        let got = Digest.to_hex (Digest.string (network_dump g)) in
+        if got = want then None
+        else Some (Fmt.str "%s batch %d: digest %s, want %s" name batch got want))
+      pinned_digests
+  in
+  if moved <> [] then Alcotest.fail (String.concat "\n" moved)
+
 (* ---------- graph scheduling ---------- *)
 
 let graph_report_key (r : Dnn.Runner.graph_report) =
@@ -385,6 +433,8 @@ let () =
           Alcotest.test_case "codec epilogue round-trip" `Quick
             test_codec_epilogue_roundtrip ] );
       ( "memplan", [ Alcotest.test_case "plan" `Quick test_memplan ] );
+      ( "pinned",
+        [ Alcotest.test_case "network outputs" `Quick test_pinned_outputs ] );
       ( "schedule",
         [ Alcotest.test_case "deterministic across jobs" `Quick
             test_run_graph_deterministic;
