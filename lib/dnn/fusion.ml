@@ -26,14 +26,17 @@ type result = {
 }
 
 (* Working copy of the graph the pass rewrites in place; dead nodes (folded
-   consumers) stay in the arrays and are compacted out at the end. *)
+   consumers) stay in the arrays and are compacted out at the end.
+   [w_cons.(i)] lists [i]'s live consumers, ascending and without repeats;
+   [apply_fold] keeps it exact. *)
 type work = {
-  mutable w_op : Ops.Op.t array;
+  w_op : Ops.Op.t array;
   w_name : string array;
   w_count : int array;
-  mutable w_deps : (string * int) list array;
-  mutable w_fused : string list array;
+  w_deps : (string * int) list array;
+  w_fused : string list array;
   w_alive : bool array;
+  w_cons : int list array;
 }
 
 let work_of_graph g =
@@ -43,20 +46,13 @@ let work_of_graph g =
     w_count = Array.map (fun n -> n.Graph.count) ns;
     w_deps = Array.map (fun n -> n.Graph.deps) ns;
     w_fused = Array.map (fun n -> n.Graph.fused_from) ns;
-    w_alive = Array.map (fun _ -> true) ns }
-
-let live_consumers w p =
-  let acc = ref [] in
-  Array.iteri
-    (fun c deps ->
-      if w.w_alive.(c) && List.exists (fun (_, q) -> q = p) deps then
-        acc := c :: !acc)
-    w.w_deps;
-  List.sort_uniq compare !acc
+    w_alive = Array.map (fun _ -> true) ns;
+    w_cons = Graph.consumers g }
 
 (* Fold consumer [e] into anchor [p] through edge [fed_input]; caller has
-   already established candidacy.  Rewires [e]'s extra operands onto [p]
-   (renamed per the compute-level merge) and redirects [e]'s consumers. *)
+   already established candidacy.  [e]'s extra operands (renamed per the
+   compute-level merge) and their producers now feed [p], and [e]'s
+   consumers now read [p]. *)
 let apply_fold w ~p ~e ~fed_input =
   match Ops.Op.fuse_epilogue w.w_op.(p) ~fed_input w.w_op.(e) with
   | Error _ as err -> err
@@ -76,28 +72,35 @@ let apply_fold w ~p ~e ~fed_input =
     in
     w.w_deps.(p) <- w.w_deps.(p) @ extra;
     w.w_alive.(e) <- false;
-    Array.iteri
-      (fun c deps ->
-        if w.w_alive.(c) then
-          w.w_deps.(c) <-
-            List.map (fun (i, q) -> if q = e then (i, p) else (i, q)) deps)
-      w.w_deps;
+    let without_e l = List.filter (fun c -> c <> e) l in
+    List.iter
+      (fun (_, q) ->
+        w.w_cons.(q) <- List.sort_uniq compare (p :: without_e w.w_cons.(q)))
+      extra;
+    List.iter
+      (fun c ->
+        w.w_deps.(c) <-
+          List.map (fun (i, q) -> if q = e then (i, p) else (i, q)) w.w_deps.(c))
+      w.w_cons.(e);
+    w.w_cons.(p) <-
+      List.sort_uniq compare (without_e w.w_cons.(p) @ w.w_cons.(e));
+    w.w_cons.(e) <- [];
     Ok ()
 
-(* Candidate edge for folding consumer [e]: a dependency on a live fusion
-   anchor that [e] references exactly once.  Residual adds depend on two
+(* Candidate edge for folding consumer [e]: a dependency on a fusion anchor
+   that [e] references exactly once.  Residual adds depend on two
    producers; the anchor-side edge is the one that can fold. *)
 let candidate_edge w e =
   List.find_opt
     (fun (_, p) ->
-      w.w_alive.(p)
-      && Ops.Op.is_fusion_anchor w.w_op.(p)
+      Ops.Op.is_fusion_anchor w.w_op.(p)
       && List.length (List.filter (fun (_, q) -> q = p) w.w_deps.(e)) = 1)
     w.w_deps.(e)
 
-(* Pass-level candidacy checks shared by [fuse] and [try_fuse]. *)
-let check_candidacy w ~p ~e =
-  if live_consumers w p <> [ e ] then
+(* Pass-level candidacy checks, then the fold itself; shared by [fuse] and
+   [try_fuse]. *)
+let fold w ~p ~e ~fed_input =
+  if w.w_cons.(p) <> [ e ] then
     Error
       ( "GSR-F07",
         Fmt.str "anchor %s has consumers other than %s; folding would \
@@ -108,19 +111,18 @@ let check_candidacy w ~p ~e =
       ( "GSR-F08",
         Fmt.str "occurrence counts differ (%s x%d vs %s x%d)" w.w_name.(p)
           w.w_count.(p) w.w_name.(e) w.w_count.(e) )
-  else Ok ()
+  else apply_fold w ~p ~e ~fed_input
 
 (* Compact the work arrays back into a graph: Kahn topological sort over
    the live nodes (merged residual operands can point forward in the old
-   numbering), deterministic by old id. *)
+   numbering), smallest ready old id first.  A node's indegree is its
+   number of distinct producers, matching one decrement per entry of
+   [w_cons], so a node that reads one producer twice still becomes
+   ready. *)
 let compact ~name ~batch w =
   let n = Array.length w.w_op in
   let indeg = Array.make n 0 in
-  for i = 0 to n - 1 do
-    if w.w_alive.(i) then
-      indeg.(i) <-
-        List.length (List.filter (fun (_, p) -> w.w_alive.(p)) w.w_deps.(i))
-  done;
+  Array.iter (List.iter (fun c -> indeg.(c) <- indeg.(c) + 1)) w.w_cons;
   let order = ref [] in
   let ready =
     ref
@@ -139,7 +141,7 @@ let compact ~name ~batch w =
           indeg.(c) <- indeg.(c) - 1;
           if indeg.(c) = 0 then
             ready := List.merge compare [ c ] !ready)
-        (live_consumers w i)
+        w.w_cons.(i)
   done;
   let order = List.rev !order in
   let remap = Array.make n (-1) in
@@ -157,39 +159,28 @@ let compact ~name ~batch w =
   in
   Graph.of_nodes ~name ~batch nodes
 
+(* One pass in topological order, each node visited once.  A fold
+   rewires only the folded consumer's producers and consumers, so no later
+   fold can turn a visited node into a candidate: a node refused with
+   GSR-F07 keeps at least two live consumers on its anchor, and every other
+   refusal depends on ops and counts that no later fold changes.  A second
+   pass would fold nothing. *)
 let fuse g =
   Trace.with_span ~name:"graph.fuse" @@ fun () ->
   let w = work_of_graph g in
   let refused = ref [] in
-  let refused_edges = Hashtbl.create 8 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iteri
-      (fun e op ->
-        if w.w_alive.(e) && Ops.Op.is_epilogue op then
-          match candidate_edge w e with
-          | None -> ()
-          | Some (fed_input, p) ->
-            let outcome =
-              match check_candidacy w ~p ~e with
-              | Error _ as err -> err
-              | Ok () -> (
-                match apply_fold w ~p ~e ~fed_input with
-                | Ok () -> Ok ()
-                | Error _ as err -> err)
-            in
-            (match outcome with
-            | Ok () -> changed := true
-            | Error (code, reason) ->
-              if not (Hashtbl.mem refused_edges (e, p, code)) then begin
-                Hashtbl.add refused_edges (e, p, code) ();
-                Trace.Counter.incr c_refused;
-                refused :=
-                  { at = w.w_name.(e); into = w.w_name.(p); code; reason }
-                  :: !refused
-              end))
-      w.w_op
+  for e = 0 to Array.length w.w_op - 1 do
+    if Ops.Op.is_epilogue w.w_op.(e) then
+      match candidate_edge w e with
+      | None -> ()
+      | Some (fed_input, p) -> (
+        match fold w ~p ~e ~fed_input with
+        | Ok () -> ()
+        | Error (code, reason) ->
+          Trace.Counter.incr c_refused;
+          refused :=
+            { at = w.w_name.(e); into = w.w_name.(p); code; reason }
+            :: !refused)
   done;
   let graph = compact ~name:(Graph.name g) ~batch:(Graph.batch g) w in
   let groups =
@@ -232,14 +223,10 @@ let try_fuse g ~anchor ~consumer =
         ( "GSR-F03",
           Fmt.str "%s consumes %s through multiple inputs"
             w.w_name.(consumer) w.w_name.(anchor) )
-    | [ (fed_input, _) ] -> (
-      match check_candidacy w ~p:anchor ~e:consumer with
-      | Error _ as err -> err
-      | Ok () -> (
-        match apply_fold w ~p:anchor ~e:consumer ~fed_input with
-        | Error _ as err -> err
-        | Ok () ->
-          Ok (compact ~name:(Graph.name g) ~batch:(Graph.batch g) w)))
+    | [ (fed_input, _) ] ->
+      Result.map
+        (fun () -> compact ~name:(Graph.name g) ~batch:(Graph.batch g) w)
+        (fold w ~p:anchor ~e:consumer ~fed_input)
   end
 
 let pp_group ppf grp =

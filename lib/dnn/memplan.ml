@@ -28,84 +28,64 @@ type t = {
   slots : int;
 }
 
-let output_bytes node =
-  Tensor_lang.Compute.output_bytes (Ops.Op.compute node.Graph.op)
-
 let plan g =
   let nodes = Array.of_list (Graph.nodes g) in
   let n = Array.length nodes in
-  let succ = Graph.consumers g in
-  let dies = Array.make n 0 in
-  Array.iteri
-    (fun i node ->
-      dies.(i) <-
-        (match succ.(node.Graph.id) with
+  let bytes =
+    Array.map
+      (fun node ->
+        Tensor_lang.Compute.output_bytes (Ops.Op.compute node.Graph.op))
+      nodes
+  in
+  let dies =
+    Array.map
+      (function
         | [] -> n - 1  (* network output: live to the end *)
-        | consumers -> List.fold_left max 0 consumers))
-    nodes;
-  (* Peak: sweep positions, summing tensors alive at each. *)
-  let peak = ref 0 and peak_at = ref 0 in
+        | consumers -> List.fold_left max 0 consumers)
+      (Graph.consumers g)
+  in
+  (* Peak: a running sum over positions; a tensor's bytes join at its
+     birth and leave at the position after its last reader. *)
+  let leaving = Array.make (n + 1) 0 in
+  Array.iteri (fun i d -> leaving.(d + 1) <- leaving.(d + 1) + bytes.(i)) dies;
+  let alive = ref 0 and peak = ref 0 and peak_at = ref 0 in
   for t = 0 to n - 1 do
-    let alive = ref 0 in
-    Array.iteri
-      (fun i node ->
-        if i <= t && dies.(i) >= t then alive := !alive + output_bytes node)
-      nodes;
+    alive := !alive + bytes.(t) - leaving.(t);
     if !alive > !peak then begin
       peak := !alive;
       peak_at := t
     end
   done;
-  (* Greedy first-fit arena: a slot freed after its tensor's last reader
-     is reusable by any later tensor; slot size grows to the max tensor it
+  (* Greedy first-fit arena: a tensor takes the lowest slot whose last
+     tensor died before its birth; slot size grows to the max tensor it
      ever held. *)
-  let slot_free_at = ref [] (* (slot, free_position) *) in
-  let slot_bytes = ref [] (* (slot, max bytes) *) in
-  let next_slot = ref 0 in
-  let assigned =
-    Array.mapi
-      (fun i node ->
-        let bytes = output_bytes node in
-        let reusable =
-          List.filter (fun (_, free) -> free < i) !slot_free_at
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-        in
-        let slot =
-          match reusable with
-          | (s, _) :: _ -> s
-          | [] ->
-            let s = !next_slot in
-            incr next_slot;
-            s
-        in
-        slot_free_at :=
-          (slot, dies.(i)) :: List.remove_assoc slot !slot_free_at;
-        slot_bytes :=
-          (slot, max bytes (Option.value ~default:0 (List.assoc_opt slot !slot_bytes)))
-          :: List.remove_assoc slot !slot_bytes;
-        slot)
-      nodes
-  in
+  let slot_free_at = Array.make n 0 and slot_bytes = Array.make n 0 in
+  let slots = ref 0 in
   let ranges =
-    Array.to_list
-      (Array.mapi
-         (fun i node ->
-           { node_id = node.Graph.id;
-             node_name = node.Graph.node_name;
-             bytes = output_bytes node;
-             born = i;
-             dies = dies.(i);
-             slot = assigned.(i) })
-         nodes)
+    Array.init n (fun i ->
+        let rec first_fit s =
+          if s = !slots then begin
+            incr slots;
+            s
+          end
+          else if slot_free_at.(s) < i then s
+          else first_fit (s + 1)
+        in
+        let slot = first_fit 0 in
+        slot_free_at.(slot) <- dies.(i);
+        slot_bytes.(slot) <- max bytes.(i) slot_bytes.(slot);
+        { node_id = nodes.(i).Graph.id;
+          node_name = nodes.(i).Graph.node_name;
+          bytes = bytes.(i);
+          born = i;
+          dies = dies.(i);
+          slot })
+    |> Array.to_list
   in
-  let total_bytes =
-    List.fold_left (fun acc r -> acc + r.bytes) 0 ranges
-  in
-  let arena_bytes =
-    List.fold_left (fun acc (_, b) -> acc + b) 0 !slot_bytes
-  in
-  { ranges; peak_bytes = !peak; peak_at = !peak_at; total_bytes;
-    arena_bytes; slots = !next_slot }
+  { ranges; peak_bytes = !peak; peak_at = !peak_at;
+    total_bytes = Array.fold_left ( + ) 0 bytes;
+    arena_bytes = Array.fold_left ( + ) 0 slot_bytes;
+    slots = !slots }
 
 let reuse_factor t =
   if t.arena_bytes = 0 then 1.0

@@ -53,10 +53,6 @@ let run_graph ?store ?jobs ?(fuse = true) ~hw
   let plan = Memplan.plan graph in
   let levels = Graph.levels graph in
   Trace.Counter.add c_levels (List.length levels);
-  let cache : (string, Pipeline.Methods.output) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let cached = ref 0 in
   let device_fp = Artifact.Gpu_codec.fingerprint hw in
   let probe_store compute =
     match store with
@@ -68,29 +64,35 @@ let run_graph ?store ?jobs ?(fuse = true) ~hw
            ~compute_fingerprint:(Artifact.Compute_codec.fingerprint compute))
   in
   let nodes = Graph.nodes graph in
-  let keys = List.map (fun n -> Model.distinct_key n.Graph.op) nodes in
-  (* Distinct kernels in first-occurrence node order: store hits resolve
-     inline, the misses compile in one fan-out on the worker pool. *)
-  let seen = Hashtbl.create 64 in
-  let to_compile =
-    List.filter_map
-      (fun (n, key) ->
-        if Hashtbl.mem seen key then None
-        else begin
-          Hashtbl.add seen key ();
-          let op = n.Graph.op in
-          match probe_store (Ops.Op.compute op) with
-          | Some output ->
-            incr cached;
-            Hashtbl.add cache key output;
-            None
-          | None -> Some (key, op)
-        end)
-      (List.combine nodes keys)
+  (* Distinct kernels in first-occurrence node order; [kernel_of.(id)] is
+     node [id]'s index into them. *)
+  let index = Hashtbl.create 64 in
+  let rev_ops = ref [] in
+  let kernel_of =
+    Array.of_list
+      (List.map
+         (fun n ->
+           let key = Model.distinct_key n.Graph.op in
+           match Hashtbl.find_opt index key with
+           | Some k -> k
+           | None ->
+             let k = Hashtbl.length index in
+             Hashtbl.add index key k;
+             rev_ops := n.Graph.op :: !rev_ops;
+             k)
+         nodes)
   in
-  if to_compile <> [] then
+  let ops = Array.of_list (List.rev !rev_ops) in
+  (* Store hits resolve inline, the misses compile in one fan-out on the
+     worker pool. *)
+  let found = Array.map (fun op -> probe_store (Ops.Op.compute op)) ops in
+  let misses =
+    List.filter (fun k -> Option.is_none found.(k))
+      (List.init (Array.length ops) Fun.id)
+  in
+  if misses <> [] then
     List.iter2
-      (fun (key, _) output ->
+      (fun k output ->
         Option.iter
           (fun store ->
             ignore
@@ -100,43 +102,35 @@ let run_graph ?store ?jobs ?(fuse = true) ~hw
                 : string))
           store;
         Trace.Counter.incr c_compiled;
-        Hashtbl.add cache key output)
-      to_compile
+        found.(k) <- Some output)
+      misses
       (Parallel.Pool.map_auto ?jobs
-         (fun (_, op) -> method_.Pipeline.Methods.compile ~hw op)
-         to_compile);
-  let node_time n key =
+         (fun k -> method_.Pipeline.Methods.compile ~hw ops.(k))
+         misses);
+  let outputs = Array.map Option.get found in
+  let node_time n =
     float_of_int n.Graph.count
-    *. (Hashtbl.find cache key).Pipeline.Methods.metrics
+    *. outputs.(kernel_of.(n.Graph.id)).Pipeline.Methods.metrics
          .Costmodel.Metrics.exec_time_s
   in
-  let e2e_s =
-    List.fold_left2 (fun acc n key -> acc +. node_time n key) 0.0 nodes keys
-  in
-  (* Store hits report zero cost, so every distinct kernel is charged once,
-     at its first node. *)
-  let charged = Hashtbl.create 64 in
+  let e2e_s = List.fold_left (fun acc n -> acc +. node_time n) 0.0 nodes in
+  (* Store hits report zero cost, so every distinct kernel is charged once. *)
   let compile_wall, compile_sim =
-    List.fold_left
-      (fun ((wall, sim) as acc) key ->
-        if Hashtbl.mem charged key then acc
-        else begin
-          Hashtbl.add charged key ();
-          let o = Hashtbl.find cache key in
-          ( wall +. o.Pipeline.Methods.wall_s,
-            sim +. Pipeline.Methods.simulated_opt_time o )
-        end)
-      (0.0, 0.0) keys
+    Array.fold_left
+      (fun (wall, sim) o ->
+        ( wall +. o.Pipeline.Methods.wall_s,
+          sim +. Pipeline.Methods.simulated_opt_time o ))
+      (0.0, 0.0) outputs
   in
   let finish = Array.make (Graph.size graph) 0.0 in
-  List.iter2
-    (fun n key ->
+  List.iter
+    (fun n ->
       let ready =
         List.fold_left (fun acc (_, p) -> Float.max acc finish.(p)) 0.0
           n.Graph.deps
       in
-      finish.(n.Graph.id) <- ready +. node_time n key)
-    nodes keys;
+      finish.(n.Graph.id) <- ready +. node_time n)
+    nodes;
   let critical = Array.fold_left Float.max 0.0 finish in
   { g_model = Graph.name graph;
     g_method = method_.Pipeline.Methods.name;
@@ -146,8 +140,8 @@ let run_graph ?store ?jobs ?(fuse = true) ~hw
     g_e2e_s = e2e_s;
     g_critical_path_s = critical;
     g_throughput = float_of_int (Graph.batch graph) /. e2e_s;
-    g_kernels = Hashtbl.length cache;
-    g_cached = !cached;
+    g_kernels = Array.length ops;
+    g_cached = Array.length ops - List.length misses;
     g_nodes = Graph.size graph;
     g_fusion_groups =
       (match fusion with

@@ -141,6 +141,152 @@ let test_refuse_multi_consumer () =
   | Ok _ -> Alcotest.fail "multi-consumer anchor fused"
   | Error (code, _) -> check_string "stable code" "GSR-F07" code)
 
+(* A fold can leave the anchor reading one producer through two inputs:
+   here [add]'s Y operand moves onto [p], which already reads [q] through
+   A.  Compaction must still schedule [p]; counting its indegree per edge
+   but releasing it once per distinct producer dropped it. *)
+let test_fuse_keeps_double_read_made_by_fold () =
+  let b = Dnn.Graph.builder ~name:"t" ~batch:1 in
+  let q = Dnn.Graph.add b "q" (Ops.Matmul.gemm ~m:4 ~k:4 ~n:4 ()) in
+  let p =
+    Dnn.Graph.add b ~deps:[ ("A", q) ] "p" (Ops.Matmul.gemm ~m:4 ~k:4 ~n:4 ())
+  in
+  let _ =
+    Dnn.Graph.add b ~deps:[ ("X", p); ("Y", q) ] "add"
+      (Ops.Elementwise.add ~shape:[ 4; 4 ] ())
+  in
+  let g = Dnn.Graph.build b in
+  let r = Dnn.Fusion.fuse g in
+  check_int "both gemms kept" 2 (Dnn.Graph.size r.Dnn.Fusion.graph);
+  check_int "one group" 1 (List.length r.Dnn.Fusion.groups);
+  let report = Dnn.Runner.run_graph ~jobs:1 ~hw (roller ()) g in
+  check_int "kernels" 2 report.Dnn.Runner.g_kernels;
+  check_int "nodes" 2 report.Dnn.Runner.g_nodes;
+  check_int "folded" 1 report.Dnn.Runner.g_folded
+
+(* The same loss without any fold: [add] reads [mm] through both inputs. *)
+let test_fuse_keeps_double_read_in_input () =
+  let b = Dnn.Graph.builder ~name:"t" ~batch:1 in
+  let mm = Dnn.Graph.add b "mm" (Ops.Matmul.gemm ~m:4 ~k:4 ~n:4 ()) in
+  let a =
+    Dnn.Graph.add b ~deps:[ ("X", mm); ("Y", mm) ] "add"
+      (Ops.Elementwise.add ~shape:[ 4; 4 ] ())
+  in
+  let _ =
+    Dnn.Graph.add b ~deps:[ ("X", a) ] "relu"
+      (Ops.Elementwise.relu ~shape:[ 4; 4 ] ())
+  in
+  let r = Dnn.Fusion.fuse (Dnn.Graph.build b) in
+  check_int "every node kept" 3 (Dnn.Graph.size r.Dnn.Fusion.graph);
+  check_int "no group" 0 (List.length r.Dnn.Fusion.groups)
+
+(* ---------- QCheck: random graphs ---------- *)
+
+(* A random DAG of 4x4 GEMM anchors and relu/add/affine tails.  Each spec
+   entry [(kind, x, y, c)] adds one node: its operands come from earlier
+   nodes (so producers are shared, and a node may read one producer twice)
+   or are network inputs, and [c = 0] (one node in eight) gives it count 2,
+   which fusion must refuse to merge with a count-1 neighbour. *)
+let graph_of_spec spec =
+  let b = Dnn.Graph.builder ~name:"random" ~batch:1 in
+  let shape = [ 4; 4 ] in
+  List.iteri
+    (fun i (kind, x, y, c) ->
+      let from v input =
+        let j = v mod (i + 1) in
+        if j = i then [] else [ (input, i - 1 - j) ]
+      in
+      let name = Fmt.str "n%d" i in
+      let op, deps =
+        match kind with
+        | 0 | 1 -> (Ops.Matmul.gemm ~name ~m:4 ~k:4 ~n:4 (), from x "A" @ from y "B")
+        | 2 -> (Ops.Elementwise.relu ~name ~shape (), from x "X")
+        | 3 | 4 -> (Ops.Elementwise.add ~name ~shape (), from x "X" @ from y "Y")
+        | _ ->
+          ( Ops.Elementwise.affine ~name ~shape ~mul_const:0.5 ~add_const:(-1.25)
+              (),
+            from x "X" )
+      in
+      ignore
+        (Dnn.Graph.add b ~count:(if c = 0 then 2 else 1) ~deps name op))
+    spec;
+  Dnn.Graph.build b
+
+let random_graph_arb =
+  QCheck.(
+    set_print
+      (fun spec -> Fmt.str "%a" Dnn.Graph.pp_text (graph_of_spec spec))
+      (list_of_size
+         Gen.(1 -- 20)
+         (quad (int_bound 5) small_nat small_nat (int_bound 7))))
+
+(* Slots never hold two live tensors at once, and the peak equals a
+   per-position sum over live ranges derived here from the graph. *)
+let check_memplan g =
+  let plan = Dnn.Memplan.plan g in
+  let nodes = Dnn.Graph.nodes g in
+  let n = List.length nodes in
+  let dies = Array.make n (n - 1) and has_reader = Array.make n false in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun (_, p) ->
+          dies.(p) <- (if has_reader.(p) then max dies.(p) c.Dnn.Graph.id
+                       else c.Dnn.Graph.id);
+          has_reader.(p) <- true)
+        c.Dnn.Graph.deps)
+    nodes;
+  let bytes =
+    List.map
+      (fun nd ->
+        Tensor_lang.Compute.output_bytes (Ops.Op.compute nd.Dnn.Graph.op))
+      nodes
+  in
+  let live t =
+    List.fold_left ( + ) 0
+      (List.mapi (fun i b -> if i <= t && dies.(i) >= t then b else 0) bytes)
+  in
+  let peak = ref 0 and peak_at = ref 0 in
+  for t = 0 to n - 1 do
+    if live t > !peak then begin
+      peak := live t;
+      peak_at := t
+    end
+  done;
+  let overlap a b =
+    a.Dnn.Memplan.node_id <> b.Dnn.Memplan.node_id
+    && a.Dnn.Memplan.slot = b.Dnn.Memplan.slot
+    && not (a.Dnn.Memplan.dies < b.Dnn.Memplan.born
+            || b.Dnn.Memplan.dies < a.Dnn.Memplan.born)
+  in
+  let ranges = plan.Dnn.Memplan.ranges in
+  (not (List.exists (fun a -> List.exists (overlap a) ranges) ranges))
+  && plan.Dnn.Memplan.peak_bytes = !peak
+  && plan.Dnn.Memplan.peak_at = !peak_at
+
+(* Fusion conserves nodes (every node is kept or folded into exactly one
+   anchor), and a second run folds nothing: that is what lets the pass
+   visit each node once.  The memory plan holds on both graphs. *)
+let random_graph_prop =
+  QCheck.Test.make ~count:200 ~long_factor:20
+    ~name:"random graphs: fusion conserves nodes and is idempotent"
+    random_graph_arb
+    (fun spec ->
+      QCheck.assume (spec <> []);
+      let g = graph_of_spec spec in
+      let r = Dnn.Fusion.fuse g in
+      let folded =
+        List.fold_left
+          (fun acc grp -> acc + List.length grp.Dnn.Fusion.folded)
+          0 r.Dnn.Fusion.groups
+      in
+      let again = Dnn.Fusion.fuse r.Dnn.Fusion.graph in
+      let text g = Fmt.str "%a" Dnn.Graph.pp_text g in
+      Dnn.Graph.size r.Dnn.Fusion.graph + folded = Dnn.Graph.size g
+      && text again.Dnn.Fusion.graph = text r.Dnn.Fusion.graph
+      && check_memplan g
+      && check_memplan r.Dnn.Fusion.graph)
+
 (* ---------- QCheck: fusion is semantics-preserving ---------- *)
 
 (* Run [compute] on named inputs drawn from [pool] (falling back to
@@ -424,6 +570,13 @@ let () =
             test_refuse_reduction_consumer;
           Alcotest.test_case "refuse multi-consumer" `Quick
             test_refuse_multi_consumer;
+          Alcotest.test_case "double read made by a fold" `Quick
+            test_fuse_keeps_double_read_made_by_fold;
+          Alcotest.test_case "double read of an input" `Quick
+            test_fuse_keeps_double_read_in_input;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 2025 |])
+            random_graph_prop;
           QCheck_alcotest.to_alcotest fusion_sound_prop;
           Alcotest.test_case "flops preserved" `Quick test_fuse_preserves_flops
         ] );
