@@ -11,9 +11,3 @@ val decode : Codec.cursor -> (Tensor_lang.Compute.t, Codec.error) result
 (** Content identity: MD5 hex of the canonical encoding.  The store keys
     artifacts by it. *)
 val fingerprint : Tensor_lang.Compute.t -> string
-
-(** Exposed for the expression round-trip property tests. *)
-
-val expr_to_sexp : Tensor_lang.Expr.t -> Codec.sexp
-val expr_of_sexp :
-  line:int -> Codec.sexp -> (Tensor_lang.Expr.t, Codec.error) result

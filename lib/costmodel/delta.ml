@@ -87,11 +87,6 @@ let reset_stats () =
   Trace.Counter.set levels_reused 0;
   Trace.Counter.set edges_scored 0
 
-let pp_stats ppf s =
-  Fmt.pf ppf "full %d  incremental %d  levels recomputed %d  reused %d"
-    s.st_full_builds s.st_incremental_builds s.st_levels_recomputed
-    s.st_levels_reused
-
 (* FLOPs one thread issues per innermost reduce chunk (the ILP term). *)
 let thread_chunk_flops etir =
   let elems = ref (Sched.Etir.point_flops etir) in

@@ -137,4 +137,3 @@ type stats = {
 val stats : unit -> stats
 
 val reset_stats : unit -> unit
-val pp_stats : stats Fmt.t

@@ -10,8 +10,6 @@ type t = {
   global_threads : int;  (** concurrently resident threads, device-wide *)
 }
 
-val hard_block_cap : int
-
 (** Occupancy from an explicit launch shape and level-0/1 footprints —
     what {!of_etir} derives from the state; incremental evaluation calls
     this with footprints it already holds. *)

@@ -70,7 +70,6 @@ val edge_count : t -> int
 val of_model : Model.t -> t
 
 val pp : t Fmt.t
-val pp_node : node Fmt.t
 
 (** Full dump: summary line plus one line per node. *)
 val pp_text : t Fmt.t

@@ -30,7 +30,6 @@ val plan : Graph.t -> t
 val reuse_factor : t -> float
 
 val pp_bytes : int Fmt.t
-val pp_range : range Fmt.t
 
 (** Summary: peak, totals, reuse factor. *)
 val pp : t Fmt.t

@@ -59,14 +59,11 @@ let[@inline] level t i =
 let schedulable_cache_levels t = Array.length t.levels - 2
 
 let[@inline] registers_level t = t.levels.(0)
-let dram_level t = t.levels.(Array.length t.levels - 1)
 
 (* Peak single-precision throughput in FLOP/s assuming one FMA (2 FLOPs) per
    core per cycle, the convention used by NVIDIA spec sheets. *)
 let peak_flops t =
   2.0 *. float_of_int (t.sm_count * t.cores_per_sm) *. t.clock_ghz *. 1e9
-
-let max_resident_threads t = t.sm_count * t.max_threads_per_sm
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>%s: %d SMs x %d cores @ %.2f GHz (peak %.1f TFLOPS)@,%a@]"

@@ -46,10 +46,8 @@ val level : t -> int -> Mem_level.t
 val schedulable_cache_levels : t -> int
 
 val registers_level : t -> Mem_level.t
-val dram_level : t -> Mem_level.t
 
 (** Peak fp32 throughput in FLOP/s (2 FLOPs per core-cycle). *)
 val peak_flops : t -> float
 
-val max_resident_threads : t -> int
 val pp : t Fmt.t

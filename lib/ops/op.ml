@@ -26,14 +26,6 @@ let kind_to_string = function
   | Maxpool2d -> "maxpool2d"
   | Elementwise -> "elementwise"
 
-(* Operators whose arithmetic intensity is high enough that a vendor GEMM/conv
-   template library covers them; pooling and elementwise kernels are
-   memory-bound. *)
-let is_compute_bound t =
-  match t.kind with
-  | Gemm | Batch_matmul | Conv2d -> true
-  | Gemv | Depthwise_conv2d | Avgpool2d | Maxpool2d | Elementwise -> false
-
 (* Epilogue capability flags for graph-level fusion: anchors keep their own
    kernel and absorb pointwise tails; every matmul/conv class qualifies.
    Pooling reduces over a window, so a pool is never an epilogue, and we do

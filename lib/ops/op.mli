@@ -26,10 +26,6 @@ val flops : t -> int
 
 val kind_to_string : kind -> string
 
-(** Whether the operator class is compute-bound (GEMM-like) rather than
-    memory-bound (pooling, GEMV, elementwise). *)
-val is_compute_bound : t -> bool
-
 (** Epilogue capability flags for graph-level fusion: anchors (matmul/conv
     classes) keep their own kernel and absorb pointwise tails; elementwise
     ops are the tails.  Pools are neither. *)

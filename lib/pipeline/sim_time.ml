@@ -20,9 +20,6 @@ let tree_step_s = 1e-4
    on-device measurement. *)
 let measure_trial_s = 0.5
 
-(* Vendor-library dispatch: shape-keyed table lookup. *)
-let vendor_dispatch_s = 1e-4
-
 let simulated ?(tree_steps = 0) ~analysis_steps ~measure_trials () =
   (float_of_int analysis_steps *. analysis_step_s)
   +. (float_of_int tree_steps *. tree_step_s)

@@ -4,17 +4,5 @@
     step costs in the real systems; all tables report both simulated and
     real wall time. *)
 
-(** One Gensor Markov policy evaluation (s). *)
-val analysis_step_s : float
-
-(** One Roller deterministic tree-comparison step (s). *)
-val tree_step_s : float
-
-(** One search trial: codegen + compile + on-device measurement (s). *)
-val measure_trial_s : float
-
-(** Vendor-library shape dispatch (s). *)
-val vendor_dispatch_s : float
-
 val simulated :
   ?tree_steps:int -> analysis_steps:int -> measure_trials:int -> unit -> float

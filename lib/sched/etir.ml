@@ -214,11 +214,6 @@ let threads_per_block t =
   let rec go i acc = if i = n then acc else go (i + 1) (acc * physical_threads_dim t i) in
   go 0 1
 
-let logical_threads_per_block t =
-  let n = num_spatial t in
-  let rec go i acc = if i = n then acc else go (i + 1) (acc * logical_threads_dim t i) in
-  go 0 1
-
 let grid_blocks t =
   let sext = spatial_extents t in
   let acc = ref 1 in

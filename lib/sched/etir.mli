@@ -73,7 +73,6 @@ val physical_threads_dim : t -> int -> int
 val logical_threads_dim : t -> int -> int
 
 val threads_per_block : t -> int
-val logical_threads_per_block : t -> int
 
 (** Number of thread blocks in the launch grid. *)
 val grid_blocks : t -> int

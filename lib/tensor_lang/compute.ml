@@ -172,9 +172,6 @@ let epilogue_accesses t =
   | Some e ->
     List.filter (fun a -> Access.tensor a <> t.out_name) (Expr.accesses e)
 
-let find_axis t axis_name =
-  List.find_opt (fun ax -> Axis.name ax = axis_name) t.axes
-
 let domain_points t =
   List.fold_left (fun acc ax -> acc * Axis.extent ax) 1 t.axes
 

@@ -57,13 +57,8 @@ val output_shape : t -> int list
 (** Product of the spatial extents — number of output elements. *)
 val output_points : t -> int
 
-val find_axis : t -> string -> Axis.t option
-
 (** Product of all axis extents. *)
 val domain_points : t -> int
-
-(** FLOPs per output element spent in the epilogue (0 without one). *)
-val epilogue_flops : t -> int
 
 (** Tensor reads the epilogue performs beyond the body, excluding the
     accumulator read of [out_name] (which never touches memory). *)

@@ -28,8 +28,6 @@ val min_ : t -> t -> t
     element values, [env] supplies loop-variable values. *)
 val eval : read:(string -> int list -> float) -> env:(string -> int) -> t -> float
 
-val fold_accesses : ('a -> Access.t -> 'a) -> 'a -> t -> 'a
-
 (** All tensor accesses in the expression, left-to-right. *)
 val accesses : t -> Access.t list
 

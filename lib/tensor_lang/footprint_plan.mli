@@ -52,9 +52,6 @@ val of_compute : Compute.t -> t
 (** The evaluators read tiles from a [row] indexed by slot: [row.(s)] is
     the tile of slot [s], which ranges over [0, row.(s) - 1]. *)
 
-(** Bounds [g] over the row's tile. *)
-val general_interval : int array -> gexpr -> Interval.t
-
 (** Footprint of one access over the row's tile, in elements. *)
 val entry_elems : int array -> entry -> int
 

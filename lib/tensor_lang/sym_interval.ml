@@ -113,11 +113,8 @@ let v lo hi = { lo; hi }
 let point a = { lo = a; hi = a }
 let of_const n = point (Affine.const n)
 let of_interval iv = { lo = Affine.const (Interval.lo iv); hi = Affine.const (Interval.hi iv) }
-let of_sym name = point (Affine.sym name)
 let lo t = t.lo
 let hi t = t.hi
-
-let is_const t = Affine.is_const t.lo && Affine.is_const t.hi
 
 (* Concrete hull of the symbolic interval over the region [range]. *)
 let concretize ~range t =

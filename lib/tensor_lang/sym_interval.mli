@@ -59,18 +59,9 @@ type t
 val v : Affine.t -> Affine.t -> t
 
 val point : Affine.t -> t
-val of_const : int -> t
 val of_interval : Interval.t -> t
-val of_sym : string -> t
 val lo : t -> Affine.t
 val hi : t -> Affine.t
-
-(** Both endpoints are constant forms. *)
-val is_const : t -> bool
-
-(** Concrete hull over the box [range]: the interval containing the
-    symbolic interval at every shape in the region. *)
-val concretize : range:(string -> Interval.t) -> t -> Interval.t
 
 val add : t -> t -> t
 val sub : t -> t -> t

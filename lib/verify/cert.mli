@@ -70,7 +70,5 @@ val admits_compute : t -> Tensor_lang.Compute.t -> (unit, string) result
 (** Do the divisibility guards hold at the valuation? *)
 val guards_hold : t -> (string * int) list -> (unit, string) result
 
-val pp_constr : constr Fmt.t
-val pp_guard : guard Fmt.t
 val pp_region : t Fmt.t
 val pp : t Fmt.t

@@ -6,10 +6,6 @@
 val capacity :
   Sched.Etir.t -> hw:Hardware.Gpu_spec.t -> Diagnostic.t list
 
-(** Capacity + interval bounds: everything derivable from the state alone. *)
-val static_checks :
-  Sched.Etir.t -> hw:Hardware.Gpu_spec.t -> Diagnostic.t list
-
 (** Static checks, then race + lint over [kernel] (default
     [Codegen.Cuda.lower etir]). *)
 val run :
