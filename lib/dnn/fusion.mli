@@ -19,8 +19,9 @@ type result = {
   refused : refusal list;  (** candidates that stayed separate kernels *)
 }
 
-(** Run fusion to fixpoint (chains like conv→bias→relu fold in rounds).
-    Illegal candidates are recorded in [refused] and left unfused. *)
+(** One pass in topological order; chains like conv→bias→relu fold as
+    each tail is visited.  Illegal candidates are recorded in [refused]
+    and left unfused. *)
 val fuse : Graph.t -> result
 
 (** Fold one specific edge, or return the stable refusal code — the entry

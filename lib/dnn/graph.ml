@@ -1,8 +1,8 @@
 (* Graph IR above lib/ops: nodes are operators, edges are tensor
    dependencies (which producer feeds which named input of the consumer).
    This is the unit the end-to-end path optimizes — fusion rewrites the
-   graph, the memory planner walks its live ranges, and the runner
-   schedules compilation level by level (ROADMAP item 2; paper §V-C).
+   graph, the memory planner walks its live ranges, and the runner charges
+   each node its kernel time (paper §V-C).
 
    Nodes are stored in topological order by construction: the builder only
    accepts dependencies on already-added nodes, so node ids double as a

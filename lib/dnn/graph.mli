@@ -2,7 +2,7 @@
     dependencies.  The end-to-end path works on this representation —
     {!Fusion} folds pointwise tails into their anchors, {!Memplan} computes
     live ranges and peak intermediate footprint, and {!Runner.run_graph}
-    schedules compilation level by level across the worker pool.
+    compiles the distinct kernels across the worker pool.
 
     Nodes are topologically ordered by construction: the builder only
     accepts dependencies on already-added nodes. *)

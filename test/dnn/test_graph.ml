@@ -226,16 +226,16 @@ let check_memplan g =
   let plan = Dnn.Memplan.plan g in
   let nodes = Dnn.Graph.nodes g in
   let n = List.length nodes in
-  let dies = Array.make n (n - 1) and has_reader = Array.make n false in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun (_, p) ->
-          dies.(p) <- (if has_reader.(p) then max dies.(p) c.Dnn.Graph.id
-                       else c.Dnn.Graph.id);
-          has_reader.(p) <- true)
-        c.Dnn.Graph.deps)
-    nodes;
+  (* the last reader, or the end for a network output *)
+  let dies =
+    Array.init n (fun p ->
+        List.fold_left
+          (fun last c ->
+            if List.exists (fun (_, q) -> q = p) c.Dnn.Graph.deps then
+              c.Dnn.Graph.id
+            else last)
+          (n - 1) nodes)
+  in
   let bytes =
     List.map
       (fun nd ->
